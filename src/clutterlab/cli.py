@@ -1,9 +1,9 @@
 """Command-line front end: instance I/O, property checks, certificates.
 
-Exit codes: 0 = property holds, 1 = property fails, 2 = undecided (budget),
-64 = usage or parse error.  Certificates are byte-stable JSON for a fixed
-input and schema version; timing is only included on request so that
-repeated runs stay byte-identical.
+Exit codes: 0 = property holds, 1 = property fails, 2 = undecided (step budget
+or resource cap), 64 = usage or parse error.  Certificates are byte-stable
+JSON for a fixed input and schema version; timing is only included on
+request so that repeated runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import combinat, ehrhart, families, ideals, tdi
 from .combinat import Clutter, RawClutter, SimpleGraph
-from .errors import Undecided, UsageError, step_budget
+from .errors import ResourceExceeded, Undecided, UsageError, step_budget
 from .tdi import LinearSystem
 
 SCHEMA_VERSION = 1
@@ -479,7 +479,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Undecided as exc:
+    except (Undecided, ResourceExceeded) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
 

@@ -91,11 +91,6 @@ def as_clutter_or_raw(n: int, edges) -> RawClutter:
         return RawClutter(n, edges)
 
 
-def _require_strict(c: RawClutter, what: str) -> None:
-    if not isinstance(c, Clutter):
-        raise UsageError(f"{what}: requires a strict clutter (edges of size >= 2)")
-
-
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected graph without loops or multi-edges."""

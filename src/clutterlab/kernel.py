@@ -25,20 +25,12 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(c, u: Sequence) -> tuple:
     return tuple(c * a for a in u)
-
-
-def is_zero(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
 
 
 def _integer_row(row: Sequence) -> list[int]:

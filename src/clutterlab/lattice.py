@@ -3,9 +3,13 @@
 The central predicate is `is_hilbert_basis(H)`: do the nonnegative integer
 combinations of H reach every lattice point of the cone spanned by H?
 For pointed cones this reduces to computing the unique minimal Hilbert basis
-of the cone (triangulation plus fundamental-parallelepiped enumeration) and
-checking set containment; cones with lineality are split along their
-lineality lattice and the pointed quotient is handled as usual.
+of the cone and checking set containment.  The basis comes in two steps:
+the cone is triangulated, and the lattice points of each simplex's half-open
+parallelepiped are enumerated in integer arithmetic from one Smith normal
+form per simplex; the candidates are then reduced in support form, by
+comparing their facet-height tuples in order of total height.  Cones with
+lineality are split along their lineality lattice and the pointed quotient
+is handled as usual.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
+from operator import mul
 
 from . import kernel, polyhedron
 from .errors import StepCounter, Undecided, UsageError, step_budget
@@ -100,34 +105,34 @@ def _extreme_rays(cone: ConeWithLattice) -> tuple[IntVec, ...]:
 def _parallelepiped_points(gens: tuple[IntVec, ...], n: int, steps: StepCounter) -> list[IntVec]:
     """Lattice points of the half-open box {sum l_i g_i : 0 <= l_i < 1}.
 
-    The generators must be linearly independent.  Enumeration goes through
-    the Smith normal form of the generator matrix: one representative per
-    residue class of (Z^n meet span) modulo the generator lattice, folded
-    into the half-open box by subtracting integer parts.
+    The generators must be linearly independent.  With G the n x k matrix
+    whose columns are the generators and U*G*V = D its Smith normal form,
+    the residue classes of (Z^n meet span) modulo the generator lattice are
+    indexed by y with 0 <= y_i < d_i, and the class of y has coefficients
+    l = V*(y_i / d_i).  Scaled by the largest invariant factor d_k these
+    are integers, so the box point is G*(d_k*l mod d_k) / d_k and every
+    point costs two integer mat-vecs.  Points come in `product` order of
+    the y_i, which `_member_general` relies on.
     """
     k = len(gens)
     if k == 0:
         return [(0,) * n]
     mat = tuple(tuple(g[i] for g in gens) for i in range(n))  # n x k, columns = gens
-    u, d, _ = kernel.smith_normal_form(mat)
+    _, d, v = kernel.smith_normal_form(mat)
     diag = [d[i][i] for i in range(k)]
     if prod(diag) == 1:
         return [(0,) * n]
-    uinv = kernel.unimodular_inverse(u)
-    cols = [tuple(row) for row in zip(*gens)]  # n rows again (gens as columns)
+    dk = diag[-1]
+    scale = [dk // di for di in diag]
     out = []
     for combo in product(*[range(di) for di in diag]):
         steps.spend()
-        y = tuple(combo) + (0,) * (n - k)
-        x = tuple(kernel.dot(uinv[i], y) for i in range(n))
-        lam = kernel.solve(cols, x)
-        if lam is None:
+        z = [c * s for c, s in zip(combo, scale)]
+        r = [sum(map(mul, row, z)) % dk for row in v]
+        num = [sum(map(mul, row, r)) for row in mat]
+        if any(x % dk for x in num):
             raise AssertionError("parallelepiped representative outside span")
-        shift = [int(l) if l.denominator == 1 else (l.numerator // l.denominator) for l in lam]
-        pt = tuple(
-            x[i] - sum(shift[j] * gens[j][i] for j in range(k)) for i in range(n)
-        )
-        out.append(pt)
+        out.append(tuple(x // dk for x in num))
     return out
 
 
@@ -169,28 +174,29 @@ def _hilbert_basis_cached(cone: ConeWithLattice, budget: int) -> tuple[IntVec, .
         for pt in _parallelepiped_points(simplex, cone.n, steps):
             if any(x != 0 for x in pt):
                 candidates.add(pt)
-    ineqs, eqs = cone.hrep_normals
-
-    def in_cone(x) -> bool:
-        return all(kernel.dot(a, x) <= 0 for a in ineqs) and all(
-            kernel.dot(c, x) == 0 for c in eqs
-        )
-
-    cand_sorted = sorted(candidates)
-    basis = []
-    for x in cand_sorted:
+    # x - h lies in the cone exactly when h's facet heights are at most x's;
+    # the equations hold for both already.  The total height grades the
+    # pointed cone, so x can only be reduced by an irreducible of strictly
+    # smaller total height, and every irreducible is a candidate.
+    ineqs, _ = cone.hrep_normals
+    graded = []
+    for x in candidates:
+        heights = tuple(-sum(map(mul, f, x)) for f in ineqs)
+        graded.append((sum(heights), heights, x))
+    graded.sort()
+    irreducible: list[tuple[int, IntVec, IntVec]] = []
+    for total, heights, x in graded:
         reducible = False
-        for c in cand_sorted:
-            if c == x:
-                continue
+        for h_total, h_heights, _ in irreducible:
+            if h_total == total:
+                break
             steps.spend()
-            diff = kernel.vsub(x, c)
-            if in_cone(diff):
+            if all(a <= b for a, b in zip(h_heights, heights)):
                 reducible = True
                 break
         if not reducible:
-            basis.append(x)
-    return tuple(basis)
+            irreducible.append((total, heights, x))
+    return tuple(sorted(x for _, _, x in irreducible))
 
 
 # ---------------------------------------------------------------------------

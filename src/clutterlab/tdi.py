@@ -198,16 +198,23 @@ def lifted_vectors(system: LinearSystem) -> tuple[IntVec, ...]:
     return tuple(v + (wi,) for v, wi in zip(system.columns, system.w))
 
 
+def _integrality(system: LinearSystem, cert: TdiCertificate) -> bool | str:
+    """Integrality of the system's polyhedron, "vacuous" when it is empty.
+
+    `is_tdi` has already decided it unless the verdict is "undecided"."""
+    if cert.verdict == "vacuous":
+        return "vacuous"
+    if cert.integral is not None:
+        return cert.integral
+    h = system.hrep()
+    return polyhedron.is_integral(polyhedron.dd_convert(h), h)[0]
+
+
 def sufficiency_check(system: LinearSystem, budget: int | None = None) -> SystemReport:
     """Integral polyhedron + lifted columns a Hilbert basis must force TDI."""
-    h = system.hrep()
-    v = polyhedron.dd_convert(h)
-    if v.is_empty:
-        integral: bool | str = "vacuous"
-    else:
-        integral = polyhedron.is_integral(v, h)[0]
     lifted_ok = lattice.is_hilbert_basis(lifted_vectors(system), budget).verdict
     cert = is_tdi(system, budget)
+    integral = _integrality(system, cert)
     hyp = (integral is True or integral == "vacuous") and lifted_ok
     respected = (not hyp) or cert.holds
     return SystemReport(
@@ -269,9 +276,7 @@ def integer_rounding_check(system: LinearSystem, budget: int | None = None) -> R
     lifted.append((0,) * system.n + (1,))
     rounding = lattice.is_hilbert_basis(lifted, budget).verdict
     cert = is_tdi(system, budget)
-    h = system.hrep()
-    v = polyhedron.dd_convert(h)
-    integral: bool | str = "vacuous" if v.is_empty else polyhedron.is_integral(v, h)[0]
+    integral = _integrality(system, cert)
     if cert.verdict == "undecided" or integral == "vacuous":
         respected = True  # no finite optima: the equivalence says nothing
     else:

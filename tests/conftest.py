@@ -14,6 +14,7 @@ import pytest
 
 from clutterlab import kernel
 from clutterlab.combinat import SimpleGraph
+from clutterlab.lattice import ConeWithLattice
 from clutterlab.polyhedron import HRep
 
 
@@ -92,6 +93,31 @@ def brute_in_semigroup(a, gens, cap=8) -> bool:
         if v == tuple(a):
             return True
     return False
+
+
+def brute_hilbert_basis(gens, n):
+    """Minimal Hilbert basis of a pointed cone by a box scan.
+
+    Every basis element lies in the zonotope {sum l_i g_i : 0 <= l_i <= 1},
+    so the cone points of its bounding box include the basis, and one of
+    them is irreducible exactly when subtracting any other nonzero one of
+    them leaves the cone.  Small points go first only so that reducible
+    points find a summand early.
+    """
+    cone = ConeWithLattice.from_vectors(gens, n)
+    ranges = [
+        range(sum(min(0, g[i]) for g in gens), sum(max(0, g[i]) for g in gens) + 1)
+        for i in range(n)
+    ]
+    pts = [p for p in itertools.product(*ranges) if any(p) and cone.contains(p)]
+    pts.sort(key=lambda p: sum(abs(x) for x in p))
+    return tuple(
+        sorted(
+            x
+            for x in pts
+            if not any(y != x and cone.contains(kernel.vsub(x, y)) for y in pts)
+        )
+    )
 
 
 def brute_staircase_min(n, normals, rhs, box):

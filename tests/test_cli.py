@@ -140,3 +140,22 @@ def test_budget_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("CLUTTERLAB_BUDGET", "not-a-number")
     sq = write(tmp_path, "sq.json", SQUARE)
     assert run(["check", "mfmc", "--input", sq]) == 64
+
+
+def _cycle_graph(n):
+    edges = [[i, (i + 1) % n] for i in range(n)]
+    return json.dumps({"kind": "graph", "n": n, "edges": edges})
+
+
+def test_meyniel_vertex_cap_is_undecided(tmp_path, capsys):
+    # the odd-cycle enumeration refuses graphs above MEYNIEL_CAP = 16 vertices
+    c17 = write(tmp_path, "c17.json", _cycle_graph(17))
+    assert run(["check", "meyniel", "--input", c17]) == 2
+    assert capsys.readouterr().err.startswith("undecided: resource exceeded")
+
+
+def test_clique_vertex_cap_is_undecided(tmp_path, capsys):
+    # deriving the clique clutter refuses graphs above CLIQUE_CAP = 24 vertices
+    c25 = write(tmp_path, "c25.json", _cycle_graph(25))
+    assert run(["check", "ideal", "--input", c25]) == 2
+    assert capsys.readouterr().err.startswith("undecided: resource exceeded")

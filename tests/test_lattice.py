@@ -4,10 +4,11 @@ import random
 import pytest
 
 from clutterlab import kernel, lattice
-from clutterlab.errors import UsageError
+from clutterlab.errors import StepCounter, Undecided, UsageError
 from clutterlab.lattice import ConeWithLattice, hilbert_basis, is_hilbert_basis, semigroup_member
+from clutterlab.tdi import LinearSystem, is_tdi
 
-from conftest import brute_in_semigroup
+from conftest import brute_hilbert_basis, brute_in_semigroup
 
 LIFTED_LINE_K24 = [
     (1, 1, 1, 1, 0, 0, 0, 0, 1),
@@ -173,3 +174,69 @@ def test_membership_differential():
         if got:
             v = tuple(sum(c * g[i] for c, g in zip(combo, gens)) for i in range(n))
             assert v == a
+
+
+def test_hilbert_basis_matches_brute_force():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 1))]
+        gens = [g for g in gens if any(g)]
+        if not gens:
+            continue
+        cone = ConeWithLattice.from_vectors(gens, n)
+        if not cone.is_pointed:
+            continue
+        assert hilbert_basis(cone) == brute_hilbert_basis(gens, n), gens
+        seen.add((n, bool(cone.hrep_normals[1])))
+    # full-dimensional and lower-dimensional cones (with equation normals)
+    assert seen == {(n, eqs) for n in (2, 3, 4) for eqs in (False, True)}
+
+
+def fraction_parallelepiped_points(gens, n):
+    """The reference construction: per class, an exact Fraction solve for the
+    coefficients, then their integer parts subtracted."""
+    k = len(gens)
+    mat = tuple(tuple(g[i] for g in gens) for i in range(n))
+    u, d, _ = kernel.smith_normal_form(mat)
+    uinv = kernel.unimodular_inverse(u)
+    out = []
+    for combo in itertools.product(*[range(d[i][i]) for i in range(k)]):
+        y = tuple(combo) + (0,) * (n - k)
+        x = tuple(kernel.dot(uinv[i], y) for i in range(n))
+        lam = kernel.solve(mat, x)
+        shift = [l.numerator // l.denominator for l in lam]
+        out.append(tuple(x[i] - sum(shift[j] * gens[j][i] for j in range(k)) for i in range(n)))
+    return out
+
+
+def test_parallelepiped_points_match_fraction_solve():
+    rng = random.Random(16)
+    kinds = set()
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        gens = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k))
+        if kernel.rank(gens) != k:
+            continue
+        got = lattice._parallelepiped_points(gens, n, StepCounter(10**6, "test"))
+        assert got == fraction_parallelepiped_points(gens, n), gens
+        if k < n:
+            kinds.add("k < n")
+        elif kernel.determinant(gens) < 0:
+            kinds.add("negative determinant")
+    assert kinds == {"k < n", "negative determinant"}
+
+
+def test_step_budget_covers_enumeration_and_reduction():
+    # cone((1, 0), (2, 5)) is one simplex with 5 parallelepiped points; the
+    # reduction then makes 7 facet-height comparisons, one step each
+    cone = ConeWithLattice.from_vectors([(1, 0), (2, 5)])
+    system = LinearSystem(cone.generators, (0, 0))
+    for budget in (4, 11):  # runs out while enumerating, resp. while reducing
+        with pytest.raises(Undecided):
+            hilbert_basis(cone, budget=budget)
+        assert is_tdi(system, budget).verdict == "undecided"
+    assert hilbert_basis(cone, budget=12) == ((1, 0), (1, 1), (1, 2), (2, 5))
+    assert is_tdi(system, 12).verdict is False
