@@ -256,11 +256,11 @@ def cmd_invariants(args) -> int:
     notes: dict = {}
     c = _as_clutter(obj, notes)
     analysis = ehrhart.analyze(c, args.budget)
-    bounds = ehrhart.check_regularity_bounds(c)
+    bounds = ehrhart.check_regularity_bounds(c, args.budget)
     inv = {
         "hvector": list(analysis.hvector),
         "a_invariant": analysis.a_invariant,
-        "a_invariant_interior": ehrhart.a_invariant_interior(c),
+        "a_invariant_interior": ehrhart.a_invariant_interior(c, args.budget),
         "regularity": analysis.regularity,
         "dim": analysis.dim,
         "is_ehrhart": analysis.is_ehrhart,

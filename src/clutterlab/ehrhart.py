@@ -17,7 +17,7 @@ from math import comb
 
 from . import combinat, lattice, polyhedron
 from .combinat import RawClutter
-from .errors import UsageError
+from .errors import Undecided, UsageError
 
 IntVec = tuple[int, ...]
 
@@ -49,7 +49,7 @@ def analyze(c: RawClutter, budget: int | None = None) -> EhrhartAnalysis:
     counts = [len(polyhedron.lattice_points(vrep, b, hrep)) for b in range(dim + 2)]
     h = _hvector_from_counts(counts, dim)
     a_series = (len(h) - 1) - (dim + 1)
-    a_interior = a_invariant_interior(c)
+    a_interior = _interior_degree(vrep, hrep, dim)
     if a_series != a_interior:
         raise AssertionError(
             f"series degree {a_series} disagrees with interior route {a_interior}"
@@ -125,12 +125,13 @@ def a_invariant_series(c: RawClutter) -> int:
     return (len(a.hvector) - 1) - (a.dim + 1)
 
 
-def a_invariant_interior(c: RawClutter) -> int:
+def a_invariant_interior(c: RawClutter, budget: int | None = None) -> int:
     """Minus the first dilation whose relative interior holds a lattice point."""
-    vectors = c.characteristic_vectors()
-    vrep = polyhedron.VRep(c.n, tuple(sorted(tuple(Fraction(x) for x in v) for v in vectors)))
-    hrep = polyhedron.dd_convert(vrep)
-    dim = polyhedron.dimension(vrep)
+    a = analyze(c, budget)
+    return _interior_degree(a.vrep, a.hrep, a.dim)
+
+
+def _interior_degree(vrep: polyhedron.VRep, hrep: polyhedron.HRep, dim: int) -> int:
     for k in range(1, dim + 2):
         if polyhedron.relative_interior_lattice_points(vrep, k, hrep):
             return -k
@@ -168,9 +169,12 @@ class BoundReport:
         )
 
 
-def check_regularity_bounds(c: RawClutter) -> BoundReport:
+def check_regularity_bounds(c: RawClutter, budget: int | None = None) -> BoundReport:
     """For d-uniform unmixed flow-property clutters: series degree <= -g and
-    regularity <= (d-1)(g-1), with per-instance tightness flags."""
+    regularity <= (d-1)(g-1), with per-instance tightness flags.
+
+    Raises Undecided when the budget runs out before the flow property is
+    decided: an undecided hypothesis is neither met nor missing."""
     from . import tdi  # local import; tdi builds on this module's siblings
 
     d = combinat.is_uniform(c)
@@ -180,9 +184,12 @@ def check_regularity_bounds(c: RawClutter) -> BoundReport:
         missing.append("uniform")
     if not combinat.is_unmixed(c):
         missing.append("unmixed")
-    if not tdi.is_mfmc(c).holds:
+    mfmc = tdi.is_mfmc(c, budget)
+    if mfmc.verdict == "undecided":
+        raise Undecided(f"flow property: {mfmc.note}")
+    if not mfmc.holds:
         missing.append("mfmc")
-    a = analyze(c)
+    a = analyze(c, budget)
     reg_bound = (d - 1) * (g - 1) if d is not None else None
     return BoundReport(
         hypotheses_met=not missing,

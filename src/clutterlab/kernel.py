@@ -2,7 +2,10 @@
 
 Everything here is over arbitrary-precision integers and `fractions.Fraction`;
 no floating point anywhere.  Elimination is fraction-free (Bareiss) so
-intermediate entries stay integral and growth stays polynomial.
+intermediate entries stay integral and growth stays polynomial; one
+forward-elimination routine serves `rank`, `determinant` and `solve`.  The
+lattice side rests on one Smith normal form per matrix: kernel lattices,
+integer solutions and inverses of unimodular matrices all read off it.
 """
 
 from __future__ import annotations
@@ -42,33 +45,49 @@ def _integer_row(row: Sequence) -> list[int]:
     return [int(x * den) for x in row]
 
 
+def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free forward elimination of `m` in place.
+
+    Pivots are chosen only among the first `ncols` columns; any columns
+    after them (an augmented right-hand side) are carried along.  Returns
+    the pivot columns, in order, and the sign of the row permutation; row r
+    of the result holds the r-th pivot.
+    """
+    nrows = len(m)
+    width = len(m[0]) if nrows else 0
+    piv_cols: list[int] = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(piv_cols)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        for i in range(r + 1, nrows):
+            # the pivot rescaling applies even when m[i][c] is zero;
+            # skipping it breaks the exact-division invariant later
+            for j in range(c + 1, width):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        piv_cols.append(c)
+    return piv_cols, sign
+
+
 def rank(matrix: Sequence[Sequence]) -> int:
     """Rank over the rationals via fraction-free (Bareiss) elimination."""
     m = [_integer_row(row) for row in matrix]
-    nrows = len(m)
-    if nrows == 0:
+    if not m:
         return 0
     ncols = len(m[0])
     if any(len(row) != ncols for row in m):
         raise UsageError("rank: ragged matrix")
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            # the pivot rescaling applies even when m[i][c] is zero;
-            # skipping it breaks the exact-division invariant later
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_bareiss(m, ncols)[0])
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -79,21 +98,8 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     if n == 0:
         return 1
     m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
+    piv_cols, sign = _bareiss(m, n)
+    return sign * m[n - 1][n - 1] if len(piv_cols) == n else 0
 
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
@@ -110,26 +116,9 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | N
     aug = [_integer_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
     if any(len(row) != ncols + 1 for row in aug):
         raise UsageError("solve: ragged matrix")
-    piv_cols: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols + 1):
-                aug[i][j] = (aug[r][c] * aug[i][j] - aug[i][c] * aug[r][j]) // prev
-            aug[i][c] = 0
-        prev = aug[r][c]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
+    piv_cols, _ = _bareiss(aug, ncols)
+    if any(aug[i][ncols] != 0 for i in range(len(piv_cols), nrows)):
+        return None
     sol = [Fraction(0)] * ncols
     for i in range(len(piv_cols) - 1, -1, -1):
         c = piv_cols[i]
@@ -296,13 +285,15 @@ def integer_solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[
 
 
 def unimodular_inverse(u: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of a unimodular integer matrix (still integral)."""
+    """Exact inverse of a unimodular integer matrix (still integral).
+
+    One Smith normal form P*u*Q = I gives u = P^-1 * Q^-1, so the inverse
+    is Q*P.
+    """
     n = len(u)
-    cols = []
-    for j in range(n):
-        e = [int(i == j) for i in range(n)]
-        x = integer_solve(u, e)
-        if x is None:
-            raise UsageError("unimodular_inverse: matrix is not unimodular")
-        cols.append(x)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    if any(len(row) != n for row in u):
+        raise UsageError("unimodular_inverse: matrix is not unimodular")
+    p, d, q = smith_normal_form(u)
+    if any(d[i][i] != 1 for i in range(n)):
+        raise UsageError("unimodular_inverse: matrix is not unimodular")
+    return tuple(tuple(dot(row, col) for col in zip(*p)) for row in q)

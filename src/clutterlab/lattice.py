@@ -256,13 +256,7 @@ def _member_pointed(a, vecs, cone: ConeWithLattice, steps: StepCounter):
     order = sorted(range(len(vecs)), key=lambda i: (-kernel.dot(phi, vecs[i]), vecs[i]))
     ordered = [vecs[i] for i in order]
     weights = [kernel.dot(phi, v) for v in ordered]
-    ineqs, eqs = cone.hrep_normals
     failed: set[tuple[int, IntVec]] = set()
-
-    def in_cone(x) -> bool:
-        return all(kernel.dot(f, x) <= 0 for f in ineqs) and all(
-            kernel.dot(c, x) == 0 for c in eqs
-        )
 
     def rec(idx: int, rem: IntVec, rem_w: int):
         if rem_w == 0:
@@ -284,7 +278,7 @@ def _member_pointed(a, vecs, cone: ConeWithLattice, steps: StepCounter):
         for c in range(rem_w // w, -1, -1):
             steps.spend()
             nxt = tuple(r - c * x for r, x in zip(rem, v))
-            if c > 0 and not in_cone(nxt):
+            if c > 0 and not cone.contains(nxt):
                 continue
             got = rec(idx + 1, nxt, rem_w - c * w)
             if got is not None:

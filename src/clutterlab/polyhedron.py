@@ -9,6 +9,9 @@ Both descriptions are first-class:
 Conversions run the double description method on the homogenization cone,
 entirely in exact integer arithmetic.  The empty polyhedron is a value, not
 an error.
+
+The lattice points of a dilated polytope and of its relative interior come
+from one pruned box scan.
 """
 
 from __future__ import annotations
@@ -338,11 +341,11 @@ def is_integral(rep, hrep: HRep | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _scan_box(lo: list[int], hi: list[int], ineqs, eqs, strict: bool):
+def _scan_box(lo: list[int], hi: list[int], ineqs, eqs):
     """Integer points in the box satisfying all constraints, DFS with pruning.
 
-    `ineqs` are (normal, rhs) meaning <a,x> <= rhs (< rhs when strict);
-    `eqs` must hold exactly.  Points come out in lexicographic order.
+    `ineqs` are (normal, rhs) meaning <a,x> <= rhs; `eqs` must hold
+    exactly.  Points come out in lexicographic order.
     """
     n = len(lo)
     cons = [(a, b, False) for a, b in ineqs] + [(a, b, True) for a, b in eqs]
@@ -365,10 +368,6 @@ def _scan_box(lo: list[int], hi: list[int], ineqs, eqs, strict: bool):
 
     def rec(k: int, partial: tuple[int, ...]):
         if k == n:
-            if strict and any(
-                not is_eq and s >= b for s, (a, b, is_eq) in zip(partial, cons)
-            ):
-                return
             out.append(tuple(point))
             return
         for x in range(lo[k], hi[k] + 1):
@@ -395,14 +394,18 @@ def _scan_box(lo: list[int], hi: list[int], ineqs, eqs, strict: bool):
     return out
 
 
-def lattice_points(v: VRep, b: int, hrep: HRep | None = None) -> tuple[IntVec, ...]:
-    """All integer points of the dilation b*P for a polytope P."""
+def _dilation_points(name: str, v: VRep, b: int, hrep: HRep | None, slack: int):
+    """Integer points x of b*P with <a,x> <= b*rhs - slack for every inequality.
+
+    The data and the points are integral, so slack 1 turns every inequality
+    strict: the relative interior of b*P.
+    """
     if b < 0:
-        raise UsageError("lattice_points: dilation must be nonnegative")
+        raise UsageError(f"{name}: dilation must be nonnegative")
     if v.is_empty:
-        raise UsageError("lattice_points: empty polytope")
+        raise UsageError(f"{name}: empty polytope")
     if not v.is_bounded:
-        raise UsageError("lattice_points: polyhedron is unbounded")
+        raise UsageError(f"{name}: polyhedron is unbounded")
     if b == 0:
         return ((0,) * v.n,)
     h = hrep if hrep is not None else _v_to_h(v)
@@ -410,29 +413,19 @@ def lattice_points(v: VRep, b: int, hrep: HRep | None = None) -> tuple[IntVec, .
     hi = [floor(max(b * p[k] for p in v.vertices)) for k in range(v.n)]
     if any(l > u for l, u in zip(lo, hi)):
         return ()
-    ineqs = [(a, rhs * b) for a, rhs in h.ineqs]
+    ineqs = [(a, rhs * b - slack) for a, rhs in h.ineqs]
     eqs = [(a, rhs * b) for a, rhs in h.eqs]
-    return tuple(_scan_box(lo, hi, ineqs, eqs, strict=False))
+    return tuple(_scan_box(lo, hi, ineqs, eqs))
+
+
+def lattice_points(v: VRep, b: int, hrep: HRep | None = None) -> tuple[IntVec, ...]:
+    """All integer points of the dilation b*P for a polytope P."""
+    return _dilation_points("lattice_points", v, b, hrep, 0)
 
 
 def relative_interior_lattice_points(v: VRep, b: int, hrep: HRep | None = None) -> tuple[IntVec, ...]:
     """Integer points strictly inside every facet of b*P, exactly on its hull."""
-    if b < 0:
-        raise UsageError("relative_interior_lattice_points: dilation must be nonnegative")
-    if v.is_empty:
-        raise UsageError("relative_interior_lattice_points: empty polytope")
-    if not v.is_bounded:
-        raise UsageError("relative_interior_lattice_points: polyhedron is unbounded")
-    if b == 0:
-        return ((0,) * v.n,)
-    h = hrep if hrep is not None else _v_to_h(v)
-    lo = [ceil(min(b * p[k] for p in v.vertices)) for k in range(v.n)]
-    hi = [floor(max(b * p[k] for p in v.vertices)) for k in range(v.n)]
-    if any(l > u for l, u in zip(lo, hi)):
-        return ()
-    ineqs = [(a, rhs * b) for a, rhs in h.ineqs]
-    eqs = [(a, rhs * b) for a, rhs in h.eqs]
-    return tuple(_scan_box(lo, hi, ineqs, eqs, strict=True))
+    return _dilation_points("relative_interior_lattice_points", v, b, hrep, 1)
 
 
 def contains_point(h: HRep, x: Sequence) -> bool:

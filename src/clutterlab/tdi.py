@@ -291,17 +291,9 @@ def integer_rounding_check(system: LinearSystem, budget: int | None = None) -> R
 # ---------------------------------------------------------------------------
 
 
-def stab_polytope(g: SimpleGraph) -> polyhedron.HRep:
-    """{x >= 0 : sum over each maximal clique <= 1}."""
-    n = g.n
-    ineqs = [(tuple(-int(i == j) for i in range(n)), 0) for j in range(n)]
-    for cl in combinat.maximal_cliques(g):
-        ineqs.append((tuple(int(i in set(cl)) for i in range(n)), 1))
-    return polyhedron.HRep(n, tuple(ineqs))
-
-
 def stab_system(g: SimpleGraph) -> LinearSystem:
-    """The same system as columns: clique vectors with bound 1, -e_j with 0."""
+    """The stability polytope {x >= 0 : sum over each maximal clique <= 1}
+    as columns: clique vectors with bound 1, -e_j with bound 0."""
     n = g.n
     cols = [tuple(int(i in set(cl)) for i in range(n)) for cl in combinat.maximal_cliques(g)]
     w = [1] * len(cols)
@@ -322,10 +314,9 @@ class PerfectionReport:
 def perfection_crosscheck(g: SimpleGraph, budget: int | None = None) -> PerfectionReport:
     """Perfection, stability-polytope integrality and TDI must coincide."""
     perfect, _ = combinat.is_perfect_small(g)
-    h = stab_polytope(g)
-    v = polyhedron.dd_convert(h)
-    integral, _ = polyhedron.is_integral(v, h)
-    cert = is_tdi(stab_system(g), budget)
+    system = stab_system(g)
+    cert = is_tdi(system, budget)
+    integral = _integrality(system, cert)
     agree = (perfect == integral) and (
         cert.verdict == "undecided" or cert.holds == perfect
     )

@@ -41,6 +41,26 @@ def rank_oracle(matrix) -> int:
     return r
 
 
+def det_oracle(matrix) -> Fraction:
+    """Determinant by plain Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            for j in range(c, n):
+                m[i][j] -= f * m[c][j]
+    return det
+
+
 def brute_vertices(h: HRep):
     """All vertices of a pointed H-polyhedron by scanning constraint subsets."""
     n = h.n

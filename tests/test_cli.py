@@ -1,7 +1,10 @@
 import json
-
+from pathlib import Path
 
 from clutterlab import cli
+from clutterlab.families import sharpness_clutter, triangle_clutter
+
+GOLDEN = Path(__file__).parent / "golden"
 
 TRIANGLE = '{"kind":"clutter","n":3,"edges":[[0,1],[1,2],[0,2]]}'
 SQUARE = '{"kind":"clutter","n":4,"edges":[[0,1],[1,2],[2,3],[0,3]]}'
@@ -88,6 +91,26 @@ def test_invariants_output(tmp_path, capsys):
     cert = json.loads(capsys.readouterr().out)
     assert cert["invariants"]["bounds"]["hypotheses_met"] is False
     assert "mfmc" in cert["invariants"]["bounds"]["missing"]
+
+
+def test_invariants_certificates_match_golden_files(tmp_path, monkeypatch):
+    # bounds met and tight, and hypotheses not met; the golden bytes were
+    # frozen from an earlier version, so this guards across versions
+    monkeypatch.delenv("CLUTTERLAB_BUDGET", raising=False)
+    for name, clutter in [("sharpness_3_2", sharpness_clutter(3, 2)),
+                          ("triangle", triangle_clutter())]:
+        inp = write(tmp_path, f"{name}.json", json.dumps(cli.instance_payload(clutter)))
+        out = tmp_path / f"{name}.cert.json"
+        assert run(["invariants", "--input", inp, "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"invariants_{name}.json").read_bytes()
+
+
+def test_invariants_undecided_bound_check_exits_2(tmp_path, capsys):
+    inp = write(tmp_path, "s32.json", json.dumps(cli.instance_payload(sharpness_clutter(3, 2))))
+    assert run(["invariants", "--input", inp, "--budget", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("undecided:")
+    assert "hypotheses not met" not in captured.out
 
 
 def test_certificates_roundtrip_and_digest_stability(tmp_path, capsys):

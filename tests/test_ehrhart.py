@@ -2,7 +2,7 @@ import pytest
 
 from clutterlab import combinat, ehrhart
 from clutterlab.combinat import Clutter, RawClutter
-from clutterlab.errors import UsageError
+from clutterlab.errors import Undecided, UsageError
 from clutterlab.families import line_graph_k24, sharpness_clutter
 
 
@@ -130,6 +130,16 @@ def test_bound_report(triangle, blocker_square, unit_square_clutter):
     rep = ehrhart.check_regularity_bounds(triangle)
     assert not rep.hypotheses_met
     assert "mfmc" in rep.missing
+
+
+def test_bound_check_undecided_under_budget():
+    # budget 1 cannot decide the flow property, which sharpness_clutter(3, 2)
+    # does have: the hypothesis is undecided, not missing
+    c = sharpness_clutter(3, 2)
+    with pytest.raises(Undecided):
+        ehrhart.check_regularity_bounds(c, budget=1)
+    rep = ehrhart.check_regularity_bounds(c)
+    assert rep.hypotheses_met and not rep.missing
 
 
 def test_rank_bound_for_flow_instances():

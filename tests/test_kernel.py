@@ -6,7 +6,7 @@ import pytest
 from clutterlab import kernel
 from clutterlab.errors import UsageError
 
-from conftest import rank_oracle
+from conftest import det_oracle, rank_oracle
 
 
 LIFTED_SQUARE = [
@@ -157,3 +157,90 @@ def test_integer_kernel_basis():
     basis = kernel.integer_kernel_basis([[1, 1, 1]])
     assert len(basis) == 2
     assert all(sum(v) == 0 for v in basis)
+
+
+def _matmul(a, b):
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def test_determinant_matches_fraction_oracle():
+    rng = random.Random(5)
+    kinds = {"random": 0, "singular": 0, "swap": 0}
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        kind = ("random", "singular", "swap")[trial % 3]
+        if kind == "singular" and n > 1:
+            # one row a combination of the others
+            i = rng.randrange(n)
+            others = [r for r in range(n) if r != i]
+            j, k = rng.choice(others), rng.choice(others)
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+        elif kind == "swap" and n > 1:
+            # a zero leading entry forces a row swap at the first pivot
+            m[0][0] = 0
+            m[rng.randrange(1, n)][0] = rng.choice((-3, -1, 1, 2))
+        want = det_oracle(m)
+        got = kernel.determinant(m)
+        assert got == want, (m, got, want)
+        if kind == "singular" and n > 1:
+            assert got == 0
+            kinds[kind] += 1
+        elif kind == "swap" and n > 1 and want != 0:
+            kinds[kind] += 1
+        elif kind == "random":
+            kinds[kind] += 1
+    assert kernel.determinant([]) == 1
+    assert all(count >= 50 for count in kinds.values()), kinds
+
+
+def test_solve_none_exactly_when_rank_grows():
+    rng = random.Random(6)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        if rng.random() < 0.5:
+            x = [rng.randint(-3, 3) for _ in range(nc)]
+            b = [sum(r * xi for r, xi in zip(row, x)) for row in m]
+        else:
+            b = [rng.randint(-3, 3) for _ in range(nr)]
+        inconsistent = rank_oracle(m) < rank_oracle([row + [bi] for row, bi in zip(m, b)])
+        sol = kernel.solve(m, b)
+        assert (sol is None) == inconsistent, (m, b)
+        if sol is not None:
+            assert all(kernel.dot(row, sol) == bi for row, bi in zip(m, b))
+        seen[inconsistent] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_unimodular_inverse_of_elementary_products():
+    rng = random.Random(7)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(0, 12)):
+            e = [[int(i == j) for j in range(n)] for i in range(n)]
+            i, j = rng.randrange(n), rng.randrange(n)
+            op = rng.randrange(3)
+            if op == 0 and i != j:
+                e[i][j] = rng.randint(-3, 3)  # add a multiple of row j to row i
+            elif op == 1:
+                e[i], e[j] = e[j], e[i]
+            else:
+                e[i][i] = -1
+            u = _matmul(e, u)
+        inv = kernel.unimodular_inverse(u)
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert _matmul([list(r) for r in inv], u) == ident
+        assert _matmul(u, [list(r) for r in inv]) == ident
+
+
+def test_unimodular_inverse_rejects_other_matrices():
+    for m in ([[2]], [[1, 2], [3, 4]], [[1, 1], [1, 1]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(UsageError):
+            kernel.unimodular_inverse(m)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -153,6 +154,25 @@ def test_relative_interior_points():
     sq = dd_convert(UNIT_SQUARE)
     assert polyhedron.relative_interior_lattice_points(sq, 1) == ()
     assert polyhedron.relative_interior_lattice_points(sq, 2) == ((1, 1),)
+
+
+def test_box_scans_match_brute_force_on_random_01_polytopes():
+    rng = random.Random(23)
+    with_equations = 0
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        corners = list(itertools.product((0, 1), repeat=n))
+        pts = rng.sample(corners, rng.randint(1, len(corners)))
+        v = VRep(n, tuple(sorted(tuple(map(F, p)) for p in pts)))
+        h = dd_convert(v)
+        with_equations += bool(h.eqs)
+        for b in range(1, 4):
+            scaled = HRep(n, tuple((a, b * c) for a, c in h.ineqs), tuple((a, b * c) for a, c in h.eqs))
+            closed = brute_lattice_points(scaled, (0, b))
+            interior = [p for p in closed if all(kernel.dot(a, p) < c for a, c in scaled.ineqs)]
+            assert polyhedron.lattice_points(v, b, h) == tuple(closed)
+            assert polyhedron.relative_interior_lattice_points(v, b, h) == tuple(interior)
+    assert with_equations >= 10
 
 
 def test_point_polytope():
