@@ -260,7 +260,7 @@ def cmd_invariants(args) -> int:
     inv = {
         "hvector": list(analysis.hvector),
         "a_invariant": analysis.a_invariant,
-        "a_invariant_interior": ehrhart.a_invariant_interior(c, args.budget),
+        "a_invariant_interior": analysis.a_invariant,  # analyze checks both routes agree
         "regularity": analysis.regularity,
         "dim": analysis.dim,
         "is_ehrhart": analysis.is_ehrhart,
@@ -479,7 +479,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (Undecided, ResourceExceeded) as exc:
+    except Undecided as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_UNDECIDED
+    except ResourceExceeded as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
 

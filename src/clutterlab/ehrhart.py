@@ -125,10 +125,12 @@ def a_invariant_series(c: RawClutter) -> int:
     return (len(a.hvector) - 1) - (a.dim + 1)
 
 
-def a_invariant_interior(c: RawClutter, budget: int | None = None) -> int:
-    """Minus the first dilation whose relative interior holds a lattice point."""
-    a = analyze(c, budget)
-    return _interior_degree(a.vrep, a.hrep, a.dim)
+def a_invariant_interior(c: RawClutter) -> int:
+    """Minus the first dilation whose relative interior holds a lattice point.
+
+    `analyze` computes it on the interior route and checks it equal to the
+    series degree, so it is read from there."""
+    return analyze(c).a_invariant
 
 
 def _interior_degree(vrep: polyhedron.VRep, hrep: polyhedron.HRep, dim: int) -> int:

@@ -15,7 +15,7 @@ is handled as usual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
 from operator import mul
@@ -43,7 +43,7 @@ class ConeWithLattice:
         gens = sorted({kernel.primitive(v) for v in vecs if any(x != 0 for x in v)})
         return cls(n=n, generators=tuple(gens))
 
-    @property
+    @cached_property
     def hrep_normals(self):
         """(inequality normals, equation normals); <a,x> <= 0 resp. = 0."""
         return _cone_normals(self)

@@ -109,7 +109,7 @@ def test_invariants_undecided_bound_check_exits_2(tmp_path, capsys):
     inp = write(tmp_path, "s32.json", json.dumps(cli.instance_payload(sharpness_clutter(3, 2))))
     assert run(["invariants", "--input", inp, "--budget", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("undecided:")
+    assert captured.err == "undecided: flow property: budget exhausted during a face check\n"
     assert "hypotheses not met" not in captured.out
 
 
