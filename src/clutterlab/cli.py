@@ -217,6 +217,15 @@ def emit(cert, args) -> None:
         sys.stdout.write(text)
 
 
+def _emit_undecided(command: str, obj, notes: dict, exc, args) -> None:
+    """Certificate of a run that a step budget or a resource cap stopped."""
+    cert = make_certificate(
+        command, obj, "undecided", {}, {}, {**notes, "reason": str(exc)}, budget=args.budget
+    )
+    cert["budget"]["exceeded"] = isinstance(exc, Undecided)
+    emit(cert, args)
+
+
 def _verdict_exit(verdict) -> int:
     if verdict is True or verdict == "vacuous":
         return EXIT_HOLDS
@@ -237,6 +246,9 @@ def cmd_check(args) -> int:
         verdict, wits, inv, notes = run_check(args.property, obj, args.power_bound, args.budget)
     except Undecided as exc:
         verdict, wits, inv, notes = "undecided", {}, {}, {"reason": str(exc)}
+    except ResourceExceeded as exc:
+        _emit_undecided(f"check {args.property}", obj, {}, exc, args)
+        raise  # main prints the reason and exits 2
     ms = round((time.monotonic() - t0) * 1000)
     cert = make_certificate(
         f"check {args.property}", obj, verdict, wits, inv, notes,
@@ -254,9 +266,13 @@ def cmd_check(args) -> int:
 def cmd_invariants(args) -> int:
     obj = load_instance(args.input)
     notes: dict = {}
-    c = _as_clutter(obj, notes)
-    analysis = ehrhart.analyze(c, args.budget)
-    bounds = ehrhart.check_regularity_bounds(c, args.budget)
+    try:
+        c = _as_clutter(obj, notes)
+        analysis = ehrhart.analyze(c, args.budget)
+        bounds = ehrhart.check_regularity_bounds(c, args.budget)
+    except (Undecided, ResourceExceeded) as exc:
+        _emit_undecided("invariants", obj, notes, exc, args)
+        raise  # main prints the reason and exits 2
     inv = {
         "hvector": list(analysis.hvector),
         "a_invariant": analysis.a_invariant,

@@ -103,18 +103,17 @@ def _minimal_staircase_points(n: int, normals, rhs) -> tuple[IntVec, ...]:
     out: list[IntVec] = []
     point = [0] * n
 
-    def emit():
-        a = tuple(point)
+    def emit(needs: list[int]):
+        # needs[t] = r_t - <w_t, point>, so lowering coordinate j keeps
+        # constraint t exactly when needs[t] + w_t[j] <= 0
         for j in range(n):
-            if a[j] > 0:
-                reduced = tuple(x - int(jj == j) for jj, x in enumerate(a))
-                if all(kernel.dot(w, reduced) >= r for (w, r) in live):
-                    return  # not minimal
-        out.append(a)
+            if point[j] > 0 and all(r + w[j] <= 0 for w, r in zip(ws, needs)):
+                return  # not minimal
+        out.append(tuple(point))
 
     def rec(k: int, needs: list[int]):
         if all(r <= 0 for r in needs):
-            emit()  # coordinates k..n-1 are still zero here
+            emit(needs)  # coordinates k..n-1 are still zero here
             return
         if k == n:
             return

@@ -36,13 +36,19 @@ def vscale(c, u: Sequence) -> tuple:
     return tuple(c * a for a in u)
 
 
+def integer_multiple(vec: Sequence) -> tuple[tuple[int, ...], int]:
+    """(t * vec, t) for the least integer t > 0 making every entry an int.
+
+    Entries may be int or Fraction; both carry a `denominator`.  Every
+    product goes through int(), since Fraction(3) * 1 is still a Fraction.
+    """
+    t = lcm(*[x.denominator for x in vec])
+    return tuple([int(x * t) for x in vec]), t
+
+
 def _integer_row(row: Sequence) -> list[int]:
     """Scale a rational row by a positive factor so all entries are int."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = lcm(den, x.denominator)
-    return [int(x * den) for x in row]
+    return list(integer_multiple(row)[0])
 
 
 def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -134,16 +140,11 @@ def clear_denominators(vec: Sequence) -> tuple[tuple[int, ...], Fraction]:
 
     Returns (w, s) with w = s * vec, s > 0 and gcd of the entries of w = 1.
     """
-    if all(x == 0 for x in vec):
+    ints, t = integer_multiple(vec)
+    g = gcd(*ints)
+    if g == 0:
         raise UsageError("clear_denominators: zero vector")
-    den = 1
-    for x in vec:
-        den = lcm(den, Fraction(x).denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints), Fraction(den, g)
+    return tuple([x // g for x in ints]), Fraction(t, g)
 
 
 def primitive(vec: Sequence) -> tuple[int, ...]:

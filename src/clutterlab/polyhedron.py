@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import kernel
@@ -109,45 +110,49 @@ def _dd_cone(normals: Sequence[IntVec], n: int, ray_cap: int = DEFAULT_RAY_CAP):
     Rays come back as primitive integer vectors together with their tight-set
     bitmask over `normals`; lines form a basis of the lineality space and are
     tight at every processed constraint.  Adjacency during insertion is
-    decided by the rank of the common tight set.
+    decided by the rank of the common tight set.  Every vector stays
+    integral: a projection along a line and a combination of two rays are
+    both positive integer combinations, made primitive afterwards.
     """
+    if any(len(a) != n for a in normals):
+        raise UsageError(f"double description: normal of dimension other than {n}")
     lines: list[IntVec] = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     rays: list[tuple[IntVec, int]] = []
     rank_cache: dict[int, int] = {}
+
+    def project(x: IntVec, vx: int, l0: IntVec, v0: int) -> IntVec:
+        # -v0 * x + vx * l0 lies in the hyperplane <a,.> = 0; -v0 > 0 keeps
+        # the direction of x - (vx / v0) * l0
+        return kernel.primitive(tuple([vx * y - v0 * x for x, y in zip(x, l0)]))
 
     for idx, a in enumerate(normals):
         bit = 1 << idx
         if all(x == 0 for x in a):
             rays = [(r, m | bit) for r, m in rays]
             continue
-        cut = next((i for i, l in enumerate(lines) if kernel.dot(a, l) != 0), None)
+        cut = next((i for i, l in enumerate(lines) if sum(map(mul, a, l)) != 0), None)
         if cut is not None:
             l0 = lines.pop(cut)
-            v0 = kernel.dot(a, l0)
+            v0 = sum(map(mul, a, l0))
             if v0 > 0:
                 l0 = tuple(-x for x in l0)
                 v0 = -v0
             new_lines = []
             for l in lines:
-                vl = kernel.dot(a, l)
-                if vl != 0:
-                    l = kernel.primitive(kernel.vsub(l, kernel.vscale(Fraction(vl, v0), l0)))
-                new_lines.append(l)
+                vl = sum(map(mul, a, l))
+                new_lines.append(project(l, vl, l0, v0) if vl != 0 else l)
             lines = new_lines
             new_rays = []
             for r, m in rays:
-                vr = kernel.dot(a, r)
-                if vr != 0:
-                    # project along l0 into the hyperplane, keeping direction
-                    r = kernel.primitive(kernel.vsub(r, kernel.vscale(Fraction(vr, v0), l0)))
-                new_rays.append((r, m | bit))
+                vr = sum(map(mul, a, r))
+                new_rays.append((project(r, vr, l0, v0) if vr != 0 else r, m | bit))
             # the cut line survives as the ray pointing into the halfspace
             mask_all = (1 << idx) - 1  # tight at every earlier constraint
             new_rays.append((l0, mask_all))
             rays = new_rays
             continue
         # all lines lie in the hyperplane; split rays by sign
-        vals = [kernel.dot(a, r) for r, _ in rays]
+        vals = [sum(map(mul, a, r)) for r, _ in rays]
         if all(v <= 0 for v in vals):
             rays = [(r, m | bit if v == 0 else m) for (r, m), v in zip(rays, vals)]
             continue
@@ -168,9 +173,11 @@ def _dd_cone(normals: Sequence[IntVec], n: int, ray_cap: int = DEFAULT_RAY_CAP):
         for rp, mp, vp in pos:
             for rm, mm, vm in neg:
                 common = mp & mm
-                if tightset_rank(common) != target:
+                # a rank never exceeds the row count, so a small tight set
+                # cannot reach the target
+                if common.bit_count() < target or tightset_rank(common) != target:
                     continue
-                new = kernel.vsub(kernel.vscale(vp, rm), kernel.vscale(vm, rp))
+                new = tuple([vp * x - vm * y for x, y in zip(rm, rp)])
                 combos.append((kernel.primitive(new), common | bit))
         rays = [(r, m) for r, m, _ in neg] + zero + combos
         if len(rays) > ray_cap:
@@ -222,7 +229,7 @@ def _v_to_h(v: VRep, ray_cap: int = DEFAULT_RAY_CAP) -> HRep:
         return HRep(n, (((0,) * n, -1),), ())
     normals: list[IntVec] = []
     for p in v.vertices:
-        normals.append(kernel.primitive(tuple(p) + (Fraction(1),)))
+        normals.append(kernel.primitive(tuple(p) + (1,)))
     for r in v.rays:
         normals.append(tuple(r) + (0,))
     for l in v.lines:
@@ -293,7 +300,8 @@ def minimal_faces(h: HRep, vrep: VRep | None = None) -> tuple[Face, ...]:
     faces = []
     seen = set()
     for p in v.vertices:
-        active = tuple(i for i, (a, b) in enumerate(h.ineqs) if kernel.dot(a, p) == b)
+        q, t = kernel.integer_multiple(p)  # <a,p> == b  iff  <a,t*p> == b*t
+        active = tuple(i for i, (a, b) in enumerate(h.ineqs) if kernel.dot(a, q) == b * t)
         if active in seen:
             continue
         seen.add(active)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from . import combinat, ideals, kernel, lattice, polyhedron
+from . import combinat, ideals, lattice, polyhedron
 from .combinat import RawClutter, SimpleGraph
 from .errors import Undecided, UsageError
 
@@ -93,19 +93,16 @@ def is_tdi(system: LinearSystem, budget: int | None = None) -> TdiCertificate:
     faces = []
     cols = system.columns
     for face in polyhedron.minimal_faces(h, v):
-        active = tuple(
-            j for j in range(system.q)
-            if kernel.dot(cols[j], face.point) == system.w[j]
-        )
+        # h.ineqs are the columns in order, so face.active indexes columns
         try:
-            report = _hb_verdict(tuple(cols[j] for j in active), budget)
+            report = _hb_verdict(tuple(cols[j] for j in face.active), budget)
         except Undecided:
             return TdiCertificate(
                 verdict="undecided", faces=tuple(faces), failing=None,
                 integral=None, note="budget exhausted during a face check",
             )
         check = FaceCheck(
-            point=face.point, active=active,
+            point=face.point, active=face.active,
             hilbert_ok=report.verdict, witnesses=report.witnesses,
         )
         faces.append(check)

@@ -8,12 +8,14 @@ Expected values in the tests were computed with these and then frozen.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from clutterlab import kernel
 from clutterlab.combinat import SimpleGraph
+from clutterlab.errors import DEFAULT_RAY_CAP, ResourceExceeded, UsageError
 from clutterlab.lattice import ConeWithLattice
 from clutterlab.polyhedron import HRep
 
@@ -59,6 +61,91 @@ def det_oracle(matrix) -> Fraction:
             for j in range(c, n):
                 m[i][j] -= f * m[c][j]
     return det
+
+
+def _primitive_oracle(vec):
+    """Primitive integer vector parallel to a rational vector, over Fraction."""
+    fr = [Fraction(x) for x in vec]
+    den = 1
+    for x in fr:
+        den = den * x.denominator // math.gcd(den, x.denominator)
+    ints = [int(x * den) for x in fr]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def dd_cone_oracle(normals, n, ray_cap=DEFAULT_RAY_CAP):
+    """Double description with Fraction projections and a rank test per pair.
+
+    The insertion order, tight-set masks and adjacency rule are those of
+    `polyhedron._dd_cone`; a projection along a line divides by the line's
+    value, and every candidate pair goes through the rank test.  Ranks come
+    from `rank_oracle`, so no integer shortcut of the library is involved.
+    """
+
+    def dot(u, v):
+        if len(u) != len(v):
+            raise UsageError("dimension mismatch")
+        return sum(x * y for x, y in zip(u, v))
+
+    lines = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rays = []
+    rank_cache = {}
+    for idx, a in enumerate(normals):
+        bit = 1 << idx
+        if all(x == 0 for x in a):
+            rays = [(r, m | bit) for r, m in rays]
+            continue
+        cut = next((i for i, l in enumerate(lines) if dot(a, l) != 0), None)
+        if cut is not None:
+            l0 = lines.pop(cut)
+            v0 = dot(a, l0)
+            if v0 > 0:
+                l0 = tuple(-x for x in l0)
+                v0 = -v0
+            new_lines = []
+            for l in lines:
+                vl = dot(a, l)
+                if vl != 0:
+                    f = Fraction(vl, v0)
+                    l = _primitive_oracle([x - f * y for x, y in zip(l, l0)])
+                new_lines.append(l)
+            lines = new_lines
+            new_rays = []
+            for r, m in rays:
+                vr = dot(a, r)
+                if vr != 0:
+                    f = Fraction(vr, v0)
+                    r = _primitive_oracle([x - f * y for x, y in zip(r, l0)])
+                new_rays.append((r, m | bit))
+            new_rays.append((l0, (1 << idx) - 1))
+            rays = new_rays
+            continue
+        vals = [dot(a, r) for r, _ in rays]
+        if all(v <= 0 for v in vals):
+            rays = [(r, m | bit if v == 0 else m) for (r, m), v in zip(rays, vals)]
+            continue
+        neg = [(r, m, v) for (r, m), v in zip(rays, vals) if v < 0]
+        zero = [(r, m | bit) for (r, m), v in zip(rays, vals) if v == 0]
+        pos = [(r, m, v) for (r, m), v in zip(rays, vals) if v > 0]
+        target = n - len(lines) - 2
+        combos = []
+        for rp, mp, vp in pos:
+            for rm, mm, vm in neg:
+                common = mp & mm
+                if common not in rank_cache:
+                    rows = [normals[i] for i in range(idx) if common >> i & 1]
+                    rank_cache[common] = rank_oracle(rows)
+                if rank_cache[common] != target:
+                    continue
+                new = [vp * x - vm * y for x, y in zip(rm, rp)]
+                combos.append((_primitive_oracle(new), common | bit))
+        rays = [(r, m) for r, m, _ in neg] + zero + combos
+        if len(rays) > ray_cap:
+            raise ResourceExceeded("double description ray count", ray_cap)
+    return rays, lines
 
 
 def brute_vertices(h: HRep):

@@ -111,6 +111,16 @@ def test_invariants_undecided_bound_check_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "undecided: flow property: budget exhausted during a face check\n"
     assert "hypotheses not met" not in captured.out
+    out = tmp_path / "s32.cert.json"
+    assert run(["invariants", "--input", inp, "--budget", "1", "--json", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "undecided: flow property: budget exhausted during a face check\n"
+    assert captured.out == out.read_text(encoding="utf-8")
+    cert = json.loads(captured.out)
+    assert cert["command"] == "invariants"
+    assert cert["verdict"] == "undecided"
+    assert cert["notes"]["reason"] == "undecided: flow property: budget exhausted during a face check"
+    assert cert["budget"] == {"limit": 1, "exceeded": True}
 
 
 def test_certificates_roundtrip_and_digest_stability(tmp_path, capsys):
@@ -174,7 +184,19 @@ def test_meyniel_vertex_cap_is_undecided(tmp_path, capsys):
     # the odd-cycle enumeration refuses graphs above MEYNIEL_CAP = 16 vertices
     c17 = write(tmp_path, "c17.json", _cycle_graph(17))
     assert run(["check", "meyniel", "--input", c17]) == 2
-    assert capsys.readouterr().err.startswith("undecided: resource exceeded")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("undecided: resource exceeded")
+    assert captured.out == ""
+    out = tmp_path / "c17.cert.json"
+    assert run(["check", "meyniel", "--input", c17, "--json", "--output", str(out)]) == 2
+    again = capsys.readouterr()
+    assert again.err == captured.err
+    assert again.out == out.read_text(encoding="utf-8")
+    cert = json.loads(again.out)
+    assert cert["command"] == "check meyniel"
+    assert cert["verdict"] == "undecided"
+    assert cert["notes"]["reason"] == "resource exceeded: odd cycle enumeration vertex count (cap 16)"
+    assert cert["budget"]["exceeded"] is False  # a vertex cap, not the step budget
 
 
 def test_clique_vertex_cap_is_undecided(tmp_path, capsys):

@@ -89,6 +89,32 @@ def test_clear_denominators():
     assert kernel.clear_denominators((Fraction(1, 3), Fraction(-1, 6))) == ((2, -1), Fraction(6))
 
 
+def test_clear_denominators_returns_int_entries():
+    # Fraction(3) * 1 is still a Fraction; every entry must come back an int
+    for vec, want in [
+        ((Fraction(3), Fraction(6)), (1, 2)),
+        ((Fraction(1, 2), 3, Fraction(-2, 3)), (3, 18, -4)),
+        ((4, Fraction(-6)), (2, -3)),
+    ]:
+        for got in (kernel.clear_denominators(vec)[0], kernel.primitive(vec)):
+            assert got == want
+            assert all(type(x) is int for x in got)
+    assert kernel.clear_denominators((Fraction(3), Fraction(6)))[1] == Fraction(1, 3)
+
+
+def test_integer_multiple_uses_least_factor():
+    rng = random.Random(4)
+    for _ in range(200):
+        vec = tuple(
+            rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
+            for _ in range(rng.randint(0, 4))
+        )
+        ints, t = kernel.integer_multiple(vec)
+        assert t > 0 and all(type(x) is int for x in ints)
+        assert ints == tuple(t * x for x in vec)
+        assert not any(all((s * x).denominator == 1 for x in vec) for s in range(1, t))
+
+
 def test_clear_denominators_zero_vector():
     with pytest.raises(UsageError):
         kernel.clear_denominators((0, 0))

@@ -8,7 +8,7 @@ from clutterlab import kernel, polyhedron
 from clutterlab.errors import UsageError
 from clutterlab.polyhedron import HRep, VRep, dd_convert
 
-from conftest import brute_lattice_points, brute_vertices
+from conftest import brute_lattice_points, brute_vertices, dd_cone_oracle
 
 F = Fraction
 
@@ -106,6 +106,70 @@ def test_roundtrip_random_property():
             assert tight  # a generating point of a nonempty system is on the boundary
         if not v1.lines:
             assert list(v1.vertices) == brute_vertices(h)
+
+
+def test_dd_cone_matches_fraction_oracle():
+    # rays, tight-set masks and lines, in order, equal to the Fraction
+    # projections and the rank test on every pair
+    rng = random.Random(5)
+    with_lines = with_rays_and_lines = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        normals = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, n + 4))]
+        rays, lines = polyhedron._dd_cone(normals, n)
+        assert (rays, lines) == dd_cone_oracle(normals, n)
+        with_lines += bool(lines)
+        with_rays_and_lines += bool(lines and rays)
+    assert with_lines >= 50 and with_rays_and_lines >= 20
+
+
+def test_dd_conversions_match_fraction_oracle(monkeypatch):
+    rng = random.Random(17)
+    cones, hreps, vreps = [], [], []
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        cones.append(([tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 3))], n))
+        ineqs = [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-3, 3)) for _ in range(rng.randint(1, n + 3))]
+        eqs = [(tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-2, 2)) for _ in range(rng.randint(0, 1))]
+        hreps.append(HRep(n, tuple(ineqs), tuple(eqs)))
+        vertices = tuple(
+            tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)) for _ in range(rng.randint(1, 4))
+        )
+        rays = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2)))
+        lines = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 1)))
+        vreps.append(VRep(n, vertices, rays, lines))
+
+    def convert_all():
+        return (
+            [polyhedron.cone_generators_to_hrep(g, n) for g, n in cones],
+            [polyhedron.cone_hrep_to_generators(g, n) for g, n in cones],
+            [dd_convert(h) for h in hreps],
+            [dd_convert(v) for v in vreps],
+        )
+
+    got = convert_all()
+    monkeypatch.setattr(polyhedron, "_dd_cone", dd_cone_oracle)
+    assert convert_all() == got
+    to_h, to_v, h_to_v, v_to_h = got
+    assert sum(bool(eqs) for _, eqs in to_h) >= 20  # lineality of the dual cone
+    assert sum(bool(lines) for _, lines in to_v) >= 20
+    assert sum(bool(v.lines) for v in h_to_v) >= 10
+    assert sum(any(x.denominator != 1 for p in v.vertices for x in p) for v in h_to_v) >= 40
+    assert sum(bool(h.eqs) for h in v_to_h) >= 40
+    for h, v in zip(hreps, h_to_v):
+        for face in polyhedron.minimal_faces(h, v):  # tight sets at rational points
+            assert face.active == tuple(
+                i for i, (a, b) in enumerate(h.ineqs) if sum(x * y for x, y in zip(a, face.point)) == b
+            )
+
+
+def test_cone_conversions_reject_ragged_normals():
+    with pytest.raises(UsageError):
+        polyhedron.cone_generators_to_hrep([(1, 0), (1,)], 2)
+    with pytest.raises(UsageError):
+        polyhedron.cone_hrep_to_generators([(1, 0), (0, 1, 1)], 2)
+    with pytest.raises(UsageError):
+        polyhedron.cone_hrep_to_generators([(1, 0, 0)], 2)
 
 
 def test_lattice_points_square():
