@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import ResourceExceeded, UsageError
 
@@ -288,13 +287,21 @@ def graph_cone(g: SimpleGraph) -> SimpleGraph:
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:
-    edges = [
-        (a, b)
-        for a in range(g.n)
-        for b in range(a + 1, g.n)
-        if not g.has_edge(a, b)
-    ]
-    return SimpleGraph(g.n, edges)
+    n = g.n
+    comp = _complement_masks(adjacency_masks(g))
+    edges = []
+    for a in range(n):
+        m = comp[a] >> (a + 1)
+        while m:
+            low = m & -m
+            edges.append((a, a + low.bit_length()))
+            m ^= low
+    return SimpleGraph(n, edges)
+
+
+def _complement_masks(masks) -> tuple[int, ...]:
+    full = (1 << len(masks)) - 1
+    return tuple(full & ~m & ~(1 << v) for v, m in enumerate(masks))
 
 
 def line_graph(g: SimpleGraph) -> SimpleGraph:
@@ -309,34 +316,60 @@ def line_graph(g: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(len(es), edges)
 
 
-@lru_cache(maxsize=65536)
-def maximal_cliques(g: SimpleGraph) -> tuple[IntVec, ...]:
-    """Bron-Kerbosch with pivoting, bitmask sets, canonical output order."""
-    if g.n > CLIQUE_CAP:
-        raise ResourceExceeded("clique enumeration vertex count", CLIQUE_CAP)
-    masks = adjacency_masks(g)
+def _cliques_in(masks, within: int) -> list[int]:
+    """Maximal cliques, as bitmasks, of the subgraph induced on `within`.
+
+    Bron-Kerbosch with pivoting: the pivot is the first vertex of P | X
+    with the most neighbours in P.  Stable sets are the cliques of the
+    complement masks.
+    """
     out = []
 
     def expand(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            out.append(r)
+        if not p:
+            if not x:
+                out.append(r)
             return
         pool = p | x
-        pivot = max(
-            range(g.n), key=lambda v: bin(masks[v] & p).count("1") if pool >> v & 1 else -1
-        )
+        pivot, most = 0, -1
+        while pool:
+            low = pool & -pool
+            v = low.bit_length() - 1
+            k = (masks[v] & p).bit_count()
+            if k > most:
+                pivot, most = v, k
+            pool ^= low
         cand = p & ~masks[pivot]
         while cand:
-            v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
+            bit = cand & -cand
+            v = bit.bit_length() - 1
             expand(r | bit, p & masks[v], x & masks[v])
             p &= ~bit
             x |= bit
-            cand &= cand - 1
+            cand ^= bit
 
-    expand(0, (1 << g.n) - 1, 0)
-    cliques = [tuple(v for v in range(g.n) if m >> v & 1) for m in out]
-    return tuple(sorted(cliques))
+    expand(0, within, 0)
+    return out
+
+
+def _members(mask: int) -> IntVec:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _check_clique_cap(n: int):
+    if n > CLIQUE_CAP:
+        raise ResourceExceeded("clique enumeration vertex count", CLIQUE_CAP)
+
+
+def _sorted_sets(masks, n: int) -> tuple[IntVec, ...]:
+    _check_clique_cap(n)
+    return tuple(sorted(_members(m) for m in _cliques_in(masks, (1 << n) - 1)))
+
+
+@lru_cache(maxsize=65536)
+def maximal_cliques(g: SimpleGraph) -> tuple[IntVec, ...]:
+    """Bron-Kerbosch with pivoting, bitmask sets, canonical output order."""
+    return _sorted_sets(adjacency_masks(g), g.n)
 
 
 def clique_clutter(g: SimpleGraph) -> RawClutter:
@@ -345,7 +378,7 @@ def clique_clutter(g: SimpleGraph) -> RawClutter:
 
 
 def maximal_stable_sets(g: SimpleGraph) -> tuple[IntVec, ...]:
-    return maximal_cliques(complement(g))
+    return _sorted_sets(_complement_masks(adjacency_masks(g)), g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +418,13 @@ def _simple_cycles(g: SimpleGraph, min_len: int):
     return cycles
 
 
-def _chords(g: SimpleGraph, cycle: tuple[int, ...]) -> list[tuple[int, int]]:
-    k = len(cycle)
-    consecutive = {frozenset((cycle[i], cycle[(i + 1) % k])) for i in range(k)}
-    out = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            pair = frozenset((cycle[i], cycle[j]))
-            if pair not in consecutive and g.has_edge(cycle[i], cycle[j]):
-                out.append((min(pair), max(pair)))
-    return out
+def _chord_count(masks, cycle: tuple[int, ...]) -> int:
+    """Edges among the cycle's vertices, minus the cycle's own edges."""
+    on_cycle = 0
+    for v in cycle:
+        on_cycle |= 1 << v
+    degree_sum = sum((masks[v] & on_cycle).bit_count() for v in cycle)
+    return degree_sum // 2 - len(cycle)
 
 
 def is_meyniel(g: SimpleGraph):
@@ -404,12 +434,13 @@ def is_meyniel(g: SimpleGraph):
     """
     if g.n > MEYNIEL_CAP:
         raise ResourceExceeded("odd cycle enumeration vertex count", MEYNIEL_CAP)
+    masks = adjacency_masks(g)
     for cycle in sorted(_simple_cycles(g, 5)):
         if len(cycle) % 2 == 0:
             continue
-        chords = _chords(g, cycle)
-        if len(chords) < 2:
-            return False, (cycle, len(chords))
+        chords = _chord_count(masks, cycle)
+        if chords < 2:
+            return False, (cycle, chords)
     return True, None
 
 
@@ -473,27 +504,44 @@ def is_perfect_small(g: SimpleGraph):
 # ---------------------------------------------------------------------------
 
 
+def _hoang_sets(masks, comp, within: int) -> list[int]:
+    """Maximal stable sets of the subgraph induced on `within` that meet
+    every one of its maximal cliques, as bitmasks."""
+    cliques = _cliques_in(masks, within)
+    return [
+        s for s in _cliques_in(comp, within) if all(s & c for c in cliques)
+    ]
+
+
 def hoang_witness(g: SimpleGraph, u: int):
-    """A stable set containing u that meets every maximal clique, or None."""
+    """A stable set containing u that meets every maximal clique, or None.
+
+    The first such set in sorted order.
+    """
     if not 0 <= u < g.n:
         raise UsageError(f"vertex {u} out of range")
-    cliques = [set(c) for c in maximal_cliques(g)]
-    for s in maximal_stable_sets(g):
-        if u in s and all(set(s) & c for c in cliques):
-            return s
-    return None
+    _check_clique_cap(g.n)
+    masks = adjacency_masks(g)
+    sets = _hoang_sets(masks, _complement_masks(masks), (1 << g.n) - 1)
+    return min((_members(s) for s in sets if s >> u & 1), default=None)
 
 
 def is_meyniel_via_hoang(g: SimpleGraph) -> bool:
-    """Differential characterization: witnesses in every induced subgraph."""
+    """Differential characterization: witnesses in every induced subgraph.
+
+    For every nonempty vertex set S, the stable sets of G[S] that meet
+    every maximal clique of G[S] must together cover S.
+    """
     if g.n > 9:
         raise ResourceExceeded("induced subgraph sweep vertex count", 9)
-    for r in range(1, g.n + 1):
-        for vs in combinations(range(g.n), r):
-            h = induced_subgraph(g, vs)
-            for u in range(h.n):
-                if hoang_witness(h, u) is None:
-                    return False
+    masks = adjacency_masks(g)
+    comp = _complement_masks(masks)
+    for within in range(1, 1 << g.n):
+        covered = 0
+        for s in _hoang_sets(masks, comp, within):
+            covered |= s
+        if covered != within:
+            return False
     return True
 
 

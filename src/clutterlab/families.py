@@ -140,42 +140,84 @@ def cycle_clutter(k: int) -> Clutter:
 # ---------------------------------------------------------------------------
 
 
-def canonical_form(g: SimpleGraph) -> tuple[int, ...]:
-    """Lexicographically smallest row encoding over all vertex relabelings.
+def _refined_colours(nbrs: list[list[int]]) -> list[int]:
+    """Colour refinement to an equitable partition, numbered invariantly.
 
-    Row k encodes adjacency to the already-placed vertices as a k-bit
-    number; branch and bound over placements, pruning any prefix that
-    already exceeds the best complete encoding.
+    Each round gives every vertex the rank, among all signatures, of its
+    signature: its colour, then the sorted colours of its neighbours.  It
+    stops when a round splits no class.
+    """
+    colour = [0] * len(nbrs)
+    count = 1
+    while True:
+        sigs = [(colour[v], sorted(colour[w] for w in ws)) for v, ws in enumerate(nbrs)]
+        ranks = sorted({(c, tuple(ns)) for c, ns in sigs})
+        if len(ranks) == count:
+            return colour
+        rank = {sig: i for i, sig in enumerate(ranks)}
+        colour = [rank[c, tuple(ns)] for c, ns in sigs]
+        count = len(ranks)
+
+
+def canonical_form(g: SimpleGraph) -> tuple[int, ...]:
+    """A row encoding that is equal for two graphs exactly when they are
+    isomorphic.
+
+    Row k encodes adjacency of position k to positions 0..k-1 as a k-bit
+    number.  Colour refinement splits the vertices into cells that every
+    isomorphism preserves, numbered invariantly; the form is the smallest
+    encoding over the relabelings that fill the positions cell by cell in
+    that order.  It is found by branch and bound over placements, with the
+    candidates of a position sorted by their row: a prefix equal to the
+    best one so far is cut as soon as its new row is larger.  Two twins
+    (vertices whose neighbourhoods agree apart from each other) are swapped
+    by an automorphism that fixes every placed vertex, so only the first of
+    them is tried at a position.  The form is therefore not the smallest
+    encoding over all relabelings.
     """
     n = g.n
     masks = combinat.adjacency_masks(g)
-    best: list[int] | None = None
+    nbrs = [[w for w in range(n) if m >> w & 1] for m in masks]
+    colour = _refined_colours(nbrs)
+    slot = sorted(colour)
+    codes = [0] * n
+    unplaced = set(range(n))
+    rows: list[int] = []
+    best: list[int] = []
 
-    def rec(placed: list[int], rows: list[int]):
+    def twins(v: int, w: int) -> bool:
+        return masks[v] & ~(1 << w) == masks[w] & ~(1 << v)
+
+    def rec(k: int, tight: bool):
+        # tight: rows equals best[:k]; otherwise rows is smaller, or no
+        # encoding is complete yet
         nonlocal best
-        k = len(placed)
         if k == n:
-            if best is None or rows < best:
-                best = list(rows)
+            if not tight:
+                best = rows.copy()
             return
-        used = set(placed)
-        cands = []
-        for v in range(n):
-            if v in used:
-                continue
-            code = 0
-            for i, u in enumerate(placed):
-                if masks[v] >> u & 1:
-                    code |= 1 << i
-            cands.append((code, v))
-        cands.sort()
+        cands = sorted((codes[v], v) for v in unplaced if colour[v] == slot[k])
+        tried: list[int] = []
         for code, v in cands:
-            if best is not None and rows + [code] > best[: k + 1]:
+            if tight and code > best[k]:
                 break  # candidates are sorted, later ones only get bigger
-            rec(placed + [v], rows + [code])
+            if any(twins(v, w) for w in tried):
+                continue
+            tried.append(v)
+            unplaced.remove(v)
+            for w in nbrs[v]:
+                codes[w] |= 1 << k
+            rows.append(code)
+            rec(k + 1, tight and code == best[k])
+            rows.pop()
+            for w in nbrs[v]:
+                codes[w] ^= 1 << k
+            unplaced.add(v)
+            # the subtree reached a complete encoding with this prefix, or
+            # the prefix already equalled the best one
+            tight = True
 
-    rec([], [])
-    assert best is not None
+    rec(0, False)
     return (n, *best)
 
 
@@ -209,11 +251,13 @@ def graphs_upto_iso(n: int) -> tuple[SimpleGraph, ...]:
     return tuple(level)
 
 
-def _has_perfect_matching(a: int, b: int, adj: list[int]) -> bool:
-    """Bitmask matching for a bipartite graph with sides of size a and b."""
-    if a != b:
-        return False
-    match_to = [-1] * b
+def _perfect_matching(a: int, adj: list[int]) -> list[int] | None:
+    """Bitmask matching for a bipartite graph with two sides of size a.
+
+    `adj[i]` is the mask of right vertices adjacent to left vertex i; the
+    result maps each left vertex to its partner, or is None.
+    """
+    match_to = [-1] * a
 
     def augment(u: int, seen: int) -> bool:
         m = adj[u]
@@ -230,8 +274,30 @@ def _has_perfect_matching(a: int, b: int, adj: list[int]) -> bool:
 
     for u in range(a):
         if not augment(u, 0):
-            return False
-    return True
+            return None
+    mate = [0] * a
+    for j, u in enumerate(match_to):
+        mate[u] = j
+    return mate
+
+
+def _is_unmixed_balanced(a: int, adj: list[int]) -> bool:
+    """Villarreal's criterion for a bipartite graph without isolated vertices.
+
+    Both sides are minimal covers, so an unmixed graph has a perfect
+    matching (Konig).  Label each right vertex y_j by its partner x_j; the
+    graph is unmixed iff x_i y_j, x_j y_k in E imply x_i y_k in E.  Every
+    minimal cover of an unmixed graph takes one end of each matching edge,
+    so any perfect matching will do.
+    """
+    mate = _perfect_matching(a, adj)
+    if mate is None:
+        return False
+    # reach[i]: the mask of the j with x_i y_j in E, y_j the partner of x_j
+    reach = [sum(1 << j for j in range(a) if adj[i] >> mate[j] & 1) for i in range(a)]
+    return all(
+        reach[j] & ~reach[i] == 0 for i in range(a) for j in range(a) if reach[i] >> j & 1
+    )
 
 
 def unmixed_bipartite_graphs(n_max: int):
@@ -248,20 +314,17 @@ def unmixed_bipartite_graphs(n_max: int):
         if n % 2:
             continue
         a = n // 2
-        pairs = [(i, a + j) for i in range(a) for j in range(a)]
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            if len(edges) < n - 1:
+        side = (1 << a) - 1
+        for mask in range(1 << (a * a)):
+            if mask.bit_count() < n - 1:
                 continue
-            adj = [0] * a
-            for i, j in edges:
-                adj[i] |= 1 << (j - a)
+            # bit i*a + j is the edge x_i y_j, i.e. (i, a + j)
+            adj = [mask >> (i * a) & side for i in range(a)]
+            if not _is_unmixed_balanced(a, adj):
+                continue
+            edges = [(i, a + j) for i in range(a) for j in range(a) if adj[i] >> j & 1]
             g = SimpleGraph(n, edges)
             if not combinat.is_connected(g):
-                continue
-            if not _has_perfect_matching(a, a, adj):
-                continue
-            if not combinat.is_unmixed(Clutter(n, edges)):
                 continue
             out.setdefault(canonical_form(g), g)
     return tuple(out[f] for f in sorted(out))

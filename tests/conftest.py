@@ -248,6 +248,99 @@ def brute_staircase_min(n, normals, rhs, box):
     )
 
 
+def _maximal_sets(n, joined):
+    """Maximal vertex sets whose pairs all satisfy `joined`, by a subset scan."""
+    ok = lambda s: all(joined(a, b) for a, b in itertools.combinations(s, 2))
+    sets = [s for r in range(n + 1) for s in itertools.combinations(range(n), r) if ok(s)]
+    return tuple(
+        sorted(
+            s
+            for s in sets
+            if not any(v not in s and ok(tuple(sorted(s + (v,)))) for v in range(n))
+        )
+    )
+
+
+def brute_maximal_cliques(g):
+    edges = set(g.edges)
+    return _maximal_sets(g.n, lambda a, b: (a, b) in edges)
+
+
+def brute_maximal_stable_sets(g):
+    edges = set(g.edges)
+    return _maximal_sets(g.n, lambda a, b: (a, b) not in edges)
+
+
+def hoang_sets_oracle(g):
+    """Maximal stable sets, sorted, that meet every maximal clique; both
+    families come from subset scans."""
+    cliques = [set(c) for c in brute_maximal_cliques(g)]
+    return [s for s in brute_maximal_stable_sets(g) if all(set(s) & c for c in cliques)]
+
+
+def hoang_witness_oracle(g, u):
+    return next((s for s in hoang_sets_oracle(g) if u in s), None)
+
+
+def _induced_oracle(g, vertices):
+    vs = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(vs)}
+    edges = [(pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos]
+    return SimpleGraph(len(vs), edges)
+
+
+def meyniel_via_hoang_oracle(g) -> bool:
+    """Hoang's characterization vertex by vertex in every induced subgraph."""
+    for r in range(1, g.n + 1):
+        for vs in itertools.combinations(range(g.n), r):
+            h = _induced_oracle(g, vs)
+            sets = hoang_sets_oracle(h)
+            if any(all(u not in s for s in sets) for u in range(h.n)):
+                return False
+    return True
+
+
+def canonical_form_oracle(g):
+    """Lexicographically smallest row encoding over all vertex relabelings.
+
+    Row k encodes adjacency to the vertices at positions 0..k-1 as a k-bit
+    number; branch and bound over placements with sorted candidates.
+    """
+    n = g.n
+    edges = set(g.edges)
+    adjacent = lambda a, b: (min(a, b), max(a, b)) in edges
+    best = None
+
+    def rec(placed, rows):
+        nonlocal best
+        k = len(placed)
+        if k == n:
+            if best is None or rows < best:
+                best = list(rows)
+            return
+        cands = sorted(
+            (sum(1 << i for i, u in enumerate(placed) if adjacent(u, v)), v)
+            for v in range(n)
+            if v not in placed
+        )
+        for code, v in cands:
+            if best is not None and rows + [code] > best[: k + 1]:
+                break
+            rec(placed + [v], rows + [code])
+
+    rec([], [])
+    return (n, *best)
+
+
+def relabeled(g, perm):
+    return SimpleGraph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def random_graph(rng, n, p=0.5):
+    pairs = itertools.combinations(range(n), 2)
+    return SimpleGraph(n, [e for e in pairs if rng.random() < p])
+
+
 def all_labeled_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):

@@ -4,12 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from clutterlab import combinat
+from clutterlab import combinat, families
 from clutterlab.combinat import Clutter, RawClutter, SimpleGraph
 from clutterlab.errors import UsageError
 from clutterlab.families import complete, complete_bipartite, cycle, path
 
-from conftest import all_labeled_graphs, brute_min_covers
+from conftest import (
+    all_labeled_graphs,
+    brute_maximal_cliques,
+    brute_maximal_stable_sets,
+    brute_min_covers,
+    hoang_witness_oracle,
+    meyniel_via_hoang_oracle,
+    random_graph,
+    relabeled,
+)
 
 F = Fraction
 
@@ -91,6 +100,11 @@ def test_graph_constructions():
     assert combinat.complement(cycle(5)).edges == SimpleGraph(
         5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
     ).edges
+    rng = random.Random(14)
+    for n in range(10):
+        g = random_graph(rng, n)
+        pairs = itertools.combinations(range(n), 2)
+        assert combinat.complement(g).edges == tuple(e for e in pairs if e not in g.edges)
     lg = combinat.line_graph(complete_bipartite(2, 4))
     assert lg.n == 8
     cl = combinat.clique_clutter(lg)
@@ -136,6 +150,54 @@ def test_hoang_witnesses():
     assert combinat.hoang_witness(complete(3), 0) == (0,)
     assert combinat.hoang_witness(cycle(5), 0) is None
     assert combinat.hoang_witness(cycle(4), 0) == (0, 2)
+
+
+def test_maximal_cliques_and_stable_sets_match_subset_scan():
+    graphs = [g for n in range(6) for g in all_labeled_graphs(n)]
+    rng = random.Random(13)
+    graphs += [
+        random_graph(rng, n, p) for n in range(6, 10) for p in (0.2, 0.4, 0.6, 0.8)
+    ]
+    for g in graphs:
+        assert combinat.maximal_cliques(g) == brute_maximal_cliques(g)
+        assert combinat.maximal_stable_sets(g) == brute_maximal_stable_sets(g)
+
+
+def test_hoang_witness_matches_oracle():
+    rng = random.Random(17)
+    found = missing = 0
+    for n in range(1, 7):
+        for g in families.graphs_upto_iso(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabeled(g, perm)
+            for u in range(n):
+                want = hoang_witness_oracle(h, u)
+                assert combinat.hoang_witness(h, u) == want, (h, u)
+                found += want is not None
+                missing += want is None
+    assert found and missing
+
+
+def test_meyniel_via_hoang_matches_oracle():
+    rng = random.Random(29)
+    verdicts = []
+    for g in families.graphs_upto_iso(6):
+        perm = list(range(6))
+        rng.shuffle(perm)
+        h = relabeled(g, perm)
+        got = combinat.is_meyniel_via_hoang(h)
+        assert got == meyniel_via_hoang_oracle(h), h
+    for n in range(6, 10):
+        graphs = [random_graph(rng, n, p) for p in (0.3, 0.5, 0.8)]
+        graphs.append(families.random_chordal(n, rng.randrange(1 << 30)))
+        graphs.append(combinat.graph_cone(families.random_chordal(n - 1, rng.randrange(1 << 30))))
+        graphs.append(combinat.complement(families.random_chordal(n, rng.randrange(1 << 30))))
+        for g in graphs:
+            got = combinat.is_meyniel_via_hoang(g)
+            assert got == meyniel_via_hoang_oracle(g), g
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 def test_meyniel_differential_small():

@@ -1,11 +1,16 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clutterlab import combinat, ehrhart, families, ideals, tdi
 from clutterlab.combinat import Clutter, SimpleGraph
 from clutterlab.errors import UsageError
+
+from conftest import all_labeled_graphs, canonical_form_oracle, relabeled
 
 
 def test_canonical_form_isomorphism_invariant():
@@ -20,10 +25,62 @@ def test_canonical_form_isomorphism_invariant():
         h = SimpleGraph(n, [(perm[a], perm[b]) for a, b in edges])
         assert families.canonical_form(g) == families.canonical_form(h)
         assert families.canonical_form(families.canonical_graph(g)) == families.canonical_form(g)
+    for n in range(1, 8):
+        for g in families.graphs_upto_iso(n):
+            form = families.canonical_form(g)
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert families.canonical_form(relabeled(g, perm)) == form, g
+
+
+def test_canonical_form_classes_match_smallest_form_oracle():
+    # on every labelled graph with n <= 5, two graphs share a form exactly
+    # when they share the smallest encoding over all relabelings
+    for n in range(6):
+        classes = {}
+        for g in all_labeled_graphs(n):
+            classes.setdefault(canonical_form_oracle(g), set()).add(families.canonical_form(g))
+        forms = [f for fs in classes.values() for f in fs]
+        assert all(len(fs) == 1 for fs in classes.values())
+        assert len(set(forms)) == len(forms)
+
+
+@st.composite
+def graph_pairs(draw):
+    """A graph on at most 9 vertices and a relabeled copy, with a few
+    vertex pairs toggled in the copy half of the time."""
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e in pairs if draw(st.booleans())]
+    perm = draw(st.permutations(range(n)))
+    g = SimpleGraph(n, edges)
+    h = relabeled(g, perm)
+    if pairs and draw(st.booleans()):
+        toggled = set(h.edges) ^ set(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3)))
+        h = SimpleGraph(n, toggled)
+    return g, h, draw(st.permutations(range(n)))
+
+
+def _nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graph_pairs())
+def test_canonical_form_decides_isomorphism(case):
+    g, h, perm = case
+    form = families.canonical_form(g)
+    assert (form == families.canonical_form(h)) == nx.is_isomorphic(_nx(g), _nx(h))
+    assert families.canonical_form(relabeled(g, perm)) == form
+    assert families.canonical_form(families.canonical_graph(g)) == form
 
 
 def test_graph_counts_up_to_isomorphism():
-    for n, want in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)]:
+    for n, want in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)]:
         assert len(families.graphs_upto_iso(n)) == want
 
 
@@ -81,6 +138,40 @@ def test_unmixed_bipartite_enumeration_small():
         assert combinat.is_unmixed(Clutter(g.n, g.edges))
     # unmixedness forces a perfect matching, hence even order
     assert all(g.n % 2 == 0 for g in graphs)
+
+
+def test_villarreal_criterion_matches_minimal_covers():
+    # every balanced connected bipartite graph with n <= 6
+    verdicts = []
+    for a in range(1, 4):
+        pairs = [(i, a + j) for i in range(a) for j in range(a)]
+        for mask in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            g = SimpleGraph(2 * a, edges)
+            if not combinat.is_connected(g):
+                continue
+            adj = [sum(1 << (y - a) for x, y in edges if x == i) for i in range(a)]
+            want = combinat.is_unmixed(Clutter(2 * a, edges))
+            assert families._is_unmixed_balanced(a, adj) == want, edges
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def test_perfect_matching_is_a_matching():
+    rng = random.Random(4)
+    for _ in range(200):
+        a = rng.randint(1, 5)
+        adj = [rng.randrange(1 << a) for _ in range(a)]
+        mate = families._perfect_matching(a, adj)
+        exists = any(
+            all(adj[i] >> p[i] & 1 for i in range(a))
+            for p in itertools.permutations(range(a))
+        )
+        assert (mate is not None) == exists
+        if mate is None:
+            continue
+        assert sorted(mate) == list(range(a))
+        assert all(adj[i] >> j & 1 for i, j in enumerate(mate))
 
 
 def test_conjecture_instances_deterministic_and_perfect():
