@@ -386,8 +386,8 @@ def maximal_stable_sets(g: SimpleGraph) -> tuple[IntVec, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _simple_cycles(g: SimpleGraph, min_len: int):
-    """All simple cycles of length >= min_len, one canonical traversal each.
+def _odd_cycles(g: SimpleGraph, min_len: int):
+    """All odd simple cycles of length >= min_len, one canonical traversal each.
 
     Canonical form: smallest vertex first, second vertex smaller than the
     last (fixes rotation and reflection).
@@ -406,7 +406,7 @@ def _simple_cycles(g: SimpleGraph, min_len: int):
         last = path[-1]
         for w in neighbors(last):
             if w == start and len(path) >= 3:
-                if len(path) >= min_len and path[1] < path[-1]:
+                if len(path) >= min_len and len(path) % 2 and path[1] < path[-1]:
                     cycles.append(tuple(path))
             elif w > start and not (inpath >> w & 1):
                 path.append(w)
@@ -435,9 +435,7 @@ def is_meyniel(g: SimpleGraph):
     if g.n > MEYNIEL_CAP:
         raise ResourceExceeded("odd cycle enumeration vertex count", MEYNIEL_CAP)
     masks = adjacency_masks(g)
-    for cycle in sorted(_simple_cycles(g, 5)):
-        if len(cycle) % 2 == 0:
-            continue
+    for cycle in sorted(_odd_cycles(g, 5)):
         chords = _chord_count(masks, cycle)
         if chords < 2:
             return False, (cycle, chords)

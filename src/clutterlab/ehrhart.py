@@ -3,19 +3,21 @@
 For P = conv of the edge characteristic vectors: the counting function
 b -> |Z^n meet bP|, its rational generating series written as
 h(z)/(1-z)^(dim P + 1), and the invariants that series carries (h-vector,
-series degree, regularity).  The series degree is recomputed through the
-first dilation with a relative-interior lattice point, so the two routes
-check each other.
+series degree, regularity).  Both the series of P and that of its relative
+interior come from the half-open decompositions of the lifted cone's
+triangulation (`lattice.half_open_points`), the triangulation that the
+Ehrhart test already enumerates; Ehrhart-Macdonald reciprocity between the
+two checks each against the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import sub
 
-from . import combinat, lattice, polyhedron
+from . import combinat, kernel, lattice
 from .combinat import RawClutter
 from .errors import Undecided, UsageError
 
@@ -27,8 +29,6 @@ class EhrhartAnalysis:
     """Everything the series-level operations share for one clutter."""
 
     clutter: RawClutter
-    vrep: polyhedron.VRep
-    hrep: polyhedron.HRep
     lifted: tuple[IntVec, ...]
     dim: int
     hvector: tuple[int, ...]
@@ -42,59 +42,45 @@ class EhrhartAnalysis:
 def analyze(c: RawClutter, budget: int | None = None) -> EhrhartAnalysis:
     if not c.edges:
         raise UsageError("analyze: clutter has no edges")
-    vectors = c.characteristic_vectors()
-    vrep = polyhedron.VRep(c.n, tuple(sorted(tuple(Fraction(x) for x in v) for v in vectors)))
-    hrep = polyhedron.dd_convert(vrep)
-    dim = polyhedron.dimension(vrep)
-    counts = [len(polyhedron.lattice_points(vrep, b, hrep)) for b in range(dim + 2)]
-    h = _hvector_from_counts(counts, dim)
-    a_series = (len(h) - 1) - (dim + 1)
-    a_interior = _interior_degree(vrep, hrep, dim)
-    if a_series != a_interior:
-        raise AssertionError(
-            f"series degree {a_series} disagrees with interior route {a_interior}"
-        )
-    reg = dim + 1 + a_series
+    lifted = tuple(v + (1,) for v in c.characteristic_vectors())
+    dim = kernel.rank(lifted) - 1
+    report = lattice.is_hilbert_basis(lifted, budget)
+    # the Hilbert-basis test spent a step on every parallelepiped point of
+    # the same triangulation, so this enumeration fits in any budget that it did
+    closed, interior = lattice.half_open_points(lattice.ConeWithLattice.from_vectors(lifted), budget)
+    h = _bin_by_height(closed, dim + 1)
+    h_int = _bin_by_height(interior, dim + 2)
+    if h[0] != 1:
+        raise AssertionError("series numerator must start at 1")
+    # the only lattice points of a 0/1 polytope are its vertices
+    if (h + [0])[1] != len(lifted) - dim - 1:
+        raise AssertionError("h_1 must count the lattice points beyond a simplex")
+    if h_int != [0] + h[::-1]:
+        raise AssertionError("interior series breaks Ehrhart-Macdonald reciprocity")
+    a = -min(x[-1] for x in interior)
+    while h[-1] == 0:
+        h.pop()
+    reg = dim + 1 + a
     if reg != len(h) - 1:
         raise AssertionError("regularity formulas disagree")
-    lifted = tuple(v + (1,) for v in vectors)
-    report = lattice.is_hilbert_basis(lifted, budget)
     return EhrhartAnalysis(
         clutter=c,
-        vrep=vrep,
-        hrep=hrep,
         lifted=lifted,
         dim=dim,
-        hvector=h,
-        a_invariant=a_series,
+        hvector=tuple(h),
+        a_invariant=a,
         regularity=reg,
         is_ehrhart=report.verdict,
         hilbert_report=report,
     )
 
 
-def _hvector_from_counts(counts: list[int], dim: int) -> tuple[int, ...]:
-    """Numerator coefficients of sum counts[b] z^b over (1-z)^(dim+1).
-
-    Uses counts for b = 0..dim and checks the fit against b = dim+1; a
-    mismatch means the counting function is not a degree-dim polynomial,
-    which would be an enumeration bug.
-    """
-    d1 = dim + 1
-    h = []
-    for i in range(d1):
-        hi = sum((-1) ** j * comb(d1, j) * counts[i - j] for j in range(0, i + 1))
-        h.append(hi)
-    predicted = sum(h[i] * comb(d1 + dim - i, dim) for i in range(len(h)))
-    if predicted != counts[dim + 1]:
-        raise AssertionError("lattice point counts do not fit a polynomial")
-    if h and h[0] != 1:
-        raise AssertionError("series numerator must start at 1")
-    if any(x < 0 for x in h):
-        raise AssertionError("series numerator must be nonnegative")
-    while h and h[-1] == 0:
-        h.pop()
-    return tuple(h)
+def _bin_by_height(points, size: int) -> list[int]:
+    """Number of points per last coordinate 0..size-1."""
+    counts = [0] * size
+    for x in points:
+        counts[x[-1]] += 1
+    return counts
 
 
 def is_ehrhart_clutter(c: RawClutter, budget: int | None = None):
@@ -112,7 +98,7 @@ def ehrhart_function(c: RawClutter, b: int) -> int:
     if b < 0:
         raise UsageError("ehrhart_function: dilation must be nonnegative")
     a = analyze(c)
-    return len(polyhedron.lattice_points(a.vrep, b, a.hrep))
+    return sum(hi * comb(b - i + a.dim, a.dim) for i, hi in enumerate(a.hvector))
 
 
 def hvector(c: RawClutter) -> tuple[int, ...]:
@@ -128,16 +114,9 @@ def a_invariant_series(c: RawClutter) -> int:
 def a_invariant_interior(c: RawClutter) -> int:
     """Minus the first dilation whose relative interior holds a lattice point.
 
-    `analyze` computes it on the interior route and checks it equal to the
-    series degree, so it is read from there."""
+    `analyze` reads it off the interior decomposition and checks it against
+    the series by reciprocity, so it is read from there."""
     return analyze(c).a_invariant
-
-
-def _interior_degree(vrep: polyhedron.VRep, hrep: polyhedron.HRep, dim: int) -> int:
-    for k in range(1, dim + 2):
-        if polyhedron.relative_interior_lattice_points(vrep, k, hrep):
-            return -k
-    raise AssertionError("no interior lattice point up to dim + 1 dilations")
 
 
 def regularity(c: RawClutter) -> int:
@@ -208,38 +187,29 @@ def check_regularity_bounds(c: RawClutter, budget: int | None = None) -> BoundRe
     )
 
 
-def canonical_degrees(c: RawClutter, degree_cap: int | None = None):
+def canonical_degrees(c: RawClutter):
     """Minimal generators of the interior-point ideal of the lifted cone.
 
     Requires the lifted vectors to generate their cone's lattice semigroup;
     the generators are the lattice points in the relative interior of the
     cone that no smaller interior point divides (difference again in the
-    cone).  The smallest occurring degree equals minus the series degree.
+    cone).  Each one is a point of the interior half-open decomposition:
+    any other interior point x is p + g_j + (more generators) for some p of
+    it, and x - g_j is interior and divides x.  The smallest occurring
+    degree equals minus the series degree.
     """
     a = analyze(c)
     if not a.is_ehrhart:
         raise UsageError("canonical_degrees: lifted vectors do not span the semigroup")
-    cap = degree_cap if degree_cap is not None else a.dim + 2
-    interior: list[tuple[IntVec, int]] = []
-    for b in range(1, cap + 1):
-        for pt in polyhedron.relative_interior_lattice_points(a.vrep, b, a.hrep):
-            interior.append((pt + (b,), b))
-    gens: list[tuple[IntVec, int]] = []
-    for vec, b in interior:
-        divisible = False
-        for vec2, b2 in interior:
-            if b2 >= b or vec2 == vec:
-                continue
-            diff_deg = b - b2
-            diff = tuple(x - y for x, y in zip(vec[: c.n], vec2[: c.n]))
-            if all(x >= 0 for x in diff) and polyhedron.contains_point(
-                a.hrep, tuple(Fraction(x, diff_deg) for x in diff)
-            ):
-                divisible = True
-                break
-        if not divisible:
-            gens.append((vec, b))
+    cone = lattice.ConeWithLattice.from_vectors(a.lifted)
+    _, interior = lattice.half_open_points(cone)
+    gens = []
+    for x in interior:
+        if not any(
+            y[-1] < x[-1] and cone.contains(tuple(map(sub, x, y))) for y in interior
+        ):
+            gens.append((x, x[-1]))
     gens.sort()
-    if gens and min(b for _, b in gens) != -a.a_invariant:
+    if min(b for _, b in gens) != -a.a_invariant:
         raise AssertionError("least interior degree must match the series degree")
     return tuple(gens)

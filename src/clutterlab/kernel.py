@@ -32,10 +32,6 @@ def vsub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vscale(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
-
-
 def integer_multiple(vec: Sequence) -> tuple[tuple[int, ...], int]:
     """(t * vec, t) for the least integer t > 0 making every entry an int.
 
@@ -135,21 +131,17 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | N
     return tuple(sol)
 
 
-def clear_denominators(vec: Sequence) -> tuple[tuple[int, ...], Fraction]:
-    """Primitive integer vector parallel to `vec`, plus the positive scale.
+def primitive(vec: Sequence) -> tuple[int, ...]:
+    """Primitive integer vector parallel to `vec` (same direction).
 
-    Returns (w, s) with w = s * vec, s > 0 and gcd of the entries of w = 1.
+    Entries may be int or Fraction: the least integer multiple of `vec`,
+    divided by the gcd of its entries.
     """
-    ints, t = integer_multiple(vec)
+    ints, _ = integer_multiple(vec)
     g = gcd(*ints)
     if g == 0:
-        raise UsageError("clear_denominators: zero vector")
-    return tuple([x // g for x in ints]), Fraction(t, g)
-
-
-def primitive(vec: Sequence) -> tuple[int, ...]:
-    """Primitive integer vector parallel to `vec` (same direction)."""
-    return clear_denominators(vec)[0]
+        raise UsageError("primitive: zero vector")
+    return tuple([x // g for x in ints])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ form per simplex; the candidates are then reduced in support form, by
 comparing their facet-height tuples in order of total height.  Cones with
 lineality are split along their lineality lattice and the pointed quotient
 is handled as usual.
+
+The same parallelepipeds, made half-open by a lexicographic generic point,
+tile the cone and its relative interior (`half_open_points`); binned by
+height they give the Ehrhart series and its interior series.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
-from operator import mul
+from operator import add, mul
 
 from . import kernel, polyhedron
 from .errors import StepCounter, Undecided, UsageError, step_budget
@@ -102,7 +106,9 @@ def _extreme_rays(cone: ConeWithLattice) -> tuple[IntVec, ...]:
     return tuple(out)
 
 
-def _parallelepiped_points(gens: tuple[IntVec, ...], n: int, steps: StepCounter) -> list[IntVec]:
+def _parallelepiped_points(
+    gens: tuple[IntVec, ...], n: int, steps: StepCounter
+) -> list[tuple[IntVec, IntVec]]:
     """Lattice points of the half-open box {sum l_i g_i : 0 <= l_i < 1}.
 
     The generators must be linearly independent.  With G the n x k matrix
@@ -110,29 +116,31 @@ def _parallelepiped_points(gens: tuple[IntVec, ...], n: int, steps: StepCounter)
     the residue classes of (Z^n meet span) modulo the generator lattice are
     indexed by y with 0 <= y_i < d_i, and the class of y has coefficients
     l = V*(y_i / d_i).  Scaled by the largest invariant factor d_k these
-    are integers, so the box point is G*(d_k*l mod d_k) / d_k and every
-    point costs two integer mat-vecs.  Points come in `product` order of
-    the y_i, which `_member_general` relies on.
+    are integers r = d_k*l mod d_k, so the box point is G*r / d_k and every
+    point costs two integer mat-vecs.  Each point comes with its r (so
+    l_i = 0 exactly when r_i = 0).  Points come in `product` order of the
+    y_i, which `_member_general` relies on.
     """
     k = len(gens)
+    origin = ((0,) * n, (0,) * k)
     if k == 0:
-        return [(0,) * n]
+        return [origin]
     mat = tuple(tuple(g[i] for g in gens) for i in range(n))  # n x k, columns = gens
     _, d, v = kernel.smith_normal_form(mat)
     diag = [d[i][i] for i in range(k)]
     if prod(diag) == 1:
-        return [(0,) * n]
+        return [origin]
     dk = diag[-1]
     scale = [dk // di for di in diag]
     out = []
     for combo in product(*[range(di) for di in diag]):
         steps.spend()
         z = [c * s for c, s in zip(combo, scale)]
-        r = [sum(map(mul, row, z)) % dk for row in v]
+        r = tuple([sum(map(mul, row, z)) % dk for row in v])
         num = [sum(map(mul, row, r)) for row in mat]
         if any(x % dk for x in num):
             raise AssertionError("parallelepiped representative outside span")
-        out.append(tuple(x // dk for x in num))
+        out.append((tuple(x // dk for x in num), r))
     return out
 
 
@@ -171,7 +179,7 @@ def _hilbert_basis_cached(cone: ConeWithLattice, budget: int) -> tuple[IntVec, .
     rays = cone.extreme_rays
     candidates: set[IntVec] = set(rays)
     for simplex in _triangulate(rays, cone.n):
-        for pt in _parallelepiped_points(simplex, cone.n, steps):
+        for pt, _ in _parallelepiped_points(simplex, cone.n, steps):
             if any(x != 0 for x in pt):
                 candidates.add(pt)
     # x - h lies in the cone exactly when h's facet heights are at most x's;
@@ -197,6 +205,67 @@ def _hilbert_basis_cached(cone: ConeWithLattice, budget: int) -> tuple[IntVec, .
         if not reducible:
             irreducible.append((total, heights, x))
     return tuple(sorted(x for _, _, x in irreducible))
+
+
+def half_open_points(cone: ConeWithLattice, budget: int | None = None):
+    """Stanley's half-open decompositions of a pointed cone: (closed, interior).
+
+    Let y be the sum of the extreme rays, perturbed lexicographically by the
+    extreme rays in sorted order; it lies in the relative interior and on no
+    facet hyperplane of any simplex of the triangulation.  A lattice point x
+    of the cone belongs to the one simplex that contains x + e*y for small
+    e > 0, so each simplex keeps its facets on y's side and drops the
+    others.  Then x = p + sum n_j g_j for one point p of that simplex's
+    half-open parallelepiped, in which the coefficient of g_j runs over
+    (0, 1] on a dropped facet and [0, 1) otherwise: a box point whose j-th
+    coefficient is 0 on a dropped facet gets g_j added.  Using x - e*y
+    instead drops the other facets and tiles the relative interior.
+
+    Returns the points p of both decompositions, each list free of repeats:
+    with every generator of height 1, binning them by height gives the
+    numerators of the two Hilbert series.  See Stanley, "Decompositions of
+    rational convex polytopes" (1980), and Koeppe & Verdoolaege (2008) for
+    the lexicographic rule.
+    """
+    if not cone.is_pointed:
+        raise UsageError("half_open_points: cone is not pointed")
+    steps = StepCounter(step_budget(budget), "half-open decomposition")
+    n = cone.n
+    rays = cone.extreme_rays
+    perturbation = (tuple(map(sum, zip(*rays))),) + rays
+    closed: list[IntVec] = []
+    interior: list[IntVec] = []
+    for simplex in _triangulate(rays, n):
+        signs = _lexicographic_signs(simplex, n, perturbation)
+        for pt, r in _parallelepiped_points(simplex, n, steps):
+            for out, dropped in ((closed, -1), (interior, 1)):
+                x = pt
+                for g, sign, rj in zip(simplex, signs, r):
+                    if rj == 0 and sign == dropped:
+                        x = tuple(map(add, x, g))
+                out.append(x)
+    return closed, interior
+
+
+def _lexicographic_signs(simplex: tuple[IntVec, ...], n: int, perturbation) -> list[int]:
+    """Signs of the simplex coordinates of y0 + e*y1 + e^2*y2 + ... (small e).
+
+    The sign of coordinate j is that of its first nonzero value over the
+    perturbation vectors.  Every generator g_j is among them, with
+    coordinate j equal to 1, so no sign stays 0.
+    """
+    mat = tuple(tuple(g[i] for g in simplex) for i in range(n))
+    signs = [0] * len(simplex)
+    for y in perturbation:
+        if all(signs):
+            break
+        lam = kernel.solve(mat, y)
+        if lam is None:
+            raise AssertionError("perturbation vector outside the simplex span")
+        for j, l in enumerate(lam):
+            if not signs[j] and l:
+                signs[j] = 1 if l > 0 else -1
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +393,7 @@ def _member_general(a, vecs, steps: StepCounter):
             return list(r[:q])
     extremes = solution_cone.extreme_rays
     for simplex in _triangulate(extremes, q + 1):
-        for pt in _parallelepiped_points(simplex, q + 1, steps):
+        for pt, _ in _parallelepiped_points(simplex, q + 1, steps):
             if pt[q] == 1:
                 return list(pt[:q])
     return None

@@ -1,4 +1,4 @@
-"""Exact polyhedra over the rationals: double description, faces, lattice points.
+"""Exact polyhedra over the rationals: double description, faces, integrality.
 
 Both descriptions are first-class:
 
@@ -8,19 +8,17 @@ Both descriptions are first-class:
 
 Conversions run the double description method on the homogenization cone,
 entirely in exact integer arithmetic.  The empty polyhedron is a value, not
-an error.
-
-The lattice points of a dilated polytope and of its relative interior come
-from one pruned box scan.
+an error.  Lattice points are counted in `lattice`, from the half-open
+parallelepipeds of a triangulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import kernel
 from .errors import DEFAULT_RAY_CAP, ResourceExceeded, UsageError
@@ -342,98 +340,6 @@ def is_integral(rep, hrep: HRep | None = None):
         if face_integral_point(hrep, face) is None:
             return False, face.point
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# Lattice point enumeration
-# ---------------------------------------------------------------------------
-
-
-def _scan_box(lo: list[int], hi: list[int], ineqs, eqs):
-    """Integer points in the box satisfying all constraints, DFS with pruning.
-
-    `ineqs` are (normal, rhs) meaning <a,x> <= rhs; `eqs` must hold
-    exactly.  Points come out in lexicographic order.
-    """
-    n = len(lo)
-    cons = [(a, b, False) for a, b in ineqs] + [(a, b, True) for a, b in eqs]
-    # suffix bounds: smallest/largest achievable value of <a, x[k:]> over the box
-    suf_min = []
-    suf_max = []
-    for a, _, _ in cons:
-        mins = [0] * (n + 1)
-        maxs = [0] * (n + 1)
-        for k in range(n - 1, -1, -1):
-            lo_term = min(a[k] * lo[k], a[k] * hi[k])
-            hi_term = max(a[k] * lo[k], a[k] * hi[k])
-            mins[k] = mins[k + 1] + lo_term
-            maxs[k] = maxs[k + 1] + hi_term
-        suf_min.append(mins)
-        suf_max.append(maxs)
-
-    out: list[IntVec] = []
-    point = [0] * n
-
-    def rec(k: int, partial: tuple[int, ...]):
-        if k == n:
-            out.append(tuple(point))
-            return
-        for x in range(lo[k], hi[k] + 1):
-            point[k] = x
-            nxt = []
-            ok = True
-            for s, (a, b, is_eq), mins, maxs in zip(partial, cons, suf_min, suf_max):
-                s2 = s + a[k] * x
-                rest_lo = s2 + mins[k + 1]
-                rest_hi = s2 + maxs[k + 1]
-                if is_eq:
-                    if rest_lo > b or rest_hi < b:
-                        ok = False
-                        break
-                elif rest_lo > b:
-                    ok = False
-                    break
-                nxt.append(s2)
-            if ok:
-                rec(k + 1, tuple(nxt))
-        point[k] = 0
-
-    rec(0, tuple(0 for _ in cons))
-    return out
-
-
-def _dilation_points(name: str, v: VRep, b: int, hrep: HRep | None, slack: int):
-    """Integer points x of b*P with <a,x> <= b*rhs - slack for every inequality.
-
-    The data and the points are integral, so slack 1 turns every inequality
-    strict: the relative interior of b*P.
-    """
-    if b < 0:
-        raise UsageError(f"{name}: dilation must be nonnegative")
-    if v.is_empty:
-        raise UsageError(f"{name}: empty polytope")
-    if not v.is_bounded:
-        raise UsageError(f"{name}: polyhedron is unbounded")
-    if b == 0:
-        return ((0,) * v.n,)
-    h = hrep if hrep is not None else _v_to_h(v)
-    lo = [ceil(min(b * p[k] for p in v.vertices)) for k in range(v.n)]
-    hi = [floor(max(b * p[k] for p in v.vertices)) for k in range(v.n)]
-    if any(l > u for l, u in zip(lo, hi)):
-        return ()
-    ineqs = [(a, rhs * b - slack) for a, rhs in h.ineqs]
-    eqs = [(a, rhs * b) for a, rhs in h.eqs]
-    return tuple(_scan_box(lo, hi, ineqs, eqs))
-
-
-def lattice_points(v: VRep, b: int, hrep: HRep | None = None) -> tuple[IntVec, ...]:
-    """All integer points of the dilation b*P for a polytope P."""
-    return _dilation_points("lattice_points", v, b, hrep, 0)
-
-
-def relative_interior_lattice_points(v: VRep, b: int, hrep: HRep | None = None) -> tuple[IntVec, ...]:
-    """Integer points strictly inside every facet of b*P, exactly on its hull."""
-    return _dilation_points("relative_interior_lattice_points", v, b, hrep, 1)
 
 
 def contains_point(h: HRep, x: Sequence) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from . import combinat, ideals, lattice, polyhedron
+from . import combinat, ideals, kernel, lattice, polyhedron
 from .combinat import RawClutter, SimpleGraph
 from .errors import Undecided, UsageError
 
@@ -156,6 +156,7 @@ def mfmc_ilp_crosscheck(c: RawClutter, wmax: int = 3, limit: int | None = None):
     """
     vecs = c.characteristic_vectors()
     q = len(vecs)
+    rows = [tuple(v[row] for v in vecs) for row in range(c.n)]
     count = 0
     for w in product(range(wmax + 1), repeat=c.n):
         count += 1
@@ -163,15 +164,16 @@ def mfmc_ilp_crosscheck(c: RawClutter, wmax: int = 3, limit: int | None = None):
             break
         # dual polytope {y >= 0 : A y <= w} lives in R^q
         ineqs = [(tuple(-int(i == j) for i in range(q)), 0) for j in range(q)]
-        for row in range(c.n):
-            ineqs.append((tuple(v[row] for v in vecs), w[row]))
-        h = polyhedron.HRep(q, tuple(ineqs))
-        v = polyhedron.dd_convert(h)
+        ineqs.extend(zip(rows, w))
+        v = polyhedron.dd_convert(polyhedron.HRep(q, tuple(ineqs)))
         if v.is_empty:
             continue
         lp_opt = max(sum(p) for p in v.vertices)
+        # every edge is nonempty, so a feasible y has entries at most wmax
         ilp_opt = max(
-            sum(p) for p in polyhedron.lattice_points(v, 1, h)
+            sum(y)
+            for y in product(range(wmax + 1), repeat=q)
+            if all(kernel.dot(a, y) <= b for a, b in zip(rows, w))
         )
         if lp_opt != ilp_opt:
             return False, w

@@ -7,6 +7,7 @@ Expected values in the tests were computed with these and then frozen.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -330,6 +331,35 @@ def canonical_form_oracle(g):
 
     rec([], [])
     return (n, *best)
+
+
+@functools.lru_cache(maxsize=None)
+def _odd_cycle_traversals(n):
+    """Every traversal of an odd cycle of length >= 5 on n labelled vertices
+    that starts at its smallest vertex and whose second vertex is smaller
+    than its last, sorted, with the cycle's edges and all its vertex pairs."""
+    out = []
+    for k in range(5, n + 1, 2):
+        for verts in itertools.combinations(range(n), k):
+            for rest in itertools.permutations(verts[1:]):
+                if rest[0] > rest[-1]:
+                    continue
+                cyc = (verts[0],) + rest
+                ring = frozenset(tuple(sorted((cyc[i], cyc[(i + 1) % k]))) for i in range(k))
+                out.append((cyc, ring, frozenset(itertools.combinations(verts, 2))))
+    return tuple(sorted(out, key=lambda t: t[0]))
+
+
+def meyniel_oracle(g):
+    """`is_meyniel` by permutation scan: the witness is the smallest odd
+    cycle of length >= 5, in sorted order, with fewer than two chords."""
+    edges = set(g.edges)
+    for cyc, ring, pairs in _odd_cycle_traversals(g.n):
+        if ring <= edges:
+            chords = len(pairs & edges) - len(cyc)
+            if chords < 2:
+                return False, (cyc, chords)
+    return True, None
 
 
 def relabeled(g, perm):

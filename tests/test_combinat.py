@@ -15,6 +15,7 @@ from conftest import (
     brute_maximal_stable_sets,
     brute_min_covers,
     hoang_witness_oracle,
+    meyniel_oracle,
     meyniel_via_hoang_oracle,
     random_graph,
     relabeled,
@@ -205,6 +206,20 @@ def test_meyniel_differential_small():
         for g in all_labeled_graphs(n):
             direct, _ = combinat.is_meyniel(g)
             assert direct == combinat.is_meyniel_via_hoang(g)
+
+
+def test_meyniel_witness_matches_oracle():
+    # the witness is the smallest odd cycle in sorted order with fewer than
+    # two chords, on every labelled graph with n <= 6 and seeded larger ones
+    graphs = [g for n in range(1, 7) for g in all_labeled_graphs(n)]
+    rng = random.Random(29)
+    graphs += [random_graph(rng, n, rng.choice((0.3, 0.5, 0.7))) for n in (7, 8) for _ in range(150)]
+    failing = 0
+    for g in graphs:
+        got = combinat.is_meyniel(g)
+        assert got == meyniel_oracle(g), g
+        failing += not got[0]
+    assert failing > 1000
 
 
 def test_perfection():

@@ -1,9 +1,19 @@
+import functools
+import itertools
+import random
+from fractions import Fraction
+from math import comb
+
 import pytest
 
-from clutterlab import combinat, ehrhart
+from clutterlab import combinat, ehrhart, kernel, lattice, polyhedron
 from clutterlab.combinat import Clutter, RawClutter
 from clutterlab.errors import Undecided, UsageError
 from clutterlab.families import line_graph_k24, sharpness_clutter
+from clutterlab.lattice import ConeWithLattice
+from clutterlab.polyhedron import HRep, VRep
+
+from conftest import brute_lattice_points
 
 
 @pytest.fixture
@@ -50,8 +60,6 @@ def test_regularity(triangle, blocker_square, unit_square_clutter):
 
 
 def test_hvector_consistency_random():
-    import random
-
     rng = random.Random(17)
     done = 0
     while done < 12:
@@ -71,12 +79,185 @@ def test_hvector_consistency_random():
         assert a.regularity >= 0
         # h(1) equals the normalized leading coefficient of the counting
         # polynomial: dim! * vol = the dim-th finite difference of counts
-        from math import comb
-
-        counts = [ehrhart.ehrhart_function(c, b) for b in range(a.dim + 1)]
+        points = _brute_dilations(c.characteristic_vectors())
+        counts = [len(points(b)[0]) for b in range(a.dim + 1)]
         lead = sum((-1) ** (a.dim - j) * comb(a.dim, j) * counts[j] for j in range(a.dim + 1))
         assert lead == sum(a.hvector)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# The half-open decompositions against brute-force lattice points
+# ---------------------------------------------------------------------------
+
+
+def _hrep(vertices) -> HRep:
+    n = len(vertices[0])
+    return polyhedron.dd_convert(VRep(n, tuple(sorted(tuple(map(Fraction, v)) for v in vertices))))
+
+
+def _brute_dilations(vertices):
+    """b -> (points, relative-interior points) of bP for nonnegative
+    vertices, by a scan of the box [0, b * largest coordinate]^n."""
+    h = _hrep(vertices)
+    top = max(max(v) for v in vertices)
+
+    @functools.cache
+    def points(b):
+        scaled = HRep(h.n, tuple((a, b * r) for a, r in h.ineqs), tuple((a, b * r) for a, r in h.eqs))
+        closed = brute_lattice_points(scaled, (0, b * top))
+        strict = [p for p in closed if all(kernel.dot(a, p) < r for a, r in scaled.ineqs)]
+        return closed, strict
+
+    return points
+
+
+def _series_count(points, dim: int, b: int) -> int:
+    """Lattice points of height b in the union of the half-open simplicial
+    cones p + N*simplex over the given points p (every generator at height 1)."""
+    return sum(comb(b - x[-1] + dim, dim) for x in points if x[-1] <= b)
+
+
+def _random_clutters(seed: int, count: int, cost: int):
+    """Seeded clutters with n 2..6 and edges of one or two sizes, kept when
+    a box scan of (dim + 2)P costs at most `cost` points."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 6)
+        s = rng.randint(1, n - 1)
+        sizes = (s,) if rng.random() < 0.5 else (s, s + 1)
+        cand = [tuple(sorted(rng.sample(range(n), rng.choice(sizes)))) for _ in range(rng.randint(2, 10))]
+        edges = sorted({e for e in cand if not any(set(f) < set(e) for f in cand)})
+        c = RawClutter(n, edges)
+        dim = kernel.rank([v + (1,) for v in c.characteristic_vectors()]) - 1
+        if (dim + 3) ** n <= cost:
+            out.append(c)
+    return out
+
+
+def _check_decompositions(vertices, bmax: int):
+    """Both decompositions of the lifted cone count bP and its relative
+    interior for b = 1..bmax exactly as the brute-force scan does."""
+    cone = ConeWithLattice.from_vectors([tuple(v) + (1,) for v in vertices])
+    closed, interior = lattice.half_open_points(cone)
+    assert len(set(closed)) == len(closed) and len(set(interior)) == len(interior)
+    assert all(cone.contains(x) for x in closed + interior)
+    dim = kernel.rank(cone.generators) - 1
+    points = _brute_dilations(vertices)
+    for b in range(1, bmax + 1):
+        got_closed, got_strict = points(b)
+        assert _series_count(closed, dim, b) == len(got_closed), (vertices, b)
+        assert _series_count(interior, dim, b) == len(got_strict), (vertices, b)
+    return closed, interior
+
+
+def test_half_open_decompositions_on_box_scan_instances():
+    # the instances of the retired box-scan tests in test_polyhedron
+    unit_square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    closed, interior = _check_decompositions(unit_square, 4)
+    assert sorted(x[-1] for x in closed) == [0, 1]
+    assert [x for x in interior if x[-1] == 2] == [(1, 1, 2)]  # (1, 1) inside 2P
+    embedded_square = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
+    _check_decompositions(embedded_square, 3)
+    segment = [(1, 0, 1, 0), (0, 1, 0, 1)]
+    closed, interior = _check_decompositions(segment, 3)
+    assert closed == [(0, 0, 0, 0, 0)] and interior == [(1, 1, 1, 1, 2)]
+    # a point polytope is its own relative interior
+    point = ConeWithLattice.from_vectors([(3, 5, 1)])
+    assert lattice.half_open_points(point) == ([(0, 0, 0)], [(3, 5, 1)])
+
+
+def test_half_open_decompositions_match_brute_force_on_random_clutters():
+    dims = set()
+    for c in _random_clutters(41, 40, 60_000):
+        vecs = c.characteristic_vectors()
+        dim = kernel.rank([v + (1,) for v in vecs]) - 1
+        _check_decompositions(vecs, dim + 1)
+        dims.add((c.n, dim))
+    # edge polytopes of dimension 0 to 4, some below n - 1 (the dimension
+    # of a uniform clutter's polytope)
+    assert any(d < n - 1 for n, d in dims) and max(d for _, d in dims) == 4
+
+
+def test_half_open_decompositions_match_brute_force_on_random_polytopes():
+    # lattice polytopes with vertices in {0, ..., 3}^n have simplices of
+    # determinant above 1, so the parallelepipeds hold more than the origin
+    rng = random.Random(23)
+    deep = 0
+    for _ in range(40):
+        n = rng.randint(2, 3)
+        pts = sorted({tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))})
+        dim = kernel.rank([p + (1,) for p in pts]) - 1
+        closed, interior = _check_decompositions(pts, dim + 1)
+        deep += any(x[-1] >= 2 for x in closed)
+    assert deep >= 10
+
+
+def test_line_graph_k24_decompositions():
+    # not Ehrhart; n = 8 puts b = dim + 1 out of brute-force reach, but the
+    # counts of bP for b <= 3 already fix h_0..h_3, and those of its
+    # interior fix h_3..h_5
+    _, c = line_graph_k24()
+    _check_decompositions(c.characteristic_vectors(), 3)
+    assert ehrhart.hvector(c) == (1, 0, 0, 1)
+
+
+def _brute_canonical_degrees(c, dim, points):
+    """Interior points of bP up to b = dim + 2, lifted, that no interior point
+    of a smaller dilation divides (difference in (b - b')P), sorted."""
+    h = _hrep(c.characteristic_vectors())
+    interior = [(p + (b,), b) for b in range(1, dim + 3) for p in points(b)[1]]
+
+    def in_dilation(x, k):
+        return all(kernel.dot(a, x) <= k * r for a, r in h.ineqs) and all(
+            kernel.dot(a, x) == k * r for a, r in h.eqs
+        )
+
+    gens = [
+        (x, b)
+        for x, b in interior
+        if not any(
+            b2 < b and in_dilation(tuple(p - q for p, q in zip(x[:-1], y)), b - b2)
+            for y, b2 in interior
+        )
+    ]
+    return tuple(sorted(gens))
+
+
+def test_series_invariants_match_brute_force():
+    ehrhart_seen = 0
+    complete_graphs = [Clutter(n, list(itertools.combinations(range(n), 2))) for n in (4, 5)]
+    named = [sharpness_clutter(2, 2)] + complete_graphs
+    for c in _random_clutters(43, 30, 20_000) + named:
+        a = ehrhart.analyze(c)
+        points = _brute_dilations(c.characteristic_vectors())
+        first_interior = None
+        for b in range(a.dim + 2):
+            closed, strict = points(b)
+            assert ehrhart.ehrhart_function(c, b) == len(closed), (c, b)
+            if b and strict and first_interior is None:
+                first_interior = b
+        assert a.a_invariant == ehrhart.a_invariant_interior(c) == -first_interior
+        if a.is_ehrhart:
+            ehrhart_seen += 1
+            assert ehrhart.canonical_degrees(c) == _brute_canonical_degrees(c, a.dim, points), c
+    assert ehrhart_seen >= 10
+
+
+def test_analyze_checks_reciprocity(monkeypatch):
+    # a repeated interior point leaves h and the least interior height, so
+    # the a-invariant and the regularity, as they were: only reciprocity
+    # sees it
+    real = lattice.half_open_points
+
+    def extra_interior_point(cone, budget=None):
+        closed, interior = real(cone, budget)
+        return closed, interior + [max(interior, key=lambda x: x[-1])]
+
+    monkeypatch.setattr(lattice, "half_open_points", extra_interior_point)
+    with pytest.raises(AssertionError, match="reciprocity"):
+        ehrhart.analyze.__wrapped__(sharpness_clutter(2, 3))
 
 
 def test_ehrhart_clutter_verdicts(triangle, square, blocker_square):

@@ -84,9 +84,10 @@ def test_solve_exactness_random():
 
 
 def test_clear_denominators():
-    assert kernel.clear_denominators((Fraction(1, 2), Fraction(1, 2))) == ((1, 1), Fraction(2))
-    assert kernel.clear_denominators((2, 4)) == ((1, 2), Fraction(1, 2))
-    assert kernel.clear_denominators((Fraction(1, 3), Fraction(-1, 6))) == ((2, -1), Fraction(6))
+    # primitive clears denominators, then divides out the common factor
+    assert kernel.primitive((Fraction(1, 2), Fraction(1, 2))) == (1, 1)
+    assert kernel.primitive((2, 4)) == (1, 2)
+    assert kernel.primitive((Fraction(1, 3), Fraction(-1, 6))) == (2, -1)
 
 
 def test_clear_denominators_returns_int_entries():
@@ -96,10 +97,9 @@ def test_clear_denominators_returns_int_entries():
         ((Fraction(1, 2), 3, Fraction(-2, 3)), (3, 18, -4)),
         ((4, Fraction(-6)), (2, -3)),
     ]:
-        for got in (kernel.clear_denominators(vec)[0], kernel.primitive(vec)):
-            assert got == want
-            assert all(type(x) is int for x in got)
-    assert kernel.clear_denominators((Fraction(3), Fraction(6)))[1] == Fraction(1, 3)
+        got = kernel.primitive(vec)
+        assert got == want
+        assert all(type(x) is int for x in got)
 
 
 def test_integer_multiple_uses_least_factor():
@@ -117,7 +117,7 @@ def test_integer_multiple_uses_least_factor():
 
 def test_clear_denominators_zero_vector():
     with pytest.raises(UsageError):
-        kernel.clear_denominators((0, 0))
+        kernel.primitive((0, 0))
 
 
 def test_fraction_arithmetic_is_exact():

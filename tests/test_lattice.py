@@ -41,8 +41,11 @@ def test_plane_cone_with_interior_point():
 
 
 def test_non_pointed_cone_rejected():
+    cone = ConeWithLattice.from_vectors([(1, 0), (-1, 0), (0, 1)])
     with pytest.raises(UsageError, match="pointed"):
-        hilbert_basis(ConeWithLattice.from_vectors([(1, 0), (-1, 0), (0, 1)]))
+        hilbert_basis(cone)
+    with pytest.raises(UsageError, match="pointed"):
+        lattice.half_open_points(cone)
 
 
 def test_lifted_clique_cone_gap():
@@ -196,18 +199,23 @@ def test_hilbert_basis_matches_brute_force():
 
 def fraction_parallelepiped_points(gens, n):
     """The reference construction: per class, an exact Fraction solve for the
-    coefficients, then their integer parts subtracted."""
+    coefficients, then their integer parts subtracted.  Each point comes
+    with its fractional coefficients scaled by the largest invariant factor."""
     k = len(gens)
     mat = tuple(tuple(g[i] for g in gens) for i in range(n))
     u, d, _ = kernel.smith_normal_form(mat)
     uinv = kernel.unimodular_inverse(u)
+    dk = d[k - 1][k - 1]
     out = []
     for combo in itertools.product(*[range(d[i][i]) for i in range(k)]):
         y = tuple(combo) + (0,) * (n - k)
         x = tuple(kernel.dot(uinv[i], y) for i in range(n))
         lam = kernel.solve(mat, x)
         shift = [l.numerator // l.denominator for l in lam]
-        out.append(tuple(x[i] - sum(shift[j] * gens[j][i] for j in range(k)) for i in range(n)))
+        point = tuple(x[i] - sum(shift[j] * gens[j][i] for j in range(k)) for i in range(n))
+        r = tuple((l - s) * dk for l, s in zip(lam, shift))
+        assert all(c.denominator == 1 for c in r)
+        out.append((point, tuple(int(c) for c in r)))
     return out
 
 
@@ -240,3 +248,8 @@ def test_step_budget_covers_enumeration_and_reduction():
         assert is_tdi(system, budget).verdict == "undecided"
     assert hilbert_basis(cone, budget=12) == ((1, 0), (1, 1), (1, 2), (2, 5))
     assert is_tdi(system, 12).verdict is False
+    # the half-open decompositions spend one step per parallelepiped point
+    with pytest.raises(Undecided):
+        lattice.half_open_points(cone, budget=4)
+    closed, interior = lattice.half_open_points(cone, budget=5)
+    assert len(closed) == len(interior) == 5

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ from clutterlab import kernel, polyhedron
 from clutterlab.errors import UsageError
 from clutterlab.polyhedron import HRep, VRep, dd_convert
 
-from conftest import brute_lattice_points, brute_vertices, dd_cone_oracle
+from conftest import brute_vertices, dd_cone_oracle
 
 F = Fraction
 
@@ -172,78 +171,9 @@ def test_cone_conversions_reject_ragged_normals():
         polyhedron.cone_hrep_to_generators([(1, 0, 0)], 2)
 
 
-def test_lattice_points_square():
-    v = dd_convert(UNIT_SQUARE)
-    assert polyhedron.lattice_points(v, 0) == ((0, 0),)
-    assert len(polyhedron.lattice_points(v, 2)) == 9
-    got = polyhedron.lattice_points(v, 3)
-    assert len(got) == 16
-    scaled = HRep(2, tuple((a, 3 * b) for a, b in UNIT_SQUARE.ineqs))
-    assert sorted(got) == sorted(brute_lattice_points(scaled, (0, 3)))
-
-
-def test_lattice_points_embedded_square():
-    emb = VRep(4, tuple(
-        tuple(map(F, p)) for p in [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
-    ))
-    assert polyhedron.dimension(emb) == 2
-    assert len(polyhedron.lattice_points(emb, 2)) == 9
-
-
-def test_lattice_point_counts_interpolate_polynomial():
-    # counts of a lattice polytope must fit a polynomial of its dimension
-    from math import comb
-
-    rng = random.Random(17)
-    polytopes = [dd_convert(UNIT_SQUARE)]
-    for _ in range(6):
-        pts = {tuple(F(rng.randint(0, 2)) for _ in range(3)) for _ in range(rng.randint(1, 5))}
-        polytopes.append(dd_convert(dd_convert(VRep(3, tuple(sorted(pts))))))
-    for v in polytopes:
-        dim = polyhedron.dimension(v)
-        counts = [len(polyhedron.lattice_points(v, b)) for b in range(dim + 4)]
-        # finite difference of order dim+1 annihilates a degree-dim polynomial
-        for start in range(2):
-            diff = sum(
-                (-1) ** j * comb(dim + 1, j) * counts[start + dim + 1 - j]
-                for j in range(dim + 2)
-            )
-            assert diff == 0
-
-
-def test_relative_interior_points():
-    seg = VRep(4, ((F(1), F(0), F(1), F(0)), (F(0), F(1), F(0), F(1))))
-    assert polyhedron.relative_interior_lattice_points(seg, 1) == ()
-    assert polyhedron.relative_interior_lattice_points(seg, 2) == ((1, 1, 1, 1),)
-    sq = dd_convert(UNIT_SQUARE)
-    assert polyhedron.relative_interior_lattice_points(sq, 1) == ()
-    assert polyhedron.relative_interior_lattice_points(sq, 2) == ((1, 1),)
-
-
-def test_box_scans_match_brute_force_on_random_01_polytopes():
-    rng = random.Random(23)
-    with_equations = 0
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        corners = list(itertools.product((0, 1), repeat=n))
-        pts = rng.sample(corners, rng.randint(1, len(corners)))
-        v = VRep(n, tuple(sorted(tuple(map(F, p)) for p in pts)))
-        h = dd_convert(v)
-        with_equations += bool(h.eqs)
-        for b in range(1, 4):
-            scaled = HRep(n, tuple((a, b * c) for a, c in h.ineqs), tuple((a, b * c) for a, c in h.eqs))
-            closed = brute_lattice_points(scaled, (0, b))
-            interior = [p for p in closed if all(kernel.dot(a, p) < c for a, c in scaled.ineqs)]
-            assert polyhedron.lattice_points(v, b, h) == tuple(closed)
-            assert polyhedron.relative_interior_lattice_points(v, b, h) == tuple(interior)
-    assert with_equations >= 10
-
-
 def test_point_polytope():
     pt = VRep(2, ((F(3), F(5)),))
     assert polyhedron.dimension(pt) == 0
-    assert polyhedron.lattice_points(pt, 1) == ((3, 5),)
-    assert polyhedron.relative_interior_lattice_points(pt, 1) == ((3, 5),)
     assert dd_convert(dd_convert(pt)) == pt
 
 
@@ -276,9 +206,3 @@ def test_integrality_with_lineality():
     good = HRep(2, (), (((1, 2), 1),))
     ok, _ = polyhedron.is_integral(dd_convert(good), good)
     assert ok
-
-
-def test_unbounded_lattice_enumeration_rejected():
-    v = dd_convert(HRep(2, (((-1, 0), 0), ((0, -1), 0))))
-    with pytest.raises(UsageError):
-        polyhedron.lattice_points(v, 2)
