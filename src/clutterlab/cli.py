@@ -457,12 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power-bound", type=int, default=3,
                    help="bound for the power-by-power checks (ntf, normal)")
     common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("invariants", help="series invariants and bound checks of a clutter")
     p.add_argument("--input", required=True)
     common(p)
-    p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("conjecture", help="ideal => flow-property batch over perfect graphs")
     p.add_argument("--families", default="chordal,bipartite",
@@ -471,27 +469,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=25)
     common(p)
-    p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("examples", help="write a named instance and its certificate")
     p.add_argument("--name", required=True)
     p.add_argument("--outdir", default=".")
     common(p)
-    p.set_defaults(func=cmd_examples)
 
     return ap
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         if args.budget is None:
             args.budget = step_budget()
-        return args.func(args)
+        # looked up at call time, so that a rebound command function runs
+        return globals()[f"cmd_{args.cmd}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -110,9 +110,6 @@ class SimpleGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(out)))
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return adjacency_masks(self)[a] >> b & 1 == 1
-
 
 @lru_cache(maxsize=65536)
 def adjacency_masks(g: SimpleGraph) -> tuple[int, ...]:

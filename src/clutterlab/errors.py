@@ -28,10 +28,9 @@ class Undecided(RuntimeError):
     "undecided" outcome, not coerce it to True/False.
     """
 
-    def __init__(self, what: str, vector=None):
+    def __init__(self, what: str):
         super().__init__(f"undecided: {what}")
         self.what = what
-        self.vector = vector
 
 
 def step_budget(override: int | None = None) -> int:

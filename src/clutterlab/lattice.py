@@ -8,8 +8,14 @@ the cone is triangulated, and the lattice points of each simplex's half-open
 parallelepiped are enumerated in integer arithmetic from one Smith normal
 form per simplex; the candidates are then reduced in support form, by
 comparing their facet-height tuples in order of total height.  Cones with
-lineality are split along their lineality lattice and the pointed quotient
-is handled as usual.
+lineality are split along their lineality lattice L and the pointed
+quotient is handled as usual; the lifted checks are then decided by lattice
+arithmetic, not by membership queries.  With M the group spanned by the
+generators in L, a check t is reached exactly when t - g lies in M for some
+generator g with the same image in the quotient (g = 0 for t in L).
+
+`semigroup_member` decides membership for every cone through the
+integer points of one pointed solution cone.
 
 The same parallelepipeds, made half-open by a lexicographic generic point,
 tile the cone and its relative interior (`half_open_points`); binned by
@@ -25,7 +31,7 @@ from math import prod
 from operator import add, mul
 
 from . import kernel, polyhedron
-from .errors import StepCounter, Undecided, UsageError, step_budget
+from .errors import StepCounter, UsageError, step_budget
 
 IntVec = tuple[int, ...]
 
@@ -58,7 +64,7 @@ class ConeWithLattice:
             kernel.dot(c, x) == 0 for c in eqs
         )
 
-    @property
+    @cached_property
     def is_pointed(self) -> bool:
         ineqs, eqs = self.hrep_normals
         return kernel.rank(ineqs + eqs) == self.n
@@ -119,7 +125,7 @@ def _parallelepiped_points(
     are integers r = d_k*l mod d_k, so the box point is G*r / d_k and every
     point costs two integer mat-vecs.  Each point comes with its r (so
     l_i = 0 exactly when r_i = 0).  Points come in `product` order of the
-    y_i, which `_member_general` relies on.
+    y_i, which `_member` relies on.
     """
     k = len(gens)
     origin = ((0,) * n, (0,) * k)
@@ -292,10 +298,7 @@ def semigroup_member(a, vectors, budget: int | None = None):
     if not cone.contains(a):
         return False, None
     steps = StepCounter(step_budget(budget), f"semigroup membership of {a}")
-    if cone.is_pointed:
-        got = _member_pointed(a, [v for _, v in live], cone, steps)
-    else:
-        got = _member_general(a, [v for _, v in live], steps)
+    got = _member(a, [v for _, v in live], steps)
     if got is None:
         return False, None
     for (i, _), c in zip(live, got):
@@ -303,74 +306,13 @@ def semigroup_member(a, vectors, budget: int | None = None):
     return True, tuple(counts)
 
 
-def _grading_functional(vecs, cone: ConeWithLattice) -> IntVec:
-    """Integer functional strictly positive on cone minus the origin.
-
-    Fast path: a shared last coordinate 1 (graded sets).  Otherwise the
-    negated sum of the facet normals: zero value would mean tight on every
-    facet, which in a pointed cone only the origin achieves.
-    """
-    n = cone.n
-    if all(v[-1] == 1 for v in vecs):
-        return (0,) * (n - 1) + (1,)
-    ineqs, _ = cone.hrep_normals
-    phi = tuple(-sum(f[i] for f in ineqs) for i in range(n))
-    if not all(kernel.dot(phi, v) > 0 for v in vecs):
-        raise AssertionError("no grading functional found for pointed cone")
-    return phi
-
-
-def _member_pointed(a, vecs, cone: ConeWithLattice, steps: StepCounter):
-    phi = _grading_functional(vecs, cone)
-    order = sorted(range(len(vecs)), key=lambda i: (-kernel.dot(phi, vecs[i]), vecs[i]))
-    ordered = [vecs[i] for i in order]
-    weights = [kernel.dot(phi, v) for v in ordered]
-    failed: set[tuple[int, IntVec]] = set()
-
-    def rec(idx: int, rem: IntVec, rem_w: int):
-        if rem_w == 0:
-            return [] if all(x == 0 for x in rem) else None
-        if idx == len(ordered):
-            return None
-        key = (idx, rem)
-        if key in failed:
-            return None
-        v, w = ordered[idx], weights[idx]
-        if idx == len(ordered) - 1:
-            steps.spend()
-            if rem_w % w == 0:
-                c = rem_w // w
-                if all(r == c * x for r, x in zip(rem, v)):
-                    return [(idx, c)]
-            failed.add(key)
-            return None
-        for c in range(rem_w // w, -1, -1):
-            steps.spend()
-            nxt = tuple(r - c * x for r, x in zip(rem, v))
-            if c > 0 and not cone.contains(nxt):
-                continue
-            got = rec(idx + 1, nxt, rem_w - c * w)
-            if got is not None:
-                return [(idx, c)] + got
-        failed.add(key)
-        return None
-
-    got = rec(0, tuple(a), kernel.dot(phi, a))
-    if got is None:
-        return None
-    counts = [0] * len(vecs)
-    for idx, c in got:
-        counts[order[idx]] = c
-    return counts
-
-
-def _member_general(a, vecs, steps: StepCounter):
-    """Membership for cones with lineality.
+def _member(a, vecs, steps: StepCounter):
+    """Membership in N*vecs, for every cone, pointed or not.
 
     Feasibility of sum(c_i v_i) = a over c in N^q is decided through the
     pointed solution cone K = {(c, t) >= 0 : sum c_i v_i = t a}: solutions
     with t = 1 exist iff the candidate generators of K's lattice semigroup
-    contain one with t = 1.
+    contain one with t = 1.  One step is spent per parallelepiped point.
     """
     q = len(vecs)
     n = len(a)
@@ -425,9 +367,16 @@ def is_hilbert_basis(vectors, budget: int | None = None) -> HilbertBasisReport:
 def _is_hilbert_basis_lineality(vecs, cone: ConeWithLattice, budget) -> HilbertBasisReport:
     """Split along the lineality lattice; check the pointed quotient.
 
-    In coordinates where the lineality lattice is Z^m x 0, the cone factors
-    as R^m x C' with C' pointed, so its lattice semigroup is generated by
-    +-e_1..e_m and any lift of the Hilbert basis of C'.
+    In coordinates where the lineality lattice L is Z^m x 0, the cone
+    factors as R^m x C' with C' pointed, so its lattice semigroup is
+    generated by +-e_1..e_m and any lift of the Hilbert basis of C'.  Each
+    of these checks is decided by lattice arithmetic.  The generators H_L
+    that project to 0 span the lineality space as a cone, so N*H_L is the
+    group M = Z*H_L; every other generator projects to a nonzero point of
+    C', so N*H meets the lineality space in M.  Hence a check t is reached
+    exactly when t - g lies in M for some g that projects where t does
+    (g = 0 for t in L): a quotient basis element is irreducible, so a
+    representation of its lift uses one generator outside H_L, once.
     """
     n = cone.n
     lin_basis = cone.lineality_lattice_basis
@@ -456,14 +405,14 @@ def _is_hilbert_basis_lineality(vecs, cone: ConeWithLattice, budget) -> HilbertB
     for h in hilbert_basis(quotient, budget) if quotient.generators else ():
         checks.append(to_old((0,) * m + h))
     checks = sorted(set(checks))
-    witnesses = []
-    for t in checks:
-        try:
-            ok, _ = semigroup_member(t, vecs, budget)
-        except Undecided as exc:
-            raise Undecided(exc.what, vector=t) from exc
-        if not ok:
-            witnesses.append(t)
-    return HilbertBasisReport(
-        verdict=not witnesses, basis=tuple(checks), witnesses=tuple(witnesses)
+    group = tuple(zip(*(v for v, p in zip(vecs, projected) if not any(p))))  # n x |H_L|
+    offsets: dict[IntVec, list[IntVec]] = {(0,) * (n - m): [(0,) * n]}
+    for v, p in zip(vecs, projected):
+        if any(p):
+            offsets.setdefault(p, []).append(v)
+    witnesses = tuple(
+        t for t in checks
+        if all(kernel.integer_solve(group, kernel.vsub(t, g)) is None
+               for g in offsets.get(to_new(t)[m:], ()))
     )
+    return HilbertBasisReport(verdict=not witnesses, basis=tuple(checks), witnesses=witnesses)

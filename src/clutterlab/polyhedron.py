@@ -54,10 +54,6 @@ class VRep:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    @property
-    def is_bounded(self) -> bool:
-        return not self.rays and not self.lines
-
 
 @dataclass(frozen=True)
 class Face:

@@ -17,7 +17,7 @@ import pytest
 from clutterlab import kernel
 from clutterlab.combinat import SimpleGraph
 from clutterlab.errors import DEFAULT_RAY_CAP, ResourceExceeded, UsageError
-from clutterlab.lattice import ConeWithLattice
+from clutterlab.lattice import ConeWithLattice, HilbertBasisReport, semigroup_member
 from clutterlab.polyhedron import HRep
 
 
@@ -201,6 +201,17 @@ def brute_in_semigroup(a, gens, cap=8) -> bool:
         if v == tuple(a):
             return True
     return False
+
+
+def membership_report_oracle(gens, basis) -> HilbertBasisReport:
+    """Hilbert-basis report of a cone with lineality by membership queries.
+
+    The rule `is_hilbert_basis` used before it decided cones with lineality
+    by lattice arithmetic: a check of `basis` is a witness exactly when
+    `semigroup_member` finds no nonnegative combination of `gens` for it.
+    """
+    witnesses = tuple(t for t in basis if not semigroup_member(t, gens)[0])
+    return HilbertBasisReport(verdict=not witnesses, basis=tuple(basis), witnesses=witnesses)
 
 
 def brute_hilbert_basis(gens, n):

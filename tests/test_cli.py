@@ -37,6 +37,13 @@ def test_check_tdi_system(tmp_path):
     assert run(["check", "tdi", "--input", bad]) == 1
 
 
+def test_main_calls_share_no_state(tmp_path, capsys):
+    # one parser serves every call; a budget given once must not stick
+    bad = write(tmp_path, "bad.json", BAD_SYSTEM)
+    assert run(["check", "tdi", "--input", bad, "--budget", "1"]) == 2
+    assert run(["check", "tdi", "--input", bad]) == 1
+
+
 def test_check_meyniel_witness(tmp_path, capsys):
     c5 = write(tmp_path, "c5.json", C5_GRAPH)
     assert run(["check", "meyniel", "--input", c5, "--json"]) == 1

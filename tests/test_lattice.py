@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -8,7 +9,7 @@ from clutterlab.errors import StepCounter, Undecided, UsageError
 from clutterlab.lattice import ConeWithLattice, hilbert_basis, is_hilbert_basis, semigroup_member
 from clutterlab.tdi import LinearSystem, is_tdi
 
-from conftest import brute_hilbert_basis, brute_in_semigroup
+from conftest import brute_hilbert_basis, brute_in_semigroup, membership_report_oracle
 
 LIFTED_LINE_K24 = [
     (1, 1, 1, 1, 0, 0, 0, 0, 1),
@@ -96,6 +97,50 @@ def test_is_hilbert_basis_with_lineality():
     assert is_hilbert_basis([(2,), (-2,)]).verdict is False
 
 
+def negated(v):
+    return tuple(-x for x in v)
+
+
+def group_index(vectors):
+    """Index of the group Z*vectors in the lattice points of its span."""
+    _, d, _ = kernel.smith_normal_form(tuple(zip(*vectors)))
+    return prod(d[i][i] for i in range(kernel.rank(vectors)))
+
+
+def test_lineality_criterion_matches_membership():
+    # cones with lineality, every other one with a forced pair g, -c*g: with
+    # c = 2 the generators in the lineality space often span a proper
+    # subgroup Z*H_L of the lineality lattice L
+    rng = random.Random(17)
+    tested = short = witnessed = 0
+    while tested < 300:
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 2))]
+        if tested % 2:
+            gens.append(tuple(-rng.randint(1, 2) * x for x in rng.choice(gens)))
+        gens = [g for g in gens if any(g)]
+        if not gens:
+            continue
+        cone = ConeWithLattice.from_vectors(gens, n)
+        if cone.is_pointed:
+            continue
+        rep = is_hilbert_basis(gens)
+        assert rep == membership_report_oracle(gens, rep.basis), gens
+        # the checks: sorted lattice points of the cone, whose part in the
+        # lineality space is a basis of L and its negatives
+        assert list(rep.basis) == sorted(set(rep.basis))
+        assert all(cone.contains(t) for t in rep.basis)
+        in_space = [t for t in rep.basis if cone.contains(negated(t))]
+        m = len(cone.lineality_lattice_basis)
+        assert len(in_space) == 2 * m and kernel.rank(in_space) == m
+        assert all(negated(t) in in_space for t in in_space)
+        assert group_index(in_space) == 1
+        tested += 1
+        short += group_index([g for g in gens if cone.contains(negated(g))]) != 1
+        witnessed += bool(rep.witnesses)
+    assert short >= 20 and witnessed >= 20
+
+
 def test_empty_input_rejected():
     with pytest.raises(UsageError):
         is_hilbert_basis([])
@@ -175,8 +220,31 @@ def test_membership_differential():
             # the brute force is coefficient-capped; only one direction binds
             assert got and not want
         if got:
+            assert all(c >= 0 for c in combo)
             v = tuple(sum(c * g[i] for c, g in zip(combo, gens)) for i in range(n))
             assert v == a
+    # graded sets (last coordinate 1): the coefficients of a sum to its last
+    # coordinate, so the capped brute force is exact
+    members = 0
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        gens = [
+            tuple(rng.randint(-2, 2) for _ in range(n - 1)) + (1,)
+            for _ in range(rng.randint(1, 4))
+        ]
+        coeffs = [rng.randint(0, 2) for _ in gens]
+        a = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n)]
+        if rng.random() < 0.5:
+            a[rng.randrange(n - 1)] += rng.choice((-1, 1))
+        a = tuple(a)
+        got, combo = semigroup_member(a, gens)
+        assert got == brute_in_semigroup(a, gens, 8), (gens, a)
+        if got:
+            members += 1
+            assert all(c >= 0 for c in combo)
+            v = tuple(sum(c * g[i] for c, g in zip(combo, gens)) for i in range(n))
+            assert v == a
+    assert 10 <= members <= 30
 
 
 def test_hilbert_basis_matches_brute_force():
