@@ -76,13 +76,22 @@ def parse_instance(text: str, where: str = "<input>"):
     if not isinstance(data, dict) or "kind" not in data:
         raise UsageError(f"{where}: expected an object with a 'kind' field")
     kind = data["kind"]
+
+    def ints(x):
+        # JSON integers only: a float, string or bool is not silently converted
+        if isinstance(x, list):
+            return tuple(ints(y) for y in x)
+        if type(x) is not int:
+            raise UsageError(f"{where}: bad {kind} payload: {json.dumps(x)} is not an integer")
+        return x
+
     try:
         if kind == "graph":
-            return SimpleGraph(data["n"], [tuple(e) for e in data["edges"]])
+            return SimpleGraph(ints(data["n"]), ints(data["edges"]))
         if kind == "clutter":
-            return combinat.as_clutter_or_raw(data["n"], [tuple(e) for e in data["edges"]])
+            return combinat.as_clutter_or_raw(ints(data["n"]), ints(data["edges"]))
         if kind == "system":
-            return LinearSystem([tuple(v) for v in data["columns"]], data["w"])
+            return LinearSystem(ints(data["columns"]), ints(data["w"]))
     except (KeyError, TypeError) as exc:
         raise UsageError(f"{where}: bad {kind} payload: {exc}") from exc
     raise UsageError(f"{where}: unknown kind {kind!r}")

@@ -41,6 +41,8 @@ class RawClutter:
     edges: tuple[IntVec, ...]
 
     def __init__(self, n: int, edges):
+        if n < 0:
+            raise UsageError(f"negative vertex count n={n}")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edges", _canon_edges(n, edges))
         self._validate()
@@ -99,9 +101,14 @@ class SimpleGraph:
 
     def __init__(self, n: int, edges):
         n = int(n)
+        if n < 0:
+            raise UsageError(f"negative vertex count n={n}")
         out = set()
         for e in edges:
-            a, b = sorted(int(v) for v in e)
+            pair = sorted(int(v) for v in e)
+            if len(pair) != 2:
+                raise UsageError(f"edge {tuple(pair)} is not a pair of vertices")
+            a, b = pair
             if a == b:
                 raise UsageError(f"loop at vertex {a}")
             if a < 0 or b >= n:

@@ -155,9 +155,12 @@ def _newton_inequalities(ideal: MonomialIdeal):
 
     Computed once from the cone over the lifted generators together with
     the coordinate rays; every facet normal is nonnegative on the
-    exponent part because the region is upward closed.
+    exponent part because the region is upward closed.  The zero ideal has
+    an empty region, given by the one unsatisfiable row 0 >= degree.
     """
     n = ideal.n
+    if not ideal.gens:
+        return (((0,) * n, 1),)
     lifted = [g + (1,) for g in ideal.gens]
     lifted += [tuple(int(i == j) for i in range(n)) + (0,) for j in range(n)]
     ineq_normals, eq_normals = polyhedron.cone_generators_to_hrep(lifted, n + 1)

@@ -4,9 +4,10 @@ The central predicate is `is_hilbert_basis(H)`: do the nonnegative integer
 combinations of H reach every lattice point of the cone spanned by H?
 For pointed cones this reduces to computing the unique minimal Hilbert basis
 of the cone and checking set containment.  The basis comes in two steps:
-the cone is triangulated, and the lattice points of each simplex's half-open
-parallelepiped are enumerated in integer arithmetic from one Smith normal
-form per simplex; the candidates are then reduced in support form, by
+the cone is triangulated on the ray/facet incidences of its one double
+description, and the lattice points of each simplex's half-open
+parallelepiped come in integer arithmetic from one Smith normal form per
+simplex; the candidates are then reduced in support form, by
 comparing their facet-height tuples in order of total height.  Cones with
 lineality are split along their lineality lattice L and the pointed
 quotient is handled as usual; the lifted checks are then decided by lattice
@@ -71,6 +72,8 @@ class ConeWithLattice:
 
     @property
     def extreme_rays(self) -> tuple[IntVec, ...]:
+        if not self.is_pointed:
+            raise UsageError("extreme_rays: cone is not pointed")
         return _extreme_rays(self)
 
     @property
@@ -102,14 +105,15 @@ def _cone_normals(cone: ConeWithLattice):
 
 @lru_cache(maxsize=4096)
 def _extreme_rays(cone: ConeWithLattice) -> tuple[IntVec, ...]:
-    ineqs, eqs = _cone_normals(cone)
-    lin_dim = cone.n - kernel.rank(ineqs + eqs)
-    out = []
-    for g in cone.generators:
-        tight = [a for a in ineqs if kernel.dot(a, g) == 0]
-        if kernel.rank(tuple(tight) + eqs) == cone.n - lin_dim - 1:
-            out.append(g)
-    return tuple(out)
+    """The generators of a pointed cone on its extreme rays: those with no
+    other generator on every facet they lie on."""
+    masks = _incidences(_cone_normals(cone)[0], cone.generators)
+    return tuple(g for g, m in zip(cone.generators, masks) if sum(m & o == m for o in masks) == 1)
+
+
+def _incidences(normals, vectors) -> list[int]:
+    """Per vector, the bitmask of the normals it is orthogonal to."""
+    return [sum(1 << i for i, a in enumerate(normals) if not sum(map(mul, a, v))) for v in vectors]
 
 
 def _parallelepiped_points(
@@ -151,22 +155,30 @@ def _parallelepiped_points(
 
 
 @lru_cache(maxsize=1024)
-def _triangulate(rays: tuple[IntVec, ...], n: int) -> tuple[tuple[IntVec, ...], ...]:
-    """Pulling triangulation of a pointed cone into simplicial subcones."""
-    if not rays:
-        return ((),)
-    if kernel.rank(rays) == len(rays):
-        return (rays,)
-    ineqs, _ = polyhedron.cone_generators_to_hrep(rays, n)
-    r0 = rays[0]
-    simplices = []
-    for f in ineqs:
-        if kernel.dot(f, r0) == 0:
-            continue
-        sub = tuple(r for r in rays if kernel.dot(f, r) == 0)
-        for s in _triangulate(sub, n):
-            simplices.append(s + (r0,))
-    return tuple(simplices)
+def _triangulate(cone: ConeWithLattice) -> tuple[tuple[IntVec, ...], ...]:
+    """Pulling triangulation of a pointed cone on its ray/facet incidences.
+
+    A face is a bitmask over the extreme rays.  It is a simplex when its ray
+    count equals its dimension; otherwise it is pulled at its first ray r0,
+    joining r0 to the simplices of each of its facets that misses r0.  The
+    facets of a face F are the inclusion-maximal proper sets F & G over the
+    facets G of the cone.
+    """
+    rays = cone.extreme_rays
+    facets = _incidences(rays, cone.hrep_normals[0])
+
+    def pull(face: int, dim: int) -> list[tuple[IntVec, ...]]:
+        if face.bit_count() == dim:
+            return [tuple(r for j, r in enumerate(rays) if face >> j & 1)]
+        low = face & -face
+        subs = [f for f in dict.fromkeys(face & g for g in facets) if f != face]
+        return [
+            s + (rays[low.bit_length() - 1],)
+            for f in subs if not f & low and not any(f != o and f & o == f for o in subs)
+            for s in pull(f, dim - 1)
+        ]
+
+    return tuple(pull((1 << len(rays)) - 1, cone.n - len(cone.hrep_normals[1])))
 
 
 def hilbert_basis(cone: ConeWithLattice, budget: int | None = None) -> tuple[IntVec, ...]:
@@ -182,9 +194,8 @@ def hilbert_basis(cone: ConeWithLattice, budget: int | None = None) -> tuple[Int
 @lru_cache(maxsize=4096)
 def _hilbert_basis_cached(cone: ConeWithLattice, budget: int) -> tuple[IntVec, ...]:
     steps = StepCounter(budget, "hilbert basis enumeration")
-    rays = cone.extreme_rays
-    candidates: set[IntVec] = set(rays)
-    for simplex in _triangulate(rays, cone.n):
+    candidates: set[IntVec] = set(cone.extreme_rays)
+    for simplex in _triangulate(cone):
         for pt, _ in _parallelepiped_points(simplex, cone.n, steps):
             if any(x != 0 for x in pt):
                 candidates.add(pt)
@@ -241,7 +252,7 @@ def half_open_points(cone: ConeWithLattice, budget: int | None = None):
     perturbation = (tuple(map(sum, zip(*rays))),) + rays
     closed: list[IntVec] = []
     interior: list[IntVec] = []
-    for simplex in _triangulate(rays, n):
+    for simplex in _triangulate(cone):
         signs = _lexicographic_signs(simplex, n, perturbation)
         for pt, r in _parallelepiped_points(simplex, n, steps):
             for out, dropped in ((closed, -1), (interior, 1)):
@@ -333,8 +344,7 @@ def _member(a, vecs, steps: StepCounter):
     for r in rays:
         if r[q] == 1:
             return list(r[:q])
-    extremes = solution_cone.extreme_rays
-    for simplex in _triangulate(extremes, q + 1):
+    for simplex in _triangulate(solution_cone):
         for pt, _ in _parallelepiped_points(simplex, q + 1, steps):
             if pt[q] == 1:
                 return list(pt[:q])

@@ -6,10 +6,10 @@ Both descriptions are first-class:
 * `VRep`: generating points (vertices when the polyhedron is pointed),
   recession rays and lineality directions.
 
-Conversions run the double description method on the homogenization cone,
-entirely in exact integer arithmetic.  The empty polyhedron is a value, not
-an error.  Lattice points are counted in `lattice`, from the half-open
-parallelepipeds of a triangulation.
+Conversions run the double description method on the homogenization cone in
+exact integer arithmetic, deciding adjacency from tight-set bitmasks alone.
+The empty polyhedron is a value, not an error.  Lattice points are counted
+in `lattice`, from the half-open parallelepipeds of a triangulation.
 """
 
 from __future__ import annotations
@@ -103,8 +103,9 @@ def _dd_cone(normals: Sequence[IntVec], n: int, ray_cap: int = DEFAULT_RAY_CAP):
 
     Rays come back as primitive integer vectors together with their tight-set
     bitmask over `normals`; lines form a basis of the lineality space and are
-    tight at every processed constraint.  Adjacency during insertion is
-    decided by the rank of the common tight set.  Every vector stays
+    tight at every processed constraint.  Two rays are adjacent when no third
+    ray's tight set contains their common one (Fukuda & Prodon, "Double
+    description method revisited", LNCS 1120, 1996).  Every vector stays
     integral: a projection along a line and a combination of two rays are
     both positive integer combinations, made primitive afterwards.
     """
@@ -112,7 +113,6 @@ def _dd_cone(normals: Sequence[IntVec], n: int, ray_cap: int = DEFAULT_RAY_CAP):
         raise UsageError(f"double description: normal of dimension other than {n}")
     lines: list[IntVec] = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     rays: list[tuple[IntVec, int]] = []
-    rank_cache: dict[int, int] = {}
 
     def project(x: IntVec, vx: int, l0: IntVec, v0: int) -> IntVec:
         # -v0 * x + vx * l0 lies in the hyperplane <a,.> = 0; -v0 > 0 keeps
@@ -154,22 +154,12 @@ def _dd_cone(normals: Sequence[IntVec], n: int, ray_cap: int = DEFAULT_RAY_CAP):
         zero = [(r, m | bit) for (r, m), v in zip(rays, vals) if v == 0]
         pos = [(r, m, v) for (r, m), v in zip(rays, vals) if v > 0]
         target = n - len(lines) - 2
-
-        def tightset_rank(mask: int) -> int:
-            got = rank_cache.get(mask)
-            if got is None:
-                rows = [normals[i] for i in range(idx) if mask >> i & 1]
-                got = kernel.rank(rows)
-                rank_cache[mask] = got
-            return got
-
         combos = []
         for rp, mp, vp in pos:
             for rm, mm, vm in neg:
                 common = mp & mm
-                # a rank never exceeds the row count, so a small tight set
-                # cannot reach the target
-                if common.bit_count() < target or tightset_rank(common) != target:
+                # a face of dimension two needs `target` tight constraints
+                if common.bit_count() < target or sum(common & m == common for _, m in rays) > 2:
                     continue
                 new = tuple([vp * x - vm * y for x, y in zip(rm, rp)])
                 combos.append((kernel.primitive(new), common | bit))

@@ -67,7 +67,7 @@ class TdiCertificate:
     verdict: bool | str  # True | False | "vacuous" | "undecided"
     faces: tuple[FaceCheck, ...]
     failing: FaceCheck | None
-    integral: bool | None
+    integral: bool | None  # None only for an empty polyhedron
     note: str = ""
 
     @property
@@ -90,6 +90,7 @@ def is_tdi(system: LinearSystem, budget: int | None = None) -> TdiCertificate:
             verdict="vacuous", faces=(), failing=None, integral=None,
             note="empty polyhedron: no integral objective has a finite optimum",
         )
+    integral = polyhedron.is_integral(v, h)[0]
     faces = []
     cols = system.columns
     for face in polyhedron.minimal_faces(h, v):
@@ -99,7 +100,7 @@ def is_tdi(system: LinearSystem, budget: int | None = None) -> TdiCertificate:
         except Undecided:
             return TdiCertificate(
                 verdict="undecided", faces=tuple(faces), failing=None,
-                integral=None, note="budget exhausted during a face check",
+                integral=integral, note="budget exhausted during a face check",
             )
         check = FaceCheck(
             point=face.point, active=face.active,
@@ -108,10 +109,8 @@ def is_tdi(system: LinearSystem, budget: int | None = None) -> TdiCertificate:
         faces.append(check)
         if not report.verdict:
             return TdiCertificate(
-                verdict=False, faces=tuple(faces), failing=check,
-                integral=polyhedron.is_integral(v, h)[0],
+                verdict=False, faces=tuple(faces), failing=check, integral=integral
             )
-    integral, _ = polyhedron.is_integral(v, h)
     if not integral:
         raise AssertionError("certified system with a non-integral polyhedron")
     return TdiCertificate(verdict=True, faces=tuple(faces), failing=None, integral=True)
@@ -197,23 +196,16 @@ def lifted_vectors(system: LinearSystem) -> tuple[IntVec, ...]:
     return tuple(v + (wi,) for v, wi in zip(system.columns, system.w))
 
 
-def _integrality(system: LinearSystem, cert: TdiCertificate) -> bool | str:
-    """Integrality of the system's polyhedron, "vacuous" when it is empty.
-
-    `is_tdi` has already decided it unless the verdict is "undecided"."""
-    if cert.verdict == "vacuous":
-        return "vacuous"
-    if cert.integral is not None:
-        return cert.integral
-    h = system.hrep()
-    return polyhedron.is_integral(polyhedron.dd_convert(h), h)[0]
+def _integrality(cert: TdiCertificate) -> bool | str:
+    """Integrality of the system's polyhedron, "vacuous" when it is empty."""
+    return "vacuous" if cert.verdict == "vacuous" else cert.integral
 
 
 def sufficiency_check(system: LinearSystem, budget: int | None = None) -> SystemReport:
     """Integral polyhedron + lifted columns a Hilbert basis must force TDI."""
     lifted_ok = lattice.is_hilbert_basis(lifted_vectors(system), budget).verdict
     cert = is_tdi(system, budget)
-    integral = _integrality(system, cert)
+    integral = _integrality(cert)
     hyp = (integral is True or integral == "vacuous") and lifted_ok
     respected = (not hyp) or cert.holds
     return SystemReport(
@@ -275,7 +267,7 @@ def integer_rounding_check(system: LinearSystem, budget: int | None = None) -> R
     lifted.append((0,) * system.n + (1,))
     rounding = lattice.is_hilbert_basis(lifted, budget).verdict
     cert = is_tdi(system, budget)
-    integral = _integrality(system, cert)
+    integral = _integrality(cert)
     if cert.verdict == "undecided" or integral == "vacuous":
         respected = True  # no finite optima: the equivalence says nothing
     else:
@@ -315,7 +307,7 @@ def perfection_crosscheck(g: SimpleGraph, budget: int | None = None) -> Perfecti
     perfect, _ = combinat.is_perfect_small(g)
     system = stab_system(g)
     cert = is_tdi(system, budget)
-    integral = _integrality(system, cert)
+    integral = _integrality(cert)
     agree = (perfect == integral) and (
         cert.verdict == "undecided" or cert.holds == perfect
     )

@@ -18,7 +18,7 @@ from clutterlab import kernel
 from clutterlab.combinat import SimpleGraph
 from clutterlab.errors import DEFAULT_RAY_CAP, ResourceExceeded, UsageError
 from clutterlab.lattice import ConeWithLattice, HilbertBasisReport, semigroup_member
-from clutterlab.polyhedron import HRep
+from clutterlab.polyhedron import HRep, cone_generators_to_hrep
 
 
 def rank_oracle(matrix) -> int:
@@ -80,10 +80,13 @@ def _primitive_oracle(vec):
 def dd_cone_oracle(normals, n, ray_cap=DEFAULT_RAY_CAP):
     """Double description with Fraction projections and a rank test per pair.
 
-    The insertion order, tight-set masks and adjacency rule are those of
+    The insertion order and tight-set masks are those of
     `polyhedron._dd_cone`; a projection along a line divides by the line's
-    value, and every candidate pair goes through the rank test.  Ranks come
-    from `rank_oracle`, so no integer shortcut of the library is involved.
+    value.  Adjacency is the algebraic test: a pair is adjacent when the
+    rank of its common tight set is two less than the dimension modulo the
+    lines.  It is the reference for the library's combinatorial test.
+    Ranks come from `rank_oracle`, so no integer shortcut of the library
+    is involved.
     """
 
     def dot(u, v):
@@ -147,6 +150,36 @@ def dd_cone_oracle(normals, n, ray_cap=DEFAULT_RAY_CAP):
         if len(rays) > ray_cap:
             raise ResourceExceeded("double description ray count", ray_cap)
     return rays, lines
+
+
+def extreme_rays_oracle(cone):
+    """Generators of a pointed cone whose tight facets have rank dim - 1."""
+    ineqs, eqs = cone.hrep_normals
+    return tuple(
+        g for g in cone.generators
+        if rank_oracle([a for a in ineqs if kernel.dot(a, g) == 0] + list(eqs))
+        == cone.n - 1
+    )
+
+
+def triangulate_oracle(rays, n):
+    """Pulling triangulation with a new double description per face.
+
+    A face given by its rays is a simplex when their rank equals their
+    count; otherwise it is pulled at its first ray, recursing into the
+    facets of a fresh `cone_generators_to_hrep` that miss that ray.
+    """
+    if not rays:
+        return ((),)
+    if rank_oracle(rays) == len(rays):
+        return (rays,)
+    ineqs, _ = cone_generators_to_hrep(rays, n)
+    simplices = []
+    for f in ineqs:
+        if kernel.dot(f, rays[0]) != 0:
+            sub = tuple(r for r in rays if kernel.dot(f, r) == 0)
+            simplices.extend(s + (rays[0],) for s in triangulate_oracle(sub, n))
+    return tuple(simplices)
 
 
 def brute_vertices(h: HRep):

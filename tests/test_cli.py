@@ -74,6 +74,30 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
     assert run(["check", "mfmc", "--input", bad]) == 64
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+    # no traceback, and no instance silently altered (a truncated 1.5, n read as 2)
+    for payload, prop in [
+        ('{"kind":"system","columns":[[1.5]],"w":[1]}', "tdi"),
+        ('{"kind":"system","columns":[[1]],"w":[true]}', "tdi"),
+        ('{"kind":"graph","n":2.5,"edges":[]}', "perfect"),
+        ('{"kind":"graph","n":true,"edges":[]}', "perfect"),
+        ('{"kind":"clutter","n":3,"edges":[["a",1]]}', "mfmc"),
+        ('{"kind":"graph","n":3,"edges":[[0,1,2]]}', "perfect"),
+        ('{"kind":"graph","n":-1,"edges":[]}', "perfect"),
+        ('{"kind":"clutter","n":-1,"edges":[]}', "ntf"),
+    ]:
+        path = write(tmp_path, "bad.json", payload)
+        assert run(["check", prop, "--input", path, "--json"]) == 64, payload
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: "), payload
+
+
+def test_normal_decides_edgeless_clutters(tmp_path, capsys):
+    # the closure of every power of the zero ideal is the zero ideal
+    for payload in ['{"kind":"clutter","n":3,"edges":[]}', '{"kind":"graph","n":0,"edges":[]}']:
+        path = write(tmp_path, "edgeless.json", payload)
+        for prop in ("normal", "ntf"):
+            assert run(["check", prop, "--input", path, "--json"]) == 0, (payload, prop)
+            assert json.loads(capsys.readouterr().out)["verdict"] is True
 
 
 def test_wrong_kind_is_usage_error(tmp_path):

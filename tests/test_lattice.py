@@ -9,7 +9,13 @@ from clutterlab.errors import StepCounter, Undecided, UsageError
 from clutterlab.lattice import ConeWithLattice, hilbert_basis, is_hilbert_basis, semigroup_member
 from clutterlab.tdi import LinearSystem, is_tdi
 
-from conftest import brute_hilbert_basis, brute_in_semigroup, membership_report_oracle
+from conftest import (
+    brute_hilbert_basis,
+    brute_in_semigroup,
+    extreme_rays_oracle,
+    membership_report_oracle,
+    triangulate_oracle,
+)
 
 LIFTED_LINE_K24 = [
     (1, 1, 1, 1, 0, 0, 0, 0, 1),
@@ -47,6 +53,8 @@ def test_non_pointed_cone_rejected():
         hilbert_basis(cone)
     with pytest.raises(UsageError, match="pointed"):
         lattice.half_open_points(cone)
+    with pytest.raises(UsageError, match="pointed"):
+        cone.extreme_rays
 
 
 def test_lifted_clique_cone_gap():
@@ -263,6 +271,80 @@ def test_hilbert_basis_matches_brute_force():
         seen.add((n, bool(cone.hrep_normals[1])))
     # full-dimensional and lower-dimensional cones (with equation normals)
     assert seen == {(n, eqs) for n in (2, 3, 4) for eqs in (False, True)}
+
+
+def random_pointed_cone(rng):
+    """A seeded pointed cone: lifted 0/1 vectors (graded), small integer
+    vectors, or small integer combinations of fewer basis vectors than
+    the dimension (lower-dimensional); None when the draw is not pointed."""
+    n = rng.randint(1, 5)
+    kind = rng.randrange(3)
+    k = rng.randint(1, 2 * n + 1)
+    if kind == 0:
+        gens = [tuple(rng.randint(0, 1) for _ in range(n - 1)) + (1,) for _ in range(k)]
+    elif kind == 1:
+        gens = [tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(k)]
+    else:
+        basis = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.randint(1, max(1, n - 1)))]
+        gens = [
+            tuple(sum(rng.randint(0, 2) * b[i] for b in basis) for i in range(n))
+            for _ in range(k)
+        ]
+    if not any(any(g) for g in gens):
+        return None
+    cone = ConeWithLattice.from_vectors(gens, n)
+    return cone if cone.is_pointed else None
+
+
+def test_triangulation_matches_dd_recursive_oracle(monkeypatch):
+    # extreme rays, the set of simplices, the Hilbert basis and the
+    # half-open decompositions, against a new DD per face and a rank test
+    # per generator
+    rng = random.Random(29)
+    cones = []
+    while len(cones) < 500:
+        cone = random_pointed_cone(rng)
+        if cone is not None:
+            cones.append(cone)
+
+    def observe():
+        lattice._hilbert_basis_cached.cache_clear()
+        out = []
+        for cone in cones:
+            closed, interior = lattice.half_open_points(cone)
+            out.append((
+                cone.extreme_rays,
+                set(lattice._triangulate(cone)),
+                hilbert_basis(cone),
+                sorted(closed),
+                sorted(interior),
+            ))
+        return out
+
+    got = observe()
+    monkeypatch.setattr(lattice, "_extreme_rays", extreme_rays_oracle)
+    monkeypatch.setattr(lattice, "_triangulate", lambda c: triangulate_oracle(c.extreme_rays, c.n))
+    assert observe() == got
+    lattice._hilbert_basis_cached.cache_clear()
+    dims = [cone.n - len(cone.hrep_normals[1]) for cone in cones]
+    assert sum(len(rays) > d for (rays, *_), d in zip(got, dims)) >= 100  # not simplicial
+    assert sum(d < cone.n for cone, d in zip(cones, dims)) >= 100
+    assert sum(d == cone.n for cone, d in zip(cones, dims)) >= 100
+    assert sum(all(g[-1] == 1 for g in cone.generators) for cone in cones) >= 100
+
+
+def test_triangulation_in_dimensions_six_and_seven():
+    # from dimension six on, recursing into a face F & G that is not a
+    # facet of F can reach a non-simplicial face whose ray count matches
+    # the dimension expected of a facet
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(6, 7)
+        gens = [tuple(rng.randint(0, 1) for _ in range(n - 1)) + (1,) for _ in range(rng.randint(n, 2 * n + 2))]
+        cone = ConeWithLattice.from_vectors(gens, n)
+        rays = extreme_rays_oracle(cone)
+        assert cone.extreme_rays == rays
+        assert set(lattice._triangulate(cone)) == set(triangulate_oracle(rays, n))
 
 
 def fraction_parallelepiped_points(gens, n):

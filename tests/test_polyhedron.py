@@ -107,6 +107,20 @@ def test_roundtrip_random_property():
             assert list(v1.vertices) == brute_vertices(h)
 
 
+def degenerate_cones(rng, count):
+    """Generator sets of the cones that Hilbert-basis tests meet: lifted 0/1
+    vectors (v, 1), and negated 0/1 vectors with every -e_j, as in a
+    covering system.  Both have many rays on each facet."""
+    cones = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        vecs = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 2 * n))]
+        cones.append(([v[1:] + (1,) for v in vecs], n))
+        negated = [tuple(-x for x in v) for v in vecs]
+        cones.append((negated + [tuple(-int(i == j) for i in range(n)) for j in range(n)], n))
+    return cones
+
+
 def test_dd_cone_matches_fraction_oracle():
     # rays, tight-set masks and lines, in order, equal to the Fraction
     # projections and the rank test on every pair
@@ -120,6 +134,9 @@ def test_dd_cone_matches_fraction_oracle():
         with_lines += bool(lines)
         with_rays_and_lines += bool(lines and rays)
     assert with_lines >= 50 and with_rays_and_lines >= 20
+    for gens, n in degenerate_cones(rng, 100):
+        for normals in (gens, sorted(set(gens))):
+            assert polyhedron._dd_cone(normals, n) == dd_cone_oracle(normals, n)
 
 
 def test_dd_conversions_match_fraction_oracle(monkeypatch):
@@ -137,6 +154,7 @@ def test_dd_conversions_match_fraction_oracle(monkeypatch):
         rays = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2)))
         lines = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 1)))
         vreps.append(VRep(n, vertices, rays, lines))
+    cones += degenerate_cones(rng, 50)
 
     def convert_all():
         return (

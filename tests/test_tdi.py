@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from clutterlab import combinat, lattice, tdi
+from clutterlab import combinat, lattice, polyhedron, tdi
 from clutterlab.combinat import Clutter
 from clutterlab.errors import UsageError
 from clutterlab.families import complete_bipartite, cycle, line_graph_k24
@@ -90,6 +90,20 @@ def test_sufficiency_reports():
     assert rep.integral is True and rep.lifted_hilbert and rep.tdi is True
     rep = tdi.sufficiency_check(LinearSystem([(1, 0), (0, 1)], (1, 1)))
     assert rep.integral is True and rep.lifted_hilbert and rep.tdi is True
+
+
+def test_undecided_sufficiency_check_reports_integrality(monkeypatch):
+    # the face check runs out of budget, and integrality still comes from
+    # is_tdi's one double description of the system
+    system = LinearSystem([(-3, -2), (1, -3)], (3, 1))
+    full = tdi.sufficiency_check(system)
+    calls = []
+    convert = polyhedron.dd_convert
+    monkeypatch.setattr(polyhedron, "dd_convert", lambda rep: calls.append(rep) or convert(rep))
+    rep = tdi.sufficiency_check(system, budget=1)
+    assert full.tdi is False and rep.tdi == "undecided"
+    assert rep.integral is full.integral is False
+    assert len(calls) == 1
 
 
 def test_converse_gap_instance():
