@@ -317,6 +317,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_conjecture(args) -> int:
     fams = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not fams:
+        raise UsageError("conjecture: --families names no family")
     for f in fams:
         if f not in families.CONJECTURE_FAMILIES:
             raise UsageError(
@@ -324,6 +326,8 @@ def cmd_conjecture(args) -> int:
             )
     if args.max_n > 9:
         raise UsageError("conjecture: max-n capped at 9")
+    if args.count < 0:
+        raise UsageError(f"conjecture: negative count {args.count}")
     rows = []
     counterexamples = 0
     undecided = 0

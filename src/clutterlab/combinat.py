@@ -506,13 +506,19 @@ def is_perfect_small(g: SimpleGraph):
 # ---------------------------------------------------------------------------
 
 
-def _hoang_sets(masks, comp, within: int) -> list[int]:
-    """Maximal stable sets of the subgraph induced on `within` that meet
-    every one of its maximal cliques, as bitmasks."""
-    cliques = _cliques_in(masks, within)
-    return [
-        s for s in _cliques_in(comp, within) if all(s & c for c in cliques)
-    ]
+def _clique_and_stable_masks(g: SimpleGraph):
+    """Adjacency masks, maximal cliques and maximal stable sets of g, as
+    bitmasks: one Bron-Kerbosch search each."""
+    _check_clique_cap(g.n)
+    masks = adjacency_masks(g)
+    full = (1 << g.n) - 1
+    return masks, _cliques_in(masks, full), _cliques_in(_complement_masks(masks), full)
+
+
+def _hoang_witness_sets(g: SimpleGraph) -> list[IntVec]:
+    """The maximal stable sets of g that meet every maximal clique, sorted."""
+    _, cliques, stables = _clique_and_stable_masks(g)
+    return sorted(_members(t) for t in stables if all(t & k for k in cliques))
 
 
 def hoang_witness(g: SimpleGraph, u: int):
@@ -522,10 +528,7 @@ def hoang_witness(g: SimpleGraph, u: int):
     """
     if not 0 <= u < g.n:
         raise UsageError(f"vertex {u} out of range")
-    _check_clique_cap(g.n)
-    masks = adjacency_masks(g)
-    sets = _hoang_sets(masks, _complement_masks(masks), (1 << g.n) - 1)
-    return min((_members(s) for s in sets if s >> u & 1), default=None)
+    return next((w for w in _hoang_witness_sets(g) if u in w), None)
 
 
 def is_meyniel_via_hoang(g: SimpleGraph) -> bool:
@@ -533,15 +536,40 @@ def is_meyniel_via_hoang(g: SimpleGraph) -> bool:
 
     For every nonempty vertex set S, the stable sets of G[S] that meet
     every maximal clique of G[S] must together cover S.
+
+    One clique and one stable-set search serve every S.  The maximal
+    cliques of G[S] are the sets C = K & S, over the maximal cliques K of
+    G, that no vertex of S - C is adjacent to all of.  The maximal stable
+    sets of G[S] are among the sets T & S over the maximal stable sets T
+    of G; one that is not maximal but meets every maximal clique lies in a
+    maximal one that does too, so the union over all of them is the union
+    the statement asks for.  A set adding no vertex to it is skipped.
     """
     if g.n > 9:
         raise ResourceExceeded("induced subgraph sweep vertex count", 9)
-    masks = adjacency_masks(g)
-    comp = _complement_masks(masks)
+    masks, cliques, stables = _clique_and_stable_masks(g)
     for within in range(1, 1 << g.n):
+        traces = []
+        for k in cliques:
+            c = k & within
+            # narrowed to the vertices of S - C adjacent to all of C
+            common = within & ~c
+            m = c
+            while m and common:
+                low = m & -m
+                common &= masks[low.bit_length() - 1]
+                m ^= low
+            if not common:
+                traces.append(c)
         covered = 0
-        for s in _hoang_sets(masks, comp, within):
-            covered |= s
+        for t in stables:
+            s = t & within
+            if s & ~covered:
+                for c in traces:
+                    if not s & c:
+                        break
+                else:
+                    covered |= s
         if covered != within:
             return False
     return True
@@ -549,9 +577,10 @@ def is_meyniel_via_hoang(g: SimpleGraph) -> bool:
 
 def beta_witness(g: SimpleGraph) -> tuple[Fraction, ...]:
     """Average of per-vertex stable-set witnesses; hits 1 on every clique."""
+    sets = _hoang_witness_sets(g)
     witnesses = []
     for k in range(g.n):
-        w = hoang_witness(g, k)
+        w = next((w for w in sets if k in w), None)
         if w is None:
             raise UsageError(f"input not Meyniel: no stable-set witness for vertex {k}")
         witnesses.append(set(w))

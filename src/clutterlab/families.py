@@ -234,14 +234,35 @@ def canonical_graph(g: SimpleGraph) -> SimpleGraph:
 
 
 def graphs_upto_iso(n: int) -> tuple[SimpleGraph, ...]:
-    """All graphs on exactly n vertices, one per isomorphism class."""
+    """All graphs on exactly n vertices, one per isomorphism class.
+
+    Each graph on k vertices is a graph on k - 1 vertices with a new vertex
+    joined to a neighbour set N, and the first extension seen in each
+    isomorphism class is kept.  Twins u < w of the parent (as in
+    `canonical_form`) are swapped by an automorphism of the parent, so an N
+    holding w but not u gives a child isomorphic to the one from the
+    numerically smaller N with the two exchanged; such an N is never the
+    first of its class and is skipped (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998).
+    """
     if n < 1:
         raise UsageError("graphs_upto_iso: need n >= 1")
+    if n > 8:
+        raise ResourceExceeded("graph enumeration vertex count", 8)
     level = [SimpleGraph(1, [])]
     for k in range(2, n + 1):
         seen = {}
         for g in level:
+            masks = combinat.adjacency_masks(g)
+            twins = [
+                (1 << u, 1 << w)
+                for w in range(k - 1)
+                for u in range(w)
+                if masks[u] & ~(1 << w) == masks[w] & ~(1 << u)
+            ]
             for nbrs in range(1 << (k - 1)):
+                if any(nbrs & bw and not nbrs & bu for bu, bw in twins):
+                    continue
                 edges = list(g.edges) + [
                     (i, k - 1) for i in range(k - 1) if nbrs >> i & 1
                 ]

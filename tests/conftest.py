@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from clutterlab import kernel
+from clutterlab import combinat, families, kernel
 from clutterlab.combinat import SimpleGraph
 from clutterlab.errors import DEFAULT_RAY_CAP, ResourceExceeded, UsageError
 from clutterlab.lattice import ConeWithLattice, HilbertBasisReport, semigroup_member
@@ -343,6 +343,52 @@ def meyniel_via_hoang_oracle(g) -> bool:
             if any(all(u not in s for s in sets) for u in range(h.n)):
                 return False
     return True
+
+
+# The oracles below are earlier implementations, kept to check the
+# faster paths differentially: they share the library's Bron-Kerbosch and
+# canonical form, and differ in how they use them.
+
+
+def hoang_sets_two_search_oracle(g, within):
+    """Maximal stable sets of G[within] meeting every maximal clique of
+    G[within], as bitmasks: one clique and one stable-set search on the
+    subset itself."""
+    masks = combinat.adjacency_masks(g)
+    cliques = combinat._cliques_in(masks, within)
+    stables = combinat._cliques_in(combinat._complement_masks(masks), within)
+    return [s for s in stables if all(s & c for c in cliques)]
+
+
+def meyniel_via_hoang_two_search_oracle(g) -> bool:
+    """Hoang's sweep with both searches run on every subset mask."""
+    for within in range(1, 1 << g.n):
+        covered = 0
+        for s in hoang_sets_two_search_oracle(g, within):
+            covered |= s
+        if covered != within:
+            return False
+    return True
+
+
+def hoang_witness_two_search_oracle(g, u):
+    sets = hoang_sets_two_search_oracle(g, (1 << g.n) - 1)
+    return min((combinat._members(s) for s in sets if s >> u & 1), default=None)
+
+
+def graphs_upto_iso_oracle(n):
+    """Every extension of every graph on k - 1 vertices by a new vertex,
+    the first one seen kept per canonical form, classes in form order."""
+    level = [SimpleGraph(1, [])]
+    for k in range(2, n + 1):
+        seen = {}
+        for g in level:
+            for nbrs in range(1 << (k - 1)):
+                edges = list(g.edges) + [(i, k - 1) for i in range(k - 1) if nbrs >> i & 1]
+                h = SimpleGraph(k, edges)
+                seen.setdefault(families.canonical_form(h), h)
+        level = [seen[f] for f in sorted(seen)]
+    return tuple(level)
 
 
 def canonical_form_oracle(g):

@@ -190,6 +190,18 @@ def test_conjecture_rejects_unknown_family():
     assert run(["conjecture", "--families", "nope", "--count", "1"]) == 64
 
 
+def test_conjecture_rejects_empty_family_list(capsys):
+    assert run(["conjecture", "--families", ",", "--count", "1"]) == 64
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_conjecture_rejects_negative_count(capsys):
+    assert run(["conjecture", "--count", "-1", "--json"]) == 64
+    captured = capsys.readouterr()
+    assert "count" in captured.err and captured.out == ""
+
+
 def test_examples_writes_instance_and_certificate(tmp_path):
     assert run(["examples", "--name", "sharpness-2-3", "--outdir", str(tmp_path)]) == 0
     inst = json.loads((tmp_path / "sharpness-2-3.json").read_text())

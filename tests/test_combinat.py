@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -15,8 +16,10 @@ from conftest import (
     brute_maximal_stable_sets,
     brute_min_covers,
     hoang_witness_oracle,
+    hoang_witness_two_search_oracle,
     meyniel_oracle,
     meyniel_via_hoang_oracle,
+    meyniel_via_hoang_two_search_oracle,
     random_graph,
     relabeled,
 )
@@ -199,6 +202,69 @@ def test_meyniel_via_hoang_matches_oracle():
             assert got == meyniel_via_hoang_oracle(g), g
             verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _complete_multipartite(parts):
+    side = [i for i, size in enumerate(parts) for _ in range(size)]
+    pairs = itertools.combinations(range(len(side)), 2)
+    return SimpleGraph(len(side), [(a, b) for a, b in pairs if side[a] != side[b]])
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_differential_graphs():
+    """Every graph with n <= 7 and twin-rich graphs with n = 8, 9 (complete
+    multipartite graphs, cones, complements of chordal graphs), each
+    relabeled by a seeded permutation."""
+    rng = random.Random(43)
+    graphs = [g for n in range(1, 8) for g in families.graphs_upto_iso(n)]
+    for n in (8, 9):
+        graphs += [_complete_multipartite(parts) for parts in _partitions(n)]
+        for p in (0.3, 0.6):
+            graphs.append(combinat.graph_cone(random_graph(rng, n - 1, p)))
+            graphs.append(combinat.graph_cone(combinat.graph_cone(random_graph(rng, n - 2, p))))
+        for _ in range(4):
+            chordal = families.random_chordal(n, rng.randrange(1 << 30))
+            graphs.append(combinat.complement(chordal))
+            graphs.append(combinat.graph_cone(families.random_chordal(n - 1, rng.randrange(1 << 30))))
+    out = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(relabeled(g, perm))
+    return tuple(out)
+
+
+def test_hoang_sweep_matches_two_search_oracle():
+    verdicts = set()
+    for g in _sweep_differential_graphs():
+        got = combinat.is_meyniel_via_hoang(g)
+        assert got == meyniel_via_hoang_two_search_oracle(g), g
+        verdicts.add((g.n > 7, got))
+    assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_hoang_and_beta_witnesses_match_two_search_oracle():
+    meyniel = 0
+    for g in _sweep_differential_graphs():
+        want = [hoang_witness_two_search_oracle(g, u) for u in range(g.n)]
+        assert [combinat.hoang_witness(g, u) for u in range(g.n)] == want, g
+        if any(w is None for w in want):
+            with pytest.raises(UsageError, match="not Meyniel"):
+                combinat.beta_witness(g)
+            continue
+        beta = tuple(F(sum(1 for w in want if i in w), g.n) for i in range(g.n))
+        assert combinat.beta_witness(g) == beta, g
+        meyniel += 1
+    assert meyniel
 
 
 def test_meyniel_differential_small():

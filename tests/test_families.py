@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from clutterlab import combinat, ehrhart, families, ideals, tdi
 from clutterlab.combinat import Clutter, SimpleGraph
-from clutterlab.errors import UsageError
+from clutterlab.errors import ResourceExceeded, UsageError
 
-from conftest import all_labeled_graphs, canonical_form_oracle, relabeled
+from conftest import all_labeled_graphs, canonical_form_oracle, graphs_upto_iso_oracle, relabeled
 
 
 def test_canonical_form_isomorphism_invariant():
@@ -82,6 +82,22 @@ def test_canonical_form_decides_isomorphism(case):
 def test_graph_counts_up_to_isomorphism():
     for n, want in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)]:
         assert len(families.graphs_upto_iso(n)) == want
+
+
+def test_graphs_upto_iso_matches_unpruned_enumeration():
+    # the twin rule skips only extensions that are never the first of their
+    # class: same representatives, same order
+    for n in range(1, 8):
+        assert families.graphs_upto_iso(n) == graphs_upto_iso_oracle(n), n
+
+
+def test_graphs_upto_iso_is_capped():
+    # raised before any work: n = 10 would run for hours
+    for n in (9, 10):
+        with pytest.raises(ResourceExceeded):
+            families.graphs_upto_iso(n)
+    with pytest.raises(UsageError):
+        families.graphs_upto_iso(0)
 
 
 def test_sharpness_family_structure():
