@@ -390,93 +390,88 @@ def maximal_stable_sets(g: SimpleGraph) -> tuple[IntVec, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _odd_cycles(g: SimpleGraph, min_len: int):
-    """All odd simple cycles of length >= min_len, one canonical traversal each.
+def _induced_cycles(g: SimpleGraph, min_len: int):
+    """Chordless cycles of length >= min_len, one canonical traversal each.
 
-    Canonical form: smallest vertex first, second vertex smaller than the
-    last (fixes rotation and reflection).
+    A traversal starts at its smallest vertex, and its second vertex is
+    smaller than its last (this fixes rotation and reflection).  The path
+    grows as an induced path: a new vertex may touch no vertex of the
+    interior `path[1:-1]`.  A neighbour of the start can only be the last
+    vertex of the cycle, so the cycle is emitted there and the path never
+    runs through it; while the path is too short to close, the start's
+    neighbours are no candidates at all.
     """
     masks = adjacency_masks(g)
-    cycles = []
+    holes = []
 
-    def neighbors(v: int):
-        m = masks[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            yield w
-            m &= m - 1
-
-    def rec(start: int, path: list[int], inpath: int):
+    def rec(ring: int, path: list[int], blocked: int):
+        # blocked: the vertices up to the start, on the path, or adjacent
+        # to the path's interior
         last = path[-1]
-        for w in neighbors(last):
-            if w == start and len(path) >= 3:
-                if len(path) >= min_len and len(path) % 2 and path[1] < path[-1]:
-                    cycles.append(tuple(path))
-            elif w > start and not (inpath >> w & 1):
+        cand = masks[last] & ~blocked
+        if len(path) + 1 < min_len:
+            cand &= ~ring
+        inner = blocked | masks[last]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            w = bit.bit_length() - 1
+            if not ring & bit:
                 path.append(w)
-                rec(start, path, inpath | (1 << w))
+                rec(ring, path, inner | bit)
                 path.pop()
+            elif path[1] < w:
+                holes.append((*path, w))
 
     for s in range(g.n):
-        rec(s, [s], 1 << s)
-    return cycles
+        low = (2 << s) - 1
+        for a in _members(masks[s] & ~low):
+            rec(masks[s], [s, a], low | 1 << a)
+    return holes
 
 
-def _chord_count(masks, cycle: tuple[int, ...]) -> int:
-    """Edges among the cycle's vertices, minus the cycle's own edges."""
-    on_cycle = 0
-    for v in cycle:
-        on_cycle |= 1 << v
-    degree_sum = sum((masks[v] & on_cycle).bit_count() for v in cycle)
-    return degree_sum // 2 - len(cycle)
+def _around(cycle: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """The traversal of `cycle` from a to its neighbour b, the long way round."""
+    i = cycle.index(a)
+    c = cycle[i:] + cycle[:i]
+    return c if c[-1] == b else c[:1] + c[:0:-1]
 
 
 def is_meyniel(g: SimpleGraph):
     """Every odd cycle of length >= 5 must have at least two chords.
 
-    Returns (True, None) or (False, (cycle, chord_count)).
+    Returns (True, None) or (False, (cycle, chord_count)), the cycle being
+    the smallest canonical traversal of an odd cycle with fewer than two
+    chords.  Such a cycle is an odd hole, or it has one chord, which splits
+    it into an odd induced cycle (a triangle or an odd hole) and an even
+    hole that share exactly that edge and have no other edge between them
+    (Meyniel, "On the perfect graph conjecture", Discrete Math. 16, 1976).
     """
     if g.n > MEYNIEL_CAP:
         raise ResourceExceeded("odd cycle enumeration vertex count", MEYNIEL_CAP)
     masks = adjacency_masks(g)
-    for cycle in sorted(_odd_cycles(g, 5)):
-        chords = _chord_count(masks, cycle)
-        if chords < 2:
-            return False, (cycle, chords)
-    return True, None
-
-
-def _induced_cycles(g: SimpleGraph, min_len: int):
-    """Chordless cycles of length >= min_len (canonical traversals)."""
-    masks = adjacency_masks(g)
-    holes = []
-
-    def rec(start: int, path: list[int], inpath: int):
-        last = path[-1]
-        m = masks[last]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if w == start:
-                # interior chordlessness holds by construction; the closing
-                # edge is chord-free iff start sees no interior vertex
-                if (
-                    len(path) >= min_len
-                    and path[1] < path[-1]
-                    and all(not (masks[start] >> v & 1) for v in path[2:-1])
-                ):
-                    holes.append(tuple(path))
-            elif w > start and not (inpath >> w & 1):
-                # an induced path away from the start: w may touch only the
-                # current endpoint among path[1:], and possibly the start
-                if all(not (masks[w] >> v & 1) for v in path[1:-1]):
-                    path.append(w)
-                    rec(start, path, inpath | (1 << w))
-                    path.pop()
-
-    for s in range(g.n):
-        rec(s, [s], 1 << s)
-    return holes
+    odd, even = [], []
+    for c in _induced_cycles(g, 3):
+        (odd if len(c) % 2 else even).append((c, sum(1 << v for v in c)))
+    best = min(((c, 0) for c, _ in odd if len(c) >= 5), default=None)
+    for c1, m1 in odd:
+        for c2, m2 in even:
+            shared = m1 & m2
+            if shared.bit_count() != 2:
+                continue
+            u, v = _members(shared)
+            if not masks[u] >> v & 1:
+                continue
+            rest = m2 & ~shared
+            if any(masks[w] & rest for w in _members(m1 & ~shared)):
+                continue
+            joined = _around(c1, u, v) + _around(c2, v, u)[1:-1]
+            i = joined.index(min(joined))
+            ends = joined[i - 1], joined[(i + 1) % len(joined)]
+            cycle = _around(joined, joined[i], max(ends))
+            if best is None or cycle < best[0]:
+                best = (cycle, 1)
+    return (True, None) if best is None else (False, best)
 
 
 def odd_hole(g: SimpleGraph) -> tuple[int, ...] | None:

@@ -452,6 +452,39 @@ def meyniel_oracle(g):
     return True, None
 
 
+def _odd_cycles_oracle(g, min_len):
+    """All odd simple cycles of length >= min_len, one canonical traversal
+    each, by walking every simple path from every start vertex."""
+    masks = combinat.adjacency_masks(g)
+    cycles = []
+
+    def rec(start, path, inpath):
+        for w in combinat._members(masks[path[-1]]):
+            if w == start and len(path) >= 3:
+                if len(path) >= min_len and len(path) % 2 and path[1] < path[-1]:
+                    cycles.append(tuple(path))
+            elif w > start and not (inpath >> w & 1):
+                path.append(w)
+                rec(start, path, inpath | (1 << w))
+                path.pop()
+
+    for s in range(g.n):
+        rec(s, [s], 1 << s)
+    return cycles
+
+
+def simple_cycle_meyniel_oracle(g):
+    """`is_meyniel` by the simple-cycle walk: the first odd cycle of length
+    >= 5, in sorted order, whose vertices span fewer than two chords."""
+    masks = combinat.adjacency_masks(g)
+    for cycle in sorted(_odd_cycles_oracle(g, 5)):
+        on_cycle = sum(1 << v for v in cycle)
+        chords = sum((masks[v] & on_cycle).bit_count() for v in cycle) // 2 - len(cycle)
+        if chords < 2:
+            return False, (cycle, chords)
+    return True, None
+
+
 def relabeled(g, perm):
     return SimpleGraph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
 

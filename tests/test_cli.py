@@ -242,6 +242,20 @@ def test_meyniel_vertex_cap_is_undecided(tmp_path, capsys):
     assert cert["budget"]["exceeded"] is False  # a vertex cap, not the step budget
 
 
+def test_meyniel_on_complete_graph_at_the_cap(tmp_path):
+    # the induced cycles of K_16 are its 560 triangles, so it is decided
+    # quickly although it has a vast number of simple cycles
+    k16 = [[a, b] for a in range(16) for b in range(a + 1, 16)]
+    path = write(tmp_path, "k16.json", json.dumps({"kind": "graph", "n": 16, "edges": k16}))
+    assert run(["check", "meyniel", "--input", path]) == 0
+
+
+def test_perfect_on_large_edgeless_graph(tmp_path):
+    # the complement is K_120, whose induced cycles are all triangles
+    path = write(tmp_path, "e120.json", json.dumps({"kind": "graph", "n": 120, "edges": []}))
+    assert run(["check", "perfect", "--input", path]) == 0
+
+
 def test_clique_vertex_cap_is_undecided(tmp_path, capsys):
     # deriving the clique clutter refuses graphs above CLIQUE_CAP = 24 vertices
     c25 = write(tmp_path, "c25.json", _cycle_graph(25))

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from clutterlab import combinat, families
@@ -22,6 +23,7 @@ from conftest import (
     meyniel_via_hoang_two_search_oracle,
     random_graph,
     relabeled,
+    simple_cycle_meyniel_oracle,
 )
 
 F = Fraction
@@ -286,6 +288,52 @@ def test_meyniel_witness_matches_oracle():
         assert got == meyniel_oracle(g), g
         failing += not got[0]
     assert failing > 1000
+
+
+@functools.lru_cache(maxsize=None)
+def _cycle_differential_graphs():
+    """Every graph with n <= 7 and seeded random graphs with n = 8, 9, each
+    relabeled by a seeded permutation."""
+    rng = random.Random(47)
+    graphs = [g for n in range(1, 8) for g in families.graphs_upto_iso(n)]
+    graphs += [random_graph(rng, n, p) for n in (8, 9) for p in (0.3, 0.5, 0.7) for _ in range(15)]
+    out = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(relabeled(g, perm))
+    return tuple(out)
+
+
+def test_meyniel_matches_simple_cycle_oracle():
+    # verdict, cycle and chord count equal the walk over every simple cycle
+    seen = set()
+    for g in _cycle_differential_graphs():
+        got = combinat.is_meyniel(g)
+        assert got == simple_cycle_meyniel_oracle(g), g
+        seen.add(None if got[0] else got[1][1])
+    assert seen == {None, 0, 1}
+
+
+def _canonical(cycle):
+    i = cycle.index(min(cycle))
+    c = tuple(cycle[i:] + cycle[:i])
+    return c if c[1] < c[-1] else c[:1] + c[:0:-1]
+
+
+def test_induced_cycles_match_networkx():
+    graphs = [*_cycle_differential_graphs()[::3], cycle(7), cycle(8), cycle(9)]
+    lengths = set()
+    for g in graphs + [combinat.complement(g) for g in graphs]:
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(g.n))
+        want = sorted(_canonical(c) for c in nx.chordless_cycles(h))
+        lengths.update(len(c) for c in want)
+        for min_len in (3, 4, 5):
+            got = combinat._induced_cycles(g, min_len)
+            assert len(got) == len(set(got)), g
+            assert sorted(got) == [c for c in want if len(c) >= min_len], (g, min_len)
+    assert lengths == {3, 4, 5, 6, 7, 8, 9}
 
 
 def test_perfection():

@@ -10,7 +10,13 @@ from clutterlab import combinat, ehrhart, families, ideals, tdi
 from clutterlab.combinat import Clutter, SimpleGraph
 from clutterlab.errors import ResourceExceeded, UsageError
 
-from conftest import all_labeled_graphs, canonical_form_oracle, graphs_upto_iso_oracle, relabeled
+from conftest import (
+    all_labeled_graphs,
+    canonical_form_oracle,
+    graphs_upto_iso_oracle,
+    random_graph,
+    relabeled,
+)
 
 
 def test_canonical_form_isomorphism_invariant():
@@ -141,6 +147,20 @@ def test_random_families_deterministic():
     assert families.random_chordal(7, 11).edges == families.random_chordal(7, 11).edges
     for s in range(6):
         assert families.is_chordal(families.random_chordal(7, s))
+
+
+def test_is_chordal_matches_networkx():
+    rng = random.Random(53)
+    graphs = [g for n in range(1, 7) for g in families.graphs_upto_iso(n)]
+    chordal = [families.random_chordal(n, rng.randrange(1 << 30)) for n in (8, 9, 10) for _ in range(10)]
+    graphs += chordal + [combinat.graph_cone(g) for g in chordal]
+    graphs += [random_graph(rng, n, 0.7) for n in (8, 9) for _ in range(10)]
+    verdicts = set()
+    for g in graphs:
+        got = families.is_chordal(g)
+        assert got == nx.is_chordal(_nx(g)), g
+        verdicts.add((g.n > 7, got))
+    assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_unmixed_bipartite_enumeration_small():
