@@ -177,14 +177,14 @@ def run_check(prop: str, obj, power_bound: int, budget: int | None):
         m = combinat.max_disjoint_edges(c)
         return g == m, {}, {"covering_number": g, "matching_number": m}, notes
     if prop == "ntf":
-        rep = ideals.is_ntf_upto(c, power_bound)
+        rep = ideals.is_ntf_upto(c, power_bound, budget)
         inv = {"power_bound": power_bound}
         if rep.ok:
             notes["caveat"] = f"equality verified up to power {power_bound}; not a proof"
             return True, {}, inv, notes
         return False, {"power": rep.failure_power, "monomial": list(rep.witness)}, inv, notes
     if prop == "normal":
-        rep = ideals.is_normal_upto(c, power_bound)
+        rep = ideals.is_normal_upto(c, power_bound, budget)
         inv = {"power_bound": power_bound}
         if rep.ok:
             notes["caveat"] = f"equality verified up to power {power_bound}; not a proof"

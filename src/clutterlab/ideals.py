@@ -1,19 +1,33 @@
 """Monomial edge ideals: powers, symbolic powers, integral closures.
 
-Ideals live as minimal generating sets of exponent vectors.  Symbolic
-powers and closures of powers are both cut out by linear staircase
-conditions with nonnegative normals, so one pruned lexicographic search
-enumerates their minimal generators; no lcm cascades.
+Ideals live as minimal generating sets of exponent vectors.  Closures of
+powers and symbolic powers are the lattice points of two pointed cones:
+
+* the Rees cone cone{(e_j, 0), (g, 1)} over the generators g of I: x^a
+  lies in the closure of I^i exactly when (a, i) lies in it;
+* the symbolic cone {(a, i) >= 0 : <a, u> >= i for every minimal cover u}
+  of a clutter: x^a lies in I^(i) exactly when (a, i) lies in it (Herzog,
+  Hibi & Trung, Adv. Math. 210, 2007).
+
+Their Hilbert bases, from `lattice`, answer every question here.  The Rees
+algebra is normal exactly when the Rees generators form a Hilbert basis
+(Villarreal, Monomial Algebras, 2001).  For the bounded comparisons, let k
+be the least power at which a smaller ideal (I^k, or the closure) misses a
+minimal generator a of a larger one (the closure, or I^(k)).  Then (a, k)
+is no sum of two nonzero lattice points of the larger cone: a part of
+height 0 would contradict minimality, and parts of heights between 0 and
+k lie in the smaller monoid, and so does their sum.  So (a, k) is a basis
+element of the larger cone, and the missing generators at height k are
+exactly its basis elements there that fail the test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import ceil
+from operator import add
 
-from . import combinat, kernel, polyhedron
+from . import combinat, lattice, polyhedron
 from .combinat import RawClutter
 from .errors import UsageError
 
@@ -84,142 +98,69 @@ def power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
     return MonomialIdeal(ideal.n, sums)
 
 
-def _minimal_staircase_points(n: int, normals, rhs) -> tuple[IntVec, ...]:
-    """Minimal lattice points of {a >= 0 : <w_t, a> >= r_t for all t}.
+def _rees_generators(ideal: MonomialIdeal) -> list[IntVec]:
+    """The Rees generators (e_j, 0) and (g, 1), one per generator g of I."""
+    n = ideal.n
+    gens = [tuple(int(i == j) for i in range(n)) + (0,) for j in range(n)]
+    return gens + [g + (1,) for g in ideal.gens]
 
-    All normals are componentwise nonnegative, so the region is upward
-    closed and its minimal points are the staircase generators.  Depth-first
-    search over coordinates; a coordinate value beyond every constraint's
-    remaining need is never part of a minimal point.
+
+def _rees_cone(ideal: MonomialIdeal) -> lattice.ConeWithLattice:
+    """x^a lies in the closure of I^i exactly when (a, i) lies in this cone."""
+    return lattice.ConeWithLattice.from_vectors(_rees_generators(ideal), ideal.n + 1)
+
+
+def _symbolic_cone(c: RawClutter) -> lattice.ConeWithLattice:
+    """{(a, i) >= 0 : <a, u> >= i for every minimal cover u}; one DD gives
+    its rays."""
+    n = c.n
+    normals = [tuple(-int(i == j) for i in range(n + 1)) for j in range(n + 1)]
+    normals += [tuple(-x for x in u) + (1,) for u in combinat.CoverSet.of(c).vectors()]
+    rays, _ = polyhedron.cone_hrep_to_generators(normals, n + 1)
+    return lattice.ConeWithLattice.from_vectors(rays, n + 1)
+
+
+def _generators_at_height(basis, n: int, i: int) -> MonomialIdeal:
+    """Minimal exponents a of the lattice points (a, i) of a cone in the
+    nonnegative orthant that contains every (e_j, 0), given its Hilbert
+    basis.
+
+    Such a point is a sum of basis elements; dropping the ones of height 0
+    leaves a smaller point of the same height.  A sum of height h is minimal
+    only if its part of height h - t is, so each height is minimalised from
+    the ones below it.
     """
-    live = [(tuple(w), r) for w, r in zip(normals, rhs) if r > 0]
-    if not live:
-        return ((0,) * n,)
-    if any(all(x == 0 for x in w) for w, _ in live):
-        return ()  # a positive need with empty support is unsatisfiable
-    ws = [w for w, _ in live]
-    needs0 = [r for _, r in live]
-    supp_last = [max(j for j in range(n) if w[j] > 0) for w in ws]
-    out: list[IntVec] = []
-    point = [0] * n
-
-    def emit(needs: list[int]):
-        # needs[t] = r_t - <w_t, point>, so lowering coordinate j keeps
-        # constraint t exactly when needs[t] + w_t[j] <= 0
-        for j in range(n):
-            if point[j] > 0 and all(r + w[j] <= 0 for w, r in zip(ws, needs)):
-                return  # not minimal
-        out.append(tuple(point))
-
-    def rec(k: int, needs: list[int]):
-        if all(r <= 0 for r in needs):
-            emit(needs)  # coordinates k..n-1 are still zero here
-            return
-        if k == n:
-            return
-        vmax = 0
-        for t, r in enumerate(needs):
-            if r > 0:
-                if supp_last[t] < k:
-                    return  # this need can no longer be met
-                wk = ws[t][k]
-                if wk > 0:
-                    # a larger value at k would make the point reducible
-                    need_v = -(-r // wk)
-                    if need_v > vmax:
-                        vmax = need_v
-        for v in range(vmax + 1):
-            point[k] = v
-            rec(k + 1, [r - w[k] * v for w, r in zip(ws, needs)])
-        point[k] = 0
-
-    rec(0, needs0)
-    return tuple(sorted(out))
+    layers = [MonomialIdeal(n, [(0,) * n])]
+    for h in range(1, i + 1):
+        layers.append(MonomialIdeal(n, [
+            tuple(map(add, a, b[:n]))
+            for b in basis if 0 < b[n] <= h
+            for a in layers[h - b[n]].gens
+        ]))
+    return layers[i]
 
 
 def symbolic_power(c: RawClutter, i: int) -> MonomialIdeal:
     """Intersection of the i-th powers of the minimal-cover primes.
 
-    Membership is linear: <a, u> >= i for every minimal cover vector u.
+    Membership is linear: <a, u> >= i for every minimal cover vector u, so
+    the generators are read off the symbolic cone's Hilbert basis.
     """
     if i < 1:
         raise UsageError("symbolic_power: exponent must be >= 1")
-    covers = combinat.CoverSet.of(c).vectors()
-    gens = _minimal_staircase_points(c.n, covers, [i] * len(covers))
-    return MonomialIdeal(c.n, gens)
+    return _generators_at_height(lattice.hilbert_basis(_symbolic_cone(c)), c.n, i)
 
 
-@lru_cache(maxsize=4096)
-def _newton_inequalities(ideal: MonomialIdeal):
-    """Facets of conv(gens) + R^n_+, expressed as <w, a> >= r * degree.
-
-    Computed once from the cone over the lifted generators together with
-    the coordinate rays; every facet normal is nonnegative on the
-    exponent part because the region is upward closed.  The zero ideal has
-    an empty region, given by the one unsatisfiable row 0 >= degree.
-    """
-    n = ideal.n
-    if not ideal.gens:
-        return (((0,) * n, 1),)
-    lifted = [g + (1,) for g in ideal.gens]
-    lifted += [tuple(int(i == j) for i in range(n)) + (0,) for j in range(n)]
-    ineq_normals, eq_normals = polyhedron.cone_generators_to_hrep(lifted, n + 1)
-    if eq_normals:
-        raise AssertionError("newton cone must be full-dimensional")
-    rows = []
-    for nu in ineq_normals:
-        w = tuple(-x for x in nu[:n])
-        r = nu[n]
-        if any(x < 0 for x in w):
-            raise AssertionError("newton facet with mixed signs")
-        if r > 0:
-            rows.append((w, r))
-    return tuple(rows)
-
-
-def closure_power(
-    ideal: MonomialIdeal, i: int, _within: MonomialIdeal | None = None
-) -> MonomialIdeal:
-    """Integral closure of the i-th power: lattice points over i * Newton.
-
-    `_within` is an optional ideal already known to contain the closure
-    (for edge ideals, the symbolic power); the search then only walks the
-    small residual staircase above each of its generators.
-    """
+def closure_power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
+    """Integral closure of the i-th power, from the Rees cone's Hilbert basis."""
     if i < 1:
         raise UsageError("closure_power: exponent must be >= 1")
-    rows = _newton_inequalities(ideal)
-    n = ideal.n
-    if _within is None:
-        gens = _minimal_staircase_points(
-            n, [w for w, _ in rows], [r * i for _, r in rows]
-        )
-        return MonomialIdeal(n, gens)
-    region = [(w, r * i) for w, r in rows]
-    ws = [w for w, _ in region]
-    cands: set[IntVec] = set()
-    for s in _within.gens:
-        needs = [ri - kernel.dot(w, s) for w, ri in region]
-        for b in _minimal_staircase_points(n, ws, needs):
-            cands.add(tuple(x + y for x, y in zip(s, b)))
-    gens = []
-    for a in sorted(cands):
-        minimal = True
-        for j in range(n):
-            if a[j] > 0:
-                red = tuple(x - int(jj == j) for jj, x in enumerate(a))
-                if all(kernel.dot(w, red) >= ri for w, ri in region):
-                    minimal = False
-                    break
-        if minimal:
-            gens.append(a)
-    return MonomialIdeal(n, gens)
+    return _generators_at_height(lattice.hilbert_basis(_rees_cone(ideal)), ideal.n, i)
 
 
 def closure_contains(ideal: MonomialIdeal, i: int, a) -> bool:
     """Membership of a single monomial in the closure of the i-th power."""
-    rows = _newton_inequalities(ideal)
-    return all(kernel.dot(w, a) >= r * i for w, r in rows)
+    return _rees_cone(ideal).contains(tuple(a) + (i,))
 
 
 # ---------------------------------------------------------------------------
@@ -240,37 +181,45 @@ class PowerComparisonReport:
         return self.failure_power is None
 
 
-def is_ntf_upto(c: RawClutter, r: int = 3) -> PowerComparisonReport:
-    """Compare ordinary and symbolic powers for i = 1..r."""
+def _least_failure(failing, n: int, r: int) -> PowerComparisonReport:
+    """The least height k <= r among the failing basis elements (a, k), with
+    the least such a; or the bound r when there is none."""
+    hits = [(b[n], b[:n]) for b in failing if b[n] <= r]
+    if not hits:
+        return PowerComparisonReport(r, None, None)
+    return PowerComparisonReport(None, *min(hits))
+
+
+def is_ntf_upto(c: RawClutter, r: int = 3, budget: int | None = None) -> PowerComparisonReport:
+    """Compare ordinary and symbolic powers for i = 1..r.
+
+    I^i sits inside I^(i); the first power where they differ is the least
+    height of a symbolic-cone basis element (a, k) with x^a outside I^k.
+    That is every basis element of height k >= 2: if x^a lay in I^k, then
+    a = v + b with v a generator of I and x^b in I^(k-1), and (a, k) would
+    split as (v, 1) + (b, k - 1).  At height 1 the basis elements are the
+    generators of I^(1) = I.
+    """
     if r < 1:
         raise UsageError("is_ntf_upto: bound must be >= 1")
-    ideal = edge_ideal(c)
-    for i in range(1, r + 1):
-        pw = power(ideal, i)
-        sym = symbolic_power(c, i)
-        if pw.gens != sym.gens:
-            witness = next(g for g in sym.gens if not pw.contains(g))
-            return PowerComparisonReport(None, i, witness)
-    return PowerComparisonReport(r, None, None)
+    basis = lattice.hilbert_basis(_symbolic_cone(c), budget)
+    return _least_failure([b for b in basis if b[c.n] > 1], c.n, r)
 
 
-def closure_vs_symbolic_upto(c: RawClutter, r: int = 3) -> PowerComparisonReport:
+def closure_vs_symbolic_upto(
+    c: RawClutter, r: int = 3, budget: int | None = None
+) -> PowerComparisonReport:
     """Compare closure of powers with symbolic powers for i = 1..r.
 
-    The closure sits inside the symbolic power, so equality only needs the
-    symbolic generators to land in the Newton region.
+    The closure sits inside the symbolic power; the first power where they
+    differ is the least height of a symbolic-cone basis element outside the
+    Rees cone.
     """
     if r < 1:
         raise UsageError("closure_vs_symbolic_upto: bound must be >= 1")
-    ideal = edge_ideal(c)
-    for i in range(1, r + 1):
-        sym = symbolic_power(c, i)
-        witness = next(
-            (g for g in sym.gens if not closure_contains(ideal, i, g)), None
-        )
-        if witness is not None:
-            return PowerComparisonReport(None, i, witness)
-    return PowerComparisonReport(r, None, None)
+    rees = _rees_cone(edge_ideal(c))
+    basis = lattice.hilbert_basis(_symbolic_cone(c), budget)
+    return _least_failure([b for b in basis if not rees.contains(b)], c.n, r)
 
 
 @dataclass(frozen=True)
@@ -283,43 +232,19 @@ class NormalityReport:
         return self.normal.ok
 
 
-def is_normal_upto(c: RawClutter, r: int = 3) -> NormalityReport:
+def is_normal_upto(c: RawClutter, r: int = 3, budget: int | None = None) -> NormalityReport:
     """Check closure(I^i) = I^i and closure(I^i) = I^(i) for i = 1..r.
 
-    Both comparisons lean on the containment chain
-    I^i <= closure(I^i) <= I^(i): the symbolic power scaffolds the closure
-    enumeration, and closure-vs-symbolic only needs membership of the
-    symbolic generators in the Newton region.
+    The Rees algebra is normal exactly when the Rees generators form a
+    Hilbert basis; the first power where closure and power differ is the
+    least height of a witness of that test.
     """
     if r < 1:
         raise UsageError("is_normal_upto: bound must be >= 1")
     ideal = edge_ideal(c)
-    normal_fail = None
-    cvs_fail = None
-    for i in range(1, r + 1):
-        sym = symbolic_power(c, i)
-        if cvs_fail is None:
-            witness = next(
-                (g for g in sym.gens if not closure_contains(ideal, i, g)), None
-            )
-            if witness is not None:
-                cvs_fail = (i, witness)
-        if normal_fail is None:
-            pw = power(ideal, i)
-            cl = closure_power(ideal, i, _within=sym)
-            if cl.gens != pw.gens:
-                witness = next(g for g in cl.gens if not pw.contains(g))
-                normal_fail = (i, witness)
-        if normal_fail and cvs_fail:
-            break
-    normal = (
-        PowerComparisonReport(r, None, None)
-        if normal_fail is None
-        else PowerComparisonReport(None, *normal_fail)
+    gens = set(_rees_generators(ideal))
+    witnesses = [b for b in lattice.hilbert_basis(_rees_cone(ideal), budget) if b not in gens]
+    return NormalityReport(
+        normal=_least_failure(witnesses, c.n, r),
+        closure_vs_symbolic=closure_vs_symbolic_upto(c, r, budget),
     )
-    cvs = (
-        PowerComparisonReport(r, None, None)
-        if cvs_fail is None
-        else PowerComparisonReport(None, *cvs_fail)
-    )
-    return NormalityReport(normal=normal, closure_vs_symbolic=cvs)

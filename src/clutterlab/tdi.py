@@ -355,7 +355,7 @@ def clutter_verdicts(c: RawClutter, power_bound: int = 3, budget: int | None = N
     return ClutterVerdicts(
         ideal=ideal_ok,
         mfmc=cert.verdict,
-        ntf_upto=ideals.is_ntf_upto(c, power_bound),
-        closure_vs_symbolic=ideals.closure_vs_symbolic_upto(c, power_bound),
+        ntf_upto=ideals.is_ntf_upto(c, power_bound, budget),
+        closure_vs_symbolic=ideals.closure_vs_symbolic_upto(c, power_bound, budget),
         is_ehrhart=ehrhart.analyze(c, budget).is_ehrhart,
     )

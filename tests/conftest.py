@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from clutterlab import combinat, families, kernel
+from clutterlab import combinat, families, ideals, kernel
 from clutterlab.combinat import SimpleGraph
 from clutterlab.errors import DEFAULT_RAY_CAP, ResourceExceeded, UsageError
+from clutterlab.ideals import MonomialIdeal
 from clutterlab.lattice import ConeWithLattice, HilbertBasisReport, semigroup_member
 from clutterlab.polyhedron import HRep, cone_generators_to_hrep
 
@@ -291,6 +292,146 @@ def brute_staircase_min(n, normals, rhs, box):
             )
         )
     )
+
+
+def staircase_points_oracle(n: int, normals, rhs):
+    """Minimal lattice points of {a >= 0 : <w_t, a> >= r_t for all t}.
+
+    The staircase search `ideals` ran before it read symbolic powers and
+    closures off Hilbert bases.  All normals are componentwise nonnegative,
+    so the region is upward closed and its minimal points are the staircase
+    generators.  Depth-first search over coordinates; a coordinate value
+    beyond every constraint's remaining need is never part of a minimal
+    point.
+    """
+    live = [(tuple(w), r) for w, r in zip(normals, rhs) if r > 0]
+    if not live:
+        return ((0,) * n,)
+    if any(all(x == 0 for x in w) for w, _ in live):
+        return ()  # a positive need with empty support is unsatisfiable
+    ws = [w for w, _ in live]
+    needs0 = [r for _, r in live]
+    supp_last = [max(j for j in range(n) if w[j] > 0) for w in ws]
+    out = []
+    point = [0] * n
+
+    def emit(needs):
+        # needs[t] = r_t - <w_t, point>, so lowering coordinate j keeps
+        # constraint t exactly when needs[t] + w_t[j] <= 0
+        for j in range(n):
+            if point[j] > 0 and all(r + w[j] <= 0 for w, r in zip(ws, needs)):
+                return  # not minimal
+        out.append(tuple(point))
+
+    def rec(k, needs):
+        if all(r <= 0 for r in needs):
+            emit(needs)  # coordinates k..n-1 are still zero here
+            return
+        if k == n:
+            return
+        vmax = 0
+        for t, r in enumerate(needs):
+            if r > 0:
+                if supp_last[t] < k:
+                    return  # this need can no longer be met
+                wk = ws[t][k]
+                if wk > 0:
+                    # a larger value at k would make the point reducible
+                    vmax = max(vmax, -(-r // wk))
+        for v in range(vmax + 1):
+            point[k] = v
+            rec(k + 1, [r - w[k] * v for w, r in zip(ws, needs)])
+        point[k] = 0
+
+    rec(0, needs0)
+    return tuple(sorted(out))
+
+
+@functools.lru_cache(maxsize=4096)
+def newton_inequalities_oracle(ideal):
+    """Facets of conv(gens) + R^n_+, expressed as <w, a> >= r * degree.
+
+    Computed from the cone over the lifted generators together with the
+    coordinate rays.  The zero ideal has an empty region, given by the one
+    unsatisfiable row 0 >= degree.
+    """
+    n = ideal.n
+    if not ideal.gens:
+        return (((0,) * n, 1),)
+    lifted = [g + (1,) for g in ideal.gens]
+    lifted += [tuple(int(i == j) for i in range(n)) + (0,) for j in range(n)]
+    ineq_normals, eq_normals = cone_generators_to_hrep(lifted, n + 1)
+    assert not eq_normals, "newton cone must be full-dimensional"
+    rows = []
+    for nu in ineq_normals:
+        w = tuple(-x for x in nu[:n])
+        assert all(x >= 0 for x in w), "newton facet with mixed signs"
+        if nu[n] > 0:
+            rows.append((w, nu[n]))
+    return tuple(rows)
+
+
+def closure_contains_oracle(ideal, i, a):
+    return all(kernel.dot(w, a) >= r * i for w, r in newton_inequalities_oracle(ideal))
+
+
+def symbolic_power_oracle(c, i):
+    covers = combinat.CoverSet.of(c).vectors()
+    return MonomialIdeal(c.n, staircase_points_oracle(c.n, covers, [i] * len(covers)))
+
+
+def closure_power_oracle(ideal, i, within=None):
+    """Closure of the i-th power: the minimal points of i times the Newton
+    region.  `within` is an ideal known to contain the closure; the search
+    then only walks the residual staircase above each of its generators."""
+    rows = newton_inequalities_oracle(ideal)
+    n = ideal.n
+    region = [(w, r * i) for w, r in rows]
+    ws = [w for w, _ in region]
+    if within is None:
+        return MonomialIdeal(n, staircase_points_oracle(n, ws, [r for _, r in region]))
+    cands = set()
+    for s in within.gens:
+        needs = [r - kernel.dot(w, s) for w, r in region]
+        for b in staircase_points_oracle(n, ws, needs):
+            cands.add(tuple(x + y for x, y in zip(s, b)))
+    gens = []
+    for a in sorted(cands):
+        reducible = any(
+            all(kernel.dot(w, kernel.vsub(a, e)) >= r for w, r in region)
+            for e in (tuple(int(jj == j) for jj in range(n)) for j in range(n) if a[j] > 0)
+        )
+        if not reducible:
+            gens.append(a)
+    return MonomialIdeal(n, gens)
+
+
+def power_comparisons_oracle(c, r=3):
+    """The staircase search's three bounded reports and its ideals.
+
+    Returns ({"ntf", "closure_vs_symbolic", "normal"}: (failure power,
+    witness) or None, {i: (symbolic power, closure of the power)}) for
+    i = 1..r.  A failure is the least power where the two ideals differ,
+    and its witness the least generator of the larger one missing from the
+    smaller, as `is_ntf_upto` and `is_normal_upto` reported them.
+    """
+    ideal = ideals.edge_ideal(c)
+    fails = {"ntf": None, "closure_vs_symbolic": None, "normal": None}
+    found = {}
+    for i in range(1, r + 1):
+        pw = ideals.power(ideal, i)
+        sym = symbolic_power_oracle(c, i)
+        cl = closure_power_oracle(ideal, i, within=sym)
+        found[i] = (sym, cl)
+        for kind, big, inside in (
+            ("ntf", sym, pw.contains),
+            ("closure_vs_symbolic", sym, lambda g: closure_contains_oracle(ideal, i, g)),
+            ("normal", cl, pw.contains),
+        ):
+            missing = [g for g in big.gens if not inside(g)]
+            if fails[kind] is None and missing:
+                fails[kind] = (i, missing[0])
+    return fails, found
 
 
 def _maximal_sets(n, joined):

@@ -93,11 +93,28 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
 
 def test_normal_decides_edgeless_clutters(tmp_path, capsys):
     # the closure of every power of the zero ideal is the zero ideal
-    for payload in ['{"kind":"clutter","n":3,"edges":[]}', '{"kind":"graph","n":0,"edges":[]}']:
+    # (with n = 0 there are no Rees generators at all)
+    for payload in [
+        '{"kind":"clutter","n":3,"edges":[]}',
+        '{"kind":"clutter","n":0,"edges":[]}',
+        '{"kind":"graph","n":0,"edges":[]}',
+    ]:
         path = write(tmp_path, "edgeless.json", payload)
         for prop in ("normal", "ntf"):
             assert run(["check", prop, "--input", path, "--json"]) == 0, (payload, prop)
             assert json.loads(capsys.readouterr().out)["verdict"] is True
+
+
+def test_power_checks_spend_the_budget(tmp_path, capsys):
+    tri = write(tmp_path, "tri.json", TRIANGLE)
+    for prop, code in (("normal", 0), ("ntf", 1)):
+        out = tmp_path / f"{prop}.json"
+        assert run(["check", prop, "--input", tri, "--budget", "1", "--output", str(out)]) == 2
+        cert = json.loads(out.read_text())
+        assert cert["verdict"] == "undecided" and cert["witnesses"] == {}
+        assert cert["budget"] == {"limit": 1, "exceeded": True}
+        assert cert["notes"]["reason"] == "undecided: hilbert basis enumeration"
+        assert run(["check", prop, "--input", tri]) == code
 
 
 def test_wrong_kind_is_usage_error(tmp_path):

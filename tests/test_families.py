@@ -155,6 +155,11 @@ def test_is_chordal_matches_networkx():
     chordal = [families.random_chordal(n, rng.randrange(1 << 30)) for n in (8, 9, 10) for _ in range(10)]
     graphs += chordal + [combinat.graph_cone(g) for g in chordal]
     graphs += [random_graph(rng, n, 0.7) for n in (8, 9) for _ in range(10)]
+    # the 10 x 10 grid has about 10^8 holes; none needs listing
+    k = 10
+    rows = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+    columns = [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
+    graphs.append(SimpleGraph(k * k, rows + columns))
     verdicts = set()
     for g in graphs:
         got = families.is_chordal(g)

@@ -2,22 +2,28 @@ import random
 
 import pytest
 
-from clutterlab import combinat, ideals
+from clutterlab import combinat, families, ideals
 from clutterlab.combinat import Clutter
 from clutterlab.errors import UsageError
 from clutterlab.ideals import MonomialIdeal
 
-from conftest import brute_staircase_min
+from conftest import (
+    brute_staircase_min,
+    closure_power_oracle,
+    power_comparisons_oracle,
+    staircase_points_oracle,
+    symbolic_power_oracle,
+)
 
 
-def random_clutters(seed, count, nmin=3, nmax=6):
+def random_clutters(seed, count, nmin=3, nmax=6, max_edges=5):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         n = rng.randint(nmin, nmax)
         cand = [
             tuple(sorted(rng.sample(range(n), rng.randint(2, min(3, n)))))
-            for _ in range(rng.randint(2, 5))
+            for _ in range(rng.randint(2, max_edges))
         ]
         keep = [e for e in cand if not any(set(f) < set(e) for f in cand)]
         if {v for e in keep for v in e} != set(range(n)):
@@ -59,7 +65,7 @@ def test_staircase_against_box_scan():
         s = rng.randint(1, 4)
         normals = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(s)]
         rhs = [rng.randint(0, 5) for _ in range(s)]
-        got = ideals._minimal_staircase_points(n, normals, rhs)
+        got = staircase_points_oracle(n, normals, rhs)
         assert got == brute_staircase_min(n, normals, rhs, 10)
 
 
@@ -82,12 +88,13 @@ def test_membership(triangle):
 
 
 def test_scaffolded_closure_matches_direct():
+    # the oracle's two staircase routes, and the Rees-cone basis
     for c in random_clutters(9, 12):
         ide = ideals.edge_ideal(c)
         for i in (1, 2, 3):
-            direct = ideals.closure_power(ide, i)
-            scaffolded = ideals.closure_power(ide, i, _within=ideals.symbolic_power(c, i))
-            assert direct.gens == scaffolded.gens
+            direct = closure_power_oracle(ide, i)
+            scaffolded = closure_power_oracle(ide, i, within=symbolic_power_oracle(c, i))
+            assert direct.gens == scaffolded.gens == ideals.closure_power(ide, i).gens
 
 
 def test_power_chain():
@@ -137,16 +144,83 @@ def test_normality_reports(triangle, square):
 
 
 def test_closure_vs_symbolic_shortcut_matches_full():
+    # the symbolic-cone basis against the full staircase comparison
     for c in random_clutters(12, 10):
         short = ideals.closure_vs_symbolic_upto(c, 3)
-        full = ideals.is_normal_upto(c, 3).closure_vs_symbolic
-        assert (short.ok, short.failure_power) == (full.ok, full.failure_power)
+        full = power_comparisons_oracle(c, 3)[0]["closure_vs_symbolic"]
+        assert (short.failure_power, short.witness) == (full or (None, None))
+
+
+# four triples covering each of six points twice, no two disjoint: ideal
+# (closures of powers equal symbolic powers) but not normal
+FOUR_TRIANGLES = Clutter(6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
 
 
 def test_four_triangle_configuration_not_normal():
-    # four triples covering each of six points twice, no two disjoint
-    quad = Clutter(6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
-    rep = ideals.is_normal_upto(quad, 2)
+    rep = ideals.is_normal_upto(FOUR_TRIANGLES, 2)
     assert not rep.ok
     assert rep.normal.failure_power == 2
     assert rep.normal.witness == (1, 1, 1, 1, 1, 1)
+
+
+def _failure(rep):
+    if rep.ok:
+        assert rep.holds_up_to == 3 and rep.witness is None
+        return None
+    assert rep.holds_up_to is None
+    return rep.failure_power, rep.witness
+
+
+def _compare_with_staircase(clutters) -> dict:
+    """Each bounded report (failure power and witness) and the symbolic
+    powers and closures for i = 1..3 against the staircase search; returns
+    the number of failures of each kind."""
+    counts = {"ntf": 0, "closure_vs_symbolic": 0, "normal": 0}
+    for c in clutters:
+        fails, found = power_comparisons_oracle(c, 3)
+        got = {
+            "ntf": _failure(ideals.is_ntf_upto(c, 3)),
+            "closure_vs_symbolic": _failure(ideals.closure_vs_symbolic_upto(c, 3)),
+            "normal": _failure(ideals.is_normal_upto(c, 3).normal),
+        }
+        assert got == fails, c
+        ide = ideals.edge_ideal(c)
+        for i, (sym, cl) in found.items():
+            assert ideals.symbolic_power(c, i) == sym, (c, i)
+            assert ideals.closure_power(ide, i) == cl, (c, i)
+        for kind, fail in fails.items():
+            counts[kind] += fail is not None
+    return counts
+
+
+def test_power_comparisons_match_staircase_search():
+    fams = ["chordal", "bipartite", "meyniel-closure"]
+    criterion_04 = [
+        combinat.clique_clutter(families.conjecture_instance(fams[idx % 3], idx, 8, 421))
+        for idx in range(200)
+    ]
+    counts = _compare_with_staircase(
+        criterion_04 + random_clutters(13, 285, 3, 7, 7) + [FOUR_TRIANGLES]
+    )
+    assert all(counts.values()), counts
+    assert counts["ntf"] > counts["closure_vs_symbolic"], counts
+
+
+def test_nonnormal_search_candidates_match_staircase_search():
+    # the candidates `search_nonnormal_chordal` examines, up to its hit
+    candidates = [families.random_chordal(n, 7 * n + k) for n in range(4, 9) for k in range(2)]
+    candidates += families._gadget_candidates()[:3]
+    hit = families.search_nonnormal_chordal()
+    assert candidates[-1] == hit.graph
+    counts = _compare_with_staircase([combinat.clique_clutter(g) for g in candidates])
+    assert counts["normal"] == 1 and counts["ntf"] > 0, counts
+
+
+def test_failures_above_the_bound_are_not_reported(triangle):
+    hit = families.search_nonnormal_chordal()
+    assert hit.power == 3
+    rep = ideals.is_normal_upto(hit.clutter, 2)
+    assert rep.ok and rep.normal.holds_up_to == 2
+    assert not rep.closure_vs_symbolic.ok
+    for rep in (ideals.is_ntf_upto(triangle, 1), ideals.closure_vs_symbolic_upto(triangle, 1)):
+        assert rep.ok and rep.holds_up_to == 1
