@@ -138,7 +138,7 @@ def _tdi_payload(cert: tdi.TdiCertificate):
     return payload
 
 
-def run_check(prop: str, obj, power_bound: int, budget: int | None):
+def run_check(prop: str, obj, budget: int | None):
     """Returns (verdict, witnesses, invariants, notes)."""
     notes: dict = {}
     if prop == "tdi":
@@ -176,25 +176,10 @@ def run_check(prop: str, obj, power_bound: int, budget: int | None):
         g = combinat.covering_number(c)
         m = combinat.max_disjoint_edges(c)
         return g == m, {}, {"covering_number": g, "matching_number": m}, notes
-    if prop == "ntf":
-        rep = ideals.is_ntf_upto(c, power_bound, budget)
-        inv = {"power_bound": power_bound}
-        if rep.ok:
-            notes["caveat"] = f"equality verified up to power {power_bound}; not a proof"
-            return True, {}, inv, notes
-        return False, {"power": rep.failure_power, "monomial": list(rep.witness)}, inv, notes
-    if prop == "normal":
-        rep = ideals.is_normal_upto(c, power_bound, budget)
-        inv = {"power_bound": power_bound}
-        if rep.ok:
-            notes["caveat"] = f"equality verified up to power {power_bound}; not a proof"
-            return True, {}, inv, notes
-        return (
-            False,
-            {"power": rep.normal.failure_power, "monomial": list(rep.normal.witness)},
-            inv,
-            notes,
-        )
+    if prop in ("ntf", "normal"):
+        rep = (ideals.is_ntf if prop == "ntf" else ideals.is_normal)(c, budget)
+        wits = {} if rep.ok else {"power": rep.failure_power, "monomial": list(rep.witness)}
+        return rep.ok, wits, {}, notes
     raise UsageError(f"unknown property {prop!r}")
 
 
@@ -252,7 +237,7 @@ def cmd_check(args) -> int:
     obj = load_instance(args.input)
     t0 = time.monotonic()
     try:
-        verdict, wits, inv, notes = run_check(args.property, obj, args.power_bound, args.budget)
+        verdict, wits, inv, notes = run_check(args.property, obj, args.budget)
     except Undecided as exc:
         verdict, wits, inv, notes = "undecided", {}, {}, {"reason": str(exc)}
     except ResourceExceeded as exc:
@@ -423,7 +408,7 @@ def cmd_examples(args) -> int:
         )
         written.append(str(ipath))
         if isinstance(obj, SimpleGraph):
-            verdict, wits, inv, notes = run_check("perfect", obj, 3, args.budget)
+            verdict, wits, inv, notes = run_check("perfect", obj, args.budget)
             cert = make_certificate("check perfect", obj, verdict, wits, inv, notes)
         else:
             ok, hbw = ehrhart.is_ehrhart_clutter(obj, args.budget)
@@ -465,10 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(breaks byte-stability across runs)")
 
     p = sub.add_parser("check", help="decide one property of an instance")
-    p.add_argument("property", choices=PROPERTIES)
+    p.add_argument("property", choices=PROPERTIES,
+                   help="ntf and normal compare the powers of the edge ideal at every "
+                        "power at once; a failure names the least failing power")
     p.add_argument("--input", required=True, help="instance file (graph, clutter or system)")
-    p.add_argument("--power-bound", type=int, default=3,
-                   help="bound for the power-by-power checks (ntf, normal)")
     common(p)
 
     p = sub.add_parser("invariants", help="series invariants and bound checks of a clutter")

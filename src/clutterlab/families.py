@@ -460,33 +460,18 @@ class NonNormalHit:
     witness: IntVec
 
 
-@lru_cache(maxsize=32)
-def search_nonnormal_chordal(
-    n_max: int = 13, budget: int = 32, power_bound: int = 3, seed: int = 0
-) -> NonNormalHit | None:
+@lru_cache(maxsize=1)
+def search_nonnormal_chordal() -> NonNormalHit | None:
     """First chordal graph (seeded probes, then gadget gluings) whose
-    clique-clutter edge ideal fails normality up to `power_bound`."""
-    candidates: list[SimpleGraph] = []
-    for n in range(4, 9):
-        for k in range(2):
-            candidates.append(random_chordal(n, seed + 7 * n + k))
-    candidates.extend(_gadget_candidates())
-    examined = 0
-    for g in candidates:
-        if g.n > n_max:
-            continue
-        if examined >= budget:
-            return None
-        examined += 1
+    clique-clutter edge ideal is not normal."""
+    candidates = [random_chordal(n, 7 * n + k) for n in range(4, 9) for k in range(2)]
+    for g in candidates + _gadget_candidates():
         if not is_chordal(g):
             raise AssertionError("search candidate must be chordal")
         c = combinat.clique_clutter(g)
-        report = ideals.is_normal_upto(c, power_bound)
+        report = ideals.is_normal(c)
         if not report.ok:
             return NonNormalHit(
-                graph=g,
-                clutter=c,
-                power=report.normal.failure_power,
-                witness=report.normal.witness,
+                graph=g, clutter=c, power=report.failure_power, witness=report.witness
             )
     return None

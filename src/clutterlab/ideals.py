@@ -9,16 +9,21 @@ powers and symbolic powers are the lattice points of two pointed cones:
   of a clutter: x^a lies in I^(i) exactly when (a, i) lies in it (Herzog,
   Hibi & Trung, Adv. Math. 210, 2007).
 
-Their Hilbert bases, from `lattice`, answer every question here.  The Rees
-algebra is normal exactly when the Rees generators form a Hilbert basis
-(Villarreal, Monomial Algebras, 2001).  For the bounded comparisons, let k
-be the least power at which a smaller ideal (I^k, or the closure) misses a
-minimal generator a of a larger one (the closure, or I^(k)).  Then (a, k)
-is no sum of two nonzero lattice points of the larger cone: a part of
-height 0 would contradict minimality, and parts of heights between 0 and
-k lie in the smaller monoid, and so does their sum.  So (a, k) is a basis
-element of the larger cone, and the missing generators at height k are
-exactly its basis elements there that fail the test.
+Their Hilbert bases, from `lattice`, answer every question here, for
+every power at once.  The Rees algebra is normal exactly when the Rees
+generators form a Hilbert basis (Villarreal, Monomial Algebras, 2001).  For
+the comparisons, let k be the least power at which a smaller ideal (I^k, or
+the closure) misses a minimal generator a of a larger one (the closure, or
+I^(k)).  Then (a, k) is no sum of two nonzero lattice points of the larger
+cone: a part of height 0 would contradict minimality, and parts of heights
+between 0 and k lie in the smaller monoid, and so does their sum.  So (a, k)
+is a basis element of the larger cone, and the missing generators at height
+k are exactly its basis elements there that fail the test.  A finite basis
+thus decides the comparison at every power, and the verdicts are exact: a
+clutter has the max-flow min-cut property exactly when I^i = I^(i) for
+every i (Gitler, Valencia & Villarreal, Beitr. Algebra Geom. 48, 2007), and
+it is ideal exactly when the closure of I^i is I^(i) for every i (Gitler,
+Reyes & Villarreal, Rocky Mountain J. Math. 39, 2009).
 """
 
 from __future__ import annotations
@@ -164,15 +169,14 @@ def closure_contains(ideal: MonomialIdeal, i: int, a) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bounded torsion-freeness and normality verdicts
+# Torsion-freeness and normality verdicts, at every power
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PowerComparisonReport:
-    """Verdict of a power-by-power comparison, honest about its bound."""
+    """Verdict of a comparison of two ideals at every power."""
 
-    holds_up_to: int | None  # the bound r when no failure was found
     failure_power: int | None
     witness: IntVec | None
 
@@ -181,17 +185,14 @@ class PowerComparisonReport:
         return self.failure_power is None
 
 
-def _least_failure(failing, n: int, r: int) -> PowerComparisonReport:
-    """The least height k <= r among the failing basis elements (a, k), with
-    the least such a; or the bound r when there is none."""
-    hits = [(b[n], b[:n]) for b in failing if b[n] <= r]
-    if not hits:
-        return PowerComparisonReport(r, None, None)
-    return PowerComparisonReport(None, *min(hits))
+def _least_failure(failing, n: int) -> PowerComparisonReport:
+    """The least height k among the failing basis elements (a, k), with the
+    least such a; no failure when there is none."""
+    return PowerComparisonReport(*min(((b[n], b[:n]) for b in failing), default=(None, None)))
 
 
-def is_ntf_upto(c: RawClutter, r: int = 3, budget: int | None = None) -> PowerComparisonReport:
-    """Compare ordinary and symbolic powers for i = 1..r.
+def is_ntf(c: RawClutter, budget: int | None = None) -> PowerComparisonReport:
+    """Compare ordinary and symbolic powers.
 
     I^i sits inside I^(i); the first power where they differ is the least
     height of a symbolic-cone basis element (a, k) with x^a outside I^k.
@@ -200,51 +201,30 @@ def is_ntf_upto(c: RawClutter, r: int = 3, budget: int | None = None) -> PowerCo
     split as (v, 1) + (b, k - 1).  At height 1 the basis elements are the
     generators of I^(1) = I.
     """
-    if r < 1:
-        raise UsageError("is_ntf_upto: bound must be >= 1")
     basis = lattice.hilbert_basis(_symbolic_cone(c), budget)
-    return _least_failure([b for b in basis if b[c.n] > 1], c.n, r)
+    return _least_failure([b for b in basis if b[c.n] > 1], c.n)
 
 
-def closure_vs_symbolic_upto(
-    c: RawClutter, r: int = 3, budget: int | None = None
-) -> PowerComparisonReport:
-    """Compare closure of powers with symbolic powers for i = 1..r.
+def closure_vs_symbolic(c: RawClutter, budget: int | None = None) -> PowerComparisonReport:
+    """Compare closures of powers with symbolic powers.
 
     The closure sits inside the symbolic power; the first power where they
     differ is the least height of a symbolic-cone basis element outside the
     Rees cone.
     """
-    if r < 1:
-        raise UsageError("closure_vs_symbolic_upto: bound must be >= 1")
     rees = _rees_cone(edge_ideal(c))
     basis = lattice.hilbert_basis(_symbolic_cone(c), budget)
-    return _least_failure([b for b in basis if not rees.contains(b)], c.n, r)
+    return _least_failure([b for b in basis if not rees.contains(b)], c.n)
 
 
-@dataclass(frozen=True)
-class NormalityReport:
-    normal: PowerComparisonReport  # closure vs ordinary power
-    closure_vs_symbolic: PowerComparisonReport
-
-    @property
-    def ok(self) -> bool:
-        return self.normal.ok
-
-
-def is_normal_upto(c: RawClutter, r: int = 3, budget: int | None = None) -> NormalityReport:
-    """Check closure(I^i) = I^i and closure(I^i) = I^(i) for i = 1..r.
+def is_normal(c: RawClutter, budget: int | None = None) -> PowerComparisonReport:
+    """Compare closures of powers with ordinary powers.
 
     The Rees algebra is normal exactly when the Rees generators form a
     Hilbert basis; the first power where closure and power differ is the
     least height of a witness of that test.
     """
-    if r < 1:
-        raise UsageError("is_normal_upto: bound must be >= 1")
     ideal = edge_ideal(c)
     gens = set(_rees_generators(ideal))
     witnesses = [b for b in lattice.hilbert_basis(_rees_cone(ideal), budget) if b not in gens]
-    return NormalityReport(
-        normal=_least_failure(witnesses, c.n, r),
-        closure_vs_symbolic=closure_vs_symbolic_upto(c, r, budget),
-    )
+    return _least_failure(witnesses, c.n)

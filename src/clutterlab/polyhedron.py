@@ -98,7 +98,7 @@ def canonical_hrep(h: HRep) -> HRep:
 # ---------------------------------------------------------------------------
 
 
-def _dd_cone(normals: Sequence[IntVec], n: int, ray_cap: int = DEFAULT_RAY_CAP):
+def _dd_cone(normals: Sequence[IntVec], n: int):
     """Generators (rays, lines) of the cone cut out by homogeneous normals.
 
     Rays come back as primitive integer vectors together with their tight-set
@@ -164,8 +164,8 @@ def _dd_cone(normals: Sequence[IntVec], n: int, ray_cap: int = DEFAULT_RAY_CAP):
                 new = tuple([vp * x - vm * y for x, y in zip(rm, rp)])
                 combos.append((kernel.primitive(new), common | bit))
         rays = [(r, m) for r, m, _ in neg] + zero + combos
-        if len(rays) > ray_cap:
-            raise ResourceExceeded("double description ray count", ray_cap)
+        if len(rays) > DEFAULT_RAY_CAP:
+            raise ResourceExceeded("double description ray count", DEFAULT_RAY_CAP)
 
     return rays, lines
 
@@ -179,7 +179,7 @@ def dd_convert(rep):
     raise UsageError(f"dd_convert: expected HRep or VRep, got {type(rep).__name__}")
 
 
-def _h_to_v(h: HRep, ray_cap: int = DEFAULT_RAY_CAP) -> VRep:
+def _h_to_v(h: HRep) -> VRep:
     h = canonical_hrep(h)
     n = h.n
     normals: list[IntVec] = [(0,) * n + (-1,)]  # homogenization: t >= 0
@@ -188,7 +188,7 @@ def _h_to_v(h: HRep, ray_cap: int = DEFAULT_RAY_CAP) -> VRep:
     for c, d in h.eqs:
         normals.append(tuple(c) + (-d,))
         normals.append(tuple(-x for x in c) + (d,))
-    raw_rays, raw_lines = _dd_cone(sorted(set(normals)), n + 1, ray_cap)
+    raw_rays, raw_lines = _dd_cone(sorted(set(normals)), n + 1)
     vertices: list[RatVec] = []
     rays: list[IntVec] = []
     lines: list[IntVec] = []
@@ -207,7 +207,7 @@ def _h_to_v(h: HRep, ray_cap: int = DEFAULT_RAY_CAP) -> VRep:
     return VRep(n, tuple(sorted(vertices)), tuple(sorted(rays)), tuple(sorted(lines)))
 
 
-def _v_to_h(v: VRep, ray_cap: int = DEFAULT_RAY_CAP) -> HRep:
+def _v_to_h(v: VRep) -> HRep:
     n = v.n
     if v.is_empty:
         return HRep(n, (((0,) * n, -1),), ())
@@ -219,7 +219,7 @@ def _v_to_h(v: VRep, ray_cap: int = DEFAULT_RAY_CAP) -> HRep:
     for l in v.lines:
         normals.append(tuple(l) + (0,))
         normals.append(tuple(-x for x in l) + (0,))
-    raw_rays, raw_lines = _dd_cone(sorted(normals), n + 1, ray_cap)
+    raw_rays, raw_lines = _dd_cone(sorted(normals), n + 1)
     ineqs = []
     eqs = []
     for r, _ in raw_rays:
@@ -235,22 +235,22 @@ def _v_to_h(v: VRep, ray_cap: int = DEFAULT_RAY_CAP) -> HRep:
     return HRep(n, tuple(sorted(set(ineqs))), tuple(sorted(set(eqs))))
 
 
-def cone_generators_to_hrep(generators: Sequence[IntVec], n: int, ray_cap: int = DEFAULT_RAY_CAP):
+def cone_generators_to_hrep(generators: Sequence[IntVec], n: int):
     """Minimal H-description (ineq normals, eq normals) of cone(generators).
 
     Convention: x in cone  iff  <a,x> <= 0 for every inequality normal a and
     <c,x> = 0 for every equation normal c.
     """
     normals = sorted({kernel.primitive(g) for g in generators if any(x != 0 for x in g)})
-    raw_rays, raw_lines = _dd_cone(normals, n, ray_cap)
+    raw_rays, raw_lines = _dd_cone(normals, n)
     ineq_normals = tuple(sorted(r for r, _ in raw_rays))
     eq_normals = tuple(sorted(raw_lines))
     return ineq_normals, eq_normals
 
 
-def cone_hrep_to_generators(ineq_normals: Sequence[IntVec], n: int, ray_cap: int = DEFAULT_RAY_CAP):
+def cone_hrep_to_generators(ineq_normals: Sequence[IntVec], n: int):
     """Generators (rays, lines) of {x : <a,x> <= 0 for all a}."""
-    raw_rays, raw_lines = _dd_cone(sorted(set(ineq_normals)), n, ray_cap)
+    raw_rays, raw_lines = _dd_cone(sorted(set(ineq_normals)), n)
     return tuple(sorted(r for r, _ in raw_rays)), tuple(sorted(raw_lines))
 
 

@@ -325,29 +325,27 @@ def perfection_crosscheck(g: SimpleGraph, budget: int | None = None) -> Perfecti
 class ClutterVerdicts:
     ideal: bool
     mfmc: bool | str
-    ntf_upto: ideals.PowerComparisonReport
+    ntf: ideals.PowerComparisonReport
     closure_vs_symbolic: ideals.PowerComparisonReport
     is_ehrhart: bool
 
     @property
     def consistent(self) -> bool:
-        """The flow property forces idealness and the power equalities;
-        under the lattice-spanning (Ehrhart) hypothesis, idealness forces
-        the flow property back.  Bounded power failures are conclusive, so
-        they may only occur on instances without the flow property."""
+        """The flow property holds exactly when every power equals its
+        symbolic power, and idealness exactly when every closure of a power
+        does (see `ideals`); under the lattice-spanning (Ehrhart)
+        hypothesis, idealness forces the flow property."""
         if self.mfmc == "undecided":
             return True
         mfmc = self.mfmc is True or self.mfmc == "vacuous"
-        if mfmc and not self.ideal:
-            return False
-        if mfmc and not (self.ntf_upto.ok and self.closure_vs_symbolic.ok):
-            return False
-        if self.is_ehrhart and self.ideal and not mfmc:
-            return False
-        return True
+        return (
+            mfmc == self.ntf.ok
+            and self.ideal == self.closure_vs_symbolic.ok
+            and not (self.is_ehrhart and self.ideal and not mfmc)
+        )
 
 
-def clutter_verdicts(c: RawClutter, power_bound: int = 3, budget: int | None = None) -> ClutterVerdicts:
+def clutter_verdicts(c: RawClutter, budget: int | None = None) -> ClutterVerdicts:
     from . import ehrhart
 
     ideal_ok, _ = is_ideal_clutter(c)
@@ -355,7 +353,7 @@ def clutter_verdicts(c: RawClutter, power_bound: int = 3, budget: int | None = N
     return ClutterVerdicts(
         ideal=ideal_ok,
         mfmc=cert.verdict,
-        ntf_upto=ideals.is_ntf_upto(c, power_bound, budget),
-        closure_vs_symbolic=ideals.closure_vs_symbolic_upto(c, power_bound, budget),
+        ntf=ideals.is_ntf(c, budget),
+        closure_vs_symbolic=ideals.closure_vs_symbolic(c, budget),
         is_ehrhart=ehrhart.analyze(c, budget).is_ehrhart,
     )

@@ -96,7 +96,7 @@ def test_criterion_04_equivalence_suite():
             violations.append((fam, idx, "not lattice-spanning"))
         if v.ideal != mfmc:
             violations.append((fam, idx, "ideal and flow property disagree"))
-        if (not v.ntf_upto.ok or not v.closure_vs_symbolic.ok) and v.ideal:
+        if (not v.ntf.ok or not v.closure_vs_symbolic.ok) and v.ideal:
             violations.append((fam, idx, "bounded power failure on an ideal instance"))
         if not v.consistent:
             violations.append((fam, idx, "inconsistent verdict vector"))
@@ -226,7 +226,7 @@ def test_criterion_08_classical_witnesses(triangle, square):
         and not combinat.has_konig(triangle)
     )
     sq_ok = (
-        ideals.is_ntf_upto(square, 3).ok
+        ideals.is_ntf(square).ok
         and tdi.is_ideal_clutter(square)[0]
         and tdi.is_mfmc(square).holds
         and combinat.has_konig(square)

@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from clutterlab import cli
+from clutterlab import cli, polyhedron
 from clutterlab.families import sharpness_clutter, triangle_clutter
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -106,15 +106,50 @@ def test_normal_decides_edgeless_clutters(tmp_path, capsys):
 
 
 def test_power_checks_spend_the_budget(tmp_path, capsys):
-    tri = write(tmp_path, "tri.json", TRIANGLE)
+    # the pentagon, not the triangle: the triangle's Rees cone is decided
+    # without spending a step
+    c5 = write(tmp_path, "c5.json", C5_GRAPH.replace("graph", "clutter"))
     for prop, code in (("normal", 0), ("ntf", 1)):
         out = tmp_path / f"{prop}.json"
-        assert run(["check", prop, "--input", tri, "--budget", "1", "--output", str(out)]) == 2
+        assert run(["check", prop, "--input", c5, "--budget", "1", "--output", str(out)]) == 2
         cert = json.loads(out.read_text())
         assert cert["verdict"] == "undecided" and cert["witnesses"] == {}
         assert cert["budget"] == {"limit": 1, "exceeded": True}
         assert cert["notes"]["reason"] == "undecided: hilbert basis enumeration"
-        assert run(["check", prop, "--input", tri]) == code
+        assert run(["check", prop, "--input", c5]) == code
+
+
+def test_power_checks_are_exact(tmp_path, capsys):
+    # the verdicts cover every power: C_7 fails NTF at power 4 and two
+    # disjoint pentagons fail normality at power 5
+    c7_edges = [[i, (i + 1) % 7] for i in range(7)]
+    pentagon_edges = [[b + i, b + (i + 1) % 5] for b in (0, 5) for i in range(5)]
+    c7 = write(tmp_path, "c7.json", json.dumps({"kind": "clutter", "n": 7, "edges": c7_edges}))
+    pentagons = write(tmp_path, "pentagons.json",
+                      json.dumps({"kind": "clutter", "n": 10, "edges": pentagon_edges}))
+    for prop, path, power, n in (("ntf", c7, 4, 7), ("normal", pentagons, 5, 10)):
+        assert run(["check", prop, "--input", path, "--json"]) == 1
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["witnesses"] == {"power": power, "monomial": [1] * n}
+        assert cert["invariants"] == {} and cert["notes"] == {}
+    tri = write(tmp_path, "tri.json", TRIANGLE)
+    assert run(["check", "normal", "--input", tri, "--json"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] is True and cert["invariants"] == {} and cert["notes"] == {}
+    assert run(["check", "ntf", "--input", tri, "--power-bound", "3"]) == 64
+
+
+def test_ray_cap_is_undecided(tmp_path, monkeypatch, capsys):
+    sq = write(tmp_path, "sq.json", SQUARE)
+    assert run(["check", "mfmc", "--input", sq]) == 0
+    monkeypatch.setattr(polyhedron, "DEFAULT_RAY_CAP", 2)
+    out = tmp_path / "cap.json"
+    assert run(["check", "mfmc", "--input", sq, "--output", str(out)]) == 2
+    cert = json.loads(out.read_text())
+    assert cert["verdict"] == "undecided" and cert["witnesses"] == {}
+    assert cert["budget"]["exceeded"] is False
+    assert cert["notes"]["reason"] == "resource exceeded: double description ray count (cap 2)"
+    assert "undecided: resource exceeded" in capsys.readouterr().err
 
 
 def test_wrong_kind_is_usage_error(tmp_path):

@@ -121,34 +121,63 @@ def test_first_powers_coincide_for_squarefree():
 
 
 def test_ntf_triangle_fails_at_two(triangle):
-    rep = ideals.is_ntf_upto(triangle, 3)
+    rep = ideals.is_ntf(triangle)
     assert not rep.ok
     assert rep.failure_power == 2
     assert rep.witness == (1, 1, 1)
 
 
 def test_ntf_square_holds(square):
-    rep = ideals.is_ntf_upto(square, 3)
-    assert rep.ok and rep.holds_up_to == 3
-    rep = ideals.is_ntf_upto(combinat.blocker(square), 3)
-    assert rep.ok
+    rep = ideals.is_ntf(square)
+    assert rep.ok and rep.witness is None
+    assert ideals.is_ntf(combinat.blocker(square)).ok
 
 
 def test_normality_reports(triangle, square):
-    rep = ideals.is_normal_upto(triangle, 3)
-    assert rep.ok and rep.normal.holds_up_to == 3
-    assert not rep.closure_vs_symbolic.ok
-    assert rep.closure_vs_symbolic.failure_power == 2
-    rep = ideals.is_normal_upto(square, 3)
-    assert rep.ok and rep.closure_vs_symbolic.ok
+    rep = ideals.is_normal(triangle)
+    assert rep.ok and rep.witness is None
+    rep = ideals.closure_vs_symbolic(triangle)
+    assert not rep.ok and rep.failure_power == 2
+    assert ideals.is_normal(square).ok and ideals.closure_vs_symbolic(square).ok
+
+
+def _cycle(n):
+    return Clutter(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+
+
+# For n = 2k + 1, x_1...x_n lies in I(C_n)^(k+1), since every vertex cover
+# of C_n has at least k + 1 vertices, but not in I^(k+1), whose generators
+# have degree 2k + 2 > n.  Two disjoint pentagons: x_1...x_10 lies in the
+# closure of I^5, as half the sum of the ten edges, but not in I^5, whose
+# degree-10 generators are products of perfect matchings, and an odd cycle
+# has none.  The staircase search confirms C_7 at powers 1..4; for C_9 and
+# the pentagons it needs about 10 s and 28 s, so they are pinned here.
+def test_exact_verdicts_above_power_three():
+    c7 = _cycle(7)
+    rep = ideals.is_ntf(c7)
+    assert (rep.failure_power, rep.witness) == (4, (1,) * 7)
+    assert power_comparisons_oracle(c7, 4)[0]["ntf"] == (4, (1,) * 7)
+    rep = ideals.is_ntf(_cycle(9))
+    assert (rep.failure_power, rep.witness) == (5, (1,) * 9)
+    pentagons = Clutter(10, [(a + s, b + s) for s in (0, 5) for a, b in _cycle(5).edges])
+    rep = ideals.is_normal(pentagons)
+    assert (rep.failure_power, rep.witness) == (5, (1,) * 10)
+
+
+def _agrees_with_staircase(rep, fail, r=3) -> bool:
+    """An exact report against the staircase search for i = 1..r: equal
+    where the search finds a failure, otherwise no failure at all or one
+    above r."""
+    if fail is not None:
+        return (rep.failure_power, rep.witness) == fail
+    return rep.ok or (rep.failure_power > r and rep.witness is not None)
 
 
 def test_closure_vs_symbolic_shortcut_matches_full():
     # the symbolic-cone basis against the full staircase comparison
     for c in random_clutters(12, 10):
-        short = ideals.closure_vs_symbolic_upto(c, 3)
-        full = power_comparisons_oracle(c, 3)[0]["closure_vs_symbolic"]
-        assert (short.failure_power, short.witness) == (full or (None, None))
+        fail = power_comparisons_oracle(c, 3)[0]["closure_vs_symbolic"]
+        assert _agrees_with_staircase(ideals.closure_vs_symbolic(c), fail), c
 
 
 # four triples covering each of six points twice, no two disjoint: ideal
@@ -157,33 +186,26 @@ FOUR_TRIANGLES = Clutter(6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
 
 
 def test_four_triangle_configuration_not_normal():
-    rep = ideals.is_normal_upto(FOUR_TRIANGLES, 2)
+    rep = ideals.is_normal(FOUR_TRIANGLES)
     assert not rep.ok
-    assert rep.normal.failure_power == 2
-    assert rep.normal.witness == (1, 1, 1, 1, 1, 1)
-
-
-def _failure(rep):
-    if rep.ok:
-        assert rep.holds_up_to == 3 and rep.witness is None
-        return None
-    assert rep.holds_up_to is None
-    return rep.failure_power, rep.witness
+    assert rep.failure_power == 2
+    assert rep.witness == (1, 1, 1, 1, 1, 1)
 
 
 def _compare_with_staircase(clutters) -> dict:
-    """Each bounded report (failure power and witness) and the symbolic
-    powers and closures for i = 1..3 against the staircase search; returns
-    the number of failures of each kind."""
+    """Each report (failure power and witness) and the symbolic powers and
+    closures for i = 1..3 against the staircase search; returns the number
+    of failures the search finds at those powers, of each kind."""
     counts = {"ntf": 0, "closure_vs_symbolic": 0, "normal": 0}
     for c in clutters:
         fails, found = power_comparisons_oracle(c, 3)
         got = {
-            "ntf": _failure(ideals.is_ntf_upto(c, 3)),
-            "closure_vs_symbolic": _failure(ideals.closure_vs_symbolic_upto(c, 3)),
-            "normal": _failure(ideals.is_normal_upto(c, 3).normal),
+            "ntf": ideals.is_ntf(c),
+            "closure_vs_symbolic": ideals.closure_vs_symbolic(c),
+            "normal": ideals.is_normal(c),
         }
-        assert got == fails, c
+        for kind, rep in got.items():
+            assert _agrees_with_staircase(rep, fails[kind]), (c, kind)
         ide = ideals.edge_ideal(c)
         for i, (sym, cl) in found.items():
             assert ideals.symbolic_power(c, i) == sym, (c, i)
@@ -214,13 +236,3 @@ def test_nonnormal_search_candidates_match_staircase_search():
     assert candidates[-1] == hit.graph
     counts = _compare_with_staircase([combinat.clique_clutter(g) for g in candidates])
     assert counts["normal"] == 1 and counts["ntf"] > 0, counts
-
-
-def test_failures_above_the_bound_are_not_reported(triangle):
-    hit = families.search_nonnormal_chordal()
-    assert hit.power == 3
-    rep = ideals.is_normal_upto(hit.clutter, 2)
-    assert rep.ok and rep.normal.holds_up_to == 2
-    assert not rep.closure_vs_symbolic.ok
-    for rep in (ideals.is_ntf_upto(triangle, 1), ideals.closure_vs_symbolic_upto(triangle, 1)):
-        assert rep.ok and rep.holds_up_to == 1

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from clutterlab import combinat, lattice, polyhedron, tdi
+from clutterlab import combinat, ideals, lattice, polyhedron, tdi
 from clutterlab.combinat import Clutter
 from clutterlab.errors import UsageError
 from clutterlab.families import complete_bipartite, cycle, line_graph_k24
@@ -174,11 +175,22 @@ def test_edmonds_giles_necessity_random():
 
 def test_clutter_verdict_vectors(triangle, square):
     v = tdi.clutter_verdicts(square)
-    assert v.ideal and v.mfmc is True and v.ntf_upto.ok and v.closure_vs_symbolic.ok
+    assert v.ideal and v.mfmc is True and v.ntf.ok and v.closure_vs_symbolic.ok
     assert v.is_ehrhart and v.consistent
     v = tdi.clutter_verdicts(triangle)
-    assert not v.ideal and v.mfmc is False and not v.ntf_upto.ok
+    assert not v.ideal and v.mfmc is False and not v.ntf.ok
     assert v.is_ehrhart and v.consistent
+
+
+def test_verdict_vectors_check_both_equivalences(square):
+    v = tdi.clutter_verdicts(square)
+    fails = ideals.PowerComparisonReport(2, (1, 1, 1, 1))
+    assert not replace(v, ntf=fails).consistent  # flow property, yet I^2 != I^(2)
+    assert not replace(v, mfmc=False, is_ehrhart=False).consistent  # I^i = I^(i), no flow
+    assert not replace(v, closure_vs_symbolic=fails).consistent  # ideal, yet a closure differs
+    assert not replace(v, ideal=False, mfmc=False, ntf=fails, is_ehrhart=False).consistent
+    assert not replace(v, mfmc=False, ntf=fails).consistent  # Ehrhart and ideal, no flow
+    assert replace(v, mfmc="undecided", ntf=fails).consistent
 
 
 def test_tum_spot_check():
