@@ -118,6 +118,7 @@ class SimpleGraph:
         object.__setattr__(self, "edges", tuple(sorted(out)))
 
 
+# Cache: key graph, bound 65536, shared by all graph routines; spends no budget.
 @lru_cache(maxsize=65536)
 def adjacency_masks(g: SimpleGraph) -> tuple[int, ...]:
     masks = [0] * g.n
@@ -156,6 +157,7 @@ def is_connected(g: SimpleGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# Cache: key clutter, bound 65536, shared by all callers; spends no budget.
 @lru_cache(maxsize=65536)
 def minimal_covers(c: RawClutter) -> tuple[IntVec, ...]:
     """All minimal vertex covers (minimal transversals of the edge set)."""
@@ -370,6 +372,7 @@ def _sorted_sets(masks, n: int) -> tuple[IntVec, ...]:
     return tuple(sorted(_members(m) for m in _cliques_in(masks, (1 << n) - 1)))
 
 
+# Cache: key graph, bound 65536, shared by all callers; spends no budget.
 @lru_cache(maxsize=65536)
 def maximal_cliques(g: SimpleGraph) -> tuple[IntVec, ...]:
     """Bron-Kerbosch with pivoting, bitmask sets, canonical output order."""

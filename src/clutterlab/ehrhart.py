@@ -28,26 +28,29 @@ IntVec = tuple[int, ...]
 class EhrhartAnalysis:
     """Everything the series-level operations share for one clutter."""
 
-    clutter: RawClutter
-    lifted: tuple[IntVec, ...]
+    cone: lattice.ConeWithLattice
     dim: int
     hvector: tuple[int, ...]
     a_invariant: int
     regularity: int
     is_ehrhart: bool
-    hilbert_report: lattice.HilbertBasisReport
+    witnesses: tuple[IntVec, ...]
 
 
+# Cache: key (clutter, budget as passed), bound 4096, shared by all callers; Undecided not cached.
 @lru_cache(maxsize=4096)
 def analyze(c: RawClutter, budget: int | None = None) -> EhrhartAnalysis:
     if not c.edges:
         raise UsageError("analyze: clutter has no edges")
     lifted = tuple(v + (1,) for v in c.characteristic_vectors())
     dim = kernel.rank(lifted) - 1
-    report = lattice.is_hilbert_basis(lifted, budget)
-    # the Hilbert-basis test spent a step on every parallelepiped point of
-    # the same triangulation, so this enumeration fits in any budget that it did
-    closed, interior = lattice.half_open_points(lattice.ConeWithLattice.from_vectors(lifted), budget)
+    # pointed, since every generator has height 1; the generators are `lifted`
+    cone = lattice.ConeWithLattice.from_vectors(lifted)
+    gens = set(cone.generators)
+    witnesses = tuple(t for t in lattice.hilbert_basis(cone, budget) if t not in gens)
+    # the basis spent a step on every parallelepiped point of the same
+    # triangulation, so this enumeration fits in any budget that it did
+    closed, interior = lattice.half_open_points(cone, budget)
     h = _bin_by_height(closed, dim + 1)
     h_int = _bin_by_height(interior, dim + 2)
     if h[0] != 1:
@@ -64,14 +67,13 @@ def analyze(c: RawClutter, budget: int | None = None) -> EhrhartAnalysis:
     if reg != len(h) - 1:
         raise AssertionError("regularity formulas disagree")
     return EhrhartAnalysis(
-        clutter=c,
-        lifted=lifted,
+        cone=cone,
         dim=dim,
         hvector=tuple(h),
         a_invariant=a,
         regularity=reg,
-        is_ehrhart=report.verdict,
-        hilbert_report=report,
+        is_ehrhart=not witnesses,
+        witnesses=witnesses,
     )
 
 
@@ -89,8 +91,8 @@ def is_ehrhart_clutter(c: RawClutter, budget: int | None = None):
     Returns (verdict, witnesses); a witness is a cone lattice point outside
     the semigroup of the lifted vectors.
     """
-    report = analyze(c, budget).hilbert_report
-    return report.verdict, report.witnesses
+    a = analyze(c, budget)
+    return a.is_ehrhart, a.witnesses
 
 
 def ehrhart_function(c: RawClutter, b: int) -> int:
@@ -201,12 +203,11 @@ def canonical_degrees(c: RawClutter):
     a = analyze(c)
     if not a.is_ehrhart:
         raise UsageError("canonical_degrees: lifted vectors do not span the semigroup")
-    cone = lattice.ConeWithLattice.from_vectors(a.lifted)
-    _, interior = lattice.half_open_points(cone)
+    _, interior = lattice.half_open_points(a.cone)
     gens = []
     for x in interior:
         if not any(
-            y[-1] < x[-1] and cone.contains(tuple(map(sub, x, y))) for y in interior
+            y[-1] < x[-1] and a.cone.contains(tuple(map(sub, x, y))) for y in interior
         ):
             gens.append((x, x[-1]))
     gens.sort()

@@ -460,6 +460,7 @@ class NonNormalHit:
     witness: IntVec
 
 
+# Cache: no key, one entry, shared by all callers; default budget, Undecided not cached.
 @lru_cache(maxsize=1)
 def search_nonnormal_chordal() -> NonNormalHit | None:
     """First chordal graph (seeded probes, then gadget gluings) whose

@@ -29,12 +29,13 @@ Reyes & Villarreal, Rocky Mountain J. Math. 39, 2009).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import add
 
 from . import combinat, lattice, polyhedron
 from .combinat import RawClutter
-from .errors import UsageError
+from .errors import UsageError, step_budget
 
 IntVec = tuple[int, ...]
 
@@ -115,14 +116,17 @@ def _rees_cone(ideal: MonomialIdeal) -> lattice.ConeWithLattice:
     return lattice.ConeWithLattice.from_vectors(_rees_generators(ideal), ideal.n + 1)
 
 
-def _symbolic_cone(c: RawClutter) -> lattice.ConeWithLattice:
-    """{(a, i) >= 0 : <a, u> >= i for every minimal cover u}; one DD gives
-    its rays."""
+# Cache: key (clutter, resolved budget), bound 4096, shared by three readers; Undecided not cached.
+@lru_cache(maxsize=4096)
+def _symbolic_basis(c: RawClutter, budget: int) -> tuple[IntVec, ...]:
+    """Hilbert basis of the symbolic cone {(a, i) >= 0 : <a, u> >= i for
+    every minimal cover u}, for `symbolic_power`, `is_ntf` and
+    `closure_vs_symbolic`; one DD gives its rays."""
     n = c.n
     normals = [tuple(-int(i == j) for i in range(n + 1)) for j in range(n + 1)]
     normals += [tuple(-x for x in u) + (1,) for u in combinat.CoverSet.of(c).vectors()]
     rays, _ = polyhedron.cone_hrep_to_generators(normals, n + 1)
-    return lattice.ConeWithLattice.from_vectors(rays, n + 1)
+    return lattice.hilbert_basis(lattice.ConeWithLattice.from_vectors(rays, n + 1), budget)
 
 
 def _generators_at_height(basis, n: int, i: int) -> MonomialIdeal:
@@ -153,7 +157,7 @@ def symbolic_power(c: RawClutter, i: int) -> MonomialIdeal:
     """
     if i < 1:
         raise UsageError("symbolic_power: exponent must be >= 1")
-    return _generators_at_height(lattice.hilbert_basis(_symbolic_cone(c)), c.n, i)
+    return _generators_at_height(_symbolic_basis(c, step_budget()), c.n, i)
 
 
 def closure_power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
@@ -201,7 +205,7 @@ def is_ntf(c: RawClutter, budget: int | None = None) -> PowerComparisonReport:
     split as (v, 1) + (b, k - 1).  At height 1 the basis elements are the
     generators of I^(1) = I.
     """
-    basis = lattice.hilbert_basis(_symbolic_cone(c), budget)
+    basis = _symbolic_basis(c, step_budget(budget))
     return _least_failure([b for b in basis if b[c.n] > 1], c.n)
 
 
@@ -213,7 +217,7 @@ def closure_vs_symbolic(c: RawClutter, budget: int | None = None) -> PowerCompar
     Rees cone.
     """
     rees = _rees_cone(edge_ideal(c))
-    basis = lattice.hilbert_basis(_symbolic_cone(c), budget)
+    basis = _symbolic_basis(c, step_budget(budget))
     return _least_failure([b for b in basis if not rees.contains(b)], c.n)
 
 

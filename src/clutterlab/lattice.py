@@ -15,6 +15,9 @@ arithmetic, not by membership queries.  With M the group spanned by the
 generators in L, a check t is reached exactly when t - g lies in M for some
 generator g with the same image in the quotient (g = 0 for t in L).
 
+Derived data lives on the `ConeWithLattice` instance: its H-representation,
+extreme rays and triangulation are computed once, when first asked.
+
 `semigroup_member` decides membership for every cone through the
 integer points of one pointed solution cone.
 
@@ -26,7 +29,7 @@ height they give the Ehrhart series and its interior series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from math import prod
 from operator import add, mul
@@ -57,7 +60,7 @@ class ConeWithLattice:
     @cached_property
     def hrep_normals(self):
         """(inequality normals, equation normals); <a,x> <= 0 resp. = 0."""
-        return _cone_normals(self)
+        return polyhedron.cone_generators_to_hrep(self.generators, self.n)
 
     def contains(self, x) -> bool:
         ineqs, eqs = self.hrep_normals
@@ -70,11 +73,15 @@ class ConeWithLattice:
         ineqs, eqs = self.hrep_normals
         return kernel.rank(ineqs + eqs) == self.n
 
-    @property
+    @cached_property
     def extreme_rays(self) -> tuple[IntVec, ...]:
         if not self.is_pointed:
-            raise UsageError("extreme_rays: cone is not pointed")
+            raise UsageError("cone is not pointed; is_hilbert_basis handles lineality")
         return _extreme_rays(self)
+
+    @cached_property
+    def triangulation(self) -> tuple[tuple[IntVec, ...], ...]:
+        return _triangulate(self)
 
     @property
     def lineality_lattice_basis(self) -> tuple[IntVec, ...]:
@@ -98,16 +105,10 @@ class HilbertBasisReport:
     witnesses: tuple[IntVec, ...]
 
 
-@lru_cache(maxsize=4096)
-def _cone_normals(cone: ConeWithLattice):
-    return polyhedron.cone_generators_to_hrep(cone.generators, cone.n)
-
-
-@lru_cache(maxsize=4096)
 def _extreme_rays(cone: ConeWithLattice) -> tuple[IntVec, ...]:
     """The generators of a pointed cone on its extreme rays: those with no
     other generator on every facet they lie on."""
-    masks = _incidences(_cone_normals(cone)[0], cone.generators)
+    masks = _incidences(cone.hrep_normals[0], cone.generators)
     return tuple(g for g, m in zip(cone.generators, masks) if sum(m & o == m for o in masks) == 1)
 
 
@@ -154,7 +155,6 @@ def _parallelepiped_points(
     return out
 
 
-@lru_cache(maxsize=1024)
 def _triangulate(cone: ConeWithLattice) -> tuple[tuple[IntVec, ...], ...]:
     """Pulling triangulation of a pointed cone on its ray/facet incidences.
 
@@ -183,19 +183,9 @@ def _triangulate(cone: ConeWithLattice) -> tuple[tuple[IntVec, ...], ...]:
 
 def hilbert_basis(cone: ConeWithLattice, budget: int | None = None) -> tuple[IntVec, ...]:
     """The unique minimal Hilbert basis of a pointed cone, sorted."""
-    if not cone.is_pointed:
-        raise UsageError(
-            "hilbert_basis: cone is not pointed; use is_hilbert_basis, which "
-            "handles lineality"
-        )
-    return _hilbert_basis_cached(cone, step_budget(budget))
-
-
-@lru_cache(maxsize=4096)
-def _hilbert_basis_cached(cone: ConeWithLattice, budget: int) -> tuple[IntVec, ...]:
-    steps = StepCounter(budget, "hilbert basis enumeration")
+    steps = StepCounter(step_budget(budget), "hilbert basis enumeration")
     candidates: set[IntVec] = set(cone.extreme_rays)
-    for simplex in _triangulate(cone):
+    for simplex in cone.triangulation:
         for pt, _ in _parallelepiped_points(simplex, cone.n, steps):
             if any(x != 0 for x in pt):
                 candidates.add(pt)
@@ -244,15 +234,13 @@ def half_open_points(cone: ConeWithLattice, budget: int | None = None):
     rational convex polytopes" (1980), and Koeppe & Verdoolaege (2008) for
     the lexicographic rule.
     """
-    if not cone.is_pointed:
-        raise UsageError("half_open_points: cone is not pointed")
     steps = StepCounter(step_budget(budget), "half-open decomposition")
     n = cone.n
     rays = cone.extreme_rays
     perturbation = (tuple(map(sum, zip(*rays))),) + rays
     closed: list[IntVec] = []
     interior: list[IntVec] = []
-    for simplex in _triangulate(cone):
+    for simplex in cone.triangulation:
         signs = _lexicographic_signs(simplex, n, perturbation)
         for pt, r in _parallelepiped_points(simplex, n, steps):
             for out, dropped in ((closed, -1), (interior, 1)):
@@ -294,7 +282,10 @@ def semigroup_member(a, vectors, budget: int | None = None):
     """Is `a` a nonnegative integer combination of `vectors`?
 
     Returns (True, coefficients) with the coefficient per input vector, or
-    (False, None).  Raises Undecided when the step budget runs out.
+    (False, None).  Raises Undecided when the step budget runs out.  No
+    verdict calls it: it stays as the reference that `membership_report_oracle`
+    and `test_lineality_criterion_matches_membership` check the lattice
+    arithmetic of `_is_hilbert_basis_lineality` against.
     """
     a = tuple(a)
     vecs = [tuple(v) for v in vectors]
@@ -338,13 +329,12 @@ def _member(a, vecs, steps: StepCounter):
     rays, lines = polyhedron.cone_hrep_to_generators(tuple(normals), q + 1)
     if lines:
         raise AssertionError("solution cone must be pointed")
-    solution_cone = ConeWithLattice.from_vectors(rays, q + 1) if rays else None
-    if solution_cone is None:
+    if not rays:
         return None
     for r in rays:
         if r[q] == 1:
             return list(r[:q])
-    for simplex in _triangulate(solution_cone):
+    for simplex in ConeWithLattice.from_vectors(rays, q + 1).triangulation:
         for pt, _ in _parallelepiped_points(simplex, q + 1, steps):
             if pt[q] == 1:
                 return list(pt[:q])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from . import combinat, ideals, kernel, lattice, polyhedron
+from . import combinat, ehrhart, ideals, kernel, lattice, polyhedron
 from .combinat import RawClutter, SimpleGraph
 from .errors import Undecided, UsageError
 
@@ -75,6 +75,7 @@ class TdiCertificate:
         return self.verdict is True or self.verdict == "vacuous"
 
 
+# Cache: key (columns, budget as passed), bound 65536, shared by all is_tdi; Undecided not cached.
 @lru_cache(maxsize=65536)
 def _hb_verdict(vectors: tuple[IntVec, ...], budget):
     return lattice.is_hilbert_basis(vectors, budget)
@@ -118,17 +119,10 @@ def is_tdi(system: LinearSystem, budget: int | None = None) -> TdiCertificate:
 
 def is_ideal_clutter(c: RawClutter):
     """Integrality of the covering polyhedron {x >= 0 : x*A >= 1}."""
-    h = covering_hrep(c)
-    v = polyhedron.dd_convert(h)
-    return polyhedron.is_integral(v, h)
-
-
-def covering_hrep(c: RawClutter) -> polyhedron.HRep:
-    n = c.n
-    ineqs = [(tuple(-int(i == j) for i in range(n)), 0) for j in range(n)]
-    for vec in c.characteristic_vectors():
-        ineqs.append((tuple(-x for x in vec), -1))
-    return polyhedron.HRep(n, tuple(ineqs))
+    if not c.n:
+        return True, None
+    h = covering_system(c).hrep()
+    return polyhedron.is_integral(polyhedron.dd_convert(h), h)
 
 
 def covering_system(c: RawClutter) -> LinearSystem:
@@ -142,7 +136,11 @@ def covering_system(c: RawClutter) -> LinearSystem:
 
 
 def is_mfmc(c: RawClutter, budget: int | None = None) -> TdiCertificate:
-    """Flow property of a clutter: the covering system is TDI."""
+    """Flow property of a clutter: the covering system is TDI.  With n = 0 it
+    has no rows; R^0's one face has an empty active set, a Hilbert basis of {0}."""
+    if not c.n:
+        face = FaceCheck(point=(), active=(), hilbert_ok=True, witnesses=())
+        return TdiCertificate(verdict=True, faces=(face,), failing=None, integral=True)
     return is_tdi(covering_system(c), budget)
 
 
@@ -346,14 +344,14 @@ class ClutterVerdicts:
 
 
 def clutter_verdicts(c: RawClutter, budget: int | None = None) -> ClutterVerdicts:
-    from . import ehrhart
-
-    ideal_ok, _ = is_ideal_clutter(c)
+    """Idealness is read off the flow certificate: `_h_to_v` canonicalises its
+    covering polyhedron and that of `is_ideal_clutter` to one V-representation.
+    An edgeless clutter is Ehrhart, since the empty set is a Hilbert basis of {0}."""
     cert = is_mfmc(c, budget)
     return ClutterVerdicts(
-        ideal=ideal_ok,
+        ideal=cert.integral,
         mfmc=cert.verdict,
         ntf=ideals.is_ntf(c, budget),
         closure_vs_symbolic=ideals.closure_vs_symbolic(c, budget),
-        is_ehrhart=ehrhart.analyze(c, budget).is_ehrhart,
+        is_ehrhart=not c.edges or ehrhart.analyze(c, budget).is_ehrhart,
     )

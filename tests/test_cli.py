@@ -93,16 +93,21 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
 
 def test_normal_decides_edgeless_clutters(tmp_path, capsys):
     # the closure of every power of the zero ideal is the zero ideal
-    # (with n = 0 there are no Rees generators at all)
+    # (with n = 0 there are no Rees generators at all); with n = 0 the
+    # covering system has no rows, and its polyhedron is the one integral
+    # point of R^0
     for payload in [
         '{"kind":"clutter","n":3,"edges":[]}',
         '{"kind":"clutter","n":0,"edges":[]}',
         '{"kind":"graph","n":0,"edges":[]}',
     ]:
         path = write(tmp_path, "edgeless.json", payload)
-        for prop in ("normal", "ntf"):
+        for prop in ("normal", "ntf", "mfmc", "ideal"):
             assert run(["check", prop, "--input", path, "--json"]) == 0, (payload, prop)
             assert json.loads(capsys.readouterr().out)["verdict"] is True
+    # an empty system stays malformed
+    empty = write(tmp_path, "empty.json", '{"kind":"system","columns":[],"w":[]}')
+    assert run(["check", "tdi", "--input", empty]) == 64
 
 
 def test_power_checks_spend_the_budget(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from clutterlab import combinat, ideals, lattice, polyhedron, tdi
-from clutterlab.combinat import Clutter
+from clutterlab import combinat, ehrhart, ideals, lattice, polyhedron, tdi
+from clutterlab.combinat import Clutter, RawClutter
 from clutterlab.errors import UsageError
-from clutterlab.families import complete_bipartite, cycle, line_graph_k24
+from clutterlab.families import complete_bipartite, cycle, cycle_clutter, line_graph_k24
 from clutterlab.tdi import LinearSystem
 
 F = Fraction
@@ -183,14 +184,46 @@ def test_clutter_verdict_vectors(triangle, square):
 
 
 def test_verdict_vectors_check_both_equivalences(square):
-    v = tdi.clutter_verdicts(square)
-    fails = ideals.PowerComparisonReport(2, (1, 1, 1, 1))
-    assert not replace(v, ntf=fails).consistent  # flow property, yet I^2 != I^(2)
-    assert not replace(v, mfmc=False, is_ehrhart=False).consistent  # I^i = I^(i), no flow
-    assert not replace(v, closure_vs_symbolic=fails).consistent  # ideal, yet a closure differs
-    assert not replace(v, ideal=False, mfmc=False, ntf=fails, is_ehrhart=False).consistent
-    assert not replace(v, mfmc=False, ntf=fails).consistent  # Ehrhart and ideal, no flow
-    assert replace(v, mfmc="undecided", ntf=fails).consistent
+    # with n = 0 the covering system has no rows and every verdict holds
+    for c in (square, RawClutter(0, ())):
+        v = tdi.clutter_verdicts(c)
+        assert v.ideal is True and v.mfmc is True and v.is_ehrhart and v.consistent
+        fails = ideals.PowerComparisonReport(2, (1,) * c.n)
+        assert not replace(v, ntf=fails).consistent  # flow property, yet I^2 != I^(2)
+        assert not replace(v, mfmc=False, is_ehrhart=False).consistent  # I^i = I^(i), no flow
+        assert not replace(v, closure_vs_symbolic=fails).consistent  # ideal, yet a closure differs
+        assert not replace(v, ideal=False, mfmc=False, ntf=fails, is_ehrhart=False).consistent
+        assert not replace(v, mfmc=False, ntf=fails).consistent  # Ehrhart and ideal, no flow
+        assert replace(v, mfmc="undecided", ntf=fails).consistent
+
+
+def test_each_clutter_cone_is_built_once(monkeypatch):
+    # clutter_verdicts runs one DD of the covering polyhedron and one of the
+    # symbolic cone; analyze and canonical_degrees share one triangulation
+    for mod in (combinat, ehrhart, ideals, tdi):
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+    calls = Counter()
+
+    def count(mod, name):
+        fn = getattr(mod, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    count(polyhedron, "dd_convert")
+    count(polyhedron, "cone_hrep_to_generators")
+    count(lattice, "_triangulate")
+    assert tdi.clutter_verdicts(cycle_clutter(5)).consistent
+    assert calls["dd_convert"] == 1 and calls["cone_hrep_to_generators"] == 1
+    calls.clear()
+    ehrhart.analyze(cycle_clutter(4))
+    ehrhart.canonical_degrees(cycle_clutter(4))
+    assert calls == {"_triangulate": 1}
 
 
 def test_tum_spot_check():
