@@ -9,7 +9,7 @@ with a CLI that emits byte-stable JSON certificates.
 from .combinat import Clutter, RawClutter, SimpleGraph
 from .errors import ResourceExceeded, Undecided, UsageError
 from .ideals import MonomialIdeal
-from .lattice import ConeWithLattice, HilbertBasisReport, hilbert_basis, is_hilbert_basis, semigroup_member
+from .lattice import ConeWithLattice, HilbertBasisReport, hilbert_basis, is_hilbert_basis
 from .polyhedron import Face, HRep, VRep, dd_convert
 from .tdi import LinearSystem, TdiCertificate
 
@@ -28,7 +28,6 @@ __all__ = [
     "dd_convert",
     "hilbert_basis",
     "is_hilbert_basis",
-    "semigroup_member",
     "UsageError",
     "Undecided",
     "ResourceExceeded",

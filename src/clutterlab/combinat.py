@@ -63,11 +63,6 @@ class RawClutter:
             tuple(int(i in set(e)) for i in range(self.n)) for e in self.edges
         )
 
-    def matrix_rows(self) -> tuple[IntVec, ...]:
-        """Rows indexed by vertices, columns by edges (the incidence matrix)."""
-        vecs = self.characteristic_vectors()
-        return tuple(tuple(v[i] for v in vecs) for i in range(self.n))
-
 
 class Clutter(RawClutter):
     """Clutter with the strict invariants used by most predicates."""
@@ -128,13 +123,6 @@ def adjacency_masks(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def induced_subgraph(g: SimpleGraph, vertices) -> SimpleGraph:
-    vs = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(vs)}
-    edges = [(pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos]
-    return SimpleGraph(len(vs), edges)
-
-
 def is_connected(g: SimpleGraph) -> bool:
     if g.n <= 1:
         return True
@@ -169,10 +157,12 @@ def minimal_covers(c: RawClutter) -> tuple[IntVec, ...]:
     def is_cover(s: set) -> bool:
         return all(e & s for e in edges)
 
-    def rec(chosen: set, banned: set, idx: int):
+    def rec(chosen: set, banned: set):
         uncovered = next((e for e in edges if not (e & chosen)), None)
         if uncovered is None:
-            # prune to a minimal cover by dropping redundant vertices
+            # prune to a minimal cover by dropping redundant vertices; a kept
+            # vertex stays needed as cur shrinks, since covers are closed
+            # upward, so every set found is minimal
             cur = set(chosen)
             for v in sorted(chosen, reverse=True):
                 if is_cover(cur - {v}):
@@ -182,16 +172,11 @@ def minimal_covers(c: RawClutter) -> tuple[IntVec, ...]:
         for v in sorted(uncovered):
             if v in banned:
                 continue
-            rec(chosen | {v}, set(banned), idx + 1)
+            rec(chosen | {v}, set(banned))
             banned.add(v)
 
-    rec(set(), set(), 0)
-    minimal = []
-    for s in sorted(found):
-        ss = set(s)
-        if not any(set(t) < ss for t in found):
-            minimal.append(s)
-    return tuple(minimal)
+    rec(set(), set())
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -253,32 +238,6 @@ def is_uniform(c: RawClutter) -> int | None:
 
 def is_unmixed(c: RawClutter) -> bool:
     return len({len(s) for s in minimal_covers(c)}) == 1
-
-
-def suspension(c: RawClutter) -> RawClutter:
-    """Add a fresh vertex to every edge."""
-    new = c.n
-    return as_clutter_or_raw(c.n + 1, [tuple(e) + (new,) for e in c.edges])
-
-
-def deletion(c: RawClutter, v: int) -> RawClutter:
-    """Drop all edges through v; v leaves the vertex set."""
-    edges = [e for e in c.edges if v not in e]
-    remap = lambda w: w if w < v else w - 1
-    return as_clutter_or_raw(c.n - 1, [tuple(remap(w) for w in e) for e in edges])
-
-
-def contraction(c: RawClutter, v: int) -> RawClutter:
-    """Remove v from every edge and re-minimalize; v leaves the vertex set."""
-    remap = lambda w: w if w < v else w - 1
-    shrunk = [tuple(remap(w) for w in e if w != v) for e in c.edges]
-    shrunk = [e for e in shrunk if e]
-    keep = []
-    for e in shrunk:
-        se = set(e)
-        if not any(set(f) < se for f in shrunk):
-            keep.append(e)
-    return as_clutter_or_raw(c.n - 1, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +341,6 @@ def maximal_cliques(g: SimpleGraph) -> tuple[IntVec, ...]:
 def clique_clutter(g: SimpleGraph) -> RawClutter:
     """Clutter of the maximal cliques (raw when isolated vertices exist)."""
     return as_clutter_or_raw(g.n, [c for c in maximal_cliques(g) if c])
-
-
-def maximal_stable_sets(g: SimpleGraph) -> tuple[IntVec, ...]:
-    return _sorted_sets(_complement_masks(adjacency_masks(g)), g.n)
 
 
 # ---------------------------------------------------------------------------

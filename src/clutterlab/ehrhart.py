@@ -41,7 +41,7 @@ class EhrhartAnalysis:
 @lru_cache(maxsize=4096)
 def analyze(c: RawClutter, budget: int | None = None) -> EhrhartAnalysis:
     if not c.edges:
-        raise UsageError("analyze: clutter has no edges")
+        raise UsageError("clutter has no edges: the empty edge polytope has no series to report")
     lifted = tuple(v + (1,) for v in c.characteristic_vectors())
     dim = kernel.rank(lifted) - 1
     # pointed, since every generator has height 1; the generators are `lifted`
@@ -89,8 +89,11 @@ def is_ehrhart_clutter(c: RawClutter, budget: int | None = None):
     """Do the lifted edge vectors generate every lattice point of their cone?
 
     Returns (verdict, witnesses); a witness is a cone lattice point outside
-    the semigroup of the lifted vectors.
+    the semigroup of the lifted vectors.  An edgeless clutter is Ehrhart,
+    since the empty set is a Hilbert basis of {0}.
     """
+    if not c.edges:
+        return True, ()
     a = analyze(c, budget)
     return a.is_ehrhart, a.witnesses
 
@@ -105,12 +108,6 @@ def ehrhart_function(c: RawClutter, b: int) -> int:
 
 def hvector(c: RawClutter) -> tuple[int, ...]:
     return analyze(c).hvector
-
-
-def a_invariant_series(c: RawClutter) -> int:
-    """Degree of the counting series as a rational function."""
-    a = analyze(c)
-    return (len(a.hvector) - 1) - (a.dim + 1)
 
 
 def a_invariant_interior(c: RawClutter) -> int:

@@ -55,7 +55,7 @@ class StepCounter:
         self.remaining = budget
         self.what = what
 
-    def spend(self, amount: int = 1):
-        self.remaining -= amount
+    def spend(self):
+        self.remaining -= 1
         if self.remaining < 0:
             raise Undecided(self.what)

@@ -40,16 +40,17 @@ def complete_bipartite(a: int, b: int) -> SimpleGraph:
     return SimpleGraph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def random_bipartite(n: int, seed: int, p: float = 0.5, connected: bool = True) -> SimpleGraph:
-    """Seeded random bipartite graph; retries until connected when asked."""
+def random_bipartite(n: int, seed: int) -> SimpleGraph:
+    """Seeded random bipartite graph, each edge drawn with probability 1/2;
+    retries until connected."""
     rng = random.Random(seed)
     for _ in range(1000):
         a = rng.randint(1, max(1, n - 1))
         edges = [
-            (i, a + j) for i in range(a) for j in range(n - a) if rng.random() < p
+            (i, a + j) for i in range(a) for j in range(n - a) if rng.random() < 0.5
         ]
         g = SimpleGraph(n, edges)
-        if not connected or combinat.is_connected(g):
+        if combinat.is_connected(g):
             return g
     raise ResourceExceeded("random bipartite retries", 1000)
 
@@ -242,18 +243,6 @@ def canonical_form(g: SimpleGraph) -> tuple[int, ...]:
 
     rec(0, False)
     return (n, *best)
-
-
-def canonical_graph(g: SimpleGraph) -> SimpleGraph:
-    """A concrete relabeling achieving the canonical form."""
-    form = canonical_form(g)
-    rows = form[1:]
-    edges = []
-    for k, code in enumerate(rows):
-        for i in range(k):
-            if code >> i & 1:
-                edges.append((i, k))
-    return SimpleGraph(g.n, edges)
 
 
 def graphs_upto_iso(n: int) -> tuple[SimpleGraph, ...]:

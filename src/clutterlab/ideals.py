@@ -79,16 +79,6 @@ class MonomialIdeal:
         return all(other.contains(g) for g in self.gens)
 
 
-def equals(i: MonomialIdeal, j: MonomialIdeal) -> bool:
-    if i.n != j.n:
-        raise UsageError("equals: ambient dimension mismatch")
-    return i.gens == j.gens
-
-
-def contains(i: MonomialIdeal, a) -> bool:
-    return i.contains(a)
-
-
 def edge_ideal(c: RawClutter) -> MonomialIdeal:
     return MonomialIdeal(c.n, c.characteristic_vectors())
 

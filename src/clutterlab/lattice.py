@@ -1,4 +1,4 @@
-"""Hilbert bases of rational cones and affine semigroup membership.
+"""Hilbert bases of rational cones.
 
 The central predicate is `is_hilbert_basis(H)`: do the nonnegative integer
 combinations of H reach every lattice point of the cone spanned by H?
@@ -18,8 +18,10 @@ generator g with the same image in the quotient (g = 0 for t in L).
 Derived data lives on the `ConeWithLattice` instance: its H-representation,
 extreme rays and triangulation are computed once, when first asked.
 
-`semigroup_member` decides membership for every cone through the
-integer points of one pointed solution cone.
+No verdict asks whether one point lies in the semigroup of given vectors,
+so membership is not decided here; the exact membership oracle that the
+lattice arithmetic for cones with lineality is checked against lives in
+`tests/conftest.py`.
 
 The same parallelepipeds, made half-open by a lexicographic generic point,
 tile the cone and its relative interior (`half_open_points`); binned by
@@ -129,8 +131,7 @@ def _parallelepiped_points(
     l = V*(y_i / d_i).  Scaled by the largest invariant factor d_k these
     are integers r = d_k*l mod d_k, so the box point is G*r / d_k and every
     point costs two integer mat-vecs.  Each point comes with its r (so
-    l_i = 0 exactly when r_i = 0).  Points come in `product` order of the
-    y_i, which `_member` relies on.
+    l_i = 0 exactly when r_i = 0).
     """
     k = len(gens)
     origin = ((0,) * n, (0,) * k)
@@ -271,74 +272,6 @@ def _lexicographic_signs(simplex: tuple[IntVec, ...], n: int, perturbation) -> l
             if not signs[j] and l:
                 signs[j] = 1 if l > 0 else -1
     return signs
-
-
-# ---------------------------------------------------------------------------
-# Semigroup membership
-# ---------------------------------------------------------------------------
-
-
-def semigroup_member(a, vectors, budget: int | None = None):
-    """Is `a` a nonnegative integer combination of `vectors`?
-
-    Returns (True, coefficients) with the coefficient per input vector, or
-    (False, None).  Raises Undecided when the step budget runs out.  No
-    verdict calls it: it stays as the reference that `membership_report_oracle`
-    and `test_lineality_criterion_matches_membership` check the lattice
-    arithmetic of `_is_hilbert_basis_lineality` against.
-    """
-    a = tuple(a)
-    vecs = [tuple(v) for v in vectors]
-    counts = [0] * len(vecs)
-    if all(x == 0 for x in a):
-        return True, tuple(counts)
-    live = [(i, v) for i, v in enumerate(vecs) if any(x != 0 for x in v)]
-    if not live:
-        return False, None
-    n = len(a)
-    cone = ConeWithLattice.from_vectors([v for _, v in live], n)
-    if not cone.contains(a):
-        return False, None
-    steps = StepCounter(step_budget(budget), f"semigroup membership of {a}")
-    got = _member(a, [v for _, v in live], steps)
-    if got is None:
-        return False, None
-    for (i, _), c in zip(live, got):
-        counts[i] = c
-    return True, tuple(counts)
-
-
-def _member(a, vecs, steps: StepCounter):
-    """Membership in N*vecs, for every cone, pointed or not.
-
-    Feasibility of sum(c_i v_i) = a over c in N^q is decided through the
-    pointed solution cone K = {(c, t) >= 0 : sum c_i v_i = t a}: solutions
-    with t = 1 exist iff the candidate generators of K's lattice semigroup
-    contain one with t = 1.  One step is spent per parallelepiped point.
-    """
-    q = len(vecs)
-    n = len(a)
-    normals: list[IntVec] = []
-    for j in range(q + 1):
-        normals.append(tuple(-int(i == j) for i in range(q + 1)))
-    for row in range(n):
-        eq = tuple(v[row] for v in vecs) + (-a[row],)
-        if any(x != 0 for x in eq):
-            normals.append(eq)
-            normals.append(tuple(-x for x in eq))
-    rays, lines = polyhedron.cone_hrep_to_generators(tuple(normals), q + 1)
-    if lines:
-        raise AssertionError("solution cone must be pointed")
-    if not rays:
-        return None
-    for r in rays:
-        if r[q] == 1:
-            return list(r[:q])
-    for simplex in ConeWithLattice.from_vectors(rays, q + 1).triangulation:
-        for pt, _ in _parallelepiped_points(simplex, q + 1, steps):
-            if pt[q] == 1:
-                return list(pt[:q])
-    return None
 
 
 # ---------------------------------------------------------------------------

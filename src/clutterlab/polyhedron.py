@@ -255,29 +255,17 @@ def cone_hrep_to_generators(ineq_normals: Sequence[IntVec], n: int):
 
 
 # ---------------------------------------------------------------------------
-# Faces, dimension, integrality
+# Faces and integrality
 # ---------------------------------------------------------------------------
 
 
-def dimension(rep) -> int:
-    """Affine dimension; -1 for the empty polyhedron."""
-    v = rep if isinstance(rep, VRep) else _h_to_v(rep)
-    if v.is_empty:
-        return -1
-    p0 = v.vertices[0]
-    rows = [kernel.vsub(p, p0) for p in v.vertices[1:]]
-    rows.extend(v.rays)
-    rows.extend(v.lines)
-    return kernel.rank(rows)
-
-
-def minimal_faces(h: HRep, vrep: VRep | None = None) -> tuple[Face, ...]:
-    """All minimal faces of a nonempty H-polyhedron (empty input: no faces).
+def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
+    """All minimal faces of the H-polyhedron h, given its V-representation v
+    (empty input: no faces).
 
     Active sets index into h.ineqs as given.  Each face carries one exact
     relative-interior point; for a pointed polyhedron these are the vertices.
     """
-    v = vrep if vrep is not None else _h_to_v(h)
     if v.is_empty:
         return ()
     dim = len(v.lines)
@@ -302,17 +290,13 @@ def face_integral_point(h: HRep, face: Face) -> IntVec | None:
     return kernel.integer_solve(rows, rhs)
 
 
-def is_integral(rep, hrep: HRep | None = None):
-    """Whether every minimal face contains an integer point, plus a witness.
+def is_integral(v: VRep, h: HRep):
+    """Whether every minimal face of the polyhedron contains an integer
+    point, plus a witness; v and h are its two descriptions.
 
     For pointed polyhedra this is vertex integrality; the witness on failure
     is a fractional vertex (relative-interior point of a lattice-free face).
     """
-    if isinstance(rep, VRep):
-        v = rep
-    else:
-        hrep = rep if hrep is None else hrep
-        v = _h_to_v(rep)
     if v.is_empty:
         raise UsageError("is_integral: empty polyhedron")
     if not v.lines:
@@ -320,15 +304,7 @@ def is_integral(rep, hrep: HRep | None = None):
             if any(x.denominator != 1 for x in p):
                 return False, p
         return True, None
-    if hrep is None:
-        hrep = _v_to_h(v)
-    for face in minimal_faces(hrep, v):
-        if face_integral_point(hrep, face) is None:
+    for face in minimal_faces(h, v):
+        if face_integral_point(h, face) is None:
             return False, face.point
     return True, None
-
-
-def contains_point(h: HRep, x: Sequence) -> bool:
-    return all(kernel.dot(a, x) <= b for a, b in h.ineqs) and all(
-        kernel.dot(a, x) == b for a, b in h.eqs
-    )

@@ -144,7 +144,7 @@ def is_mfmc(c: RawClutter, budget: int | None = None) -> TdiCertificate:
     return is_tdi(covering_system(c), budget)
 
 
-def mfmc_ilp_crosscheck(c: RawClutter, wmax: int = 3, limit: int | None = None):
+def mfmc_ilp_crosscheck(c: RawClutter, wmax: int = 3):
     """Evidence hook: packing LPs for all bounds w with entries <= wmax.
 
     For each w the fractional and integral optima of
@@ -154,11 +154,7 @@ def mfmc_ilp_crosscheck(c: RawClutter, wmax: int = 3, limit: int | None = None):
     vecs = c.characteristic_vectors()
     q = len(vecs)
     rows = [tuple(v[row] for v in vecs) for row in range(c.n)]
-    count = 0
     for w in product(range(wmax + 1), repeat=c.n):
-        count += 1
-        if limit is not None and count > limit:
-            break
         # dual polytope {y >= 0 : A y <= w} lives in R^q
         ineqs = [(tuple(-int(i == j) for i in range(q)), 0) for j in range(q)]
         ineqs.extend(zip(rows, w))
@@ -345,13 +341,12 @@ class ClutterVerdicts:
 
 def clutter_verdicts(c: RawClutter, budget: int | None = None) -> ClutterVerdicts:
     """Idealness is read off the flow certificate: `_h_to_v` canonicalises its
-    covering polyhedron and that of `is_ideal_clutter` to one V-representation.
-    An edgeless clutter is Ehrhart, since the empty set is a Hilbert basis of {0}."""
+    covering polyhedron and that of `is_ideal_clutter` to one V-representation."""
     cert = is_mfmc(c, budget)
     return ClutterVerdicts(
         ideal=cert.integral,
         mfmc=cert.verdict,
         ntf=ideals.is_ntf(c, budget),
         closure_vs_symbolic=ideals.closure_vs_symbolic(c, budget),
-        is_ehrhart=not c.edges or ehrhart.analyze(c, budget).is_ehrhart,
+        is_ehrhart=ehrhart.is_ehrhart_clutter(c, budget)[0],
     )

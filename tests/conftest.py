@@ -3,6 +3,10 @@
 The oracles are deliberately independent of the library's own algorithms:
 naive Fraction elimination, subset scans, exhaustive combination searches.
 Expected values in the tests were computed with these and then frozen.
+Three helpers came here from the library, which has no caller for them:
+`semigroup_member`, the exact membership oracle for cones with lineality;
+`suspension`, the clutter side of the graph-cone identity; and
+`canonical_graph`, the relabeling that realises a canonical form.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ import pytest
 
 from clutterlab import combinat, families, ideals, kernel
 from clutterlab.combinat import SimpleGraph
-from clutterlab.errors import DEFAULT_RAY_CAP, ResourceExceeded, UsageError
+from clutterlab.errors import (
+    DEFAULT_RAY_CAP, ResourceExceeded, StepCounter, UsageError, step_budget,
+)
 from clutterlab.ideals import MonomialIdeal
-from clutterlab.lattice import ConeWithLattice, HilbertBasisReport, semigroup_member
-from clutterlab.polyhedron import HRep, cone_generators_to_hrep
+from clutterlab.lattice import ConeWithLattice, HilbertBasisReport, _parallelepiped_points
+from clutterlab.polyhedron import HRep, cone_generators_to_hrep, cone_hrep_to_generators
 
 
 def rank_oracle(matrix) -> int:
@@ -235,6 +241,69 @@ def brute_in_semigroup(a, gens, cap=8) -> bool:
         if v == tuple(a):
             return True
     return False
+
+
+def semigroup_member(a, vectors):
+    """Is `a` a nonnegative integer combination of `vectors`?
+
+    Returns (True, coefficients) with the coefficient per input vector, or
+    (False, None).  Raises Undecided when the default step budget runs
+    out.  It is the reference that `membership_report_oracle` and
+    `test_lineality_criterion_matches_membership` check the lattice
+    arithmetic of `_is_hilbert_basis_lineality` against.
+    """
+    a = tuple(a)
+    vecs = [tuple(v) for v in vectors]
+    counts = [0] * len(vecs)
+    if all(x == 0 for x in a):
+        return True, tuple(counts)
+    live = [(i, v) for i, v in enumerate(vecs) if any(x != 0 for x in v)]
+    if not live:
+        return False, None
+    n = len(a)
+    cone = ConeWithLattice.from_vectors([v for _, v in live], n)
+    if not cone.contains(a):
+        return False, None
+    steps = StepCounter(step_budget(), f"semigroup membership of {a}")
+    got = _member(a, [v for _, v in live], steps)
+    if got is None:
+        return False, None
+    for (i, _), c in zip(live, got):
+        counts[i] = c
+    return True, tuple(counts)
+
+
+def _member(a, vecs, steps: StepCounter):
+    """Membership in N*vecs, for every cone, pointed or not.
+
+    Feasibility of sum(c_i v_i) = a over c in N^q is decided through the
+    pointed solution cone K = {(c, t) >= 0 : sum c_i v_i = t a}: solutions
+    with t = 1 exist iff the candidate generators of K's lattice semigroup
+    contain one with t = 1.  One step is spent per parallelepiped point.
+    """
+    q = len(vecs)
+    n = len(a)
+    normals = []
+    for j in range(q + 1):
+        normals.append(tuple(-int(i == j) for i in range(q + 1)))
+    for row in range(n):
+        eq = tuple(v[row] for v in vecs) + (-a[row],)
+        if any(x != 0 for x in eq):
+            normals.append(eq)
+            normals.append(tuple(-x for x in eq))
+    rays, lines = cone_hrep_to_generators(tuple(normals), q + 1)
+    if lines:
+        raise AssertionError("solution cone must be pointed")
+    if not rays:
+        return None
+    for r in rays:
+        if r[q] == 1:
+            return list(r[:q])
+    for simplex in ConeWithLattice.from_vectors(rays, q + 1).triangulation:
+        for pt, _ in _parallelepiped_points(simplex, q + 1, steps):
+            if pt[q] == 1:
+                return list(pt[:q])
+    return None
 
 
 def membership_report_oracle(gens, basis) -> HilbertBasisReport:
@@ -468,6 +537,12 @@ def hoang_witness_oracle(g, u):
     return next((s for s in hoang_sets_oracle(g) if u in s), None)
 
 
+def suspension(c):
+    """Add a fresh vertex to every edge."""
+    new = c.n
+    return combinat.as_clutter_or_raw(c.n + 1, [tuple(e) + (new,) for e in c.edges])
+
+
 def _induced_oracle(g, vertices):
     vs = sorted(set(vertices))
     pos = {v: i for i, v in enumerate(vs)}
@@ -530,6 +605,13 @@ def graphs_upto_iso_oracle(n):
                 seen.setdefault(families.canonical_form(h), h)
         level = [seen[f] for f in sorted(seen)]
     return tuple(level)
+
+
+def canonical_graph(g):
+    """A concrete relabeling achieving the canonical form."""
+    rows = families.canonical_form(g)[1:]
+    edges = [(i, k) for k, code in enumerate(rows) for i in range(k) if code >> i & 1]
+    return SimpleGraph(g.n, edges)
 
 
 def canonical_form_oracle(g):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 from clutterlab import cli, polyhedron
@@ -95,16 +96,34 @@ def test_normal_decides_edgeless_clutters(tmp_path, capsys):
     # the closure of every power of the zero ideal is the zero ideal
     # (with n = 0 there are no Rees generators at all); with n = 0 the
     # covering system has no rows, and its polyhedron is the one integral
-    # point of R^0
+    # point of R^0; the empty set is a Hilbert basis of {0}, so an edgeless
+    # clutter is Ehrhart
     for payload in [
         '{"kind":"clutter","n":3,"edges":[]}',
         '{"kind":"clutter","n":0,"edges":[]}',
         '{"kind":"graph","n":0,"edges":[]}',
     ]:
         path = write(tmp_path, "edgeless.json", payload)
-        for prop in ("normal", "ntf", "mfmc", "ideal"):
+        for prop in ("normal", "ntf", "mfmc", "ideal", "ehrhart"):
             assert run(["check", prop, "--input", path, "--json"]) == 0, (payload, prop)
             assert json.loads(capsys.readouterr().out)["verdict"] is True
+        # the rest of the exit-code contract: every clutter property decides
+        for prop in ("unmixed", "uniform", "konig"):
+            code = run(["check", prop, "--input", path, "--json"])
+            assert code in (0, 1), (payload, prop)
+            assert json.loads(capsys.readouterr().out)["verdict"] is (code == 0)
+        if '"clutter"' in payload:
+            for prop in ("meyniel", "perfect"):
+                assert run(["check", prop, "--input", path, "--json"]) == 64, (payload, prop)
+                out = capsys.readouterr()
+                assert out.out == "" and "needs a graph" in out.err
+        # the empty edge polytope has no series to report
+        assert run(["invariants", "--input", path, "--json"]) == 64, payload
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: clutter has no edges: the empty edge polytope has no series to report\n"
+        )
     # an empty system stays malformed
     empty = write(tmp_path, "empty.json", '{"kind":"system","columns":[],"w":[]}')
     assert run(["check", "tdi", "--input", empty]) == 64
@@ -241,6 +260,24 @@ def test_conjecture_batch_deterministic(tmp_path, capsys):
     assert len(batch["instances"]) == 8
     digests = [r["digest"] for r in batch["instances"]]
     assert digests == sorted(digests)
+
+
+def test_conjecture_runs_one_dd_per_instance(monkeypatch, capsys):
+    # idealness is read off the flow certificate, so the default batch of
+    # 25 instances converts each covering polyhedron once; no cache holds
+    # a covering polyhedron, so the count does not depend on earlier tests
+    calls = Counter()
+    convert = polyhedron.dd_convert
+
+    def counted(*args):
+        calls["dd_convert"] += 1
+        return convert(*args)
+
+    monkeypatch.setattr(polyhedron, "dd_convert", counted)
+    assert run(["conjecture", "--json"]) == 0
+    batch = json.loads(capsys.readouterr().out)
+    assert len(batch["instances"]) == 25
+    assert calls == {"dd_convert": 25}
 
 
 def test_conjecture_rejects_unknown_family():

@@ -48,7 +48,8 @@ def test_series_degree_both_routes(triangle, blocker_square, unit_square_clutter
         # its first dilation with an interior lattice point is the third
         (triangle, -3),
     ]:
-        assert ehrhart.a_invariant_series(c) == want
+        a = ehrhart.analyze(c)
+        assert (len(a.hvector) - 1) - (a.dim + 1) == want  # degree of the series
         assert ehrhart.a_invariant_interior(c) == want
 
 
@@ -329,7 +330,7 @@ def test_rank_bound_for_flow_instances():
 
     for d, g in [(2, 2), (2, 3), (3, 2)]:
         c = sharpness_clutter(d, g)
-        rank = kernel.rank(c.matrix_rows())
+        rank = kernel.rank(c.characteristic_vectors())
         assert rank <= g + (d - 1) * (g - 1)
         assert rank == g + (d - 1) * (g - 1)  # attained by this family
 

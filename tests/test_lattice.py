@@ -6,7 +6,7 @@ import pytest
 
 from clutterlab import kernel, lattice
 from clutterlab.errors import StepCounter, Undecided, UsageError
-from clutterlab.lattice import ConeWithLattice, hilbert_basis, is_hilbert_basis, semigroup_member
+from clutterlab.lattice import ConeWithLattice, hilbert_basis, is_hilbert_basis
 from clutterlab.tdi import LinearSystem, is_tdi
 
 from conftest import (
@@ -14,6 +14,7 @@ from conftest import (
     brute_in_semigroup,
     extreme_rays_oracle,
     membership_report_oracle,
+    semigroup_member,
     triangulate_oracle,
 )
 

@@ -58,7 +58,7 @@ def test_square_covering_integral():
 
 def test_minimal_faces_of_square_covering():
     h = square_covering()
-    faces = polyhedron.minimal_faces(h)
+    faces = polyhedron.minimal_faces(h, dd_convert(h))
     assert len(faces) == 2
     for f in faces:
         assert f.dimension == 0
@@ -191,7 +191,6 @@ def test_cone_conversions_reject_ragged_normals():
 
 def test_point_polytope():
     pt = VRep(2, ((F(3), F(5)),))
-    assert polyhedron.dimension(pt) == 0
     assert dd_convert(dd_convert(pt)) == pt
 
 
@@ -199,10 +198,9 @@ def test_empty_polyhedron_is_a_value():
     empty = HRep(2, (((1, 0), 0), ((-1, 0), -1)))
     v = dd_convert(empty)
     assert v.is_empty
-    assert polyhedron.minimal_faces(empty) == ()
-    assert polyhedron.dimension(empty) == -1
+    assert polyhedron.minimal_faces(empty, v) == ()
     with pytest.raises(UsageError):
-        polyhedron.is_integral(v)
+        polyhedron.is_integral(v, empty)
 
 
 def test_halfplane_lineality():
