@@ -3,9 +3,11 @@
 Everything here is over arbitrary-precision integers and `fractions.Fraction`;
 no floating point anywhere.  Elimination is fraction-free (Bareiss) so
 intermediate entries stay integral and growth stays polynomial; one
-forward-elimination routine serves `rank`, `determinant` and `solve`.  The
-lattice side rests on one Smith normal form per matrix: kernel lattices,
-integer solutions and inverses of unimodular matrices all read off it.
+forward-elimination routine serves `rank`, `determinant` (the maximal minor
+on the pivot rows, which certifies unimodularity without a Smith form) and
+`solve`.  The lattice side rests on one Smith normal form per matrix: kernel
+lattices, integer solutions for any number of right-hand sides and inverses
+of unimodular matrices all read off it.
 """
 
 from __future__ import annotations
@@ -47,18 +49,18 @@ def _integer_row(row: Sequence) -> list[int]:
     return list(integer_multiple(row)[0])
 
 
-def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
+def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], list[int]]:
     """Fraction-free forward elimination of `m` in place.
 
     Pivots are chosen only among the first `ncols` columns; any columns
     after them (an augmented right-hand side) are carried along.  Returns
-    the pivot columns, in order, and the sign of the row permutation; row r
-    of the result holds the r-th pivot.
+    the pivot columns, in order, and the row order: row r of the result
+    came from input row `rows[r]` and holds the r-th pivot.
     """
     nrows = len(m)
     width = len(m[0]) if nrows else 0
     piv_cols: list[int] = []
-    sign = 1
+    rows = list(range(nrows))
     prev = 1
     for c in range(ncols):
         r = len(piv_cols)
@@ -69,7 +71,7 @@ def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            sign = -sign
+            rows[r], rows[piv] = rows[piv], rows[r]
         for i in range(r + 1, nrows):
             # the pivot rescaling applies even when m[i][c] is zero;
             # skipping it breaks the exact-division invariant later
@@ -78,7 +80,7 @@ def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
             m[i][c] = 0
         prev = m[r][c]
         piv_cols.append(c)
-    return piv_cols, sign
+    return piv_cols, rows
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
@@ -93,15 +95,28 @@ def rank(matrix: Sequence[Sequence]) -> int:
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss)."""
+    """The k x k minor of an n x k integer matrix (n >= k) on the rows that
+    Bareiss elimination pivots on, taken in their input order.
+
+    For a square matrix this is the determinant.  It is 0 exactly when the
+    rank is below k; otherwise it is a nonzero maximal minor, and ±1 proves
+    that the gcd of all maximal minors, the index of the column lattice in
+    its saturation, is 1.
+    """
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise UsageError("determinant: matrix not square")
-    if n == 0:
+    k = len(matrix[0]) if n else 0
+    if n < k or any(len(row) != k for row in matrix):
+        raise UsageError("determinant: needs an n x k matrix with n >= k")
+    if k == 0:
         return 1
     m = [list(row) for row in matrix]
-    piv_cols, sign = _bareiss(m, n)
-    return sign * m[n - 1][n - 1] if len(piv_cols) == n else 0
+    piv_cols, rows = _bareiss(m, k)
+    if len(piv_cols) < k:
+        return 0
+    # m[k-1][k-1] is the minor on rows[:k] in that order; sort them back
+    pivots = rows[:k]
+    swaps = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    return -m[k - 1][k - 1] if swaps % 2 else m[k - 1][k - 1]
 
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
@@ -257,24 +272,40 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
     return tuple(basis)
 
 
-def integer_solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution of A x = b, or None if no integral solution exists."""
+def integer_solver(matrix: Sequence[Sequence[int]]):
+    """A reader of integer solutions of A x = b, built from one Smith form.
+
+    With U*A*V = D, A x = b has an integer solution exactly when each
+    (U*b)_i is divisible by d_i (and is 0 where d_i is 0); then x = V*y
+    with y_i = (U*b)_i / d_i.  The returned function maps b to one such x,
+    or to None when there is none.
+    """
     nrows = len(matrix)
     if nrows == 0:
-        return ()
+        return lambda rhs: ()
     ncols = len(matrix[0])
     u, d, v = smith_normal_form(matrix)
-    c = [dot(u[i], rhs) for i in range(nrows)]
-    y = [0] * ncols
-    for i in range(nrows):
-        di = d[i][i] if i < min(nrows, ncols) else 0
-        if di != 0:
-            if c[i] % di != 0:
+    diag = [d[i][i] for i in range(min(nrows, ncols))] + [0] * (nrows - ncols)
+
+    def solve_for(rhs: Sequence[int]) -> tuple[int, ...] | None:
+        y = [0] * ncols
+        for i, (row, di) in enumerate(zip(u, diag)):
+            c = dot(row, rhs)
+            if di == 0:
+                if c != 0:
+                    return None
+            elif c % di != 0:
                 return None
-            y[i] = c[i] // di
-        elif c[i] != 0:
-            return None
-    return tuple(dot(v[i], y) for i in range(ncols))
+            else:
+                y[i] = c // di
+        return tuple(dot(row, y) for row in v)
+
+    return solve_for
+
+
+def integer_solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, ...] | None:
+    """One integer solution of A x = b, or None if no integral solution exists."""
+    return integer_solver(matrix)(rhs)
 
 
 def unimodular_inverse(u: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -6,14 +6,17 @@ For pointed cones this reduces to computing the unique minimal Hilbert basis
 of the cone and checking set containment.  The basis comes in two steps:
 the cone is triangulated on the ray/facet incidences of its one double
 description, and the lattice points of each simplex's half-open
-parallelepiped come in integer arithmetic from one Smith normal form per
-simplex; the candidates are then reduced in support form, by
-comparing their facet-height tuples in order of total height.  Cones with
-lineality are split along their lineality lattice L and the pointed
-quotient is handled as usual; the lifted checks are then decided by lattice
-arithmetic, not by membership queries.  With M the group spanned by the
-generators in L, a check t is reached exactly when t - g lies in M for some
-generator g with the same image in the quotient (g = 0 for t in L).
+parallelepiped come in integer arithmetic (a unimodular simplex, certified
+by one Bareiss minor of ±1, has only the origin; any other takes one Smith
+normal form); the candidates are then reduced in support form, by
+comparing their facet-height tuples, each packed into one integer, in
+order of total height.  Cones with lineality are split along their
+lineality lattice L and the pointed quotient is handled as usual; the
+lifted checks are then decided by lattice arithmetic, not by membership
+queries.  With M the group spanned by the generators in L, a check t is
+reached exactly when t - g lies in M for some generator g with the same
+image in the quotient (g = 0 for t in L); one Smith normal form of those
+generators decides every such t - g.
 
 Derived data lives on the `ConeWithLattice` instance: its H-representation,
 extreme rays and triangulation are computed once, when first asked.
@@ -124,20 +127,25 @@ def _parallelepiped_points(
 ) -> list[tuple[IntVec, IntVec]]:
     """Lattice points of the half-open box {sum l_i g_i : 0 <= l_i < 1}.
 
-    The generators must be linearly independent.  With G the n x k matrix
-    whose columns are the generators and U*G*V = D its Smith normal form,
-    the residue classes of (Z^n meet span) modulo the generator lattice are
-    indexed by y with 0 <= y_i < d_i, and the class of y has coefficients
-    l = V*(y_i / d_i).  Scaled by the largest invariant factor d_k these
-    are integers r = d_k*l mod d_k, so the box point is G*r / d_k and every
-    point costs two integer mat-vecs.  Each point comes with its r (so
-    l_i = 0 exactly when r_i = 0).
+    The generators must be linearly independent.  Let G be the n x k matrix
+    whose columns are the generators.  The box holds as many lattice points
+    as the product of G's invariant factors, the gcd of its k x k minors, so
+    when the one minor that Bareiss elimination reaches is ±1 the box holds
+    only the origin and no Smith form is needed.  Otherwise, with U*G*V = D
+    its Smith normal form, the residue classes of (Z^n meet span) modulo the
+    generator lattice are indexed by y with 0 <= y_i < d_i, and the class
+    of y has coefficients l = V*(y_i / d_i).  Scaled by the largest
+    invariant factor d_k these are integers r = d_k*l mod d_k, so the box
+    point is G*r / d_k and every point costs two integer mat-vecs.  Each
+    point comes with its r (so l_i = 0 exactly when r_i = 0).
     """
     k = len(gens)
     origin = ((0,) * n, (0,) * k)
     if k == 0:
         return [origin]
     mat = tuple(tuple(g[i] for g in gens) for i in range(n))  # n x k, columns = gens
+    if abs(kernel.determinant(mat)) == 1:
+        return [origin]
     _, d, v = kernel.smith_normal_form(mat)
     diag = [d[i][i] for i in range(k)]
     if prod(diag) == 1:
@@ -194,24 +202,36 @@ def hilbert_basis(cone: ConeWithLattice, budget: int | None = None) -> tuple[Int
     # the equations hold for both already.  The total height grades the
     # pointed cone, so x can only be reduced by an irreducible of strictly
     # smaller total height, and every irreducible is a candidate.
+    # Each height tuple is packed into one int, the first facet in the most
+    # significant field, so packed order is tuple order.  Heights of cone
+    # points are >= 0, so in fields one guard bit wider than the largest
+    # height no field borrows from the next, and h <= x in every field
+    # exactly when ((X | G) - H) & G == G, with G the guard bits (SIMD
+    # within a register; Lamport, CACM 18(8), 1975).
     ineqs, _ = cone.hrep_normals
+    rows = [(tuple([-sum(map(mul, f, x)) for f in ineqs]), x) for x in candidates]
+    width = max([max(h, default=0) for h, _ in rows], default=0).bit_length() + 1
+    guard = sum(1 << (width * i + width - 1) for i in range(len(ineqs)))
     graded = []
-    for x in candidates:
-        heights = tuple(-sum(map(mul, f, x)) for f in ineqs)
-        graded.append((sum(heights), heights, x))
+    for heights, x in rows:
+        packed = 0
+        for y in heights:
+            packed = packed << width | y
+        graded.append((sum(heights), packed, x))
     graded.sort()
-    irreducible: list[tuple[int, IntVec, IntVec]] = []
-    for total, heights, x in graded:
+    irreducible: list[tuple[int, int, IntVec]] = []
+    for total, packed, x in graded:
+        covered = packed | guard
         reducible = False
-        for h_total, h_heights, _ in irreducible:
+        for h_total, h_packed, _ in irreducible:
             if h_total == total:
                 break
             steps.spend()
-            if all(a <= b for a, b in zip(h_heights, heights)):
+            if (covered - h_packed) & guard == guard:
                 reducible = True
                 break
         if not reducible:
-            irreducible.append((total, heights, x))
+            irreducible.append((total, packed, x))
     return tuple(sorted(x for _, _, x in irreducible))
 
 
@@ -339,13 +359,15 @@ def _is_hilbert_basis_lineality(vecs, cone: ConeWithLattice, budget) -> HilbertB
         checks.append(to_old((0,) * m + h))
     checks = sorted(set(checks))
     group = tuple(zip(*(v for v, p in zip(vecs, projected) if not any(p))))  # n x |H_L|
+    if not group:
+        raise AssertionError("generators in the lineality space must span it")
+    in_group = kernel.integer_solver(group)
     offsets: dict[IntVec, list[IntVec]] = {(0,) * (n - m): [(0,) * n]}
     for v, p in zip(vecs, projected):
         if any(p):
             offsets.setdefault(p, []).append(v)
     witnesses = tuple(
         t for t in checks
-        if all(kernel.integer_solve(group, kernel.vsub(t, g)) is None
-               for g in offsets.get(to_new(t)[m:], ()))
+        if all(in_group(kernel.vsub(t, g)) is None for g in offsets.get(to_new(t)[m:], ()))
     )
     return HilbertBasisReport(verdict=not witnesses, basis=tuple(checks), witnesses=witnesses)

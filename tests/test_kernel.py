@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -179,6 +180,32 @@ def test_integer_solve_no_solution():
     assert kernel.integer_solve([[2]], [1]) is None
 
 
+def test_integer_solver_reads_every_rhs_off_one_smith_form(monkeypatch):
+    smith = kernel.smith_normal_form
+    calls = []
+    monkeypatch.setattr(kernel, "smith_normal_form", lambda m: calls.append(m) or smith(m))
+    rng = random.Random(41)
+    nones = 0
+    for _ in range(40):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+        calls.clear()
+        solve_for = kernel.integer_solver(a)
+        for _ in range(10):
+            x = [rng.randint(-3, 3) for _ in range(nc)]
+            reached = [sum(a[i][j] * x[j] for j in range(nc)) for i in range(nr)]
+            drawn = [rng.randint(-6, 6) for _ in range(nr)]
+            for b in (reached, drawn):
+                s = solve_for(b)
+                if s is None:
+                    assert b is drawn
+                    nones += 1
+                else:
+                    assert all(sum(a[i][j] * s[j] for j in range(nc)) == b[i] for i in range(nr))
+        assert len(calls) == 1
+    assert nones >= 50
+
+
 def test_integer_kernel_basis():
     basis = kernel.integer_kernel_basis([[1, 1, 1]])
     assert len(basis) == 2
@@ -222,6 +249,34 @@ def test_determinant_matches_fraction_oracle():
             kinds[kind] += 1
     assert kernel.determinant([]) == 1
     assert all(count >= 50 for count in kinds.values()), kinds
+
+
+def test_determinant_of_tall_matrix_is_a_maximal_minor():
+    # n x k with n > k: the minor on the pivot rows, in their input order;
+    # 0 exactly when the rank is below k
+    rng = random.Random(7)
+    kinds = {"nonzero": 0, "zero": 0, "leading zero": 0}
+    for trial in range(300):
+        k = rng.randint(1, 4)
+        n = rng.randint(k + 1, 6)
+        m = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        if trial % 3 == 0:
+            # a zero first column on top forces swaps with rows below
+            for row in m[: n - 1]:
+                row[0] = 0
+        elif trial % 3 == 1 and k > 1:
+            for row in m:
+                row[-1] = 2 * row[0]
+        got = kernel.determinant(m)
+        minors = {det_oracle([m[i] for i in rows]) for rows in itertools.combinations(range(n), k)}
+        assert got in minors, (m, got)
+        assert (got == 0) == (rank_oracle(m) < k), (m, got)
+        kinds["zero" if got == 0 else "nonzero"] += 1
+        if trial % 3 == 0 and got != 0:
+            kinds["leading zero"] += 1
+    assert all(count >= 50 for count in kinds.values()), kinds
+    with pytest.raises(UsageError):
+        kernel.determinant([[1, 2]])
 
 
 def test_solve_none_exactly_when_rank_grows():

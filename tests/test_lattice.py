@@ -3,6 +3,8 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clutterlab import kernel, lattice
 from clutterlab.errors import StepCounter, Undecided, UsageError
@@ -274,6 +276,38 @@ def test_hilbert_basis_matches_brute_force():
     assert seen == {(n, eqs) for n in (2, 3, 4) for eqs in (False, True)}
 
 
+def test_packed_heights_at_field_width_boundaries():
+    # the box points (1, i) of cone((1, 0), (1, d)) have facet heights
+    # (i, d - i), so the largest height d crosses each power of two; all
+    # share the total d, so none is compared with another.  For odd d the
+    # box points of cone((1, 0), (2, d)) are (1, i) for i < d/2, all
+    # irreducible, and (2, i) for i > d/2, each reduced by a (1, j): there
+    # the comparisons run on heights up to d.
+    for d in sorted({2**j + e for j in range(1, 8) for e in (-1, 0, 1)}):
+        cone = ConeWithLattice.from_vectors([(1, 0), (1, d)])
+        assert hilbert_basis(cone) == tuple((1, i) for i in range(d + 1)), d
+        if d % 2:
+            cone = ConeWithLattice.from_vectors([(1, 0), (2, d)])
+            want = tuple((1, i) for i in range((d + 1) // 2)) + ((2, d),)
+            assert hilbert_basis(cone) == want, d
+
+
+small_cones = st.integers(2, 3).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * n).filter(any), min_size=1, max_size=n + 2
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_cones)
+def test_hilbert_basis_matches_brute_force_on_drawn_cones(gens):
+    n = len(gens[0])
+    cone = ConeWithLattice.from_vectors(gens, n)
+    assume(cone.is_pointed)
+    assert hilbert_basis(cone) == brute_hilbert_basis(gens, n)
+
+
 def random_pointed_cone(rng):
     """A seeded pointed cone: lifted 0/1 vectors (graded), small integer
     vectors, or small integer combinations of fewer basis vectors than
@@ -369,7 +403,12 @@ def fraction_parallelepiped_points(gens, n):
     return out
 
 
-def test_parallelepiped_points_match_fraction_solve():
+def test_parallelepiped_points_match_fraction_solve(monkeypatch):
+    # a simplex whose Bareiss pivot minor is ±1 skips the Smith form; every
+    # other one takes it, including those with one box point all the same
+    smith = kernel.smith_normal_form
+    smith_calls = []
+    monkeypatch.setattr(kernel, "smith_normal_form", lambda m: smith_calls.append(m) or smith(m))
     rng = random.Random(16)
     kinds = set()
     for _ in range(150):
@@ -378,13 +417,27 @@ def test_parallelepiped_points_match_fraction_solve():
         gens = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k))
         if kernel.rank(gens) != k:
             continue
+        smith_calls.clear()
         got = lattice._parallelepiped_points(gens, n, StepCounter(10**6, "test"))
+        skipped = not smith_calls
         assert got == fraction_parallelepiped_points(gens, n), gens
+        unimodular = abs(kernel.determinant(tuple(zip(*gens)))) == 1
+        assert skipped == unimodular, gens
         if k < n:
             kinds.add("k < n")
         elif kernel.determinant(gens) < 0:
             kinds.add("negative determinant")
-    assert kinds == {"k < n", "negative determinant"}
+        if unimodular:
+            kinds.add("unimodular, square" if k == n else "unimodular, k < n, pivot minor ±1")
+        elif len(got) == 1:
+            kinds.add("one box point, pivot minor not ±1")
+    assert kinds == {
+        "k < n",
+        "negative determinant",
+        "unimodular, square",
+        "unimodular, k < n, pivot minor ±1",
+        "one box point, pivot minor not ±1",
+    }
 
 
 def test_step_budget_covers_enumeration_and_reduction():
