@@ -13,13 +13,12 @@ two checks each against the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from operator import sub
 
 from . import combinat, kernel, lattice
 from .combinat import RawClutter
-from .errors import Undecided, UsageError
+from .errors import Undecided, UsageError, budget_keyed_cache
 
 IntVec = tuple[int, ...]
 
@@ -37,8 +36,8 @@ class EhrhartAnalysis:
     witnesses: tuple[IntVec, ...]
 
 
-# Cache: key (clutter, budget as passed), bound 4096, shared by all callers; Undecided not cached.
-@lru_cache(maxsize=4096)
+# Cache: key (clutter, resolved budget), bound 4096, shared by all callers; Undecided not cached.
+@budget_keyed_cache(4096)
 def analyze(c: RawClutter, budget: int | None = None) -> EhrhartAnalysis:
     if not c.edges:
         raise UsageError("clutter has no edges: the empty edge polytope has no series to report")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from functools import lru_cache, wraps
 
 DEFAULT_STEP_BUDGET = 10_000_000
 DEFAULT_RAY_CAP = 100_000
@@ -55,7 +56,30 @@ class StepCounter:
         self.remaining = budget
         self.what = what
 
-    def spend(self):
-        self.remaining -= 1
+    def spend(self, count: int = 1):
+        self.remaining -= count
         if self.remaining < 0:
             raise Undecided(self.what)
+
+
+def budget_keyed_cache(maxsize: int):
+    """`functools.lru_cache` for f(x, budget), keyed on the resolved budget.
+
+    The cache sees `step_budget(budget)`, so a result reached under the
+    default budget is not returned after CLUTTERLAB_BUDGET lowers it, and
+    budget=None shares entries with the explicit default.  `cache_info`,
+    `cache_clear` and `__wrapped__` are those of the lru_cache.
+    """
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def call(x, budget: int | None = None):
+            return cached(x, step_budget(budget))
+
+        call.cache_info = cached.cache_info
+        call.cache_clear = cached.cache_clear
+        return call
+
+    return decorate

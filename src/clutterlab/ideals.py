@@ -29,13 +29,12 @@ Reyes & Villarreal, Rocky Mountain J. Math. 39, 2009).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import add
 
 from . import combinat, lattice, polyhedron
 from .combinat import RawClutter
-from .errors import UsageError, step_budget
+from .errors import UsageError, budget_keyed_cache
 
 IntVec = tuple[int, ...]
 
@@ -107,7 +106,7 @@ def _rees_cone(ideal: MonomialIdeal) -> lattice.ConeWithLattice:
 
 
 # Cache: key (clutter, resolved budget), bound 4096, shared by three readers; Undecided not cached.
-@lru_cache(maxsize=4096)
+@budget_keyed_cache(4096)
 def _symbolic_basis(c: RawClutter, budget: int) -> tuple[IntVec, ...]:
     """Hilbert basis of the symbolic cone {(a, i) >= 0 : <a, u> >= i for
     every minimal cover u}, for `symbolic_power`, `is_ntf` and
@@ -147,7 +146,7 @@ def symbolic_power(c: RawClutter, i: int) -> MonomialIdeal:
     """
     if i < 1:
         raise UsageError("symbolic_power: exponent must be >= 1")
-    return _generators_at_height(_symbolic_basis(c, step_budget()), c.n, i)
+    return _generators_at_height(_symbolic_basis(c), c.n, i)
 
 
 def closure_power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
@@ -195,7 +194,7 @@ def is_ntf(c: RawClutter, budget: int | None = None) -> PowerComparisonReport:
     split as (v, 1) + (b, k - 1).  At height 1 the basis elements are the
     generators of I^(1) = I.
     """
-    basis = _symbolic_basis(c, step_budget(budget))
+    basis = _symbolic_basis(c, budget)
     return _least_failure([b for b in basis if b[c.n] > 1], c.n)
 
 
@@ -207,7 +206,7 @@ def closure_vs_symbolic(c: RawClutter, budget: int | None = None) -> PowerCompar
     Rees cone.
     """
     rees = _rees_cone(edge_ideal(c))
-    basis = _symbolic_basis(c, step_budget(budget))
+    basis = _symbolic_basis(c, budget)
     return _least_failure([b for b in basis if not rees.contains(b)], c.n)
 
 

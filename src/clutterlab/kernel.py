@@ -4,10 +4,11 @@ Everything here is over arbitrary-precision integers and `fractions.Fraction`;
 no floating point anywhere.  Elimination is fraction-free (Bareiss) so
 intermediate entries stay integral and growth stays polynomial; one
 forward-elimination routine serves `rank`, `determinant` (the maximal minor
-on the pivot rows, which certifies unimodularity without a Smith form) and
-`solve`.  The lattice side rests on one Smith normal form per matrix: kernel
-lattices, integer solutions for any number of right-hand sides and inverses
-of unimodular matrices all read off it.
+on the pivot rows) and `solve`.  The minor certifies unimodularity without
+a Smith form for the simplices that `lattice` cannot already certify from
+its facet heights.  The lattice side rests on one Smith normal form per
+matrix: kernel lattices, integer solutions for any number of right-hand
+sides and inverses of unimodular matrices all read off it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ def integer_multiple(vec: Sequence) -> tuple[tuple[int, ...], int]:
     Entries may be int or Fraction; both carry a `denominator`.  Every
     product goes through int(), since Fraction(3) * 1 is still a Fraction.
     """
+    if all(type(x) is int for x in vec):
+        return tuple(vec), 1
     t = lcm(*[x.denominator for x in vec])
     return tuple([int(x * t) for x in vec]), t
 
@@ -58,7 +61,6 @@ def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], list[int]]:
     came from input row `rows[r]` and holds the r-th pivot.
     """
     nrows = len(m)
-    width = len(m[0]) if nrows else 0
     piv_cols: list[int] = []
     rows = list(range(nrows))
     prev = 1
@@ -72,13 +74,19 @@ def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], list[int]]:
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             rows[r], rows[piv] = rows[piv], rows[r]
+        top = m[r]
+        p = top[c]
         for i in range(r + 1, nrows):
-            # the pivot rescaling applies even when m[i][c] is zero;
-            # skipping it breaks the exact-division invariant later
-            for j in range(c + 1, width):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+            # rows r and below are zero left of column c, so whole-row
+            # updates keep them zero; a row with 0 at c is still rescaled
+            # by p / prev, since skipping that breaks exact division later
+            row = m[i]
+            q = row[c]
+            if q:
+                m[i] = [(p * x - q * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        prev = p
         piv_cols.append(c)
     return piv_cols, rows
 

@@ -6,11 +6,16 @@ For pointed cones this reduces to computing the unique minimal Hilbert basis
 of the cone and checking set containment.  The basis comes in two steps:
 the cone is triangulated on the ray/facet incidences of its one double
 description, and the lattice points of each simplex's half-open
-parallelepiped come in integer arithmetic (a unimodular simplex, certified
-by one Bareiss minor of ±1, has only the origin; any other takes one Smith
-normal form); the candidates are then reduced in support form, by
-comparing their facet-height tuples, each packed into one integer, in
-order of total height.  Cones with lineality are split along their
+parallelepiped come in integer arithmetic; the candidates are then reduced
+in support form, by comparing their facet-height tuples, each packed into
+one integer, in order of total height.  One table of facet heights per
+cone gives the incidences and certifies most unimodular simplices, whose
+box holds only the origin, with no elimination
+(`ConeWithLattice.unimodular`); an uncertified simplex takes one Bareiss
+minor, and a Smith normal form when that minor is not ±1.  When every box
+is empty the candidates are the extreme rays, which are all irreducible,
+so the reduction is skipped and only its comparisons are charged to the
+step budget.  Cones with lineality are split along their
 lineality lattice L and the pointed quotient is handled as usual; the
 lifted checks are then decided by lattice arithmetic, not by membership
 queries.  With M the group spanned by the generators in L, a check t is
@@ -19,7 +24,8 @@ image in the quotient (g = 0 for t in L); one Smith normal form of those
 generators decides every such t - g.
 
 Derived data lives on the `ConeWithLattice` instance: its H-representation,
-extreme rays and triangulation are computed once, when first asked.
+facet heights, extreme rays, triangulation and certified simplices are
+computed once, when first asked.
 
 No verdict asks whether one point lies in the semigroup of given vectors,
 so membership is not decided here; the exact membership oracle that the
@@ -33,10 +39,11 @@ height they give the Ehrhart series and its interior series.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import prod
+from math import gcd, prod
 from operator import add, mul
 
 from . import kernel, polyhedron
@@ -88,6 +95,49 @@ class ConeWithLattice:
     def triangulation(self) -> tuple[tuple[IntVec, ...], ...]:
         return _triangulate(self)
 
+    @cached_property
+    def heights(self) -> dict[IntVec, IntVec]:
+        """Per generator g, its facet heights -<a, g> >= 0 over the
+        inequality normals a; g lies on the facets where they are 0."""
+        ineqs, _ = self.hrep_normals
+        return {g: tuple([-sum(map(mul, a, g)) for a in ineqs]) for g in self.generators}
+
+    @cached_property
+    def incidences(self) -> dict[IntVec, int]:
+        """Per generator, the bitmask of the inequality normals it lies on."""
+        return {g: _bits(h, 0) for g, h in self.heights.items()}
+
+    @cached_property
+    def unimodular(self) -> frozenset[tuple[IntVec, ...]]:
+        """The simplices of the triangulation certified unimodular by facet
+        heights, each in its tuple order (r_1, ..., r_k).
+
+        A simplex is certified when r_1 is primitive and, for each i >= 2,
+        some inequality normal a vanishes on r_1 .. r_{i-1} and has height
+        1 at r_i.  With L_i the lattice Z^n meet span(r_1 .. r_i), the
+        integer functional a vanishes on L_{i-1}, so on L_i it is an integer
+        multiple of the primitive functional that does; height 1 at r_i
+        makes that multiple ±1 and r_i a generator of L_i modulo L_{i-1}.
+        Hence r_1 .. r_k is a basis of L_k and the box holds only the
+        origin.  This is the certificate form of Normaliz's volume of a
+        pyramid, apex height times base volume (Bruns, Ichim & Soeger,
+        J. Symbolic Comput. 74, 2016).  The empty simplex of the zero cone
+        is certified.
+        """
+        units = {r: _bits(self.heights[r], 1) for r in self.extreme_rays}
+        certified = set()
+        for simplex in self.triangulation:
+            if simplex and gcd(*simplex[0]) != 1:
+                continue
+            common = -1  # the normals vanishing on the prefix; all, at first
+            for i, r in enumerate(simplex):
+                if i and not common & units[r]:
+                    break
+                common &= self.incidences[r]
+            else:
+                certified.add(simplex)
+        return frozenset(certified)
+
     @property
     def lineality_lattice_basis(self) -> tuple[IntVec, ...]:
         ineqs, eqs = self.hrep_normals
@@ -113,25 +163,28 @@ class HilbertBasisReport:
 def _extreme_rays(cone: ConeWithLattice) -> tuple[IntVec, ...]:
     """The generators of a pointed cone on its extreme rays: those with no
     other generator on every facet they lie on."""
-    masks = _incidences(cone.hrep_normals[0], cone.generators)
+    masks = [cone.incidences[g] for g in cone.generators]
     return tuple(g for g, m in zip(cone.generators, masks) if sum(m & o == m for o in masks) == 1)
 
 
-def _incidences(normals, vectors) -> list[int]:
-    """Per vector, the bitmask of the normals it is orthogonal to."""
-    return [sum(1 << i for i, a in enumerate(normals) if not sum(map(mul, a, v))) for v in vectors]
+def _bits(values, target: int) -> int:
+    """The bitmask of the positions where `values` equals `target`."""
+    return sum(1 << i for i, y in enumerate(values) if y == target)
 
 
 def _parallelepiped_points(
-    gens: tuple[IntVec, ...], n: int, steps: StepCounter
+    gens: tuple[IntVec, ...], n: int, steps: StepCounter, certified: bool = False
 ) -> list[tuple[IntVec, IntVec]]:
     """Lattice points of the half-open box {sum l_i g_i : 0 <= l_i < 1}.
 
-    The generators must be linearly independent.  Let G be the n x k matrix
-    whose columns are the generators.  The box holds as many lattice points
-    as the product of G's invariant factors, the gcd of its k x k minors, so
-    when the one minor that Bareiss elimination reaches is ±1 the box holds
-    only the origin and no Smith form is needed.  Otherwise, with U*G*V = D
+    The generators must be linearly independent.  A simplex that the cone's
+    facet heights certify unimodular (`ConeWithLattice.unimodular`) has
+    only the origin, with no elimination at all.  Otherwise let G be the
+    n x k matrix whose columns are the generators.  The box holds as many
+    lattice points as the product of G's invariant factors, the gcd of its
+    k x k minors, so when the one minor that Bareiss elimination reaches is
+    ±1 the box holds only the origin and no Smith form is needed.
+    Otherwise, with U*G*V = D
     its Smith normal form, the residue classes of (Z^n meet span) modulo the
     generator lattice are indexed by y with 0 <= y_i < d_i, and the class
     of y has coefficients l = V*(y_i / d_i).  Scaled by the largest
@@ -141,7 +194,7 @@ def _parallelepiped_points(
     """
     k = len(gens)
     origin = ((0,) * n, (0,) * k)
-    if k == 0:
+    if certified or k == 0:
         return [origin]
     mat = tuple(tuple(g[i] for g in gens) for i in range(n))  # n x k, columns = gens
     if abs(kernel.determinant(mat)) == 1:
@@ -174,7 +227,11 @@ def _triangulate(cone: ConeWithLattice) -> tuple[tuple[IntVec, ...], ...]:
     facets G of the cone.
     """
     rays = cone.extreme_rays
-    facets = _incidences(rays, cone.hrep_normals[0])
+    heights = [cone.heights[r] for r in rays]
+    facets = [
+        sum(1 << j for j, h in enumerate(heights) if not h[i])
+        for i in range(len(cone.hrep_normals[0]))
+    ]
 
     def pull(face: int, dim: int) -> list[tuple[IntVec, ...]]:
         if face.bit_count() == dim:
@@ -193,11 +250,30 @@ def _triangulate(cone: ConeWithLattice) -> tuple[tuple[IntVec, ...], ...]:
 def hilbert_basis(cone: ConeWithLattice, budget: int | None = None) -> tuple[IntVec, ...]:
     """The unique minimal Hilbert basis of a pointed cone, sorted."""
     steps = StepCounter(step_budget(budget), "hilbert basis enumeration")
-    candidates: set[IntVec] = set(cone.extreme_rays)
-    for simplex in cone.triangulation:
-        for pt, _ in _parallelepiped_points(simplex, cone.n, steps):
-            if any(x != 0 for x in pt):
-                candidates.add(pt)
+    rays = cone.extreme_rays
+    candidates: set[IntVec] = {
+        pt
+        for simplex in cone.triangulation
+        for pt, _ in _parallelepiped_points(simplex, cone.n, steps, simplex in cone.unimodular)
+        if any(pt)
+    }
+    if not candidates:
+        # Every box is empty, so the candidates are the extreme rays, and no
+        # extreme ray is the sum of two nonzero cone points.  `_reduce`
+        # would keep each ray after comparing it with every ray of strictly
+        # smaller total height; charge those comparisons at once.
+        totals = sorted(sum(cone.heights[r]) for r in rays)
+        steps.spend(sum(bisect_left(totals, t) for t in totals))
+        return tuple(sorted(rays))
+    return _reduce(cone, candidates | set(rays), steps)
+
+
+def _reduce(cone: ConeWithLattice, candidates, steps: StepCounter) -> tuple[IntVec, ...]:
+    """The irreducible candidates, sorted; one step per height comparison.
+
+    The candidates must include every irreducible lattice point of the
+    cone.
+    """
     # x - h lies in the cone exactly when h's facet heights are at most x's;
     # the equations hold for both already.  The total height grades the
     # pointed cone, so x can only be reduced by an irreducible of strictly
@@ -263,7 +339,7 @@ def half_open_points(cone: ConeWithLattice, budget: int | None = None):
     interior: list[IntVec] = []
     for simplex in cone.triangulation:
         signs = _lexicographic_signs(simplex, n, perturbation)
-        for pt, r in _parallelepiped_points(simplex, n, steps):
+        for pt, r in _parallelepiped_points(simplex, n, steps, simplex in cone.unimodular):
             for out, dropped in ((closed, -1), (interior, 1)):
                 x = pt
                 for g, sign, rj in zip(simplex, signs, r):

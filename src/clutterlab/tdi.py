@@ -10,12 +10,11 @@ surfaces as "undecided", never as a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from . import combinat, ehrhart, ideals, kernel, lattice, polyhedron
 from .combinat import RawClutter, SimpleGraph
-from .errors import Undecided, UsageError
+from .errors import Undecided, UsageError, budget_keyed_cache
 
 IntVec = tuple[int, ...]
 
@@ -75,8 +74,8 @@ class TdiCertificate:
         return self.verdict is True or self.verdict == "vacuous"
 
 
-# Cache: key (columns, budget as passed), bound 65536, shared by all is_tdi; Undecided not cached.
-@lru_cache(maxsize=65536)
+# Cache: key (columns, resolved budget), bound 65536, shared by all is_tdi; Undecided not cached.
+@budget_keyed_cache(65536)
 def _hb_verdict(vectors: tuple[IntVec, ...], budget):
     return lattice.is_hilbert_basis(vectors, budget)
 

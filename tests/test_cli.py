@@ -38,6 +38,19 @@ def test_check_tdi_system(tmp_path):
     assert run(["check", "tdi", "--input", bad]) == 1
 
 
+def test_step_counts_of_skipped_reductions(tmp_path, monkeypatch, capsys):
+    # the face cones of P4 are certified by facet heights and the bull's
+    # lifted cone by one Bareiss minor; every box is empty, so the
+    # reductions are skipped and only their comparisons are charged
+    p4 = write(tmp_path, "p4.json", '{"kind":"clutter","n":4,"edges":[[0,1],[1,2],[2,3]]}')
+    bull = write(tmp_path, "bull.json",
+                 '{"kind":"clutter","n":5,"edges":[[0,1],[1,2],[0,2],[1,3],[2,4]]}')
+    for prop, path, enough in (("mfmc", p4, 4), ("ehrhart", bull, 6)):
+        for budget, code in ((enough - 1, 2), (enough, 0)):
+            monkeypatch.setenv("CLUTTERLAB_BUDGET", str(budget))
+            assert run(["check", prop, "--input", path]) == code, (prop, budget)
+
+
 def test_main_calls_share_no_state(tmp_path, capsys):
     # one parser serves every call; a budget given once must not stick
     bad = write(tmp_path, "bad.json", BAD_SYSTEM)

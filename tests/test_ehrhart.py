@@ -8,7 +8,7 @@ import pytest
 
 from clutterlab import combinat, ehrhart, kernel, lattice, polyhedron
 from clutterlab.combinat import Clutter, RawClutter
-from clutterlab.errors import Undecided, UsageError
+from clutterlab.errors import DEFAULT_STEP_BUDGET, Undecided, UsageError
 from clutterlab.families import line_graph_k24, sharpness_clutter
 from clutterlab.lattice import ConeWithLattice
 from clutterlab.polyhedron import HRep, VRep
@@ -259,6 +259,22 @@ def test_analyze_checks_reciprocity(monkeypatch):
     monkeypatch.setattr(lattice, "half_open_points", extra_interior_point)
     with pytest.raises(AssertionError, match="reciprocity"):
         ehrhart.analyze.__wrapped__(sharpness_clutter(2, 3))
+
+
+def test_analyze_cache_keys_on_the_resolved_budget(monkeypatch):
+    # the bull's Hilbert basis takes 6 steps: an analysis cached under the
+    # default budget must not answer once CLUTTERLAB_BUDGET lowers it to 3
+    bull = Clutter(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
+    monkeypatch.delenv("CLUTTERLAB_BUDGET", raising=False)
+    ehrhart.analyze.cache_clear()
+    ehrhart.analyze(bull)
+    ehrhart.analyze(bull, DEFAULT_STEP_BUDGET)  # the same key as None
+    assert ehrhart.analyze.cache_info().hits == 1
+    monkeypatch.setenv("CLUTTERLAB_BUDGET", "3")
+    with pytest.raises(Undecided):
+        ehrhart.analyze(bull)
+    monkeypatch.setenv("CLUTTERLAB_BUDGET", "6")
+    assert ehrhart.analyze(bull).is_ehrhart
 
 
 def test_ehrhart_clutter_verdicts(triangle, square, blocker_square):

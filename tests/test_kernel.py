@@ -279,6 +279,22 @@ def test_determinant_of_tall_matrix_is_a_maximal_minor():
         kernel.determinant([[1, 2]])
 
 
+def test_elimination_on_sparse_matrices():
+    # most rows have 0 in the pivot column: Bareiss only rescales them, or
+    # keeps them when the pivot equals the previous one
+    rng = random.Random(8)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(nc)] for _ in range(nr)]
+        assert kernel.rank(m) == rank_oracle(m), m
+        if nr == nc:
+            assert kernel.determinant(m) == det_oracle(m), m
+        x = [rng.randint(-2, 2) for _ in range(nc)]
+        b = [kernel.dot(row, x) for row in m]
+        sol = kernel.solve(m, b)
+        assert sol is not None and all(kernel.dot(row, sol) == bi for row, bi in zip(m, b)), m
+
+
 def test_solve_none_exactly_when_rank_grows():
     rng = random.Random(6)
     seen = {True: 0, False: 0}

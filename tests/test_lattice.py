@@ -440,6 +440,75 @@ def test_parallelepiped_points_match_fraction_solve(monkeypatch):
     }
 
 
+def test_unimodular_certificate_is_sound():
+    # every simplex certified by facet heights has an all-ones Smith
+    # diagonal; the certificate and the Bareiss minor each catch unimodular
+    # simplices that the other misses
+    rng = random.Random(33)
+    routes = set()
+    certified_kinds = set()
+    cones = 0
+    while cones < 400:
+        cone = random_pointed_cone(rng)
+        if cone is None:
+            continue
+        cones += 1
+        if all(g[-1] == 1 for g in cone.generators):
+            kind = "0/1-lifted"
+        else:
+            kind = "lower-dimensional" if cone.hrep_normals[1] else "full-dimensional"
+        for simplex in cone.triangulation:
+            mat = tuple(tuple(g[i] for g in simplex) for i in range(cone.n))
+            _, d, _ = kernel.smith_normal_form(mat)
+            unimodular = all(d[i][i] == 1 for i in range(len(simplex)))
+            certified = simplex in cone.unimodular
+            minor = abs(kernel.determinant(mat)) == 1
+            assert unimodular or not (certified or minor), simplex
+            if certified:
+                certified_kinds.add(kind)
+                routes.add("certificate plus minor" if minor else "certificate only")
+            elif minor:
+                routes.add("minor only")
+    assert routes == {"certificate only", "certificate plus minor", "minor only"}
+    assert certified_kinds == {"0/1-lifted", "lower-dimensional", "full-dimensional"}
+
+
+def test_zero_cone_certifies_its_empty_simplex():
+    cone = ConeWithLattice.from_vectors([], 3)
+    assert cone.triangulation == ((),)
+    assert cone.unimodular == frozenset({()})
+    assert hilbert_basis(cone, budget=0) == ()
+    assert lattice.half_open_points(cone, budget=0) == ([(0, 0, 0)], [(0, 0, 0)])
+
+
+def test_skipped_reduction_spends_the_steps_of_the_reduction():
+    # when every box is empty, hilbert_basis returns the extreme rays without
+    # reducing them; it must spend exactly what the reduction spends on them
+    rng = random.Random(37)
+    charged = 0
+    for _ in range(2000):
+        cone = random_pointed_cone(rng)
+        if cone is None:
+            continue
+        enumeration = StepCounter(10**6, "test")
+        if any(
+            any(pt)
+            for simplex in cone.triangulation
+            for pt, _ in lattice._parallelepiped_points(simplex, cone.n, enumeration)
+        ):
+            continue
+        steps = StepCounter(10**6, "test")
+        basis = lattice._reduce(cone, set(cone.extreme_rays), steps)
+        spent = 10**6 - steps.remaining
+        assert basis == tuple(sorted(cone.extreme_rays))
+        assert hilbert_basis(cone, budget=spent) == basis
+        if spent:
+            charged += 1
+            with pytest.raises(Undecided):
+                hilbert_basis(cone, budget=spent - 1)
+    assert charged >= 100
+
+
 def test_step_budget_covers_enumeration_and_reduction():
     # cone((1, 0), (2, 5)) is one simplex with 5 parallelepiped points; the
     # reduction then makes 7 facet-height comparisons, one step each

@@ -64,6 +64,19 @@ def test_mfmc(triangle, square):
     assert tdi.is_mfmc(combinat.blocker(square)).holds
 
 
+def test_face_verdict_cache_keys_on_the_resolved_budget(monkeypatch):
+    # the path P4 needs 4 steps in one face check: a verdict cached under
+    # the default budget must not answer once CLUTTERLAB_BUDGET lowers it
+    p4 = Clutter(4, [(0, 1), (1, 2), (2, 3)])
+    monkeypatch.delenv("CLUTTERLAB_BUDGET", raising=False)
+    tdi._hb_verdict.cache_clear()
+    assert tdi.is_mfmc(p4).verdict is True
+    monkeypatch.setenv("CLUTTERLAB_BUDGET", "3")
+    assert tdi.is_mfmc(p4).verdict == "undecided"
+    monkeypatch.setenv("CLUTTERLAB_BUDGET", "4")
+    assert tdi.is_mfmc(p4).verdict is True
+
+
 def test_mfmc_blockers_of_bipartite():
     for builder in (lambda: cycle(4), lambda: complete_bipartite(2, 3), lambda: complete_bipartite(3, 3)):
         g = builder()
