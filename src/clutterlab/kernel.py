@@ -38,13 +38,14 @@ def vsub(u: Sequence, v: Sequence) -> tuple:
 def integer_multiple(vec: Sequence) -> tuple[tuple[int, ...], int]:
     """(t * vec, t) for the least integer t > 0 making every entry an int.
 
-    Entries may be int or Fraction; both carry a `denominator`.  Every
-    product goes through int(), since Fraction(3) * 1 is still a Fraction.
+    Entries may be int or Fraction; both carry a `numerator` and a
+    `denominator`, so t * x is the int x.numerator * (t // x.denominator),
+    with no Fraction built (Fraction(3) * 1 would still be a Fraction).
     """
     if all(type(x) is int for x in vec):
         return tuple(vec), 1
     t = lcm(*[x.denominator for x in vec])
-    return tuple([int(x * t) for x in vec]), t
+    return tuple([x.numerator * (t // x.denominator) for x in vec]), t
 
 
 def _integer_row(row: Sequence) -> list[int]:

@@ -4,8 +4,8 @@ The central predicate is `is_hilbert_basis(H)`: do the nonnegative integer
 combinations of H reach every lattice point of the cone spanned by H?
 For pointed cones this reduces to computing the unique minimal Hilbert basis
 of the cone and checking set containment.  The basis comes in two steps:
-the cone is triangulated on the ray/facet incidences of its one double
-description, and the lattice points of each simplex's half-open
+the cone is triangulated on the ray/facet incidences of its
+H-representation, and the lattice points of each simplex's half-open
 parallelepiped come in integer arithmetic; the candidates are then reduced
 in support form, by comparing their facet-height tuples, each packed into
 one integer, in order of total height.  One table of facet heights per
@@ -25,7 +25,10 @@ generators decides every such t - g.
 
 Derived data lives on the `ConeWithLattice` instance: its H-representation,
 facet heights, extreme rays, triangulation and certified simplices are
-computed once, when first asked.
+computed once, when first asked.  A caller that already knows the facets
+passes them to `is_hilbert_basis`, and the cone runs no double description;
+`tdi` does so for every face cone of a pointed polyhedron, reading them off
+the polyhedron's edges.
 
 No verdict asks whether one point lies in the semigroup of given vectors,
 so membership is not decided here; the exact membership oracle that the
@@ -375,8 +378,17 @@ def _lexicographic_signs(simplex: tuple[IntVec, ...], n: int, perturbation) -> l
 # ---------------------------------------------------------------------------
 
 
-def is_hilbert_basis(vectors, budget: int | None = None) -> HilbertBasisReport:
-    """Decide whether N*H covers every lattice point of cone(H)."""
+def is_hilbert_basis(
+    vectors, budget: int | None = None, facets: tuple[IntVec, ...] | None = None
+) -> HilbertBasisReport:
+    """Decide whether N*H covers every lattice point of cone(H).
+
+    `facets`, when given, must be the sorted inequality normals that
+    `polyhedron.cone_generators_to_hrep` returns for H, with no equation
+    normals; the cone's H-representation is then taken from them and no
+    double description runs.  `tdi.is_tdi` passes the normals that
+    `polyhedron.minimal_faces` reads off the polyhedron's edges.
+    """
     vecs = [tuple(v) for v in vectors]
     if not vecs:
         raise UsageError("is_hilbert_basis: empty vector set")
@@ -385,6 +397,8 @@ def is_hilbert_basis(vectors, budget: int | None = None) -> HilbertBasisReport:
     if not nonzero:
         return HilbertBasisReport(verdict=True, basis=(), witnesses=())
     cone = ConeWithLattice.from_vectors(nonzero, n)
+    if facets is not None:
+        vars(cone)["hrep_normals"] = (tuple(facets), ())  # the cached_property's slot
     if cone.is_pointed:
         basis = hilbert_basis(cone, budget)
         hset = set(nonzero)

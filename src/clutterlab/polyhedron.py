@@ -10,6 +10,14 @@ Conversions run the double description method on the homogenization cone in
 exact integer arithmetic, deciding adjacency from tight-set bitmasks alone.
 The empty polyhedron is a value, not an error.  Lattice points are counted
 in `lattice`, from the half-open parallelepipeds of a triangulation.
+
+At a vertex x of a pointed polyhedron the cone of the active rows is the
+normal cone N(x), the polar of the tangent cone cone(P - x) (Schrijver,
+Theory of Linear and Integer Programming, 1986, section 22).  The tangent
+cone is pointed and its extreme rays are the directions of the edges at x,
+so `minimal_faces` reads the facet normals of every N(x) off the edges of
+P, found by the same tight-set adjacency test, with no double description
+per vertex.
 """
 
 from __future__ import annotations
@@ -57,11 +65,14 @@ class VRep:
 
 @dataclass(frozen=True)
 class Face:
-    """A minimal face: active inequality indices, dimension, interior point."""
+    """A minimal face: active inequality indices, dimension, interior point,
+    and the inequality normals of the cone of the active rows when
+    `minimal_faces` reads them off the edges (None otherwise)."""
 
     active: tuple[int, ...]
     dimension: int
     point: RatVec
+    facets: tuple[IntVec, ...] | None
 
 
 def _canon_ineq(a: Sequence[int], b: int) -> tuple[IntVec, int]:
@@ -98,6 +109,12 @@ def canonical_hrep(h: HRep) -> HRep:
 # ---------------------------------------------------------------------------
 
 
+def _primitive(vec: Sequence[int]) -> IntVec:
+    """`kernel.primitive` of a nonzero integer vector, with no Fraction check."""
+    g = gcd(*vec)
+    return tuple([x // g for x in vec])
+
+
 def _dd_cone(normals: Sequence[IntVec], n: int):
     """Generators (rays, lines) of the cone cut out by homogeneous normals.
 
@@ -117,7 +134,7 @@ def _dd_cone(normals: Sequence[IntVec], n: int):
     def project(x: IntVec, vx: int, l0: IntVec, v0: int) -> IntVec:
         # -v0 * x + vx * l0 lies in the hyperplane <a,.> = 0; -v0 > 0 keeps
         # the direction of x - (vx / v0) * l0
-        return kernel.primitive(tuple([vx * y - v0 * x for x, y in zip(x, l0)]))
+        return _primitive([vx * y - v0 * x for x, y in zip(x, l0)])
 
     for idx, a in enumerate(normals):
         bit = 1 << idx
@@ -161,8 +178,7 @@ def _dd_cone(normals: Sequence[IntVec], n: int):
                 # a face of dimension two needs `target` tight constraints
                 if common.bit_count() < target or sum(common & m == common for _, m in rays) > 2:
                     continue
-                new = tuple([vp * x - vm * y for x, y in zip(rm, rp)])
-                combos.append((kernel.primitive(new), common | bit))
+                combos.append((_primitive([vp * x - vm * y for x, y in zip(rm, rp)]), common | bit))
         rays = [(r, m) for r, m, _ in neg] + zero + combos
         if len(rays) > DEFAULT_RAY_CAP:
             raise ResourceExceeded("double description ray count", DEFAULT_RAY_CAP)
@@ -260,25 +276,82 @@ def cone_hrep_to_generators(ineq_normals: Sequence[IntVec], n: int):
 
 
 def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
-    """All minimal faces of the H-polyhedron h, given its V-representation v
-    (empty input: no faces).
+    """All minimal faces of the H-polyhedron h, given its minimal
+    V-representation v as `dd_convert` returns it (empty input: no faces).
 
     Active sets index into h.ineqs as given.  Each face carries one exact
     relative-interior point; for a pointed polyhedron these are the vertices.
+
+    When v is pointed and h has no equations, each face also carries
+    `facets`: the sorted primitive directions of the edges at its vertex.
+    These are the extreme rays of the tangent cone, the polar of the cone of
+    the active rows, so they equal the inequality normals
+    `cone_generators_to_hrep` returns for the active rows, whose equation
+    normals are then (), even when the polyhedron is not full-dimensional.
+    With lines an edge direction is fixed only up to the lineality space,
+    and explicit equations are missing from the tight sets; in both cases
+    `facets` is None.
     """
     if v.is_empty:
         return ()
+    # generators (t*x, t) of the homogenised cone {(x, t) : <a,x> <= b*t, t >= 0}:
+    # <a,x> == b  iff  <a,t*x> == b*t;  rays (r, 0) only when edges are read
+    gens = [kernel.integer_multiple(p) for p in v.vertices]
+    read_edges = not v.lines and not h.eqs
+    if read_edges:
+        gens += [(r, 0) for r in v.rays]
+    tight = [
+        tuple([i for i, (a, b) in enumerate(h.ineqs) if sum(map(mul, a, q)) == b * t])
+        for q, t in gens
+    ]
+    if read_edges:
+        edges = [tuple(sorted(e)) for e in _edge_directions(h, gens, tight)]
+    else:
+        edges = [None] * len(v.vertices)
     dim = len(v.lines)
     faces = []
     seen = set()
-    for p in v.vertices:
-        q, t = kernel.integer_multiple(p)  # <a,p> == b  iff  <a,t*p> == b*t
-        active = tuple(i for i, (a, b) in enumerate(h.ineqs) if kernel.dot(a, q) == b * t)
+    for p, active, facets in zip(v.vertices, tight, edges):
         if active in seen:
             continue
         seen.add(active)
-        faces.append(Face(active=active, dimension=dim, point=p))
+        faces.append(Face(active=active, dimension=dim, point=p, facets=facets))
     return tuple(faces)
+
+
+def _edge_directions(h: HRep, gens, tight) -> list[list[IntVec]]:
+    """Per vertex of a pointed polyhedron with no equations, the primitive
+    directions of its edges: y - x towards each adjacent vertex y, and each
+    adjacent extreme ray r.
+
+    `gens` are the homogenised cone's generators, (t*x, t) per vertex and
+    then (r, 0) per extreme ray, and `tight` their tight rows in h.ineqs;
+    a ray is also tight at t >= 0.  Two generators span a 2-face, an edge
+    of the polyhedron when one is a vertex, exactly when no third one is
+    tight wherever both are (Fukuda & Prodon, LNCS 1120, 1996).  A 2-face
+    of the cone in R^(n+1) has at least n - 1 tight rows, all of them in
+    h.ineqs since h has no equations, so smaller common sets are dropped
+    before that count.
+    """
+    ray_bit = 1 << len(h.ineqs)
+    masks = [sum([1 << i for i in rows]) | (0 if t else ray_bit) for rows, (_, t) in zip(tight, gens)]
+    need = h.n - 1
+    edges: list[list[IntVec]] = [[] for _, t in gens if t]  # one list per vertex
+    for i, (x, tx) in enumerate(gens[: len(edges)]):
+        commons = [masks[i] & m for m in masks]
+        for j in range(i + 1, len(gens)):
+            c = commons[j]
+            # commons[i] and commons[j] contain c; a third one rules the edge out
+            if c.bit_count() < need or sum([c & o == c for o in commons]) > 2:
+                continue
+            y, ty = gens[j]
+            if not ty:
+                edges[i].append(y)  # `dd_convert` returns primitive rays
+                continue
+            d = _primitive([tx * b - ty * a for a, b in zip(x, y)])  # along y/ty - x/tx
+            edges[i].append(d)
+            edges[j].append(tuple([-a for a in d]))
+    return edges
 
 
 def face_integral_point(h: HRep, face: Face) -> IntVec | None:

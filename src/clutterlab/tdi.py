@@ -74,10 +74,13 @@ class TdiCertificate:
         return self.verdict is True or self.verdict == "vacuous"
 
 
-# Cache: key (columns, resolved budget), bound 65536, shared by all is_tdi; Undecided not cached.
+# Cache: key ((active columns, face-cone facets or None), resolved budget),
+# bound 65536, shared by all is_tdi; Undecided not cached.  Facets read off
+# the polyhedron's edges spare the face cone its DD; None leaves it to `lattice`.
 @budget_keyed_cache(65536)
-def _hb_verdict(vectors: tuple[IntVec, ...], budget):
-    return lattice.is_hilbert_basis(vectors, budget)
+def _hb_verdict(face: tuple[tuple[IntVec, ...], tuple[IntVec, ...] | None], budget):
+    vectors, facets = face
+    return lattice.is_hilbert_basis(vectors, budget, facets)
 
 
 def is_tdi(system: LinearSystem, budget: int | None = None) -> TdiCertificate:
@@ -96,7 +99,7 @@ def is_tdi(system: LinearSystem, budget: int | None = None) -> TdiCertificate:
     for face in polyhedron.minimal_faces(h, v):
         # h.ineqs are the columns in order, so face.active indexes columns
         try:
-            report = _hb_verdict(tuple(cols[j] for j in face.active), budget)
+            report = _hb_verdict((tuple(cols[j] for j in face.active), face.facets), budget)
         except Undecided:
             return TdiCertificate(
                 verdict="undecided", faces=tuple(faces), failing=None,

@@ -717,6 +717,20 @@ def random_graph(rng, n, p=0.5):
     return SimpleGraph(n, [e for e in pairs if rng.random() < p])
 
 
+def random_system(rng, lo):
+    """Criterion 07a's generator: columns and bounds of x*A <= w, n in 1..4,
+    q in 1..6, entries lo..3, no zero column."""
+    n = rng.randint(1, 4)
+    q = rng.randint(1, 6)
+    cols = []
+    while len(cols) < q:
+        v = tuple(rng.randint(lo, 3) for _ in range(n))
+        if any(v):
+            cols.append(v)
+    w = tuple(rng.randint(lo, 3) for _ in range(q))
+    return cols, w
+
+
 def all_labeled_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):

@@ -15,6 +15,8 @@ from clutterlab import cli, combinat, ehrhart, families, ideals, tdi
 from clutterlab.combinat import Clutter
 from clutterlab.tdi import LinearSystem
 
+from conftest import random_system
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -140,18 +142,6 @@ def test_criterion_06_meyniel_differential():
            f"{total} graphs, {elapsed:.1f}s")
 
 
-def _random_system(rng, lo):
-    n = rng.randint(1, 4)
-    q = rng.randint(1, 6)
-    cols = []
-    while len(cols) < q:
-        v = tuple(rng.randint(lo, 3) for _ in range(n))
-        if any(v):
-            cols.append(v)
-    w = tuple(rng.randint(lo, 3) for _ in range(q))
-    return cols, w
-
-
 def test_criterion_07a_sufficiency_never_violated():
     """500 seeded systems: integral polyhedron + lifted Hilbert basis
     always forces dual integrality."""
@@ -159,7 +149,7 @@ def test_criterion_07a_sufficiency_never_violated():
     rng = random.Random(2024)
     bad = []
     for _ in range(500):
-        cols, w = _random_system(rng, -3)
+        cols, w = random_system(rng, -3)
         rep = tdi.sufficiency_check(LinearSystem(cols, w))
         if not rep.implication_respected:
             bad.append((cols, w, rep))
@@ -177,7 +167,7 @@ def test_criterion_07b_nonnegative_equivalence():
     rng = random.Random(2025)
     disagreements = []
     for _ in range(500):
-        cols, w = _random_system(rng, 0)
+        cols, w = random_system(rng, 0)
         rep = tdi.nonnegative_equivalence_check(cols, w)
         if not rep.agrees:
             disagreements.append((cols, w, rep))
@@ -197,7 +187,7 @@ def test_criterion_07c_edmonds_giles_necessity():
 
     bad = []
     for _ in range(500):
-        cols, w = _random_system(rng, -3)
+        cols, w = random_system(rng, -3)
         system = LinearSystem(cols, w)
         cert = tdi.is_tdi(system)  # also asserts necessity internally
         if cert.verdict is True:

@@ -113,6 +113,7 @@ def test_integer_multiple_uses_least_factor():
         ints, t = kernel.integer_multiple(vec)
         assert t > 0 and all(type(x) is int for x in ints)
         assert ints == tuple(t * x for x in vec)
+        assert ints == tuple(int(x * t) for x in vec)  # the Fraction route
         assert not any(all((s * x).denominator == 1 for x in vec) for s in range(1, t))
 
 

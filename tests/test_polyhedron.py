@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from clutterlab import kernel, polyhedron
+from clutterlab import kernel, polyhedron, tdi
+from clutterlab.combinat import RawClutter
 from clutterlab.errors import UsageError
-from clutterlab.polyhedron import HRep, VRep, dd_convert
+from clutterlab.polyhedron import HRep, VRep, cone_generators_to_hrep, dd_convert
 
-from conftest import brute_vertices, dd_cone_oracle
+from conftest import brute_vertices, dd_cone_oracle, random_system
 
 F = Fraction
 
@@ -75,6 +76,57 @@ def test_minimal_face_of_plane_cone():
     faces = polyhedron.minimal_faces(h, v)
     assert len(faces) == 1
     assert set(faces[0].active) == {0, 1}
+
+
+def _faces_with_facets(h: HRep) -> int:
+    """Check every face's edge-read facets against the face cone's double
+    description; returns how many faces carry facets."""
+    v = dd_convert(h)
+    read = 0
+    for face in polyhedron.minimal_faces(h, v):
+        if face.facets is None:
+            assert v.lines or h.eqs
+            continue
+        read += 1
+        columns = [h.ineqs[i][0] for i in face.active]
+        assert cone_generators_to_hrep(columns, h.n) == (face.facets, ())
+    return read
+
+
+def test_face_facets_match_the_face_cone_dd():
+    rng = random.Random(2024)
+    systems = [random_system(rng, -3) for _ in range(1200)]
+    read = sum(_faces_with_facets(HRep(len(cols[0]), tuple(zip(cols, w)))) for cols, w in systems)
+    assert read >= 1000
+    rng = random.Random(19)
+    read = 0
+    for _ in range(80):
+        n = rng.randint(3, 7)
+        edges = {tuple(sorted(rng.sample(range(n), rng.randint(1, 3)))) for _ in range(rng.randint(2, 8))}
+        edges = [e for e in edges if not any(set(f) < set(e) for f in edges)]
+        read += _faces_with_facets(tdi.covering_system(RawClutter(n, edges)).hrep())
+    assert read >= 150
+
+
+def test_face_facets_of_a_lower_dimensional_polyhedron():
+    # x1 = 1/2 and 0 <= x2 <= 1: pointed, yet every face cone has a line
+    h = HRep(2, (((2, 0), 1), ((-2, 0), -1), ((0, 1), 1), ((0, -1), 0)))
+    faces = polyhedron.minimal_faces(h, dd_convert(h))
+    assert [(f.point, f.facets) for f in faces] == [
+        ((F(1, 2), F(0)), ((0, 1),)),
+        ((F(1, 2), F(1)), ((0, -1),)),
+    ]
+    assert _faces_with_facets(h) == 2
+
+
+def test_face_facets_of_a_polyhedron_with_equations():
+    # the simplex x >= 0, x1 + x2 + x3 = 1: its equation is in no tight
+    # set, so an edge filter that ignores it would drop every edge
+    simplex = HRep(3, tuple((tuple(-int(i == j) for i in range(3)), 0) for j in range(3)), (((1, 1, 1), 1),))
+    faces = polyhedron.minimal_faces(simplex, dd_convert(simplex))
+    edges = [((0, 1, -1), (1, 0, -1)), ((0, -1, 1), (1, -1, 0)), ((-1, 0, 1), (-1, 1, 0))]
+    assert len(faces) == 3
+    assert all(f.facets in (None, want) for f, want in zip(faces, edges))
 
 
 def test_roundtrip_fixed():
@@ -212,6 +264,7 @@ def test_halfplane_lineality():
     assert dd_convert(dd_convert(v)) == v
     faces = polyhedron.minimal_faces(h, v)
     assert len(faces) == 1 and faces[0].dimension == 1
+    assert faces[0].facets is None  # edges are fixed only up to the line
 
 
 def test_integrality_with_lineality():

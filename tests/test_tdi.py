@@ -77,6 +77,24 @@ def test_face_verdict_cache_keys_on_the_resolved_budget(monkeypatch):
     assert tdi.is_mfmc(p4).verdict is True
 
 
+def test_mfmc_builds_no_face_cone_dd(monkeypatch):
+    # covering polyhedra are pointed, so every face cone takes its facets
+    # from the polyhedron's edges; a system with lines keeps the face DD
+    calls = []
+    to_hrep = polyhedron.cone_generators_to_hrep
+    monkeypatch.setattr(
+        polyhedron, "cone_generators_to_hrep", lambda *args: calls.append(args) or to_hrep(*args)
+    )
+    tdi._hb_verdict.cache_clear()
+    p4 = Clutter(4, [(0, 1), (1, 2), (2, 3)])
+    bull = Clutter(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
+    verdicts = [tdi.is_mfmc(c).verdict for c in (cycle_clutter(5), p4, bull)]
+    assert verdicts == [False, True, False]
+    assert calls == []
+    assert tdi.is_tdi(LinearSystem([(1, 0, 0), (0, 1, 0), (1, 1, 0)], (1, 1, 1))).verdict is True
+    assert calls
+
+
 def test_mfmc_blockers_of_bipartite():
     for builder in (lambda: cycle(4), lambda: complete_bipartite(2, 3), lambda: complete_bipartite(3, 3)):
         g = builder()
