@@ -348,8 +348,9 @@ def clique_clutter(g: SimpleGraph) -> RawClutter:
 # ---------------------------------------------------------------------------
 
 
-def _induced_cycles(g: SimpleGraph, min_len: int):
-    """Chordless cycles of length >= min_len, one canonical traversal each.
+def _induced_cycles(masks, min_len: int):
+    """Chordless cycles of length >= min_len, one canonical traversal each,
+    in the graph on len(masks) vertices with adjacency masks `masks`.
 
     A traversal starts at its smallest vertex, and its second vertex is
     smaller than its last (this fixes rotation and reflection).  The path
@@ -359,7 +360,6 @@ def _induced_cycles(g: SimpleGraph, min_len: int):
     runs through it; while the path is too short to close, the start's
     neighbours are no candidates at all.
     """
-    masks = adjacency_masks(g)
     holes = []
 
     def rec(ring: int, path: list[int], blocked: int):
@@ -381,7 +381,7 @@ def _induced_cycles(g: SimpleGraph, min_len: int):
             elif path[1] < w:
                 holes.append((*path, w))
 
-    for s in range(g.n):
+    for s in range(len(masks)):
         low = (2 << s) - 1
         for a in _members(masks[s] & ~low):
             rec(masks[s], [s, a], low | 1 << a)
@@ -409,7 +409,7 @@ def is_meyniel(g: SimpleGraph):
         raise ResourceExceeded("odd cycle enumeration vertex count", MEYNIEL_CAP)
     masks = adjacency_masks(g)
     odd, even = [], []
-    for c in _induced_cycles(g, 3):
+    for c in _induced_cycles(masks, 3):
         (odd if len(c) % 2 else even).append((c, sum(1 << v for v in c)))
     best = min(((c, 0) for c, _ in odd if len(c) >= 5), default=None)
     for c1, m1 in odd:
@@ -433,22 +433,24 @@ def is_meyniel(g: SimpleGraph):
 
 
 def odd_hole(g: SimpleGraph) -> tuple[int, ...] | None:
-    best = None
-    for cycle in _induced_cycles(g, 5):
-        if len(cycle) % 2 == 1 and (best is None or cycle < best):
-            best = cycle
-    return best
+    return _least_odd_hole(adjacency_masks(g))
+
+
+def _least_odd_hole(masks) -> tuple[int, ...] | None:
+    return min((c for c in _induced_cycles(masks, 5) if len(c) % 2), default=None)
 
 
 def is_perfect_small(g: SimpleGraph):
     """No induced odd hole in the graph or its complement.
 
-    Returns (True, None) or (False, ("hole" | "antihole", cycle)).
+    Returns (True, None) or (False, ("hole" | "antihole", cycle)).  The
+    antihole search runs on the complement's masks; no complement graph is
+    built.
     """
     hole = odd_hole(g)
     if hole is not None:
         return False, ("hole", hole)
-    anti = odd_hole(complement(g))
+    anti = _least_odd_hole(_complement_masks(adjacency_masks(g)))
     if anti is not None:
         return False, ("antihole", anti)
     return True, None

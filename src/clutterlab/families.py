@@ -167,24 +167,40 @@ def cycle_clutter(k: int) -> Clutter:
 def _refined_colours(nbrs: list[list[int]]) -> list[int]:
     """Colour refinement to an equitable partition, numbered invariantly.
 
-    Each round gives every vertex the rank, among all signatures, of its
-    signature: its colour, then the sorted colours of its neighbours.  It
-    stops when a round splits no class.
+    The first colouring ranks the vertices by degree.  Each round gives
+    every vertex the rank, among all signatures, of its signature: its
+    colour, then the sorted colours of its neighbours.  A signature is
+    packed into one integer of n base-(n + 1) digits, the digit of a colour
+    c being c + 1 and the unused digits 0, so integers compare as the
+    signature tuples do.  It stops when a round splits no class, or at once
+    when every class is a single vertex.
     """
-    colour = [0] * len(nbrs)
-    count = 1
-    while True:
-        sigs = [(colour[v], sorted(colour[w] for w in ws)) for v, ws in enumerate(nbrs)]
-        ranks = sorted({(c, tuple(ns)) for c, ns in sigs})
+    n = len(nbrs)
+    degrees = [len(ws) for ws in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    colour = [rank[d] for d in degrees]
+    count = len(rank)
+    base = n + 1
+    pad = [base ** (n - 1 - d) for d in range(n)]
+    while count < n:
+        sigs = []
+        for c, ws in zip(colour, nbrs):
+            sig = c + 1
+            for x in sorted([colour[w] for w in ws]):
+                sig = sig * base + x + 1
+            sigs.append(sig * pad[len(ws)])
+        ranks = sorted(set(sigs))
         if len(ranks) == count:
-            return colour
+            break
         rank = {sig: i for i, sig in enumerate(ranks)}
-        colour = [rank[c, tuple(ns)] for c, ns in sigs]
+        colour = [rank[sig] for sig in sigs]
         count = len(ranks)
+    return colour
 
 
-def canonical_form(g: SimpleGraph) -> tuple[int, ...]:
-    """A row encoding that is equal for two graphs exactly when they are
+def canonical_form(masks: IntVec) -> tuple[int, ...]:
+    """A row encoding of the graph on n = len(masks) vertices whose vertex v
+    has neighbour mask masks[v], equal for two graphs exactly when they are
     isomorphic.
 
     Row k encodes adjacency of position k to positions 0..k-1 as a k-bit
@@ -197,12 +213,23 @@ def canonical_form(g: SimpleGraph) -> tuple[int, ...]:
     (vertices whose neighbourhoods agree apart from each other) are swapped
     by an automorphism that fixes every placed vertex, so only the first of
     them is tried at a position.  The form is therefore not the smallest
-    encoding over all relabelings.
+    encoding over all relabelings.  When every cell is one vertex, one
+    relabeling fills them, and its rows are read off with no search.
+
+    The form reads only the masks, so the enumeration forms each extension
+    on masks and builds no graph for it; a caller holding a `SimpleGraph`
+    passes `combinat.adjacency_masks(g)`.  Refinement from one colour
+    would rank by degree in its first round and cannot split a discrete
+    partition, so starting from degrees and stopping there yields the same
+    cells, numbered the same, as a refinement run until no class splits.
     """
-    n = g.n
-    masks = combinat.adjacency_masks(g)
+    n = len(masks)
     nbrs = [[w for w in range(n) if m >> w & 1] for m in masks]
     colour = _refined_colours(nbrs)
+    if len(set(colour)) == n:
+        order = sorted(range(n), key=colour.__getitem__)
+        rows = [sum(1 << colour[w] for w in nbrs[v] if colour[w] < k) for k, v in enumerate(order)]
+        return (n, *rows)
     slot = sorted(colour)
     codes = [0] * n
     unplaced = set(range(n))
@@ -256,32 +283,37 @@ def graphs_upto_iso(n: int) -> tuple[SimpleGraph, ...]:
     numerically smaller N with the two exchanged; such an N is never the
     first of its class and is skipped (McKay, "Isomorph-free exhaustive
     generation", J. Algorithms 26, 1998).
+
+    The levels hold adjacency masks: a child's masks are its parent's with
+    bit k - 1 set on the members of N, followed by N itself, and
+    `canonical_form` reads them directly.  A `SimpleGraph` is built only
+    for the n-vertex representatives, one per class, at the end.
     """
     if n < 1:
         raise UsageError("graphs_upto_iso: need n >= 1")
     if n > 8:
         raise ResourceExceeded("graph enumeration vertex count", 8)
-    level = [SimpleGraph(1, [])]
+    level = [(0,)]
     for k in range(2, n + 1):
+        new = 1 << (k - 1)
         seen = {}
-        for g in level:
-            masks = combinat.adjacency_masks(g)
+        for masks in level:
             twins = [
                 (1 << u, 1 << w)
                 for w in range(k - 1)
                 for u in range(w)
                 if masks[u] & ~(1 << w) == masks[w] & ~(1 << u)
             ]
-            for nbrs in range(1 << (k - 1)):
+            for nbrs in range(new):
                 if any(nbrs & bw and not nbrs & bu for bu, bw in twins):
                     continue
-                edges = list(g.edges) + [
-                    (i, k - 1) for i in range(k - 1) if nbrs >> i & 1
-                ]
-                h = SimpleGraph(k, edges)
-                seen.setdefault(canonical_form(h), h)
+                child = (*(m | new if nbrs >> i & 1 else m for i, m in enumerate(masks)), nbrs)
+                seen.setdefault(canonical_form(child), child)
         level = [seen[f] for f in sorted(seen)]
-    return tuple(level)
+    return tuple(
+        SimpleGraph(n, [(a, b) for b, m in enumerate(masks) for a in combinat._members(m) if a < b])
+        for masks in level
+    )
 
 
 def _perfect_matching(a: int, adj: list[int]) -> list[int] | None:
@@ -359,7 +391,7 @@ def unmixed_bipartite_graphs(n_max: int):
             g = SimpleGraph(n, edges)
             if not combinat.is_connected(g):
                 continue
-            out.setdefault(canonical_form(g), g)
+            out.setdefault(canonical_form(combinat.adjacency_masks(g)), g)
     return tuple(out[f] for f in sorted(out))
 
 

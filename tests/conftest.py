@@ -592,9 +592,84 @@ def hoang_witness_two_search_oracle(g, u):
     return min((combinat._members(s) for s in sets if s >> u & 1), default=None)
 
 
+def _refined_colours_parent_oracle(nbrs):
+    """Colour refinement to an equitable partition, numbered invariantly.
+
+    Each round gives every vertex the rank, among all signatures, of its
+    signature: its colour, then the sorted colours of its neighbours.  It
+    stops when a round splits no class.
+    """
+    colour = [0] * len(nbrs)
+    count = 1
+    while True:
+        sigs = [(colour[v], sorted(colour[w] for w in ws)) for v, ws in enumerate(nbrs)]
+        ranks = sorted({(c, tuple(ns)) for c, ns in sigs})
+        if len(ranks) == count:
+            return colour
+        rank = {sig: i for i, sig in enumerate(ranks)}
+        colour = [rank[c, tuple(ns)] for c, ns in sigs]
+        count = len(ranks)
+
+
+def canonical_form_parent_oracle(g):
+    """`families.canonical_form` before it moved to adjacency masks: refinement
+    from one colour until no class splits, signatures compared as tuples,
+    and the branch and bound run even on a discrete partition.
+
+    Row k encodes adjacency of position k to positions 0..k-1 as a k-bit
+    number; the form is the smallest encoding over the relabelings that fill
+    the refined cells in order, with twins tried once per position.
+    """
+    n = g.n
+    masks = combinat.adjacency_masks(g)
+    nbrs = [[w for w in range(n) if m >> w & 1] for m in masks]
+    colour = _refined_colours_parent_oracle(nbrs)
+    slot = sorted(colour)
+    codes = [0] * n
+    unplaced = set(range(n))
+    rows = []
+    best = []
+
+    def twins(v, w):
+        return masks[v] & ~(1 << w) == masks[w] & ~(1 << v)
+
+    def rec(k, tight):
+        # tight: rows equals best[:k]; otherwise rows is smaller, or no
+        # encoding is complete yet
+        nonlocal best
+        if k == n:
+            if not tight:
+                best = rows.copy()
+            return
+        cands = sorted((codes[v], v) for v in unplaced if colour[v] == slot[k])
+        tried = []
+        for code, v in cands:
+            if tight and code > best[k]:
+                break  # candidates are sorted, later ones only get bigger
+            if any(twins(v, w) for w in tried):
+                continue
+            tried.append(v)
+            unplaced.remove(v)
+            for w in nbrs[v]:
+                codes[w] |= 1 << k
+            rows.append(code)
+            rec(k + 1, tight and code == best[k])
+            rows.pop()
+            for w in nbrs[v]:
+                codes[w] ^= 1 << k
+            unplaced.add(v)
+            # the subtree reached a complete encoding with this prefix, or
+            # the prefix already equalled the best one
+            tight = True
+
+    rec(0, False)
+    return (n, *best)
+
+
 def graphs_upto_iso_oracle(n):
     """Every extension of every graph on k - 1 vertices by a new vertex,
-    the first one seen kept per canonical form, classes in form order."""
+    the first one seen kept per canonical form, classes in form order;
+    the forms are `canonical_form_parent_oracle`'s."""
     level = [SimpleGraph(1, [])]
     for k in range(2, n + 1):
         seen = {}
@@ -602,14 +677,14 @@ def graphs_upto_iso_oracle(n):
             for nbrs in range(1 << (k - 1)):
                 edges = list(g.edges) + [(i, k - 1) for i in range(k - 1) if nbrs >> i & 1]
                 h = SimpleGraph(k, edges)
-                seen.setdefault(families.canonical_form(h), h)
+                seen.setdefault(canonical_form_parent_oracle(h), h)
         level = [seen[f] for f in sorted(seen)]
     return tuple(level)
 
 
 def canonical_graph(g):
     """A concrete relabeling achieving the canonical form."""
-    rows = families.canonical_form(g)[1:]
+    rows = families.canonical_form(combinat.adjacency_masks(g))[1:]
     edges = [(i, k) for k, code in enumerate(rows) for i in range(k) if code >> i & 1]
     return SimpleGraph(g.n, edges)
 

@@ -3,7 +3,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clutterlab import combinat, ehrhart, families, ideals, tdi
@@ -13,11 +13,16 @@ from clutterlab.errors import ResourceExceeded, UsageError
 from conftest import (
     all_labeled_graphs,
     canonical_form_oracle,
+    canonical_form_parent_oracle,
     canonical_graph,
     graphs_upto_iso_oracle,
     random_graph,
     relabeled,
 )
+
+
+def _form(g):
+    return families.canonical_form(combinat.adjacency_masks(g))
 
 
 def test_canonical_form_isomorphism_invariant():
@@ -30,15 +35,18 @@ def test_canonical_form_isomorphism_invariant():
         perm = list(range(n))
         rng.shuffle(perm)
         h = SimpleGraph(n, [(perm[a], perm[b]) for a, b in edges])
-        assert families.canonical_form(g) == families.canonical_form(h)
-        assert families.canonical_form(canonical_graph(g)) == families.canonical_form(g)
+        assert _form(g) == _form(h)
+        assert _form(canonical_graph(g)) == _form(g)
     for n in range(1, 8):
         for g in families.graphs_upto_iso(n):
-            form = families.canonical_form(g)
+            # the oracle's exact tuple, not only its classes: the
+            # enumeration's representatives and order depend on it
+            form = _form(g)
+            assert form == canonical_form_parent_oracle(g), g
             for _ in range(2):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                assert families.canonical_form(relabeled(g, perm)) == form, g
+                assert _form(relabeled(g, perm)) == form, g
 
 
 def test_canonical_form_classes_match_smallest_form_oracle():
@@ -47,7 +55,9 @@ def test_canonical_form_classes_match_smallest_form_oracle():
     for n in range(6):
         classes = {}
         for g in all_labeled_graphs(n):
-            classes.setdefault(canonical_form_oracle(g), set()).add(families.canonical_form(g))
+            form = _form(g)
+            assert form == canonical_form_parent_oracle(g), g
+            classes.setdefault(canonical_form_oracle(g), set()).add(form)
         forms = [f for fs in classes.values() for f in fs]
         assert all(len(fs) == 1 for fs in classes.values())
         assert len(set(forms)) == len(forms)
@@ -78,12 +88,37 @@ def _nx(g):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(graph_pairs())
+@example((SimpleGraph(0, []), SimpleGraph(0, []), []))
+@example((SimpleGraph(1, []), SimpleGraph(1, []), [0]))
 def test_canonical_form_decides_isomorphism(case):
     g, h, perm = case
-    form = families.canonical_form(g)
-    assert (form == families.canonical_form(h)) == nx.is_isomorphic(_nx(g), _nx(h))
-    assert families.canonical_form(relabeled(g, perm)) == form
-    assert families.canonical_form(canonical_graph(g)) == form
+    form = _form(g)
+    assert form == canonical_form_parent_oracle(g)
+    assert (form == _form(h)) == nx.is_isomorphic(_nx(g), _nx(h))
+    assert _form(relabeled(g, perm)) == form
+    assert _form(canonical_graph(g)) == form
+
+
+def test_canonical_form_matches_parent_oracle_when_refinement_splits_nothing():
+    # vertex-transitive graphs: one cell, so the whole search runs
+    cube = [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b]
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    graphs = [
+        families.cycle(9),
+        SimpleGraph(8, cube),
+        families.complete_bipartite(3, 3),
+        SimpleGraph(10, petersen),
+    ]
+    rng = random.Random(9)
+    for g in graphs:
+        masks = combinat.adjacency_masks(g)
+        nbrs = [combinat._members(m) for m in masks]
+        assert set(families._refined_colours(nbrs)) == {0}, g
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for h in (g, relabeled(g, perm)):
+            assert _form(h) == canonical_form_parent_oracle(h), h
 
 
 def test_graph_counts_up_to_isomorphism():
@@ -96,6 +131,25 @@ def test_graphs_upto_iso_matches_unpruned_enumeration():
     # class: same representatives, same order
     for n in range(1, 8):
         assert families.graphs_upto_iso(n) == graphs_upto_iso_oracle(n), n
+
+
+def test_graphs_upto_iso_builds_one_graph_per_class(monkeypatch):
+    # the extensions live on adjacency masks: one SimpleGraph per class of
+    # the last level, and no graph goes through the masks cache
+    for obj in vars(combinat).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    built = []
+    init = SimpleGraph.__init__
+
+    def counted(self, n, edges):
+        built.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(SimpleGraph, "__init__", counted)
+    graphs = families.graphs_upto_iso(6)
+    assert len(graphs) == 156 and built == [6] * 156
+    assert combinat.adjacency_masks.cache_info().misses == 0
 
 
 def test_graphs_upto_iso_is_capped():
@@ -171,10 +225,10 @@ def test_is_chordal_matches_networkx():
 
 def test_unmixed_bipartite_enumeration_small():
     graphs = families.unmixed_bipartite_graphs(6)
-    forms = {families.canonical_form(g) for g in graphs}
-    assert families.canonical_form(families.cycle(4)) in forms
-    assert families.canonical_form(families.path(3)) not in forms
-    assert families.canonical_form(families.complete_bipartite(1, 1)) in forms
+    forms = {_form(g) for g in graphs}
+    assert _form(families.cycle(4)) in forms
+    assert _form(families.path(3)) not in forms
+    assert _form(families.complete_bipartite(1, 1)) in forms
     for g in graphs:
         assert combinat.is_connected(g)
         assert combinat.is_unmixed(Clutter(g.n, g.edges))
