@@ -5,6 +5,9 @@ or resource cap), 64 = usage or parse error.  Certificates are byte-stable
 JSON for a fixed input and schema version; timing is only included on
 request so that repeated runs stay byte-identical.
 
+`main` resolves the step budget once (`--budget`, else CLUTTERLAB_BUDGET, else
+10^7; exit 64 when negative) and runs the command in that `errors.budget` scope.
+
 Every clutter property of `check` decides edgeless clutters.  `invariants`
 rejects them with exit 64: the edge polytope of a clutter without edges is
 empty, so there is no series to report.
@@ -22,7 +25,7 @@ from pathlib import Path
 
 from . import combinat, ehrhart, families, ideals, tdi
 from .combinat import Clutter, RawClutter, SimpleGraph
-from .errors import ResourceExceeded, Undecided, UsageError, step_budget
+from .errors import ResourceExceeded, Undecided, UsageError, budget, step_budget
 from .tdi import LinearSystem
 
 SCHEMA_VERSION = 1
@@ -142,13 +145,13 @@ def _tdi_payload(cert: tdi.TdiCertificate):
     return payload
 
 
-def run_check(prop: str, obj, budget: int | None):
+def run_check(prop: str, obj):
     """Returns (verdict, witnesses, invariants, notes)."""
     notes: dict = {}
     if prop == "tdi":
         if not isinstance(obj, LinearSystem):
             raise UsageError("check tdi: input must be a system")
-        cert = tdi.is_tdi(obj, budget)
+        cert = tdi.is_tdi(obj)
         return cert.verdict, _tdi_payload(cert), {}, notes
     if prop == "meyniel":
         ok, wit = combinat.is_meyniel(_as_graph(obj))
@@ -160,14 +163,14 @@ def run_check(prop: str, obj, budget: int | None):
         return ok, wits, {}, notes
     c = _as_clutter(obj, notes)
     if prop == "ehrhart":
-        ok, wits = ehrhart.is_ehrhart_clutter(c, budget)
+        ok, wits = ehrhart.is_ehrhart_clutter(c)
         return ok, {"missing_lattice_points": [list(w) for w in wits]} if not ok else {}, {}, notes
     if prop == "ideal":
         ok, wit = tdi.is_ideal_clutter(c)
         wits = {} if ok else {"fractional_vertex": [str(x) for x in wit]}
         return ok, wits, {}, notes
     if prop == "mfmc":
-        cert = tdi.is_mfmc(c, budget)
+        cert = tdi.is_mfmc(c)
         return cert.verdict, _tdi_payload(cert), {}, notes
     if prop == "unmixed":
         ok = combinat.is_unmixed(c)
@@ -181,14 +184,14 @@ def run_check(prop: str, obj, budget: int | None):
         m = combinat.max_disjoint_edges(c)
         return g == m, {}, {"covering_number": g, "matching_number": m}, notes
     if prop in ("ntf", "normal"):
-        rep = (ideals.is_ntf if prop == "ntf" else ideals.is_normal)(c, budget)
+        rep = (ideals.is_ntf if prop == "ntf" else ideals.is_normal)(c)
         wits = {} if rep.ok else {"power": rep.failure_power, "monomial": list(rep.witness)}
         return rep.ok, wits, {}, notes
     raise UsageError(f"unknown property {prop!r}")
 
 
 def make_certificate(command: str, obj, verdict, witnesses, invariants, notes,
-                     budget=None, timing_ms=None):
+                     limit=None, timing_ms=None):
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -199,7 +202,7 @@ def make_certificate(command: str, obj, verdict, witnesses, invariants, notes,
         "invariants": _jsonable(invariants),
         "notes": notes,
         "seed": None,
-        "budget": {"limit": budget, "exceeded": verdict == "undecided"},
+        "budget": {"limit": limit, "exceeded": verdict == "undecided"},
         "timing_ms": timing_ms,
     }
 
@@ -215,7 +218,7 @@ def emit(cert, args) -> None:
 def _emit_undecided(command: str, obj, notes: dict, exc, args) -> None:
     """Certificate of a run that a step budget or a resource cap stopped."""
     cert = make_certificate(
-        command, obj, "undecided", {}, {}, {**notes, "reason": str(exc)}, budget=args.budget
+        command, obj, "undecided", {}, {}, {**notes, "reason": str(exc)}, limit=args.budget
     )
     cert["budget"]["exceeded"] = isinstance(exc, Undecided)
     emit(cert, args)
@@ -238,7 +241,7 @@ def cmd_check(args) -> int:
     obj = load_instance(args.input)
     t0 = time.monotonic()
     try:
-        verdict, wits, inv, notes = run_check(args.property, obj, args.budget)
+        verdict, wits, inv, notes = run_check(args.property, obj)
     except Undecided as exc:
         verdict, wits, inv, notes = "undecided", {}, {}, {"reason": str(exc)}
     except ResourceExceeded as exc:
@@ -247,7 +250,7 @@ def cmd_check(args) -> int:
     ms = round((time.monotonic() - t0) * 1000)
     cert = make_certificate(
         f"check {args.property}", obj, verdict, wits, inv, notes,
-        budget=args.budget, timing_ms=ms if args.timing else None,
+        limit=args.budget, timing_ms=ms if args.timing else None,
     )
     emit(cert, args)
     if not args.json:
@@ -263,8 +266,8 @@ def cmd_invariants(args) -> int:
     notes: dict = {}
     try:
         c = _as_clutter(obj, notes)
-        analysis = ehrhart.analyze(c, args.budget)
-        bounds = ehrhart.check_regularity_bounds(c, args.budget)
+        analysis = ehrhart.analyze(c)
+        bounds = ehrhart.check_regularity_bounds(c)
     except (Undecided, ResourceExceeded) as exc:
         _emit_undecided("invariants", obj, notes, exc, args)
         raise  # main prints the reason and exits 2
@@ -286,7 +289,7 @@ def cmd_invariants(args) -> int:
             "regularity_tight": bounds.reg_tight,
         },
     }
-    cert = make_certificate("invariants", obj, True, {}, inv, notes, budget=args.budget)
+    cert = make_certificate("invariants", obj, True, {}, inv, notes, limit=args.budget)
     emit(cert, args)
     if not args.json:
         print(f"h-vector    {inv['hvector']}")
@@ -323,7 +326,7 @@ def cmd_conjecture(args) -> int:
         perfect, _ = combinat.is_perfect_small(g)
         # one DD of the covering polyhedron: idealness is read off the flow
         # certificate, as in `tdi.clutter_verdicts`
-        cert = tdi.is_mfmc(combinat.clique_clutter(g), args.budget)
+        cert = tdi.is_mfmc(combinat.clique_clutter(g))
         row = {
             "family": fam,
             "index": idx,
@@ -409,11 +412,11 @@ def cmd_examples(args) -> int:
         )
         written.append(str(ipath))
         if isinstance(obj, SimpleGraph):
-            verdict, wits, inv, notes = run_check("perfect", obj, args.budget)
+            verdict, wits, inv, notes = run_check("perfect", obj)
             cert = make_certificate("check perfect", obj, verdict, wits, inv, notes)
         else:
-            ok, hbw = ehrhart.is_ehrhart_clutter(obj, args.budget)
-            a = ehrhart.analyze(obj, args.budget)
+            ok, hbw = ehrhart.is_ehrhart_clutter(obj)
+            a = ehrhart.analyze(obj)
             cert = make_certificate(
                 "examples", obj, ok,
                 {"missing_lattice_points": [list(w) for w in hbw]} if not ok else {},
@@ -445,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit the JSON certificate on stdout")
         p.add_argument("--output", help="write the JSON certificate to a file")
         p.add_argument("--budget", type=int, default=None,
-                       help="step budget override (default: CLUTTERLAB_BUDGET or 10^7)")
+                       help="step budget, at least 0 (default: CLUTTERLAB_BUDGET or 10^7)")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the certificate "
                             "(breaks byte-stability across runs)")
@@ -488,8 +491,11 @@ def main(argv=None) -> int:
     try:
         if args.budget is None:
             args.budget = step_budget()
-        # looked up at call time, so that a rebound command function runs
-        return globals()[f"cmd_{args.cmd}"](args)
+        if args.budget < 0:
+            raise UsageError(f"the step budget must be at least 0, got {args.budget}")
+        with budget(args.budget):
+            # looked up at call time, so that a rebound command function runs
+            return globals()[f"cmd_{args.cmd}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,9 +36,9 @@ class EhrhartAnalysis:
     witnesses: tuple[IntVec, ...]
 
 
-# Cache: key (clutter, resolved budget), bound 4096, shared by all callers; Undecided not cached.
+# Cache: key (clutter, ambient budget), bound 4096, shared by all callers; Undecided not cached.
 @budget_keyed_cache(4096)
-def analyze(c: RawClutter, budget: int | None = None) -> EhrhartAnalysis:
+def analyze(c: RawClutter) -> EhrhartAnalysis:
     if not c.edges:
         raise UsageError("clutter has no edges: the empty edge polytope has no series to report")
     lifted = tuple(v + (1,) for v in c.characteristic_vectors())
@@ -46,10 +46,10 @@ def analyze(c: RawClutter, budget: int | None = None) -> EhrhartAnalysis:
     # pointed, since every generator has height 1; the generators are `lifted`
     cone = lattice.ConeWithLattice.from_vectors(lifted)
     gens = set(cone.generators)
-    witnesses = tuple(t for t in lattice.hilbert_basis(cone, budget) if t not in gens)
+    witnesses = tuple(t for t in lattice.hilbert_basis(cone) if t not in gens)
     # the basis spent a step on every parallelepiped point of the same
     # triangulation, so this enumeration fits in any budget that it did
-    closed, interior = lattice.half_open_points(cone, budget)
+    closed, interior = lattice.half_open_points(cone)
     h = _bin_by_height(closed, dim + 1)
     h_int = _bin_by_height(interior, dim + 2)
     if h[0] != 1:
@@ -84,7 +84,7 @@ def _bin_by_height(points, size: int) -> list[int]:
     return counts
 
 
-def is_ehrhart_clutter(c: RawClutter, budget: int | None = None):
+def is_ehrhart_clutter(c: RawClutter):
     """Do the lifted edge vectors generate every lattice point of their cone?
 
     Returns (verdict, witnesses); a witness is a cone lattice point outside
@@ -93,7 +93,7 @@ def is_ehrhart_clutter(c: RawClutter, budget: int | None = None):
     """
     if not c.edges:
         return True, ()
-    a = analyze(c, budget)
+    a = analyze(c)
     return a.is_ehrhart, a.witnesses
 
 
@@ -105,21 +105,12 @@ def ehrhart_function(c: RawClutter, b: int) -> int:
     return sum(hi * comb(b - i + a.dim, a.dim) for i, hi in enumerate(a.hvector))
 
 
-def hvector(c: RawClutter) -> tuple[int, ...]:
-    return analyze(c).hvector
-
-
 def a_invariant_interior(c: RawClutter) -> int:
     """Minus the first dilation whose relative interior holds a lattice point.
 
     `analyze` reads it off the interior decomposition and checks it against
     the series by reciprocity, so it is read from there."""
     return analyze(c).a_invariant
-
-
-def regularity(c: RawClutter) -> int:
-    a = analyze(c)
-    return a.regularity
 
 
 @dataclass(frozen=True)
@@ -148,7 +139,7 @@ class BoundReport:
         )
 
 
-def check_regularity_bounds(c: RawClutter, budget: int | None = None) -> BoundReport:
+def check_regularity_bounds(c: RawClutter) -> BoundReport:
     """For d-uniform unmixed flow-property clutters: series degree <= -g and
     regularity <= (d-1)(g-1), with per-instance tightness flags.
 
@@ -163,12 +154,12 @@ def check_regularity_bounds(c: RawClutter, budget: int | None = None) -> BoundRe
         missing.append("uniform")
     if not combinat.is_unmixed(c):
         missing.append("unmixed")
-    mfmc = tdi.is_mfmc(c, budget)
+    mfmc = tdi.is_mfmc(c)
     if mfmc.verdict == "undecided":
         raise Undecided(f"flow property: {mfmc.note}")
     if not mfmc.holds:
         missing.append("mfmc")
-    a = analyze(c, budget)
+    a = analyze(c)
     reg_bound = (d - 1) * (g - 1) if d is not None else None
     return BoundReport(
         hypotheses_met=not missing,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache, wraps
 
 DEFAULT_STEP_BUDGET = 10_000_000
@@ -34,10 +36,26 @@ class Undecided(RuntimeError):
         self.what = what
 
 
-def step_budget(override: int | None = None) -> int:
-    """Default elementary-step budget, overridable via CLUTTERLAB_BUDGET."""
-    if override is not None:
-        return override
+_SCOPED_BUDGET: ContextVar[int | None] = ContextVar("step_budget", default=None)
+
+
+@contextmanager
+def budget(limit: int):
+    """Run the block under step limit `limit`; the enclosing one returns on any exit."""
+    token = _SCOPED_BUDGET.set(limit)
+    try:
+        yield
+    finally:
+        _SCOPED_BUDGET.reset(token)
+
+
+def step_budget() -> int:
+    """The step limit of every bounded enumeration, read at its start and
+    passed in no argument: the innermost `budget` scope, else
+    CLUTTERLAB_BUDGET, else DEFAULT_STEP_BUDGET."""
+    scoped = _SCOPED_BUDGET.get()
+    if scoped is not None:
+        return scoped
     raw = os.environ.get("CLUTTERLAB_BUDGET")
     if raw:
         try:
@@ -52,8 +70,8 @@ class StepCounter:
 
     __slots__ = ("remaining", "what")
 
-    def __init__(self, budget: int, what: str):
-        self.remaining = budget
+    def __init__(self, limit: int, what: str):
+        self.remaining = limit
         self.what = what
 
     def spend(self, count: int = 1):
@@ -63,20 +81,18 @@ class StepCounter:
 
 
 def budget_keyed_cache(maxsize: int):
-    """`functools.lru_cache` for f(x, budget), keyed on the resolved budget.
-
-    The cache sees `step_budget(budget)`, so a result reached under the
-    default budget is not returned after CLUTTERLAB_BUDGET lowers it, and
-    budget=None shares entries with the explicit default.  `cache_info`,
-    `cache_clear` and `__wrapped__` are those of the lru_cache.
-    """
+    """`functools.lru_cache` for f(x), keyed on (x, `step_budget()` at call
+    time): a result reached under one limit never answers under another.
+    `cache_info` and `cache_clear` are the lru_cache's; `__wrapped__` is f."""
 
     def decorate(fn):
-        cached = lru_cache(maxsize=maxsize)(fn)
+        @lru_cache(maxsize=maxsize)
+        def cached(x, limit: int):
+            return fn(x)
 
         @wraps(fn)
-        def call(x, budget: int | None = None):
-            return cached(x, step_budget(budget))
+        def call(x):
+            return cached(x, step_budget())
 
         call.cache_info = cached.cache_info
         call.cache_clear = cached.cache_clear

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import combinat, ideals
 from .combinat import Clutter, RawClutter, SimpleGraph
@@ -481,8 +480,6 @@ class NonNormalHit:
     witness: IntVec
 
 
-# Cache: no key, one entry, shared by all callers; default budget, Undecided not cached.
-@lru_cache(maxsize=1)
 def search_nonnormal_chordal() -> NonNormalHit | None:
     """First chordal graph (seeded probes, then gadget gluings) whose
     clique-clutter edge ideal is not normal."""

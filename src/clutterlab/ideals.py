@@ -72,10 +72,6 @@ class MonomialIdeal:
             raise UsageError("contains: ambient dimension mismatch")
         return any(all(x <= y for x, y in zip(g, a)) for g in self.gens)
 
-    def __le__(self, other: "MonomialIdeal") -> bool:
-        if self.n != other.n:
-            raise UsageError("ideal comparison: ambient dimension mismatch")
-        return all(other.contains(g) for g in self.gens)
 
 
 def edge_ideal(c: RawClutter) -> MonomialIdeal:
@@ -105,9 +101,9 @@ def _rees_cone(ideal: MonomialIdeal) -> lattice.ConeWithLattice:
     return lattice.ConeWithLattice.from_vectors(_rees_generators(ideal), ideal.n + 1)
 
 
-# Cache: key (clutter, resolved budget), bound 4096, shared by three readers; Undecided not cached.
+# Cache: key (clutter, ambient budget), bound 4096, shared by three readers; Undecided not cached.
 @budget_keyed_cache(4096)
-def _symbolic_basis(c: RawClutter, budget: int) -> tuple[IntVec, ...]:
+def _symbolic_basis(c: RawClutter) -> tuple[IntVec, ...]:
     """Hilbert basis of the symbolic cone {(a, i) >= 0 : <a, u> >= i for
     every minimal cover u}, for `symbolic_power`, `is_ntf` and
     `closure_vs_symbolic`; one DD gives its rays."""
@@ -115,7 +111,7 @@ def _symbolic_basis(c: RawClutter, budget: int) -> tuple[IntVec, ...]:
     normals = [tuple(-int(i == j) for i in range(n + 1)) for j in range(n + 1)]
     normals += [tuple(-x for x in u) + (1,) for u in combinat.CoverSet.of(c).vectors()]
     rays, _ = polyhedron.cone_hrep_to_generators(normals, n + 1)
-    return lattice.hilbert_basis(lattice.ConeWithLattice.from_vectors(rays, n + 1), budget)
+    return lattice.hilbert_basis(lattice.ConeWithLattice.from_vectors(rays, n + 1))
 
 
 def _generators_at_height(basis, n: int, i: int) -> MonomialIdeal:
@@ -184,7 +180,7 @@ def _least_failure(failing, n: int) -> PowerComparisonReport:
     return PowerComparisonReport(*min(((b[n], b[:n]) for b in failing), default=(None, None)))
 
 
-def is_ntf(c: RawClutter, budget: int | None = None) -> PowerComparisonReport:
+def is_ntf(c: RawClutter) -> PowerComparisonReport:
     """Compare ordinary and symbolic powers.
 
     I^i sits inside I^(i); the first power where they differ is the least
@@ -194,11 +190,11 @@ def is_ntf(c: RawClutter, budget: int | None = None) -> PowerComparisonReport:
     split as (v, 1) + (b, k - 1).  At height 1 the basis elements are the
     generators of I^(1) = I.
     """
-    basis = _symbolic_basis(c, budget)
+    basis = _symbolic_basis(c)
     return _least_failure([b for b in basis if b[c.n] > 1], c.n)
 
 
-def closure_vs_symbolic(c: RawClutter, budget: int | None = None) -> PowerComparisonReport:
+def closure_vs_symbolic(c: RawClutter) -> PowerComparisonReport:
     """Compare closures of powers with symbolic powers.
 
     The closure sits inside the symbolic power; the first power where they
@@ -206,11 +202,11 @@ def closure_vs_symbolic(c: RawClutter, budget: int | None = None) -> PowerCompar
     Rees cone.
     """
     rees = _rees_cone(edge_ideal(c))
-    basis = _symbolic_basis(c, budget)
+    basis = _symbolic_basis(c)
     return _least_failure([b for b in basis if not rees.contains(b)], c.n)
 
 
-def is_normal(c: RawClutter, budget: int | None = None) -> PowerComparisonReport:
+def is_normal(c: RawClutter) -> PowerComparisonReport:
     """Compare closures of powers with ordinary powers.
 
     The Rees algebra is normal exactly when the Rees generators form a
@@ -219,5 +215,5 @@ def is_normal(c: RawClutter, budget: int | None = None) -> PowerComparisonReport
     """
     ideal = edge_ideal(c)
     gens = set(_rees_generators(ideal))
-    witnesses = [b for b in lattice.hilbert_basis(_rees_cone(ideal), budget) if b not in gens]
+    witnesses = [b for b in lattice.hilbert_basis(_rees_cone(ideal)) if b not in gens]
     return _least_failure(witnesses, c.n)

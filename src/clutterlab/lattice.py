@@ -250,9 +250,9 @@ def _triangulate(cone: ConeWithLattice) -> tuple[tuple[IntVec, ...], ...]:
     return tuple(pull((1 << len(rays)) - 1, cone.n - len(cone.hrep_normals[1])))
 
 
-def hilbert_basis(cone: ConeWithLattice, budget: int | None = None) -> tuple[IntVec, ...]:
+def hilbert_basis(cone: ConeWithLattice) -> tuple[IntVec, ...]:
     """The unique minimal Hilbert basis of a pointed cone, sorted."""
-    steps = StepCounter(step_budget(budget), "hilbert basis enumeration")
+    steps = StepCounter(step_budget(), "hilbert basis enumeration")
     rays = cone.extreme_rays
     candidates: set[IntVec] = {
         pt
@@ -314,7 +314,7 @@ def _reduce(cone: ConeWithLattice, candidates, steps: StepCounter) -> tuple[IntV
     return tuple(sorted(x for _, _, x in irreducible))
 
 
-def half_open_points(cone: ConeWithLattice, budget: int | None = None):
+def half_open_points(cone: ConeWithLattice):
     """Stanley's half-open decompositions of a pointed cone: (closed, interior).
 
     Let y be the sum of the extreme rays, perturbed lexicographically by the
@@ -334,7 +334,7 @@ def half_open_points(cone: ConeWithLattice, budget: int | None = None):
     rational convex polytopes" (1980), and Koeppe & Verdoolaege (2008) for
     the lexicographic rule.
     """
-    steps = StepCounter(step_budget(budget), "half-open decomposition")
+    steps = StepCounter(step_budget(), "half-open decomposition")
     n = cone.n
     rays = cone.extreme_rays
     perturbation = (tuple(map(sum, zip(*rays))),) + rays
@@ -378,9 +378,7 @@ def _lexicographic_signs(simplex: tuple[IntVec, ...], n: int, perturbation) -> l
 # ---------------------------------------------------------------------------
 
 
-def is_hilbert_basis(
-    vectors, budget: int | None = None, facets: tuple[IntVec, ...] | None = None
-) -> HilbertBasisReport:
+def is_hilbert_basis(vectors, facets: tuple[IntVec, ...] | None = None) -> HilbertBasisReport:
     """Decide whether N*H covers every lattice point of cone(H).
 
     `facets`, when given, must be the sorted inequality normals that
@@ -400,14 +398,14 @@ def is_hilbert_basis(
     if facets is not None:
         vars(cone)["hrep_normals"] = (tuple(facets), ())  # the cached_property's slot
     if cone.is_pointed:
-        basis = hilbert_basis(cone, budget)
+        basis = hilbert_basis(cone)
         hset = set(nonzero)
         witnesses = tuple(t for t in basis if t not in hset)
         return HilbertBasisReport(verdict=not witnesses, basis=basis, witnesses=witnesses)
-    return _is_hilbert_basis_lineality(nonzero, cone, budget)
+    return _is_hilbert_basis_lineality(nonzero, cone)
 
 
-def _is_hilbert_basis_lineality(vecs, cone: ConeWithLattice, budget) -> HilbertBasisReport:
+def _is_hilbert_basis_lineality(vecs, cone: ConeWithLattice) -> HilbertBasisReport:
     """Split along the lineality lattice; check the pointed quotient.
 
     In coordinates where the lineality lattice L is Z^m x 0, the cone
@@ -445,7 +443,7 @@ def _is_hilbert_basis_lineality(vecs, cone: ConeWithLattice, budget) -> HilbertB
         e = tuple(int(i == j) for i in range(n))
         checks.append(to_old(e))
         checks.append(to_old(tuple(-x for x in e)))
-    for h in hilbert_basis(quotient, budget) if quotient.generators else ():
+    for h in hilbert_basis(quotient) if quotient.generators else ():
         checks.append(to_old((0,) * m + h))
     checks = sorted(set(checks))
     group = tuple(zip(*(v for v, p in zip(vecs, projected) if not any(p))))  # n x |H_L|

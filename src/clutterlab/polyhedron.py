@@ -65,12 +65,12 @@ class VRep:
 
 @dataclass(frozen=True)
 class Face:
-    """A minimal face: active inequality indices, dimension, interior point,
-    and the inequality normals of the cone of the active rows when
-    `minimal_faces` reads them off the edges (None otherwise)."""
+    """A minimal face: active inequality indices, interior point, and the
+    inequality normals of the cone of the active rows when `minimal_faces`
+    reads them off the edges (None otherwise).  Every minimal face has the
+    dimension of the lineality space, `len(v.lines)`."""
 
     active: tuple[int, ...]
-    dimension: int
     point: RatVec
     facets: tuple[IntVec, ...] | None
 
@@ -308,14 +308,13 @@ def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
         edges = [tuple(sorted(e)) for e in _edge_directions(h, gens, tight)]
     else:
         edges = [None] * len(v.vertices)
-    dim = len(v.lines)
     faces = []
     seen = set()
     for p, active, facets in zip(v.vertices, tight, edges):
         if active in seen:
             continue
         seen.add(active)
-        faces.append(Face(active=active, dimension=dim, point=p, facets=facets))
+        faces.append(Face(active=active, point=p, facets=facets))
     return tuple(faces)
 
 

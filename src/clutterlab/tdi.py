@@ -74,16 +74,15 @@ class TdiCertificate:
         return self.verdict is True or self.verdict == "vacuous"
 
 
-# Cache: key ((active columns, face-cone facets or None), resolved budget),
+# Cache: key ((active columns, face-cone facets or None), ambient budget),
 # bound 65536, shared by all is_tdi; Undecided not cached.  Facets read off
 # the polyhedron's edges spare the face cone its DD; None leaves it to `lattice`.
 @budget_keyed_cache(65536)
-def _hb_verdict(face: tuple[tuple[IntVec, ...], tuple[IntVec, ...] | None], budget):
-    vectors, facets = face
-    return lattice.is_hilbert_basis(vectors, budget, facets)
+def _hb_verdict(face: tuple[tuple[IntVec, ...], tuple[IntVec, ...] | None]):
+    return lattice.is_hilbert_basis(*face)
 
 
-def is_tdi(system: LinearSystem, budget: int | None = None) -> TdiCertificate:
+def is_tdi(system: LinearSystem) -> TdiCertificate:
     """Face-by-face certification; checking minimal faces suffices because
     the active set of any face extends some minimal face's active set."""
     h = system.hrep()
@@ -99,7 +98,7 @@ def is_tdi(system: LinearSystem, budget: int | None = None) -> TdiCertificate:
     for face in polyhedron.minimal_faces(h, v):
         # h.ineqs are the columns in order, so face.active indexes columns
         try:
-            report = _hb_verdict((tuple(cols[j] for j in face.active), face.facets), budget)
+            report = _hb_verdict((tuple(cols[j] for j in face.active), face.facets))
         except Undecided:
             return TdiCertificate(
                 verdict="undecided", faces=tuple(faces), failing=None,
@@ -137,13 +136,13 @@ def covering_system(c: RawClutter) -> LinearSystem:
     return LinearSystem(cols, w)
 
 
-def is_mfmc(c: RawClutter, budget: int | None = None) -> TdiCertificate:
+def is_mfmc(c: RawClutter) -> TdiCertificate:
     """Flow property of a clutter: the covering system is TDI.  With n = 0 it
     has no rows; R^0's one face has an empty active set, a Hilbert basis of {0}."""
     if not c.n:
         face = FaceCheck(point=(), active=(), hilbert_ok=True, witnesses=())
         return TdiCertificate(verdict=True, faces=(face,), failing=None, integral=True)
-    return is_tdi(covering_system(c), budget)
+    return is_tdi(covering_system(c))
 
 
 def mfmc_ilp_crosscheck(c: RawClutter, wmax: int = 3):
@@ -197,10 +196,10 @@ def _integrality(cert: TdiCertificate) -> bool | str:
     return "vacuous" if cert.verdict == "vacuous" else cert.integral
 
 
-def sufficiency_check(system: LinearSystem, budget: int | None = None) -> SystemReport:
+def sufficiency_check(system: LinearSystem) -> SystemReport:
     """Integral polyhedron + lifted columns a Hilbert basis must force TDI."""
-    lifted_ok = lattice.is_hilbert_basis(lifted_vectors(system), budget).verdict
-    cert = is_tdi(system, budget)
+    lifted_ok = lattice.is_hilbert_basis(lifted_vectors(system)).verdict
+    cert = is_tdi(system)
     integral = _integrality(cert)
     hyp = (integral is True or integral == "vacuous") and lifted_ok
     respected = (not hyp) or cert.holds
@@ -220,9 +219,7 @@ class EquivalenceReport:
     agrees: bool
 
 
-def nonnegative_equivalence_check(
-    columns, w, budget: int | None = None
-) -> EquivalenceReport:
+def nonnegative_equivalence_check(columns, w) -> EquivalenceReport:
     """For A >= 0, w >= 0: the system x >= 0, x*A <= w is TDI exactly when
     the polyhedron is integral and the lifted columns (v_i, w_i), the
     vectors (-e_j, 0) and e_{n+1} form a Hilbert basis.
@@ -239,7 +236,7 @@ def nonnegative_equivalence_check(
     n = len(columns[0])
     cols = list(columns) + [tuple(-int(i == j) for i in range(n)) for j in range(n)]
     bounds = list(w) + [0] * n
-    rep = integer_rounding_check(LinearSystem(cols, bounds), budget)
+    rep = integer_rounding_check(LinearSystem(cols, bounds))
     return EquivalenceReport(
         tdi=rep.tdi,
         integral=rep.integral,
@@ -256,13 +253,13 @@ class RoundingReport:
     iff_respected: bool
 
 
-def integer_rounding_check(system: LinearSystem, budget: int | None = None) -> RoundingReport:
+def integer_rounding_check(system: LinearSystem) -> RoundingReport:
     """Rounding property: lifted columns plus the last unit vector form a
     Hilbert basis; with an integral polyhedron this is equivalent to TDI."""
     lifted = list(lifted_vectors(system))
     lifted.append((0,) * system.n + (1,))
-    rounding = lattice.is_hilbert_basis(lifted, budget).verdict
-    cert = is_tdi(system, budget)
+    rounding = lattice.is_hilbert_basis(lifted).verdict
+    cert = is_tdi(system)
     integral = _integrality(cert)
     if cert.verdict == "undecided" or integral == "vacuous":
         respected = True  # no finite optima: the equivalence says nothing
@@ -298,11 +295,11 @@ class PerfectionReport:
     agree: bool
 
 
-def perfection_crosscheck(g: SimpleGraph, budget: int | None = None) -> PerfectionReport:
+def perfection_crosscheck(g: SimpleGraph) -> PerfectionReport:
     """Perfection, stability-polytope integrality and TDI must coincide."""
     perfect, _ = combinat.is_perfect_small(g)
     system = stab_system(g)
-    cert = is_tdi(system, budget)
+    cert = is_tdi(system)
     integral = _integrality(cert)
     agree = (perfect == integral) and (
         cert.verdict == "undecided" or cert.holds == perfect
@@ -341,14 +338,14 @@ class ClutterVerdicts:
         )
 
 
-def clutter_verdicts(c: RawClutter, budget: int | None = None) -> ClutterVerdicts:
+def clutter_verdicts(c: RawClutter) -> ClutterVerdicts:
     """Idealness is read off the flow certificate: `_h_to_v` canonicalises its
     covering polyhedron and that of `is_ideal_clutter` to one V-representation."""
-    cert = is_mfmc(c, budget)
+    cert = is_mfmc(c)
     return ClutterVerdicts(
         ideal=cert.integral,
         mfmc=cert.verdict,
-        ntf=ideals.is_ntf(c, budget),
-        closure_vs_symbolic=ideals.closure_vs_symbolic(c, budget),
-        is_ehrhart=ehrhart.is_ehrhart_clutter(c, budget)[0],
+        ntf=ideals.is_ntf(c),
+        closure_vs_symbolic=ideals.closure_vs_symbolic(c),
+        is_ehrhart=ehrhart.is_ehrhart_clutter(c)[0],
     )

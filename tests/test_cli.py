@@ -325,6 +325,19 @@ def test_budget_env_override(tmp_path, monkeypatch):
     assert run(["check", "mfmc", "--input", sq]) == 64
 
 
+def test_negative_budget_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CLUTTERLAB_BUDGET", raising=False)
+    p4 = write(tmp_path, "p4.json", '{"kind":"clutter","n":4,"edges":[[0,1],[1,2],[2,3]]}')
+    out = tmp_path / "cert.json"
+    for prop in ("mfmc", "uniform"):  # also where no enumeration would run
+        assert run(["check", prop, "--input", p4, "--budget=-5", "--output", str(out)]) == 64
+        assert "at least 0, got -5" in capsys.readouterr().err
+    monkeypatch.setenv("CLUTTERLAB_BUDGET", "-5")
+    assert run(["check", "mfmc", "--input", p4, "--output", str(out)]) == 64
+    assert not out.exists()
+    assert run(["check", "uniform", "--input", p4, "--budget", "0"]) == 0  # the flag wins
+
+
 def _cycle_graph(n):
     edges = [[i, (i + 1) % n] for i in range(n)]
     return json.dumps({"kind": "graph", "n": n, "edges": edges})

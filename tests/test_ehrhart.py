@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from clutterlab import combinat, ehrhart, kernel, lattice, polyhedron
+from clutterlab import combinat, ehrhart, errors, kernel, lattice, polyhedron
 from clutterlab.combinat import Clutter, RawClutter
 from clutterlab.errors import DEFAULT_STEP_BUDGET, Undecided, UsageError
 from clutterlab.families import line_graph_k24, sharpness_clutter
@@ -33,10 +33,10 @@ def test_counting_function(triangle, blocker_square, unit_square_clutter):
 
 
 def test_hvectors(triangle, blocker_square, unit_square_clutter):
-    assert ehrhart.hvector(unit_square_clutter) == (1, 1)
-    assert ehrhart.hvector(blocker_square) == (1,)
-    assert ehrhart.hvector(RawClutter(2, [(0, 1)])) == (1,)
-    assert ehrhart.hvector(triangle) == (1,)
+    assert ehrhart.analyze(unit_square_clutter).hvector == (1, 1)
+    assert ehrhart.analyze(blocker_square).hvector == (1,)
+    assert ehrhart.analyze(RawClutter(2, [(0, 1)])).hvector == (1,)
+    assert ehrhart.analyze(triangle).hvector == (1,)
 
 
 def test_series_degree_both_routes(triangle, blocker_square, unit_square_clutter):
@@ -54,10 +54,10 @@ def test_series_degree_both_routes(triangle, blocker_square, unit_square_clutter
 
 
 def test_regularity(triangle, blocker_square, unit_square_clutter):
-    assert ehrhart.regularity(unit_square_clutter) == 1
-    assert ehrhart.regularity(sharpness_clutter(2, 3)) == 2
-    assert ehrhart.regularity(blocker_square) == 0
-    assert ehrhart.regularity(triangle) == 0
+    assert ehrhart.analyze(unit_square_clutter).regularity == 1
+    assert ehrhart.analyze(sharpness_clutter(2, 3)).regularity == 2
+    assert ehrhart.analyze(blocker_square).regularity == 0
+    assert ehrhart.analyze(triangle).regularity == 0
 
 
 def test_hvector_consistency_random():
@@ -201,7 +201,7 @@ def test_line_graph_k24_decompositions():
     # interior fix h_3..h_5
     _, c = line_graph_k24()
     _check_decompositions(c.characteristic_vectors(), 3)
-    assert ehrhart.hvector(c) == (1, 0, 0, 1)
+    assert ehrhart.analyze(c).hvector == (1, 0, 0, 1)
 
 
 def _brute_canonical_degrees(c, dim, points):
@@ -252,8 +252,8 @@ def test_analyze_checks_reciprocity(monkeypatch):
     # sees it
     real = lattice.half_open_points
 
-    def extra_interior_point(cone, budget=None):
-        closed, interior = real(cone, budget)
+    def extra_interior_point(cone):
+        closed, interior = real(cone)
         return closed, interior + [max(interior, key=lambda x: x[-1])]
 
     monkeypatch.setattr(lattice, "half_open_points", extra_interior_point)
@@ -268,7 +268,8 @@ def test_analyze_cache_keys_on_the_resolved_budget(monkeypatch):
     monkeypatch.delenv("CLUTTERLAB_BUDGET", raising=False)
     ehrhart.analyze.cache_clear()
     ehrhart.analyze(bull)
-    ehrhart.analyze(bull, DEFAULT_STEP_BUDGET)  # the same key as None
+    with errors.budget(DEFAULT_STEP_BUDGET):  # the same key as no scope
+        ehrhart.analyze(bull)
     assert ehrhart.analyze.cache_info().hits == 1
     monkeypatch.setenv("CLUTTERLAB_BUDGET", "3")
     with pytest.raises(Undecided):
@@ -334,8 +335,8 @@ def test_bound_check_undecided_under_budget():
     # budget 1 cannot decide the flow property, which sharpness_clutter(3, 2)
     # does have: the hypothesis is undecided, not missing
     c = sharpness_clutter(3, 2)
-    with pytest.raises(Undecided):
-        ehrhart.check_regularity_bounds(c, budget=1)
+    with errors.budget(1), pytest.raises(Undecided):
+        ehrhart.check_regularity_bounds(c)
     rep = ehrhart.check_regularity_bounds(c)
     assert rep.hypotheses_met and not rep.missing
 

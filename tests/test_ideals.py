@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from clutterlab import combinat, families, ideals
 from clutterlab.combinat import Clutter
+from clutterlab.errors import Undecided
 from clutterlab.ideals import MonomialIdeal
 
 from conftest import (
@@ -99,7 +102,8 @@ def test_power_chain():
             pw = ideals.power(ide, i)
             cl = ideals.closure_power(ide, i)
             sym = ideals.symbolic_power(c, i)
-            assert pw <= cl <= sym
+            assert all(cl.contains(g) for g in pw.gens)
+            assert all(sym.contains(g) for g in cl.gens)
             for big in (pw, cl, sym):
                 gens = big.gens
                 for a in gens:
@@ -231,3 +235,12 @@ def test_nonnormal_search_candidates_match_staircase_search():
     assert candidates[-1] == hit.graph
     counts = _compare_with_staircase([combinat.clique_clutter(g) for g in candidates])
     assert counts["normal"] == 1 and counts["ntf"] > 0, counts
+
+
+def test_nonnormal_search_spends_the_budget_in_force(monkeypatch):
+    # a hit found under the default budget must not answer a lower one
+    monkeypatch.delenv("CLUTTERLAB_BUDGET", raising=False)
+    assert families.search_nonnormal_chordal() is not None
+    monkeypatch.setenv("CLUTTERLAB_BUDGET", "3")
+    with pytest.raises(Undecided):
+        families.search_nonnormal_chordal()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clutterlab import kernel, lattice
+from clutterlab import errors, kernel, lattice
 from clutterlab.errors import StepCounter, Undecided, UsageError
 from clutterlab.lattice import ConeWithLattice, hilbert_basis, is_hilbert_basis
 from clutterlab.tdi import LinearSystem, is_tdi
@@ -477,8 +477,9 @@ def test_zero_cone_certifies_its_empty_simplex():
     cone = ConeWithLattice.from_vectors([], 3)
     assert cone.triangulation == ((),)
     assert cone.unimodular == frozenset({()})
-    assert hilbert_basis(cone, budget=0) == ()
-    assert lattice.half_open_points(cone, budget=0) == ([(0, 0, 0)], [(0, 0, 0)])
+    with errors.budget(0):
+        assert hilbert_basis(cone) == ()
+        assert lattice.half_open_points(cone) == ([(0, 0, 0)], [(0, 0, 0)])
 
 
 def test_skipped_reduction_spends_the_steps_of_the_reduction():
@@ -501,11 +502,12 @@ def test_skipped_reduction_spends_the_steps_of_the_reduction():
         basis = lattice._reduce(cone, set(cone.extreme_rays), steps)
         spent = 10**6 - steps.remaining
         assert basis == tuple(sorted(cone.extreme_rays))
-        assert hilbert_basis(cone, budget=spent) == basis
+        with errors.budget(spent):
+            assert hilbert_basis(cone) == basis
         if spent:
             charged += 1
-            with pytest.raises(Undecided):
-                hilbert_basis(cone, budget=spent - 1)
+            with errors.budget(spent - 1), pytest.raises(Undecided):
+                hilbert_basis(cone)
     assert charged >= 100
 
 
@@ -514,14 +516,17 @@ def test_step_budget_covers_enumeration_and_reduction():
     # reduction then makes 7 facet-height comparisons, one step each
     cone = ConeWithLattice.from_vectors([(1, 0), (2, 5)])
     system = LinearSystem(cone.generators, (0, 0))
-    for budget in (4, 11):  # runs out while enumerating, resp. while reducing
-        with pytest.raises(Undecided):
-            hilbert_basis(cone, budget=budget)
-        assert is_tdi(system, budget).verdict == "undecided"
-    assert hilbert_basis(cone, budget=12) == ((1, 0), (1, 1), (1, 2), (2, 5))
-    assert is_tdi(system, 12).verdict is False
+    for limit in (4, 11):  # runs out while enumerating, resp. while reducing
+        with errors.budget(limit):
+            with pytest.raises(Undecided):
+                hilbert_basis(cone)
+            assert is_tdi(system).verdict == "undecided"
+    with errors.budget(12):
+        assert hilbert_basis(cone) == ((1, 0), (1, 1), (1, 2), (2, 5))
+        assert is_tdi(system).verdict is False
     # the half-open decompositions spend one step per parallelepiped point
-    with pytest.raises(Undecided):
-        lattice.half_open_points(cone, budget=4)
-    closed, interior = lattice.half_open_points(cone, budget=5)
+    with errors.budget(4), pytest.raises(Undecided):
+        lattice.half_open_points(cone)
+    with errors.budget(5):
+        closed, interior = lattice.half_open_points(cone)
     assert len(closed) == len(interior) == 5

