@@ -3,10 +3,12 @@
 Exit codes: 0 = property holds, 1 = property fails, 2 = undecided (step budget
 or resource cap), 64 = usage or parse error.  Certificates are byte-stable
 JSON for a fixed input and schema version; timing is only included on
-request so that repeated runs stay byte-identical.
+request (`check --timing`) so that repeated runs stay byte-identical.
 
 `main` resolves the step budget once (`--budget`, else CLUTTERLAB_BUDGET, else
 10^7; exit 64 when negative) and runs the command in that `errors.budget` scope.
+Every certificate records the limit in force (`budget.limit`), read from that
+scope.  `render` writes the text of every file and stdout certificate.
 
 Every clutter property of `check` decides edgeless clutters.  `invariants`
 rejects them with exit 64: the edge polytope of a clutter without edges is
@@ -191,37 +193,39 @@ def run_check(prop: str, obj):
 
 
 def make_certificate(command: str, obj, verdict, witnesses, invariants, notes,
-                     limit=None, timing_ms=None):
+                     timing_ms=None):
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "instance": instance_payload(obj),
         "digest": digest(obj),
         "verdict": verdict,
-        "witnesses": _jsonable(witnesses),
-        "invariants": _jsonable(invariants),
+        "witnesses": witnesses,
+        "invariants": invariants,
         "notes": notes,
         "seed": None,
-        "budget": {"limit": limit, "exceeded": verdict == "undecided"},
+        "budget": {"limit": step_budget(), "exceeded": verdict == "undecided"},
         "timing_ms": timing_ms,
     }
 
 
+def render(obj) -> str:
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
 def emit(cert, args) -> None:
-    text = json.dumps(_jsonable(cert), sort_keys=True, indent=2) + "\n"
-    if getattr(args, "output", None):
+    text = render(cert)
+    if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(text)
 
 
-def _emit_undecided(command: str, obj, notes: dict, exc, args) -> None:
+def _undecided_certificate(command: str, obj, notes: dict, exc):
     """Certificate of a run that a step budget or a resource cap stopped."""
-    cert = make_certificate(
-        command, obj, "undecided", {}, {}, {**notes, "reason": str(exc)}, limit=args.budget
-    )
+    cert = make_certificate(command, obj, "undecided", {}, {}, {**notes, "reason": str(exc)})
     cert["budget"]["exceeded"] = isinstance(exc, Undecided)
-    emit(cert, args)
+    return cert
 
 
 def _verdict_exit(verdict) -> int:
@@ -245,12 +249,11 @@ def cmd_check(args) -> int:
     except Undecided as exc:
         verdict, wits, inv, notes = "undecided", {}, {}, {"reason": str(exc)}
     except ResourceExceeded as exc:
-        _emit_undecided(f"check {args.property}", obj, {}, exc, args)
+        emit(_undecided_certificate(f"check {args.property}", obj, {}, exc), args)
         raise  # main prints the reason and exits 2
     ms = round((time.monotonic() - t0) * 1000)
     cert = make_certificate(
-        f"check {args.property}", obj, verdict, wits, inv, notes,
-        limit=args.budget, timing_ms=ms if args.timing else None,
+        f"check {args.property}", obj, verdict, wits, inv, notes, ms if args.timing else None
     )
     emit(cert, args)
     if not args.json:
@@ -269,7 +272,7 @@ def cmd_invariants(args) -> int:
         analysis = ehrhart.analyze(c)
         bounds = ehrhart.check_regularity_bounds(c)
     except (Undecided, ResourceExceeded) as exc:
-        _emit_undecided("invariants", obj, notes, exc, args)
+        emit(_undecided_certificate("invariants", obj, notes, exc), args)
         raise  # main prints the reason and exits 2
     inv = {
         "hvector": list(analysis.hvector),
@@ -289,7 +292,7 @@ def cmd_invariants(args) -> int:
             "regularity_tight": bounds.reg_tight,
         },
     }
-    cert = make_certificate("invariants", obj, True, {}, inv, notes, limit=args.budget)
+    cert = make_certificate("invariants", obj, True, {}, inv, notes)
     emit(cert, args)
     if not args.json:
         print(f"h-vector    {inv['hvector']}")
@@ -371,29 +374,19 @@ def cmd_conjecture(args) -> int:
     return EXIT_HOLDS
 
 
-EXAMPLES = {}
-
-
-def _register_examples():
-    EXAMPLES["triangle"] = lambda: [("triangle", families.triangle_clutter())]
-    EXAMPLES["c4"] = lambda: [("c4", families.cycle_clutter(4))]
-    EXAMPLES["c5"] = lambda: [("c5", families.cycle_clutter(5))]
-    EXAMPLES["blocker-c4"] = lambda: [
-        ("blocker-c4", combinat.blocker(families.cycle_clutter(4)))
-    ]
-    for d, g in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]:
-        EXAMPLES[f"sharpness-{d}-{g}"] = (
-            lambda d=d, g=g: [(f"sharpness-{d}-{g}", families.sharpness_clutter(d, g))]
-        )
-
-    def _line_k24():
-        g, c = families.line_graph_k24()
-        return [("line-k24-graph", g), ("line-k24-clutter", c)]
-
-    EXAMPLES["line-k24"] = _line_k24
-
-
-_register_examples()
+EXAMPLES = {
+    "triangle": lambda: [("triangle", families.triangle_clutter())],
+    "c4": lambda: [("c4", families.cycle_clutter(4))],
+    "c5": lambda: [("c5", families.cycle_clutter(5))],
+    "blocker-c4": lambda: [("blocker-c4", combinat.blocker(families.cycle_clutter(4)))],
+    "sharpness-2-2": lambda: [("sharpness-2-2", families.sharpness_clutter(2, 2))],
+    "sharpness-2-3": lambda: [("sharpness-2-3", families.sharpness_clutter(2, 3))],
+    "sharpness-3-2": lambda: [("sharpness-3-2", families.sharpness_clutter(3, 2))],
+    "sharpness-2-4": lambda: [("sharpness-2-4", families.sharpness_clutter(2, 4))],
+    "sharpness-4-2": lambda: [("sharpness-4-2", families.sharpness_clutter(4, 2))],
+    "line-k24": lambda: list(zip(("line-k24-graph", "line-k24-clutter"),
+                                 families.line_graph_k24())),
+}
 
 
 def cmd_examples(args) -> int:
@@ -403,34 +396,26 @@ def cmd_examples(args) -> int:
         )
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
+
+    def write(path: Path, obj) -> None:
+        path.write_text(render(obj), encoding="utf-8")
+        print(path)
+
     for stem, obj in EXAMPLES[args.name]():
-        ipath = outdir / f"{stem}.json"
-        ipath.write_text(
-            json.dumps(_jsonable(instance_payload(obj)), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        written.append(str(ipath))
-        if isinstance(obj, SimpleGraph):
-            verdict, wits, inv, notes = run_check("perfect", obj)
-            cert = make_certificate("check perfect", obj, verdict, wits, inv, notes)
-        else:
-            ok, hbw = ehrhart.is_ehrhart_clutter(obj)
-            a = ehrhart.analyze(obj)
-            cert = make_certificate(
-                "examples", obj, ok,
-                {"missing_lattice_points": [list(w) for w in hbw]} if not ok else {},
-                {"hvector": list(a.hvector), "a_invariant": a.a_invariant,
-                 "regularity": a.regularity},
-                {},
-            )
+        write(outdir / f"{stem}.json", instance_payload(obj))
         cpath = outdir / f"{stem}.cert.json"
-        cpath.write_text(
-            json.dumps(_jsonable(cert), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        written.append(str(cpath))
-    for w in written:
-        print(w)
+        graph = isinstance(obj, SimpleGraph)
+        command = "check perfect" if graph else "examples"
+        try:
+            verdict, wits, inv, notes = run_check("perfect" if graph else "ehrhart", obj)
+            if not graph:
+                a = ehrhart.analyze(obj)
+                inv = {"hvector": list(a.hvector), "a_invariant": a.a_invariant,
+                       "regularity": a.regularity}
+        except (Undecided, ResourceExceeded) as exc:
+            write(cpath, _undecided_certificate(command, obj, {}, exc))
+            raise  # main prints the reason and exits 2
+        write(cpath, make_certificate(command, obj, verdict, wits, inv, notes))
     return EXIT_HOLDS
 
 
@@ -444,38 +429,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit the JSON certificate on stdout")
-        p.add_argument("--output", help="write the JSON certificate to a file")
-        p.add_argument("--budget", type=int, default=None,
+    limit = argparse.ArgumentParser(add_help=False)
+    limit.add_argument("--budget", type=int, default=None,
                        help="step budget, at least 0 (default: CLUTTERLAB_BUDGET or 10^7)")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall-clock timing in the certificate "
-                            "(breaks byte-stability across runs)")
+    certificate = argparse.ArgumentParser(add_help=False, parents=[limit])
+    certificate.add_argument("--json", action="store_true",
+                             help="emit the JSON certificate on stdout")
+    certificate.add_argument("--output", help="write the JSON certificate to a file")
 
-    p = sub.add_parser("check", help="decide one property of an instance")
+    p = sub.add_parser("check", parents=[certificate], help="decide one property of an instance")
     p.add_argument("property", choices=PROPERTIES,
                    help="ntf and normal compare the powers of the edge ideal at every "
                         "power at once; a failure names the least failing power")
     p.add_argument("--input", required=True, help="instance file (graph, clutter or system)")
-    common(p)
+    p.add_argument("--timing", action="store_true",
+                   help="include wall-clock timing in the certificate "
+                        "(breaks byte-stability across runs)")
 
-    p = sub.add_parser("invariants", help="series invariants and bound checks of a clutter")
+    p = sub.add_parser("invariants", parents=[certificate],
+                       help="series invariants and bound checks of a clutter")
     p.add_argument("--input", required=True)
-    common(p)
 
-    p = sub.add_parser("conjecture", help="ideal => flow-property batch over perfect graphs")
+    p = sub.add_parser("conjecture", parents=[certificate],
+                       help="ideal => flow-property batch over perfect graphs")
     p.add_argument("--families", default="chordal,bipartite",
                    help=f"comma-separated from: {', '.join(families.CONJECTURE_FAMILIES)}")
     p.add_argument("--max-n", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=25)
-    common(p)
 
-    p = sub.add_parser("examples", help="write a named instance and its certificate")
+    p = sub.add_parser("examples", parents=[limit],
+                       help="write a named instance and its certificate")
     p.add_argument("--name", required=True)
     p.add_argument("--outdir", default=".")
-    common(p)
 
     return ap
 

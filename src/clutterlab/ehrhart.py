@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import sub
 
-from . import combinat, kernel, lattice
+from . import combinat, lattice
 from .combinat import RawClutter
 from .errors import Undecided, UsageError, budget_keyed_cache
 
@@ -42,9 +42,9 @@ def analyze(c: RawClutter) -> EhrhartAnalysis:
     if not c.edges:
         raise UsageError("clutter has no edges: the empty edge polytope has no series to report")
     lifted = tuple(v + (1,) for v in c.characteristic_vectors())
-    dim = kernel.rank(lifted) - 1
     # pointed, since every generator has height 1; the generators are `lifted`
     cone = lattice.ConeWithLattice.from_vectors(lifted)
+    dim = cone.n - len(cone.hrep_normals[1]) - 1  # the equations cut out the span
     gens = set(cone.generators)
     witnesses = tuple(t for t in lattice.hilbert_basis(cone) if t not in gens)
     # the basis spent a step on every parallelepiped point of the same

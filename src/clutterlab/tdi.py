@@ -10,9 +10,8 @@ surfaces as "undecided", never as a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from . import combinat, ehrhart, ideals, kernel, lattice, polyhedron
+from . import combinat, ehrhart, ideals, lattice, polyhedron
 from .combinat import RawClutter, SimpleGraph
 from .errors import Undecided, UsageError, budget_keyed_cache
 
@@ -143,35 +142,6 @@ def is_mfmc(c: RawClutter) -> TdiCertificate:
         face = FaceCheck(point=(), active=(), hilbert_ok=True, witnesses=())
         return TdiCertificate(verdict=True, faces=(face,), failing=None, integral=True)
     return is_tdi(covering_system(c))
-
-
-def mfmc_ilp_crosscheck(c: RawClutter, wmax: int = 3):
-    """Evidence hook: packing LPs for all bounds w with entries <= wmax.
-
-    For each w the fractional and integral optima of
-    max{<1,y> : y >= 0, A y <= w} are compared by exact enumeration.
-    Returns (consistent, offending w or None).  Evidence, not proof.
-    """
-    vecs = c.characteristic_vectors()
-    q = len(vecs)
-    rows = [tuple(v[row] for v in vecs) for row in range(c.n)]
-    for w in product(range(wmax + 1), repeat=c.n):
-        # dual polytope {y >= 0 : A y <= w} lives in R^q
-        ineqs = [(tuple(-int(i == j) for i in range(q)), 0) for j in range(q)]
-        ineqs.extend(zip(rows, w))
-        v = polyhedron.dd_convert(polyhedron.HRep(q, tuple(ineqs)))
-        if v.is_empty:
-            continue
-        lp_opt = max(sum(p) for p in v.vertices)
-        # every edge is nonempty, so a feasible y has entries at most wmax
-        ilp_opt = max(
-            sum(y)
-            for y in product(range(wmax + 1), repeat=q)
-            if all(kernel.dot(a, y) <= b for a, b in zip(rows, w))
-        )
-        if lp_opt != ilp_opt:
-            return False, w
-    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 The oracles are deliberately independent of the library's own algorithms:
 naive Fraction elimination, subset scans, exhaustive combination searches.
 Expected values in the tests were computed with these and then frozen.
-Three helpers came here from the library, which has no caller for them:
+Four helpers came here from the library, which has no caller for them:
 `semigroup_member`, the exact membership oracle for cones with lineality;
-`suspension`, the clutter side of the graph-cone identity; and
-`canonical_graph`, the relabeling that realises a canonical form.
+`suspension`, the clutter side of the graph-cone identity;
+`canonical_graph`, the relabeling that realises a canonical form; and
+`mfmc_ilp_crosscheck`, packing LPs against packing ILPs.
 """
 
 from __future__ import annotations
@@ -232,6 +233,33 @@ def brute_min_covers(c):
                 covers.append(ss)
     keep = [tuple(sorted(s)) for s in covers if not any(t < s for t in covers)]
     return tuple(sorted(set(keep)))
+
+
+def mfmc_ilp_crosscheck(c, wmax: int = 3):
+    """Packing LPs for all bounds w with entries <= wmax: evidence, not proof.
+
+    For each w the fractional and integral optima of
+    max{<1,y> : y >= 0, A y <= w} are compared, the first over the vertices
+    of `brute_vertices` and the second by exhaustive search.
+    Returns (consistent, offending w or None).
+    """
+    vecs = c.characteristic_vectors()
+    q = len(vecs)
+    rows = [tuple(v[row] for v in vecs) for row in range(c.n)]
+    for w in itertools.product(range(wmax + 1), repeat=c.n):
+        # the dual polytope {y >= 0 : A y <= w} of R^q holds y = 0
+        ineqs = [(tuple(-int(i == j) for i in range(q)), 0) for j in range(q)]
+        ineqs.extend(zip(rows, w))
+        lp_opt = max(sum(p) for p in brute_vertices(HRep(q, tuple(ineqs))))
+        # every edge is nonempty, so a feasible y has entries at most wmax
+        ilp_opt = max(
+            sum(y)
+            for y in itertools.product(range(wmax + 1), repeat=q)
+            if all(kernel.dot(a, y) <= b for a, b in zip(rows, w))
+        )
+        if lp_opt != ilp_opt:
+            return False, w
+    return True, None
 
 
 def brute_in_semigroup(a, gens, cap=8) -> bool:

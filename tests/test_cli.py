@@ -225,6 +225,59 @@ def test_invariants_certificates_match_golden_files(tmp_path, monkeypatch):
         assert out.read_bytes() == (GOLDEN / f"invariants_{name}.json").read_bytes()
 
 
+def test_check_conjecture_and_examples_match_golden_files(tmp_path, monkeypatch, capsys):
+    # the golden bytes of check and conjecture were frozen before the CLI
+    # wrote every certificate through one renderer
+    monkeypatch.delenv("CLUTTERLAB_BUDGET", raising=False)
+    sq = write(tmp_path, "sq.json", SQUARE)
+    tri = write(tmp_path, "tri.json", TRIANGLE)
+    edges = write(tmp_path, "edges.json",
+                  '{"kind":"system","columns":[[2,0],[-2,0],[0,1],[0,-1]],"w":[1,-1,1,0]}')
+    for golden, argv, code in [
+        ("check_mfmc_square", ["check", "mfmc", "--input", sq], 0),
+        ("check_mfmc_triangle", ["check", "mfmc", "--input", tri], 1),
+        ("check_tdi_edges", ["check", "tdi", "--input", edges], 1),
+        ("conjecture_count_12", ["conjecture", "--count", "12"], 0),
+    ]:
+        out = tmp_path / f"{golden}.cert.json"
+        assert run([*argv, "--output", str(out)]) == code, golden
+        assert out.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes(), golden
+    assert run(["examples", "--name", "c5", "--outdir", str(tmp_path)]) == 0
+    assert (tmp_path / "c5.cert.json").read_bytes() == (GOLDEN / "examples_c5.json").read_bytes()
+
+
+def test_stopped_example_writes_an_undecided_certificate(tmp_path, capsys):
+    assert run(["examples", "--name", "line-k24", "--budget", "1", "--outdir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "undecided: hilbert basis enumeration\n"
+    names = ["line-k24-graph.json", "line-k24-graph.cert.json",
+             "line-k24-clutter.json", "line-k24-clutter.cert.json"]
+    assert captured.out.splitlines() == [str(tmp_path / name) for name in names]
+    assert json.loads((tmp_path / "line-k24-graph.cert.json").read_text())["verdict"] is True
+    cert = json.loads((tmp_path / "line-k24-clutter.cert.json").read_text())
+    assert cert["command"] == "examples"
+    assert cert["verdict"] == "undecided"
+    assert cert["witnesses"] == {} and cert["invariants"] == {}
+    assert cert["notes"] == {"reason": "undecided: hilbert basis enumeration"}
+    assert cert["budget"] == {"limit": 1, "exceeded": True}
+
+
+def test_timing_is_an_integer_and_only_check_takes_it(tmp_path, capsys):
+    sq = write(tmp_path, "sq.json", SQUARE)
+    assert run(["check", "mfmc", "--input", sq, "--timing", "--json"]) == 0
+    assert type(json.loads(capsys.readouterr().out)["timing_ms"]) is int
+    out = str(tmp_path / "out.json")
+    for argv in (["invariants", "--input", sq, "--timing"],
+                 ["conjecture", "--count", "1", "--timing"],
+                 ["examples", "--name", "c5", "--outdir", str(tmp_path), "--timing"],
+                 ["examples", "--name", "c5", "--outdir", str(tmp_path), "--json"],
+                 ["examples", "--name", "c5", "--outdir", str(tmp_path), "--output", out]):
+        assert run(argv) == 64, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err, argv
+    assert not (tmp_path / "c5.json").exists() and not Path(out).exists()
+
+
 def test_invariants_undecided_bound_check_exits_2(tmp_path, capsys):
     inp = write(tmp_path, "s32.json", json.dumps(cli.instance_payload(sharpness_clutter(3, 2))))
     assert run(["invariants", "--input", inp, "--budget", "1"]) == 2
@@ -316,6 +369,10 @@ def test_examples_writes_instance_and_certificate(tmp_path):
     cert = json.loads((tmp_path / "sharpness-2-3.cert.json").read_text())
     assert cert["invariants"]["a_invariant"] == -3
     assert cert["verdict"] is True
+    # the certificate records the limit in force
+    assert run(["examples", "--name", "c5", "--budget", "7", "--outdir", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "c5.cert.json").read_text())
+    assert cert["budget"] == {"limit": 7, "exceeded": False}
     assert run(["examples", "--name", "unknown-name", "--outdir", str(tmp_path)]) == 64
 
 

@@ -11,6 +11,8 @@ from clutterlab.errors import UsageError
 from clutterlab.families import complete_bipartite, cycle, cycle_clutter, line_graph_k24
 from clutterlab.tdi import LinearSystem
 
+from conftest import mfmc_ilp_crosscheck
+
 F = Fraction
 
 
@@ -109,9 +111,9 @@ def test_line_k24_clutter_ideal_and_mfmc():
 
 
 def test_ilp_crosscheck(triangle, square):
-    ok, _ = tdi.mfmc_ilp_crosscheck(square, wmax=2)
+    ok, _ = mfmc_ilp_crosscheck(square, wmax=2)
     assert ok
-    ok, w = tdi.mfmc_ilp_crosscheck(triangle, wmax=1)
+    ok, w = mfmc_ilp_crosscheck(triangle, wmax=1)
     assert not ok and w == (1, 1, 1)
 
 
