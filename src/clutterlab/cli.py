@@ -147,48 +147,49 @@ def _tdi_payload(cert: tdi.TdiCertificate):
     return payload
 
 
-def run_check(prop: str, obj):
-    """Returns (verdict, witnesses, invariants, notes)."""
-    notes: dict = {}
+def run_check(prop: str, obj, notes: dict):
+    """Returns (verdict, witnesses, invariants).  Notes on the input, such as
+    a derived clique clutter, go into `notes` as they arise, so they survive
+    a stopped run."""
     if prop == "tdi":
         if not isinstance(obj, LinearSystem):
             raise UsageError("check tdi: input must be a system")
         cert = tdi.is_tdi(obj)
-        return cert.verdict, _tdi_payload(cert), {}, notes
+        return cert.verdict, _tdi_payload(cert), {}
     if prop == "meyniel":
         ok, wit = combinat.is_meyniel(_as_graph(obj))
         wits = {} if ok else {"odd_cycle": list(wit[0]), "chords": wit[1]}
-        return ok, wits, {}, notes
+        return ok, wits, {}
     if prop == "perfect":
         ok, wit = combinat.is_perfect_small(_as_graph(obj))
         wits = {} if ok else {"kind": wit[0], "cycle": list(wit[1])}
-        return ok, wits, {}, notes
+        return ok, wits, {}
     c = _as_clutter(obj, notes)
     if prop == "ehrhart":
         ok, wits = ehrhart.is_ehrhart_clutter(c)
-        return ok, {"missing_lattice_points": [list(w) for w in wits]} if not ok else {}, {}, notes
+        return ok, {"missing_lattice_points": [list(w) for w in wits]} if not ok else {}, {}
     if prop == "ideal":
         ok, wit = tdi.is_ideal_clutter(c)
         wits = {} if ok else {"fractional_vertex": [str(x) for x in wit]}
-        return ok, wits, {}, notes
+        return ok, wits, {}
     if prop == "mfmc":
         cert = tdi.is_mfmc(c)
-        return cert.verdict, _tdi_payload(cert), {}, notes
+        return cert.verdict, _tdi_payload(cert), {}
     if prop == "unmixed":
         ok = combinat.is_unmixed(c)
         sizes = sorted({len(s) for s in combinat.minimal_covers(c)})
-        return ok, {}, {"cover_sizes": sizes}, notes
+        return ok, {}, {"cover_sizes": sizes}
     if prop == "uniform":
         d = combinat.is_uniform(c)
-        return d is not None, {}, {"d": d}, notes
+        return d is not None, {}, {"d": d}
     if prop == "konig":
         g = combinat.covering_number(c)
         m = combinat.max_disjoint_edges(c)
-        return g == m, {}, {"covering_number": g, "matching_number": m}, notes
+        return g == m, {}, {"covering_number": g, "matching_number": m}
     if prop in ("ntf", "normal"):
         rep = (ideals.is_ntf if prop == "ntf" else ideals.is_normal)(c)
         wits = {} if rep.ok else {"power": rep.failure_power, "monomial": list(rep.witness)}
-        return rep.ok, wits, {}, notes
+        return rep.ok, wits, {}
     raise UsageError(f"unknown property {prop!r}")
 
 
@@ -243,13 +244,15 @@ def _verdict_exit(verdict) -> int:
 
 def cmd_check(args) -> int:
     obj = load_instance(args.input)
+    notes: dict = {}
     t0 = time.monotonic()
     try:
-        verdict, wits, inv, notes = run_check(args.property, obj)
+        verdict, wits, inv = run_check(args.property, obj, notes)
     except Undecided as exc:
-        verdict, wits, inv, notes = "undecided", {}, {}, {"reason": str(exc)}
+        verdict, wits, inv = "undecided", {}, {}
+        notes["reason"] = str(exc)
     except ResourceExceeded as exc:
-        emit(_undecided_certificate(f"check {args.property}", obj, {}, exc), args)
+        emit(_undecided_certificate(f"check {args.property}", obj, notes, exc), args)
         raise  # main prints the reason and exits 2
     ms = round((time.monotonic() - t0) * 1000)
     cert = make_certificate(
@@ -406,14 +409,15 @@ def cmd_examples(args) -> int:
         cpath = outdir / f"{stem}.cert.json"
         graph = isinstance(obj, SimpleGraph)
         command = "check perfect" if graph else "examples"
+        notes: dict = {}
         try:
-            verdict, wits, inv, notes = run_check("perfect" if graph else "ehrhart", obj)
+            verdict, wits, inv = run_check("perfect" if graph else "ehrhart", obj, notes)
             if not graph:
                 a = ehrhart.analyze(obj)
                 inv = {"hvector": list(a.hvector), "a_invariant": a.a_invariant,
                        "regularity": a.regularity}
         except (Undecided, ResourceExceeded) as exc:
-            write(cpath, _undecided_certificate(command, obj, {}, exc))
+            write(cpath, _undecided_certificate(command, obj, notes, exc))
             raise  # main prints the reason and exits 2
         write(cpath, make_certificate(command, obj, verdict, wits, inv, notes))
     return EXIT_HOLDS

@@ -492,46 +492,77 @@ def is_meyniel_via_hoang(g: SimpleGraph) -> bool:
     For every nonempty vertex set S, the stable sets of G[S] that meet
     every maximal clique of G[S] must together cover S.
 
-    One clique and one stable-set search serve every S.  The maximal
-    cliques of G[S] are the sets C = K & S, over the maximal cliques K of
-    G, that no vertex of S - C is adjacent to all of.  The maximal stable
-    sets of G[S] are among the sets T & S over the maximal stable sets T
-    of G; one that is not maximal but meets every maximal clique lies in a
-    maximal one that does too, so the union over all of them is the union
-    the statement asks for.  A set adding no vertex to it is skipped.
+    Every S is decided at once, on truth tables: 2^n-bit integers whose
+    bit S says whether a statement holds for the vertex set S.
+    `contains[v]`, the table of {S : v in S}, repeats from bit 0 up a block
+    of 2^v clear bits, then 2^v set ones.  One clique and one stable-set
+    search of G serve every S, through three identities:
+
+    - For a maximal clique K of G, K & S is a maximal clique of G[S]
+      exactly when every w in S - K misses a vertex of K & S.  Its table
+      is MAX_K, the AND over w not in K of ~contains[w] | (the OR of
+      contains[u] over u in K - N(w)).  The maximal cliques of G[S] are
+      exactly the inclusion-maximal traces K & S, so these are all of
+      them.
+    - For a maximal stable set T of G, T & S meets every maximal clique
+      of G[S] on GOOD_T, the NOT of the OR over K of MAX_K & ~contains[T &
+      K].  A stable set and a clique share at most one vertex, so T & K is
+      empty, with the empty table, or one vertex.
+    - The maximal stable sets of G[S] are among the sets T & S, and one
+      that is not maximal but meets every maximal clique lies in a maximal
+      one that does too.  So G passes exactly when contains[v] lies within
+      the OR of GOOD_T over the T that contain v, for every v.
     """
     if g.n > 9:
         raise ResourceExceeded("induced subgraph sweep vertex count", 9)
     masks, cliques, stables = _clique_and_stable_masks(g)
-    for within in range(1, 1 << g.n):
-        traces = []
-        for k in cliques:
-            c = k & within
-            # narrowed to the vertices of S - C adjacent to all of C
-            common = within & ~c
-            m = c
-            while m and common:
-                low = m & -m
-                common &= masks[low.bit_length() - 1]
-                m ^= low
-            if not common:
-                traces.append(c)
-        covered = 0
-        for t in stables:
-            s = t & within
-            if s & ~covered:
-                for c in traces:
-                    if not s & c:
-                        break
-                else:
-                    covered |= s
-        if covered != within:
-            return False
-    return True
+    full = (1 << (1 << g.n)) - 1
+    contains = []
+    for v in range(g.n):
+        width = 1 << v
+        block = ((1 << width) - 1) << width
+        contains.append(block * full // ((1 << 2 * width) - 1))
+
+    def meets(m: int) -> int:
+        """The table of {S : S meets the vertex set m}."""
+        table = 0
+        while m:
+            low = m & -m
+            table |= contains[low.bit_length() - 1]
+            m ^= low
+        return table
+
+    maximal = []
+    for k in cliques:
+        bad = 0
+        outside = ((1 << g.n) - 1) & ~k
+        while outside:
+            low = outside & -outside
+            w = low.bit_length() - 1
+            bad |= contains[w] & ~meets(k & ~masks[w])
+            outside ^= low
+        maximal.append((k, full & ~bad))
+    covered = [0] * g.n
+    for t in stables:
+        missed = 0
+        for k, table in maximal:
+            common = t & k  # empty or one vertex
+            missed |= table & ~contains[common.bit_length() - 1] if common else table
+        good = full & ~missed
+        while t:
+            low = t & -t
+            covered[low.bit_length() - 1] |= good
+            t ^= low
+    return all(not contains[v] & ~covered[v] for v in range(g.n))
 
 
 def beta_witness(g: SimpleGraph) -> tuple[Fraction, ...]:
     """Average of per-vertex stable-set witnesses; hits 1 on every clique."""
+    if g.n == 0:
+        raise UsageError(
+            "beta_witness: the empty graph's one maximal clique is empty, "
+            "so no vector sums to 1 on it"
+        )
     sets = _hoang_witness_sets(g)
     witnesses = []
     for k in range(g.n):

@@ -615,6 +615,43 @@ def meyniel_via_hoang_two_search_oracle(g) -> bool:
     return True
 
 
+def meyniel_via_hoang_parent_oracle(g) -> bool:
+    """`combinat.is_meyniel_via_hoang` before its truth-table sweep: one
+    clique and one stable-set search of G, then a loop over every subset
+    mask S.
+
+    The maximal cliques of G[S] are the traces C = K & S that no vertex of
+    S - C is adjacent to all of; the union of the traces T & S of maximal
+    stable sets that meet every one must be S.
+    """
+    masks, cliques, stables = combinat._clique_and_stable_masks(g)
+    for within in range(1, 1 << g.n):
+        traces = []
+        for k in cliques:
+            c = k & within
+            # narrowed to the vertices of S - C adjacent to all of C
+            common = within & ~c
+            m = c
+            while m and common:
+                low = m & -m
+                common &= masks[low.bit_length() - 1]
+                m ^= low
+            if not common:
+                traces.append(c)
+        covered = 0
+        for t in stables:
+            s = t & within
+            if s & ~covered:
+                for c in traces:
+                    if not s & c:
+                        break
+                else:
+                    covered |= s
+        if covered != within:
+            return False
+    return True
+
+
 def hoang_witness_two_search_oracle(g, u):
     sets = hoang_sets_two_search_oracle(g, (1 << g.n) - 1)
     return min((combinat._members(s) for s in sets if s >> u & 1), default=None)

@@ -156,6 +156,32 @@ def test_power_checks_spend_the_budget(tmp_path, capsys):
         assert run(["check", prop, "--input", c5]) == code
 
 
+def test_undecided_graph_check_keeps_the_derived_note(tmp_path, capsys):
+    # a stopped check on a graph input records both the clique-clutter note
+    # and the reason, as invariants does
+    c5 = write(tmp_path, "c5.json", C5_GRAPH)
+    assert run(["check", "normal", "--input", c5, "--budget", "1", "--json"]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] == "undecided"
+    assert cert["budget"] == {"limit": 1, "exceeded": True}
+    assert cert["notes"] == {
+        "derived": "clique-clutter",
+        "reason": "undecided: hilbert basis enumeration",
+    }
+    assert run(["invariants", "--input", c5, "--budget", "1", "--json"]) == 2
+    notes = json.loads(capsys.readouterr().out)["notes"]
+    assert notes.keys() == {"derived", "reason"}
+    assert notes["derived"] == "clique-clutter"
+    # and so does a check that a resource cap stops
+    c25 = write(tmp_path, "c25.json", _cycle_graph(25))
+    assert run(["check", "ideal", "--input", c25, "--json"]) == 2
+    notes = json.loads(capsys.readouterr().out)["notes"]
+    assert notes == {
+        "derived": "clique-clutter",
+        "reason": "resource exceeded: clique enumeration vertex count (cap 24)",
+    }
+
+
 def test_power_checks_are_exact(tmp_path, capsys):
     # the verdicts cover every power: C_7 fails NTF at power 4 and two
     # disjoint pentagons fail normality at power 5

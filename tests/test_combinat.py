@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clutterlab import combinat, families
 from clutterlab.combinat import Clutter, RawClutter, SimpleGraph
@@ -21,6 +23,7 @@ from conftest import (
     hoang_witness_two_search_oracle,
     meyniel_oracle,
     meyniel_via_hoang_oracle,
+    meyniel_via_hoang_parent_oracle,
     meyniel_via_hoang_two_search_oracle,
     random_graph,
     relabeled,
@@ -257,6 +260,36 @@ def test_hoang_sweep_matches_two_search_oracle():
     assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
 
 
+@st.composite
+def twin_rich_graphs(draw):
+    """A graph on at most 9 vertices: a drawn graph on the first m, then each
+    later vertex a twin of an earlier one (adjacent to it or not), all
+    relabeled by a drawn permutation.  With m = n it is a plain drawn graph."""
+    n = draw(st.integers(0, 9))
+    m = draw(st.integers(min(n, 1), n))
+    pairs = itertools.combinations(range(m), 2)
+    edges = {e for e in pairs if draw(st.booleans())}
+    for v in range(m, n):
+        u = draw(st.integers(0, v - 1))
+        edges |= {(a, v) for a in range(v) if (min(a, u), max(a, u)) in edges}
+        if draw(st.booleans()):
+            edges.add((u, v))
+    perm = draw(st.permutations(range(n)))
+    return relabeled(SimpleGraph(n, sorted(edges)), perm)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(twin_rich_graphs())
+@example(SimpleGraph(0, []))
+@example(SimpleGraph(9, []))
+@example(complete(9))
+@example(_complete_multipartite((3, 3, 3)))
+def test_hoang_sweep_matches_parent_and_two_search_oracles(g):
+    got = combinat.is_meyniel_via_hoang(g)
+    assert got == meyniel_via_hoang_parent_oracle(g), g
+    assert got == meyniel_via_hoang_two_search_oracle(g), g
+
+
 def test_hoang_and_beta_witnesses_match_two_search_oracle():
     meyniel = 0
     for g in _sweep_differential_graphs():
@@ -405,6 +438,14 @@ def test_beta_witness_postcondition_random():
 def test_beta_witness_rejects_non_meyniel():
     with pytest.raises(UsageError, match="not Meyniel"):
         combinat.beta_witness(cycle(5))
+
+
+def test_beta_witness_rejects_the_empty_graph():
+    # Meyniel by both routes, but its one maximal clique () sums to 0
+    g = SimpleGraph(0, [])
+    assert combinat.is_meyniel(g)[0] and combinat.is_meyniel_via_hoang(g)
+    with pytest.raises(UsageError, match="empty graph's one maximal clique is empty"):
+        combinat.beta_witness(g)
 
 
 def test_gamma_witness():
