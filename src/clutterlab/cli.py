@@ -8,7 +8,10 @@ request (`check --timing`) so that repeated runs stay byte-identical.
 `main` resolves the step budget once (`--budget`, else CLUTTERLAB_BUDGET, else
 10^7; exit 64 when negative) and runs the command in that `errors.budget` scope.
 Every certificate records the limit in force (`budget.limit`), read from that
-scope.  `render` writes the text of every file and stdout certificate.
+scope.  `render` writes the text of every file and stdout certificate.  When
+`Undecided` or `ResourceExceeded` stops `check`, `invariants` or `examples`,
+the command writes its undecided certificate where asked and re-raises, and
+`main` prints the reason once on stderr and exits 2.
 
 Every clutter property of `check` decides edgeless clutters.  `invariants`
 rejects them with exit 64: the edge polytope of a clutter without edges is
@@ -176,9 +179,8 @@ def run_check(prop: str, obj, notes: dict):
         cert = tdi.is_mfmc(c)
         return cert.verdict, _tdi_payload(cert), {}
     if prop == "unmixed":
-        ok = combinat.is_unmixed(c)
         sizes = sorted({len(s) for s in combinat.minimal_covers(c)})
-        return ok, {}, {"cover_sizes": sizes}
+        return len(sizes) == 1, {}, {"cover_sizes": sizes}
     if prop == "uniform":
         d = combinat.is_uniform(c)
         return d is not None, {}, {"d": d}
@@ -248,10 +250,7 @@ def cmd_check(args) -> int:
     t0 = time.monotonic()
     try:
         verdict, wits, inv = run_check(args.property, obj, notes)
-    except Undecided as exc:
-        verdict, wits, inv = "undecided", {}, {}
-        notes["reason"] = str(exc)
-    except ResourceExceeded as exc:
+    except (Undecided, ResourceExceeded) as exc:
         emit(_undecided_certificate(f"check {args.property}", obj, notes, exc), args)
         raise  # main prints the reason and exits 2
     ms = round((time.monotonic() - t0) * 1000)

@@ -3,8 +3,8 @@
 A `Clutter` carries the strict invariants (antichain, every edge has at
 least two vertices, no isolated vertices).  `RawClutter` relaxes the edge
 size and coverage requirements; blockers naturally produce singleton edges,
-so they come back as `RawClutter` when needed.  Predicates whose meaning
-depends on the strict invariants reject raw inputs.
+so they come back as `RawClutter` when needed.  Both compare by value: a
+`Clutter` equals the `RawClutter` with the same vertices and edges.
 """
 
 from __future__ import annotations
@@ -46,6 +46,12 @@ class RawClutter:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edges", _canon_edges(n, edges))
         self._validate()
+
+    def __eq__(self, other):
+        # by value across both classes; the dataclass keeps the field hash
+        if not isinstance(other, RawClutter):
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
 
     def _validate(self):
         es = [set(e) for e in self.edges]
@@ -113,7 +119,7 @@ class SimpleGraph:
         object.__setattr__(self, "edges", tuple(sorted(out)))
 
 
-# Cache: key graph, bound 65536, shared by all graph routines; spends no budget.
+# Cache: key graph, bound 65536; is_meyniel, is_perfect_small and the Hoang sweep share one graph.
 @lru_cache(maxsize=65536)
 def adjacency_masks(g: SimpleGraph) -> tuple[int, ...]:
     masks = [0] * g.n
@@ -145,8 +151,6 @@ def is_connected(g: SimpleGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# Cache: key clutter, bound 65536, shared by all callers; spends no budget.
-@lru_cache(maxsize=65536)
 def minimal_covers(c: RawClutter) -> tuple[IntVec, ...]:
     """All minimal vertex covers (minimal transversals of the edge set)."""
     edges = [set(e) for e in c.edges]
@@ -177,23 +181,6 @@ def minimal_covers(c: RawClutter) -> tuple[IntVec, ...]:
 
     rec(set(), set())
     return tuple(sorted(found))
-
-
-@dataclass(frozen=True)
-class CoverSet:
-    """The complete list of minimal vertex covers of a clutter."""
-
-    n: int
-    covers: tuple[IntVec, ...]
-
-    @classmethod
-    def of(cls, c: RawClutter) -> "CoverSet":
-        return cls(n=c.n, covers=minimal_covers(c))
-
-    def vectors(self) -> tuple[IntVec, ...]:
-        return tuple(
-            tuple(int(i in set(s)) for i in range(self.n)) for s in self.covers
-        )
 
 
 def blocker(c: RawClutter) -> RawClutter:
@@ -331,7 +318,7 @@ def _sorted_sets(masks, n: int) -> tuple[IntVec, ...]:
     return tuple(sorted(_members(m) for m in _cliques_in(masks, (1 << n) - 1)))
 
 
-# Cache: key graph, bound 65536, shared by all callers; spends no budget.
+# Cache: key graph, bound 65536; each command on one graph derives its clique clutter again.
 @lru_cache(maxsize=65536)
 def maximal_cliques(g: SimpleGraph) -> tuple[IntVec, ...]:
     """Bron-Kerbosch with pivoting, bitmask sets, canonical output order."""
@@ -447,10 +434,11 @@ def is_perfect_small(g: SimpleGraph):
     antihole search runs on the complement's masks; no complement graph is
     built.
     """
-    hole = odd_hole(g)
+    masks = adjacency_masks(g)
+    hole = _least_odd_hole(masks)
     if hole is not None:
         return False, ("hole", hole)
-    anti = _least_odd_hole(_complement_masks(adjacency_masks(g)))
+    anti = _least_odd_hole(_complement_masks(masks))
     if anti is not None:
         return False, ("antihole", anti)
     return True, None

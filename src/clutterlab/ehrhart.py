@@ -36,7 +36,7 @@ class EhrhartAnalysis:
     witnesses: tuple[IntVec, ...]
 
 
-# Cache: key (clutter, ambient budget), bound 4096, shared by all callers; Undecided not cached.
+# Cache: key (clutter, budget), bound 4096; invariants reads it twice, once via the bounds check.
 @budget_keyed_cache(4096)
 def analyze(c: RawClutter) -> EhrhartAnalysis:
     if not c.edges:
@@ -148,11 +148,12 @@ def check_regularity_bounds(c: RawClutter) -> BoundReport:
     from . import tdi  # local import; tdi builds on this module's siblings
 
     d = combinat.is_uniform(c)
-    g = combinat.covering_number(c)
+    sizes = {len(s) for s in combinat.minimal_covers(c)}  # g and unmixedness
+    g = min(sizes)
     missing = []
     if d is None:
         missing.append("uniform")
-    if not combinat.is_unmixed(c):
+    if len(sizes) != 1:
         missing.append("unmixed")
     mfmc = tdi.is_mfmc(c)
     if mfmc.verdict == "undecided":

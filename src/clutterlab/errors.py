@@ -82,8 +82,9 @@ class StepCounter:
 
 def budget_keyed_cache(maxsize: int):
     """`functools.lru_cache` for f(x), keyed on (x, `step_budget()` at call
-    time): a result reached under one limit never answers under another.
-    `cache_info` and `cache_clear` are the lru_cache's; `__wrapped__` is f."""
+    time): a result reached under one limit never answers under another,
+    and an `Undecided` that f raises is not cached.  `cache_info` and
+    `cache_clear` are the lru_cache's; `__wrapped__` is f."""
 
     def decorate(fn):
         @lru_cache(maxsize=maxsize)

@@ -101,7 +101,7 @@ def _rees_cone(ideal: MonomialIdeal) -> lattice.ConeWithLattice:
     return lattice.ConeWithLattice.from_vectors(_rees_generators(ideal), ideal.n + 1)
 
 
-# Cache: key (clutter, ambient budget), bound 4096, shared by three readers; Undecided not cached.
+# Cache: key (clutter, budget), bound 4096; one symbolic DD serves is_ntf and closure_vs_symbolic.
 @budget_keyed_cache(4096)
 def _symbolic_basis(c: RawClutter) -> tuple[IntVec, ...]:
     """Hilbert basis of the symbolic cone {(a, i) >= 0 : <a, u> >= i for
@@ -109,7 +109,7 @@ def _symbolic_basis(c: RawClutter) -> tuple[IntVec, ...]:
     `closure_vs_symbolic`; one DD gives its rays."""
     n = c.n
     normals = [tuple(-int(i == j) for i in range(n + 1)) for j in range(n + 1)]
-    normals += [tuple(-x for x in u) + (1,) for u in combinat.CoverSet.of(c).vectors()]
+    normals += [tuple(-int(i in u) for i in range(n)) + (1,) for u in combinat.minimal_covers(c)]
     rays, _ = polyhedron.cone_hrep_to_generators(normals, n + 1)
     return lattice.hilbert_basis(lattice.ConeWithLattice.from_vectors(rays, n + 1))
 

@@ -73,9 +73,9 @@ class TdiCertificate:
         return self.verdict is True or self.verdict == "vacuous"
 
 
-# Cache: key ((active columns, face-cone facets or None), ambient budget),
-# bound 65536, shared by all is_tdi; Undecided not cached.  Facets read off
-# the polyhedron's edges spare the face cone its DD; None leaves it to `lattice`.
+# A face is (active columns, face-cone facets or None).  Facets read off the
+# polyhedron's edges spare the face cone its DD; None leaves it to `lattice`.
+# Cache: key (face, budget), bound 65536; a clutter's face cones recur in each is_tdi run on it.
 @budget_keyed_cache(65536)
 def _hb_verdict(face: tuple[tuple[IntVec, ...], tuple[IntVec, ...] | None]):
     return lattice.is_hilbert_basis(*face)

@@ -473,7 +473,7 @@ def closure_contains_oracle(ideal, i, a):
 
 
 def symbolic_power_oracle(c, i):
-    covers = combinat.CoverSet.of(c).vectors()
+    covers = [tuple(int(v in u) for v in range(c.n)) for u in combinat.minimal_covers(c)]
     return MonomialIdeal(c.n, staircase_points_oracle(c.n, covers, [i] * len(covers)))
 
 

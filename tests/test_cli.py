@@ -445,6 +445,28 @@ def test_meyniel_vertex_cap_is_undecided(tmp_path, capsys):
     assert cert["budget"]["exceeded"] is False  # a vertex cap, not the step budget
 
 
+def test_check_stops_one_way(tmp_path, capsys):
+    # a budget stop and a cap stop both print nothing on stdout and the
+    # reason once on stderr; the certificate tells them apart
+    c5 = write(tmp_path, "c5.json", C5_GRAPH.replace("graph", "clutter"))
+    c17 = write(tmp_path, "c17.json", _cycle_graph(17))
+    cap = "resource exceeded: odd cycle enumeration vertex count (cap 16)"
+    for argv, reason, err, exceeded in (
+        (["normal", "--input", c5, "--budget", "1"], "undecided: hilbert basis enumeration",
+         "undecided: hilbert basis enumeration\n", True),
+        (["meyniel", "--input", c17], cap, f"undecided: {cap}\n", False),
+    ):
+        assert run(["check", *argv]) == 2
+        assert capsys.readouterr() == ("", err)
+        out = tmp_path / "stop.json"
+        assert run(["check", *argv, "--timing", "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", err)
+        cert = json.loads(out.read_text())
+        assert cert["verdict"] == "undecided" and cert["timing_ms"] is None
+        assert cert["notes"] == {"reason": reason}
+        assert cert["budget"]["exceeded"] is exceeded
+
+
 def test_meyniel_on_complete_graph_at_the_cap(tmp_path):
     # the induced cycles of K_16 are its 560 triangles, so it is decided
     # quickly although it has a vast number of simple cycles

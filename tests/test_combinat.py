@@ -55,6 +55,17 @@ def test_blocker_single_edge_gives_raw_singletons():
     assert isinstance(b, RawClutter) and not isinstance(b, Clutter)
 
 
+def test_clutters_compare_by_value():
+    # a Clutter equals the RawClutter with the same vertices and edges, so
+    # the blocker of the blocker returns its input whichever class it has
+    edges = [(0, 1), (1, 2), (0, 2)]
+    raw, strict = RawClutter(3, edges), Clutter(3, edges)
+    assert raw == strict and strict == raw and hash(raw) == hash(strict)
+    assert combinat.blocker(combinat.blocker(raw)) == raw
+    assert raw != RawClutter(4, edges) and raw != RawClutter(3, edges[:2])
+    assert raw != (3, tuple(edges))
+
+
 def test_blocker_square(square):
     assert combinat.blocker(square).edges == ((0, 2), (1, 3))
 

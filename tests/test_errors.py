@@ -1,5 +1,10 @@
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import clutterlab
 from clutterlab import ehrhart, errors, lattice, tdi
 from clutterlab.combinat import Clutter
 from clutterlab.errors import DEFAULT_STEP_BUDGET, Undecided, UsageError, step_budget
@@ -59,3 +64,25 @@ def test_scope_sets_the_step_counts_that_ci_pins(monkeypatch):
         ehrhart.is_ehrhart_clutter(bull)
     with errors.budget(6):
         assert ehrhart.is_ehrhart_clutter(bull) == (True, ())
+
+
+def test_module_caches_are_the_five_with_a_policy():
+    # every module-level cache, by its defining module, and the one-line
+    # policy comment right above its decorators
+    found = {}
+    for info in pkgutil.iter_modules(clutterlab.__path__):
+        mod = importlib.import_module(f"clutterlab.{info.name}")
+        for name, obj in vars(mod).items():
+            if callable(getattr(obj, "cache_info", None)) and callable(
+                getattr(obj, "cache_clear", None)
+            ) and inspect.unwrap(obj).__module__ == mod.__name__:
+                found[f"{info.name}.{name}"] = (mod, obj)
+    assert set(found) == {
+        "combinat.adjacency_masks", "combinat.maximal_cliques", "ehrhart.analyze",
+        "tdi._hb_verdict", "ideals._symbolic_basis",
+    }
+    for key, (mod, obj) in found.items():
+        lines = inspect.getsource(mod).splitlines()
+        _, first = inspect.getsourcelines(inspect.unwrap(obj))
+        assert lines[first - 1].startswith("@"), key
+        assert lines[first - 2].startswith("# Cache: "), key
