@@ -150,6 +150,15 @@ def _tdi_payload(cert: tdi.TdiCertificate):
     return payload
 
 
+def _tdi_result(cert: tdi.TdiCertificate):
+    """(verdict, witnesses, invariants) of a TDI certificate.  One that the
+    budget stopped raises `Undecided`, so `check` stops the one way every
+    property does."""
+    if cert.verdict == "undecided":
+        raise Undecided(cert.note)
+    return cert.verdict, _tdi_payload(cert), {}
+
+
 def run_check(prop: str, obj, notes: dict):
     """Returns (verdict, witnesses, invariants).  Notes on the input, such as
     a derived clique clutter, go into `notes` as they arise, so they survive
@@ -157,8 +166,7 @@ def run_check(prop: str, obj, notes: dict):
     if prop == "tdi":
         if not isinstance(obj, LinearSystem):
             raise UsageError("check tdi: input must be a system")
-        cert = tdi.is_tdi(obj)
-        return cert.verdict, _tdi_payload(cert), {}
+        return _tdi_result(tdi.is_tdi(obj))
     if prop == "meyniel":
         ok, wit = combinat.is_meyniel(_as_graph(obj))
         wits = {} if ok else {"odd_cycle": list(wit[0]), "chords": wit[1]}
@@ -176,8 +184,7 @@ def run_check(prop: str, obj, notes: dict):
         wits = {} if ok else {"fractional_vertex": [str(x) for x in wit]}
         return ok, wits, {}
     if prop == "mfmc":
-        cert = tdi.is_mfmc(c)
-        return cert.verdict, _tdi_payload(cert), {}
+        return _tdi_result(tdi.is_mfmc(c))
     if prop == "unmixed":
         sizes = sorted({len(s) for s in combinat.minimal_covers(c)})
         return len(sizes) == 1, {}, {"cover_sizes": sizes}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import sub
+from operator import le
 
 from . import combinat, lattice
 from .combinat import RawClutter
@@ -48,7 +48,9 @@ def analyze(c: RawClutter) -> EhrhartAnalysis:
     gens = set(cone.generators)
     witnesses = tuple(t for t in lattice.hilbert_basis(cone) if t not in gens)
     # the basis spent a step on every parallelepiped point of the same
-    # triangulation, so this enumeration fits in any budget that it did
+    # triangulation, or, on a compressed cone, skipped boxes that all hold
+    # only the origin and cost no step; either way this enumeration fits in
+    # any budget that the basis did
     closed, interior = lattice.half_open_points(cone)
     h = _bin_by_height(closed, dim + 1)
     h_int = _bin_by_height(interior, dim + 2)
@@ -192,11 +194,11 @@ def canonical_degrees(c: RawClutter):
     if not a.is_ehrhart:
         raise UsageError("canonical_degrees: lifted vectors do not span the semigroup")
     _, interior = lattice.half_open_points(a.cone)
+    # y divides x exactly when no facet height of y exceeds that of x
+    rows = [(x, a.cone.heights_of(x)) for x in interior]
     gens = []
-    for x in interior:
-        if not any(
-            y[-1] < x[-1] and a.cone.contains(tuple(map(sub, x, y))) for y in interior
-        ):
+    for x, hx in rows:
+        if not any(y[-1] < x[-1] and all(map(le, hy, hx)) for y, hy in rows):
             gens.append((x, x[-1]))
     gens.sort()
     if min(b for _, b in gens) != -a.a_invariant:

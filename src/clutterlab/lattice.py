@@ -3,19 +3,31 @@
 The central predicate is `is_hilbert_basis(H)`: do the nonnegative integer
 combinations of H reach every lattice point of the cone spanned by H?
 For pointed cones this reduces to computing the unique minimal Hilbert basis
-of the cone and checking set containment.  The basis comes in two steps:
-the cone is triangulated on the ray/facet incidences of its
-H-representation, and the lattice points of each simplex's half-open
+of the cone and checking set containment.
+
+One table of facet heights per cone (`ConeWithLattice.heights`) answers
+three questions with no elimination:
+
+- pointedness: the cone is pointed exactly when every generator has a
+  nonzero height on some facet (`ConeWithLattice.is_pointed`);
+- compression: when every extreme ray has height 0 or 1 over every facet,
+  every pulling triangulation is unimodular and the Hilbert basis is the
+  extreme rays (Sullivant, Tohoku Math. J. 58, 2006; Ohsugi & Hibi,
+  Proc. AMS 129, 2001), so `hilbert_basis` neither triangulates nor
+  enumerates a box;
+- the ray/facet incidences of the triangulation and the unimodular
+  simplices that need no box (`ConeWithLattice.unimodular`).
+
+Otherwise the basis comes in two steps: the cone is triangulated on its
+incidences, and the lattice points of each simplex's half-open
 parallelepiped come in integer arithmetic; the candidates are then reduced
 in support form, by comparing their facet-height tuples, each packed into
-one integer, in order of total height.  One table of facet heights per
-cone gives the incidences and certifies most unimodular simplices, whose
-box holds only the origin, with no elimination
-(`ConeWithLattice.unimodular`); an uncertified simplex takes one Bareiss
-minor, and a Smith normal form when that minor is not ±1.  When every box
-is empty the candidates are the extreme rays, which are all irreducible,
-so the reduction is skipped and only its comparisons are charged to the
-step budget.  Cones with lineality are split along their
+one integer, in order of total height.  An uncertified simplex takes one
+Bareiss minor, and a Smith normal form when that minor is not ±1.  When
+every box is empty, and always on a compressed cone, the candidates are
+the extreme rays, which are all irreducible, so the reduction is skipped
+and only its comparisons are charged to the step budget.  Cones with
+lineality are split along their
 lineality lattice L and the pointed quotient is handled as usual; the
 lifted checks are then decided by lattice arithmetic, not by membership
 queries.  With M the group spanned by the generators in L, a check t is
@@ -85,8 +97,20 @@ class ConeWithLattice:
 
     @cached_property
     def is_pointed(self) -> bool:
-        ineqs, eqs = self.hrep_normals
-        return kernel.rank(ineqs + eqs) == self.n
+        """Whether the cone holds no line: exactly when every generator has a
+        nonzero height on some facet.
+
+        The H-representation must be complete, every facet normal plus the
+        equations, as `cone_generators_to_hrep` returns it and as the facets
+        that `tdi` reads off a polyhedron's edges are.  A line l = sum c_i g_i
+        (c_i >= 0) of the cone has height 0 on every facet, since l and -l
+        both have heights >= 0; heights are additive and never negative, so
+        every g_i with c_i > 0 has all heights 0.  Conversely, a generator
+        with all heights 0 lies on every facet hyperplane and satisfies the
+        equations, so its negation lies in the cone too.  The zero cone is
+        pointed.
+        """
+        return all(any(h) for h in self.heights.values())
 
     @cached_property
     def extreme_rays(self) -> tuple[IntVec, ...]:
@@ -102,8 +126,14 @@ class ConeWithLattice:
     def heights(self) -> dict[IntVec, IntVec]:
         """Per generator g, its facet heights -<a, g> >= 0 over the
         inequality normals a; g lies on the facets where they are 0."""
+        return {g: self.heights_of(g) for g in self.generators}
+
+    def heights_of(self, x) -> IntVec:
+        """The facet heights -<a, x> of x over the inequality normals a; for
+        lattice points x and y of the cone, x - y lies in the cone exactly
+        when every height of y is at most that of x."""
         ineqs, _ = self.hrep_normals
-        return {g: tuple([-sum(map(mul, a, g)) for a in ineqs]) for g in self.generators}
+        return tuple([-sum(map(mul, a, x)) for a in ineqs])
 
     @cached_property
     def incidences(self) -> dict[IntVec, int]:
@@ -251,10 +281,33 @@ def _triangulate(cone: ConeWithLattice) -> tuple[tuple[IntVec, ...], ...]:
 
 
 def hilbert_basis(cone: ConeWithLattice) -> tuple[IntVec, ...]:
-    """The unique minimal Hilbert basis of a pointed cone, sorted."""
+    """The unique minimal Hilbert basis of a pointed cone, sorted.
+
+    A compressed cone, one whose extreme rays all have height 0 or 1 over
+    every facet, has its extreme rays as its basis: every pulling
+    triangulation of it is unimodular (Sullivant, Tohoku Math. J. 58, 2006;
+    Ohsugi & Hibi, Proc. AMS 129, 2001).  So it is neither triangulated nor
+    enumerated, and it is charged the steps of the empty-box branch, which
+    is what the enumeration reaches on it.
+
+    Proof, by induction on the dimension of a face F of the cone C, with
+    L_F = Z^n meet span F.  Each facet of F is F meet G for a facet G of
+    C.  G's integer functional has height 0 or 1 at every ray of F and 1 at
+    some ray of F, so it maps L_F onto Z: F is compressed with respect to
+    L_F, by the functionals of C's facets.  Pulling F at a ray r0 joins r0
+    to the simplices of each facet F' of F that misses r0.  The functional
+    of F' is 1 at r0 and vanishes on L_F exactly on L_F', so
+    L_F = L_F' + Z*r0, a direct sum, and a basis of L_F' joined to r0 is a
+    basis of L_F.  The zero cone's empty
+    simplex is a basis of L = 0.  So every simplex is a lattice basis and
+    every box holds only the origin, for every pulling order and for cones
+    that are not full-dimensional; the rays are primitive (`from_vectors`),
+    so the basis is exactly the extreme rays.
+    """
     steps = StepCounter(step_budget(), "hilbert basis enumeration")
     rays = cone.extreme_rays
-    candidates: set[IntVec] = {
+    compressed = all(h <= 1 for r in rays for h in cone.heights[r])
+    candidates: set[IntVec] = set() if compressed else {
         pt
         for simplex in cone.triangulation
         for pt, _ in _parallelepiped_points(simplex, cone.n, steps, simplex in cone.unimodular)
@@ -288,7 +341,7 @@ def _reduce(cone: ConeWithLattice, candidates, steps: StepCounter) -> tuple[IntV
     # exactly when ((X | G) - H) & G == G, with G the guard bits (SIMD
     # within a register; Lamport, CACM 18(8), 1975).
     ineqs, _ = cone.hrep_normals
-    rows = [(tuple([-sum(map(mul, f, x)) for f in ineqs]), x) for x in candidates]
+    rows = [(cone.heights_of(x), x) for x in candidates]
     width = max([max(h, default=0) for h, _ in rows], default=0).bit_length() + 1
     guard = sum(1 << (width * i + width - 1) for i in range(len(ineqs)))
     graded = []

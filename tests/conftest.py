@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,9 @@ from clutterlab.errors import (
     DEFAULT_RAY_CAP, ResourceExceeded, StepCounter, UsageError, step_budget,
 )
 from clutterlab.ideals import MonomialIdeal
-from clutterlab.lattice import ConeWithLattice, HilbertBasisReport, _parallelepiped_points
+from clutterlab.lattice import (
+    ConeWithLattice, HilbertBasisReport, _parallelepiped_points, _reduce,
+)
 from clutterlab.polyhedron import HRep, cone_generators_to_hrep, cone_hrep_to_generators
 
 
@@ -188,6 +191,32 @@ def triangulate_oracle(rays, n):
             sub = tuple(r for r in rays if kernel.dot(f, r) == 0)
             simplices.extend(s + (rays[0],) for s in triangulate_oracle(sub, n))
     return tuple(simplices)
+
+
+def is_pointed_rank_oracle(cone) -> bool:
+    """Pointedness as `ConeWithLattice.is_pointed` decided it before it read
+    facet heights: the inequality and equation normals have full rank."""
+    ineqs, eqs = cone.hrep_normals
+    return kernel.rank(ineqs + eqs) == cone.n
+
+
+def hilbert_basis_triangulation_oracle(cone, steps: StepCounter):
+    """`lattice.hilbert_basis` before compressed cones skipped their
+    triangulation: every simplex's box is enumerated, and the candidates are
+    reduced, or, when every box is empty, the reduction's comparisons are
+    charged and the extreme rays returned.  Spends from `steps`."""
+    rays = cone.extreme_rays
+    candidates = {
+        pt
+        for simplex in cone.triangulation
+        for pt, _ in _parallelepiped_points(simplex, cone.n, steps, simplex in cone.unimodular)
+        if any(pt)
+    }
+    if not candidates:
+        totals = sorted(sum(cone.heights[r]) for r in rays)
+        steps.spend(sum(bisect_left(totals, t) for t in totals))
+        return tuple(sorted(rays))
+    return _reduce(cone, candidates | set(rays), steps)
 
 
 def brute_vertices(h: HRep):

@@ -450,11 +450,17 @@ def test_check_stops_one_way(tmp_path, capsys):
     # reason once on stderr; the certificate tells them apart
     c5 = write(tmp_path, "c5.json", C5_GRAPH.replace("graph", "clutter"))
     c17 = write(tmp_path, "c17.json", _cycle_graph(17))
+    # a face check that the budget stops makes the TDI certificate undecided
+    p4 = write(tmp_path, "p4.json", '{"kind":"clutter","n":4,"edges":[[0,1],[1,2],[2,3]]}')
+    bad = write(tmp_path, "bad.json", BAD_SYSTEM)
     cap = "resource exceeded: odd cycle enumeration vertex count (cap 16)"
+    face = "undecided: budget exhausted during a face check"
     for argv, reason, err, exceeded in (
         (["normal", "--input", c5, "--budget", "1"], "undecided: hilbert basis enumeration",
          "undecided: hilbert basis enumeration\n", True),
         (["meyniel", "--input", c17], cap, f"undecided: {cap}\n", False),
+        (["mfmc", "--input", p4, "--budget", "3"], face, f"{face}\n", True),
+        (["tdi", "--input", bad, "--budget", "1"], face, f"{face}\n", True),
     ):
         assert run(["check", *argv]) == 2
         assert capsys.readouterr() == ("", err)

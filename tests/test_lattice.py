@@ -15,6 +15,8 @@ from conftest import (
     brute_hilbert_basis,
     brute_in_semigroup,
     extreme_rays_oracle,
+    hilbert_basis_triangulation_oracle,
+    is_pointed_rank_oracle,
     membership_report_oracle,
     semigroup_member,
     triangulate_oracle,
@@ -306,6 +308,70 @@ def test_hilbert_basis_matches_brute_force_on_drawn_cones(gens):
     cone = ConeWithLattice.from_vectors(gens, n)
     assume(cone.is_pointed)
     assert hilbert_basis(cone) == brute_hilbert_basis(gens, n)
+
+
+@st.composite
+def drawn_cones(draw):
+    """A cone of one of four kinds: lifted 0/1 vectors (graded, often
+    compressed), small integer vectors (often with lineality), nonnegative
+    combinations of fewer vectors than the dimension (not full-dimensional),
+    or the zero cone."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("lifted", "small", "lower", "zero")))
+    if kind == "zero":
+        return ConeWithLattice.from_vectors([], n)
+    if kind == "lifted":
+        vec = st.tuples(*[st.integers(0, 1)] * (n - 1), st.just(1))
+    elif kind == "small":
+        vec = st.tuples(*[st.integers(-1, 2)] * n)
+    else:
+        basis = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n), min_size=1, max_size=max(1, n - 1)))
+        vec = st.tuples(*[st.integers(0, 2)] * len(basis)).map(
+            lambda c: tuple(sum(ci * b[i] for ci, b in zip(c, basis)) for i in range(n))
+        )
+    return ConeWithLattice.from_vectors(draw(st.lists(vec, min_size=n, max_size=2 * n + 1)), n)
+
+
+def test_height_rules_match_the_rank_and_triangulation_routes():
+    # on every drawn cone, pointedness read off heights agrees with the
+    # rank of the normals; on every pointed one, the compressed shortcut
+    # returns the triangulation route's basis and spends its steps, so the
+    # least budget that decides it is the same
+    kinds = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(drawn_cones())
+    def check(cone):
+        assert cone.is_pointed == is_pointed_rank_oracle(cone)
+        if not cone.is_pointed:
+            kinds.add("lineality")
+            return
+        steps = StepCounter(10**6, "oracle")
+        want = hilbert_basis_triangulation_oracle(cone, steps)
+        spent = 10**6 - steps.remaining
+        with errors.budget(spent):
+            assert hilbert_basis(cone) == want
+        if spent:
+            with errors.budget(spent - 1), pytest.raises(Undecided):
+                hilbert_basis(cone)
+        if not cone.generators:
+            kinds.add("zero")
+            return
+        dim = cone.n - len(cone.hrep_normals[1])
+        compressed = all(h <= 1 for r in cone.extreme_rays for h in cone.heights[r])
+        tag = "compressed" if compressed else "not compressed"
+        kinds.add(tag)
+        if len(cone.extreme_rays) > dim:
+            kinds.add(f"{tag}, not simplicial")
+        if dim < cone.n:
+            kinds.add(f"{tag}, not full-dimensional")
+
+    check()
+    assert kinds == {
+        "zero", "lineality",
+        *(f"{tag}{extra}" for tag in ("compressed", "not compressed")
+          for extra in ("", ", not simplicial", ", not full-dimensional")),
+    }
 
 
 def random_pointed_cone(rng):
