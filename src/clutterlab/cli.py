@@ -85,17 +85,31 @@ def parse_instance(text: str, where: str = "<input>"):
         raise UsageError(
             f"{where}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise UsageError(f"{where}: JSON nested too deeply") from exc
     if not isinstance(data, dict) or "kind" not in data:
         raise UsageError(f"{where}: expected an object with a 'kind' field")
     kind = data["kind"]
 
     def ints(x):
-        # JSON integers only: a float, string or bool is not silently converted
-        if isinstance(x, list):
-            return tuple(ints(y) for y in x)
-        if type(x) is not int:
-            raise UsageError(f"{where}: bad {kind} payload: {json.dumps(x)} is not an integer")
-        return x
+        """Nested lists of JSON integers as nested tuples; a float, string or
+        bool is not silently converted.  One loop over a stack of (items
+        left, items done) frames, so the nesting depth costs no recursion."""
+        stack = [(iter([x]), [])]
+        while True:
+            items, done = stack[-1]
+            for y in items:
+                if isinstance(y, list):
+                    stack.append((iter(y), []))
+                    break
+                if type(y) is not int:
+                    raise UsageError(f"{where}: bad {kind} payload: {json.dumps(y)} is not an integer")
+                done.append(y)
+            else:
+                stack.pop()
+                if not stack:
+                    return done[0]
+                stack[-1][1].append(tuple(done))
 
     try:
         if kind == "graph":
@@ -114,6 +128,8 @@ def load_instance(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     return parse_instance(text, where=path)
 
 

@@ -145,6 +145,14 @@ def check_regularity_bounds(c: RawClutter) -> BoundReport:
     """For d-uniform unmixed flow-property clutters: series degree <= -g and
     regularity <= (d-1)(g-1), with per-instance tightness flags.
 
+    The flow property (MFMC) of an Ehrhart clutter is its idealness: an
+    ideal Ehrhart clutter has MFMC (Martinez-Bernal, O'Shea & Villarreal,
+    "Ehrhart clutters: regularity and max-flow min-cut", arXiv:0902.1354),
+    and MFMC always implies idealness.  So when `analyze` finds the clutter
+    Ehrhart, one double description of the covering polyhedron decides the
+    flow property, with no face check; otherwise `tdi.is_mfmc` checks it
+    face by face.
+
     Raises Undecided when the budget runs out before the flow property is
     decided: an undecided hypothesis is neither met nor missing."""
     from . import tdi  # local import; tdi builds on this module's siblings
@@ -157,12 +165,16 @@ def check_regularity_bounds(c: RawClutter) -> BoundReport:
         missing.append("uniform")
     if len(sizes) != 1:
         missing.append("unmixed")
-    mfmc = tdi.is_mfmc(c)
-    if mfmc.verdict == "undecided":
-        raise Undecided(f"flow property: {mfmc.note}")
-    if not mfmc.holds:
-        missing.append("mfmc")
     a = analyze(c)
+    if a.is_ehrhart:
+        flow = tdi.is_ideal_clutter(c)[0]
+    else:
+        mfmc = tdi.is_mfmc(c)
+        if mfmc.verdict == "undecided":
+            raise Undecided(f"flow property: {mfmc.note}")
+        flow = mfmc.holds
+    if not flow:
+        missing.append("mfmc")
     reg_bound = (d - 1) * (g - 1) if d is not None else None
     return BoundReport(
         hypotheses_met=not missing,

@@ -39,8 +39,9 @@ Derived data lives on the `ConeWithLattice` instance: its H-representation,
 facet heights, extreme rays, triangulation and certified simplices are
 computed once, when first asked.  A caller that already knows the facets
 passes them to `is_hilbert_basis`, and the cone runs no double description;
-`tdi` does so for every face cone of a pointed polyhedron, reading them off
-the polyhedron's edges.
+with the generators' heights over them too, it computes no dot product.
+`tdi` does both for every face cone of a pointed polyhedron, reading the
+facets off the polyhedron's edges and the heights off its slack table.
 
 No verdict asks whether one point lies in the semigroup of given vectors,
 so membership is not decided here; the exact membership oracle that the
@@ -81,7 +82,8 @@ class ConeWithLattice:
             if not vecs:
                 raise UsageError("ConeWithLattice: dimension required for empty generator set")
             n = len(vecs[0])
-        gens = sorted({kernel.primitive(v) for v in vecs if any(x != 0 for x in v)})
+        # a vector whose entries have gcd 1 is primitive already
+        gens = sorted({v if gcd(*v) == 1 else kernel.primitive(v) for v in vecs if any(v)})
         return cls(n=n, generators=tuple(gens))
 
     @cached_property
@@ -431,14 +433,22 @@ def _lexicographic_signs(simplex: tuple[IntVec, ...], n: int, perturbation) -> l
 # ---------------------------------------------------------------------------
 
 
-def is_hilbert_basis(vectors, facets: tuple[IntVec, ...] | None = None) -> HilbertBasisReport:
+def is_hilbert_basis(
+    vectors,
+    facets: tuple[IntVec, ...] | None = None,
+    heights: tuple[IntVec, ...] | None = None,
+) -> HilbertBasisReport:
     """Decide whether N*H covers every lattice point of cone(H).
 
     `facets`, when given, must be the sorted inequality normals that
     `polyhedron.cone_generators_to_hrep` returns for H, with no equation
     normals; the cone's H-representation is then taken from them and no
-    double description runs.  `tdi.is_tdi` passes the normals that
-    `polyhedron.minimal_faces` reads off the polyhedron's edges.
+    double description runs.  `heights`, given only with `facets`, holds
+    per vector of H its heights over them, and seeds the cone's height
+    table: a vector with gcd k > 1 has its heights divided by k, those of
+    its primitive generator.  `tdi.is_tdi` passes the facets and heights
+    that `polyhedron.minimal_faces` reads off the polyhedron's edges and
+    slack table.
     """
     vecs = [tuple(v) for v in vectors]
     if not vecs:
@@ -450,6 +460,15 @@ def is_hilbert_basis(vectors, facets: tuple[IntVec, ...] | None = None) -> Hilbe
     cone = ConeWithLattice.from_vectors(nonzero, n)
     if facets is not None:
         vars(cone)["hrep_normals"] = (tuple(facets), ())  # the cached_property's slot
+        if heights is not None:
+            table = {}
+            for v, hv in zip(vecs, heights):
+                k = gcd(*v)
+                if k == 1:
+                    table[v] = tuple(hv)
+                elif k:
+                    table[tuple([x // k for x in v])] = tuple([y // k for y in hv])
+            vars(cone)["heights"] = table
     if cone.is_pointed:
         basis = hilbert_basis(cone)
         hset = set(nonzero)

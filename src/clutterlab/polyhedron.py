@@ -51,7 +51,10 @@ class HRep:
 
 @dataclass(frozen=True)
 class VRep:
-    """Generators: conv(vertices) + cone(rays) + span(lines)."""
+    """Generators: conv(vertices) + cone(rays) + span(lines).
+
+    An integral vertex is a tuple of ints, any other a tuple of Fractions;
+    both compare, hash and print alike, and both carry `denominator`."""
 
     n: int
     vertices: tuple[RatVec, ...]
@@ -68,11 +71,15 @@ class Face:
     """A minimal face: active inequality indices, interior point, and the
     inequality normals of the cone of the active rows when `minimal_faces`
     reads them off the edges (None otherwise).  Every minimal face has the
-    dimension of the lineality space, `len(v.lines)`."""
+    dimension of the lineality space, `len(v.lines)`.
+
+    `heights` goes with `facets`: per active row a, in `active` order, its
+    heights -<d, a> >= 0 over the facets d, read off the slack table."""
 
     active: tuple[int, ...]
     point: RatVec
     facets: tuple[IntVec, ...] | None
+    heights: tuple[IntVec, ...] | None
 
 
 def _canon_ineq(a: Sequence[int], b: int) -> tuple[IntVec, int]:
@@ -214,7 +221,9 @@ def _h_to_v(h: HRep) -> VRep:
         lines.append(l[:n])
     for r, _ in raw_rays:
         t = r[n]
-        if t > 0:
+        if t == 1:
+            vertices.append(r[:n])  # r is primitive, so only t == 1 is integral
+        elif t > 0:
             vertices.append(tuple(Fraction(x, t) for x in r[:n]))
         elif any(x != 0 for x in r[:n]):
             rays.append(r[:n])
@@ -291,6 +300,13 @@ def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
     With lines an edge direction is fixed only up to the lineality space,
     and explicit equations are missing from the tight sets; in both cases
     `facets` is None.
+
+    The face's `heights` come off one slack row per generator of the
+    homogenised cone, s(a) = b*t - <a, q> for the generator (q, t), whose
+    zeros are its tight set.  For the edge from the vertex q_i/t_i to the
+    vertex q_j/t_j, d = (t_i*q_j - t_j*q_i)/g with g the gcd, and a row a
+    tight at q_i has height -<a, d> = t_i*s_j(a)/g; for an extreme ray
+    (q_j, 0), d = q_j and the height is s_j(a).
     """
     if v.is_empty:
         return ()
@@ -300,28 +316,32 @@ def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
     read_edges = not v.lines and not h.eqs
     if read_edges:
         gens += [(r, 0) for r in v.rays]
-    tight = [
-        tuple([i for i, (a, b) in enumerate(h.ineqs) if sum(map(mul, a, q)) == b * t])
-        for q, t in gens
-    ]
-    if read_edges:
-        edges = [tuple(sorted(e)) for e in _edge_directions(h, gens, tight)]
-    else:
-        edges = [None] * len(v.vertices)
+    slack = [[b * t - sum(map(mul, a, q)) for a, b in h.ineqs] for q, t in gens]
+    tight = [tuple([i for i, s in enumerate(row) if not s]) for row in slack]
+    edges = _edge_directions(h, gens, tight) if read_edges else None
     faces = []
     seen = set()
-    for p, active, facets in zip(v.vertices, tight, edges):
+    for i, (p, active) in enumerate(zip(v.vertices, tight)):
         if active in seen:
             continue
         seen.add(active)
-        faces.append(Face(active=active, point=p, facets=facets))
+        facets = heights = None
+        if edges is not None:
+            at = sorted(edges[i])  # the directions are distinct, so they alone order
+            facets = tuple([d for d, _, _, _ in at])
+            heights = tuple(
+                tuple([s * slack[j][k] // g for _, j, s, g in at]) for k in active
+            )
+        faces.append(Face(active=active, point=p, facets=facets, heights=heights))
     return tuple(faces)
 
 
-def _edge_directions(h: HRep, gens, tight) -> list[list[IntVec]]:
-    """Per vertex of a pointed polyhedron with no equations, the primitive
-    directions of its edges: y - x towards each adjacent vertex y, and each
-    adjacent extreme ray r.
+def _edge_directions(h: HRep, gens, tight) -> list[list[tuple[IntVec, int, int, int]]]:
+    """Per vertex of a pointed polyhedron with no equations, its edges as
+    (d, j, s, g): the primitive direction d towards the generator j, y - x
+    towards an adjacent vertex y or an adjacent extreme ray r, and the scale
+    s/g that turns the slack row of generator j into the heights over d
+    (see `minimal_faces`).
 
     `gens` are the homogenised cone's generators, (t*x, t) per vertex and
     then (r, 0) per extreme ray, and `tight` their tight rows in h.ineqs;
@@ -335,7 +355,7 @@ def _edge_directions(h: HRep, gens, tight) -> list[list[IntVec]]:
     ray_bit = 1 << len(h.ineqs)
     masks = [sum([1 << i for i in rows]) | (0 if t else ray_bit) for rows, (_, t) in zip(tight, gens)]
     need = h.n - 1
-    edges: list[list[IntVec]] = [[] for _, t in gens if t]  # one list per vertex
+    edges: list[list[tuple[IntVec, int, int, int]]] = [[] for _, t in gens if t]  # one per vertex
     for i, (x, tx) in enumerate(gens[: len(edges)]):
         commons = [masks[i] & m for m in masks]
         for j in range(i + 1, len(gens)):
@@ -345,11 +365,13 @@ def _edge_directions(h: HRep, gens, tight) -> list[list[IntVec]]:
                 continue
             y, ty = gens[j]
             if not ty:
-                edges[i].append(y)  # `dd_convert` returns primitive rays
+                edges[i].append((y, j, 1, 1))  # `dd_convert` returns primitive rays
                 continue
-            d = _primitive([tx * b - ty * a for a, b in zip(x, y)])  # along y/ty - x/tx
-            edges[i].append(d)
-            edges[j].append(tuple([-a for a in d]))
+            diff = [tx * b - ty * a for a, b in zip(x, y)]  # along y/ty - x/tx
+            g = gcd(*diff)
+            d = tuple([a // g for a in diff])
+            edges[i].append((d, j, tx, g))
+            edges[j].append((tuple([-a for a in d]), i, ty, g))
     return edges
 
 

@@ -73,11 +73,13 @@ class TdiCertificate:
         return self.verdict is True or self.verdict == "vacuous"
 
 
-# A face is (active columns, face-cone facets or None).  Facets read off the
-# polyhedron's edges spare the face cone its DD; None leaves it to `lattice`.
+# A face is (active columns, face-cone facets, their heights), the last two
+# None or both given.  Facets read off the polyhedron's edges spare the face
+# cone its DD, and heights read off its slack table spare the dot products;
+# None leaves both to `lattice`.
 # Cache: key (face, budget), bound 65536; a clutter's face cones recur in each is_tdi run on it.
 @budget_keyed_cache(65536)
-def _hb_verdict(face: tuple[tuple[IntVec, ...], tuple[IntVec, ...] | None]):
+def _hb_verdict(face):
     return lattice.is_hilbert_basis(*face)
 
 
@@ -97,7 +99,9 @@ def is_tdi(system: LinearSystem) -> TdiCertificate:
     for face in polyhedron.minimal_faces(h, v):
         # h.ineqs are the columns in order, so face.active indexes columns
         try:
-            report = _hb_verdict((tuple(cols[j] for j in face.active), face.facets))
+            report = _hb_verdict(
+                (tuple(cols[j] for j in face.active), face.facets, face.heights)
+            )
         except Undecided:
             return TdiCertificate(
                 verdict="undecided", faces=tuple(faces), failing=None,

@@ -900,6 +900,30 @@ def random_system(rng, lo):
     return cols, w
 
 
+def two_k4_graph():
+    """Two K4s on {0,2,4,6} and {1,3,5,7} joined by 0-5, 1-4, 2-7 and 3-6.
+
+    Its clique clutter is ideal and MFMC but not Ehrhart, and not uniform:
+    the flow property takes the face-by-face route.  Under a step budget,
+    `ehrhart.analyze` completes at 8 and the face checks need 26."""
+    quads = ([0, 2, 4, 6], [1, 3, 5, 7])
+    edges = [e for q in quads for e in itertools.combinations(q, 2)]
+    return SimpleGraph(8, edges + [(0, 5), (1, 4), (2, 7), (3, 6)])
+
+
+# Q6: the triangles of K4 on its six edges; ideal, neither Ehrhart nor MFMC
+Q6_EDGES = ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
+
+
+def face_heights_oracle(h: HRep, face):
+    """The heights -<d, a> of every active row a over every facet d of a
+    face, by dot products, with no use of the slack table."""
+    return tuple(
+        tuple(-sum(x * y for x, y in zip(d, h.ineqs[k][0])) for d in face.facets)
+        for k in face.active
+    )
+
+
 def all_labeled_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):

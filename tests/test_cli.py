@@ -5,6 +5,8 @@ from pathlib import Path
 from clutterlab import cli, polyhedron
 from clutterlab.families import sharpness_clutter, triangle_clutter
 
+from conftest import two_k4_graph
+
 GOLDEN = Path(__file__).parent / "golden"
 
 TRIANGLE = '{"kind":"clutter","n":3,"edges":[[0,1],[1,2],[0,2]]}'
@@ -105,6 +107,32 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
         assert out.out == "" and out.err.startswith("error: "), payload
 
 
+def test_non_utf8_input_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"kind":"clutter","n":3,"edges":[[0,1]]}')
+    assert run(["check", "mfmc", "--input", str(path)]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and "UTF-8" in out.err
+
+
+def test_deeply_nested_edge_is_usage_error(tmp_path, capsys):
+    # 900 brackets parse as JSON; the payload reader walks them with no
+    # recursion and the clutter rejects the nested edge
+    edge = "[" * 900 + "1" + "]" * 900
+    path = write(tmp_path, "deep.json", '{"kind":"clutter","n":3,"edges":[' + edge + "]}")
+    assert run(["check", "mfmc", "--input", path]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and "Traceback" not in out.err
+
+
+def test_json_nested_beyond_the_parser_is_usage_error(tmp_path, capsys):
+    edge = "[" * 50_000 + "1" + "]" * 50_000
+    path = write(tmp_path, "deeper.json", '{"kind":"clutter","n":3,"edges":[' + edge + "]}")
+    assert run(["check", "mfmc", "--input", path]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_normal_decides_edgeless_clutters(tmp_path, capsys):
     # the closure of every power of the zero ideal is the zero ideal
     # (with n = 0 there are no Rees generators at all); with n = 0 the
@@ -168,7 +196,13 @@ def test_undecided_graph_check_keeps_the_derived_note(tmp_path, capsys):
         "derived": "clique-clutter",
         "reason": "undecided: hilbert basis enumeration",
     }
-    assert run(["invariants", "--input", c5, "--budget", "1", "--json"]) == 2
+    # C5's clique clutter is Ehrhart, so invariants decides its flow property
+    # by idealness at budget 1; the two K4s need the face checks, and budget
+    # 10 lets `analyze` finish but stops a face check
+    assert run(["invariants", "--input", c5, "--budget", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["notes"] == {"derived": "clique-clutter"}
+    k4s = write(tmp_path, "k4s.json", json.dumps(cli.instance_payload(two_k4_graph())))
+    assert run(["invariants", "--input", k4s, "--budget", "10", "--json"]) == 2
     notes = json.loads(capsys.readouterr().out)["notes"]
     assert notes.keys() == {"derived", "reason"}
     assert notes["derived"] == "clique-clutter"
@@ -305,13 +339,19 @@ def test_timing_is_an_integer_and_only_check_takes_it(tmp_path, capsys):
 
 
 def test_invariants_undecided_bound_check_exits_2(tmp_path, capsys):
-    inp = write(tmp_path, "s32.json", json.dumps(cli.instance_payload(sharpness_clutter(3, 2))))
-    assert run(["invariants", "--input", inp, "--budget", "1"]) == 2
+    # sharpness_clutter(3, 2) is Ehrhart, so its flow property is its
+    # idealness and budget 1 decides it; the two K4s are not Ehrhart, and
+    # budget 10 stops their face checks after `analyze` has finished
+    s32 = write(tmp_path, "s32.json", json.dumps(cli.instance_payload(sharpness_clutter(3, 2))))
+    assert run(["invariants", "--input", s32, "--budget", "1"]) == 0
+    capsys.readouterr()
+    inp = write(tmp_path, "k4s.json", json.dumps(cli.instance_payload(two_k4_graph())))
+    assert run(["invariants", "--input", inp, "--budget", "10"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "undecided: flow property: budget exhausted during a face check\n"
     assert "hypotheses not met" not in captured.out
-    out = tmp_path / "s32.cert.json"
-    assert run(["invariants", "--input", inp, "--budget", "1", "--json", "--output", str(out)]) == 2
+    out = tmp_path / "k4s.cert.json"
+    assert run(["invariants", "--input", inp, "--budget", "10", "--json", "--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "undecided: flow property: budget exhausted during a face check\n"
     assert captured.out == out.read_text(encoding="utf-8")
@@ -319,7 +359,9 @@ def test_invariants_undecided_bound_check_exits_2(tmp_path, capsys):
     assert cert["command"] == "invariants"
     assert cert["verdict"] == "undecided"
     assert cert["notes"]["reason"] == "undecided: flow property: budget exhausted during a face check"
-    assert cert["budget"] == {"limit": 1, "exceeded": True}
+    assert cert["budget"] == {"limit": 10, "exceeded": True}
+    assert run(["invariants", "--input", inp, "--budget", "26", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["invariants"]["bounds"]["missing"] == ["uniform"]
 
 
 def test_certificates_roundtrip_and_digest_stability(tmp_path, capsys):

@@ -5,15 +5,17 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from clutterlab import combinat, ehrhart, errors, kernel, lattice, polyhedron
-from clutterlab.combinat import Clutter, RawClutter
+from clutterlab import combinat, ehrhart, errors, kernel, lattice, polyhedron, tdi
+from clutterlab.combinat import Clutter, RawClutter, SimpleGraph
 from clutterlab.errors import DEFAULT_STEP_BUDGET, Undecided, UsageError
-from clutterlab.families import line_graph_k24, sharpness_clutter
+from clutterlab.families import cycle_clutter, line_graph_k24, sharpness_clutter
 from clutterlab.lattice import ConeWithLattice
 from clutterlab.polyhedron import HRep, VRep
 
-from conftest import brute_lattice_points
+from conftest import Q6_EDGES, brute_lattice_points, two_k4_graph
 
 
 @pytest.fixture
@@ -332,13 +334,66 @@ def test_bound_report(triangle, blocker_square, unit_square_clutter):
 
 
 def test_bound_check_undecided_under_budget():
-    # budget 1 cannot decide the flow property, which sharpness_clutter(3, 2)
-    # does have: the hypothesis is undecided, not missing
-    c = sharpness_clutter(3, 2)
-    with errors.budget(1), pytest.raises(Undecided):
+    # budget 10 lets `analyze` finish on the two K4s but cannot decide their
+    # flow property, which they do have: the hypothesis is undecided, not
+    # missing
+    c = combinat.clique_clutter(two_k4_graph())
+    with errors.budget(10), pytest.raises(Undecided, match="flow property"):
         ehrhart.check_regularity_bounds(c)
-    rep = ehrhart.check_regularity_bounds(c)
-    assert rep.hypotheses_met and not rep.missing
+    assert ehrhart.check_regularity_bounds(c).missing == ("uniform",)
+    # an Ehrhart clutter's flow property is its idealness, which spends no
+    # step, so budget 1 decides sharpness_clutter(3, 2) and the pentagon
+    with errors.budget(1):
+        rep = ehrhart.check_regularity_bounds(sharpness_clutter(3, 2))
+        assert rep.hypotheses_met and not rep.missing
+        assert ehrhart.check_regularity_bounds(cycle_clutter(5)).missing == ("mfmc",)
+
+
+def test_flow_property_pins_off_the_ehrhart_route():
+    # two instances whose flow property takes the face checks: the two K4s
+    # are ideal and MFMC, Q6 is ideal and not MFMC; neither is Ehrhart
+    k4s = combinat.clique_clutter(two_k4_graph())
+    q6 = combinat.as_clutter_or_raw(6, Q6_EDGES)
+    for c, mfmc, missing in ((k4s, True, ("uniform",)), (q6, False, ("unmixed", "mfmc"))):
+        assert tdi.is_ideal_clutter(c)[0]
+        assert not ehrhart.analyze(c).is_ehrhart
+        assert tdi.is_mfmc(c).verdict is mfmc
+        assert ehrhart.check_regularity_bounds(c).missing == missing
+
+
+@st.composite
+def drawn_clutters(draw):
+    """A clutter with at least one edge, of one of three kinds: the minimal
+    sets among drawn subsets of at most 6 vertices (mostly Ehrhart), 7 to 11
+    drawn triples on 7 vertices (some not Ehrhart) or the clique clutter of
+    a drawn graph on at most 8 vertices."""
+    kind = draw(st.sampled_from(("subsets", "triples", "cliques")))
+    if kind == "cliques":
+        n = draw(st.integers(1, 8))
+        pairs = itertools.combinations(range(n), 2)
+        return combinat.clique_clutter(SimpleGraph(n, [e for e in pairs if draw(st.booleans())]))
+    if kind == "triples":
+        n = 7
+        triple = st.frozensets(st.integers(0, n - 1), min_size=3, max_size=3)
+        masks = [sum(1 << i for i in e) for e in draw(st.sets(triple, min_size=7, max_size=11))]
+    else:
+        n = draw(st.integers(1, 6))
+        masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=7))
+    minimal = {m for m in masks if not any(o != m and o & m == o for o in masks)}
+    edges = [tuple(i for i in range(n) if m >> i & 1) for m in sorted(minimal)]
+    return combinat.as_clutter_or_raw(n, edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn_clutters())
+@example(combinat.as_clutter_or_raw(6, Q6_EDGES))
+@example(combinat.clique_clutter(two_k4_graph()))
+@example(cycle_clutter(5))
+def test_flow_property_by_idealness_matches_the_face_checks(c):
+    # the bounds check reads an Ehrhart clutter's flow property off its
+    # idealness; the face-by-face certificate must agree on every clutter
+    missing = ehrhart.check_regularity_bounds(c).missing
+    assert ("mfmc" in missing) == (not tdi.is_mfmc(c).holds)
 
 
 def test_rank_bound_for_flow_instances():

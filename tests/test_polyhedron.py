@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clutterlab import kernel, polyhedron, tdi
 from clutterlab.combinat import RawClutter
 from clutterlab.errors import UsageError
 from clutterlab.polyhedron import HRep, VRep, cone_generators_to_hrep, dd_convert
 
-from conftest import brute_vertices, dd_cone_oracle, random_system
+from conftest import brute_vertices, dd_cone_oracle, face_heights_oracle, random_system
 
 F = Fraction
 
@@ -106,6 +108,50 @@ def test_face_facets_match_the_face_cone_dd():
         edges = [e for e in edges if not any(set(f) < set(e) for f in edges)]
         read += _faces_with_facets(tdi.covering_system(RawClutter(n, edges)).hrep())
     assert read >= 150
+
+
+def _faces_with_heights(h: HRep) -> int:
+    """Check every face's slack-table heights against the dot products of
+    its facets with its active rows; returns how many faces carry them."""
+    read = 0
+    for face in polyhedron.minimal_faces(h, dd_convert(h)):
+        assert (face.heights is None) == (face.facets is None)
+        if face.heights is not None:
+            read += 1
+            assert face.heights == face_heights_oracle(h, face)
+    return read
+
+
+def test_face_heights_match_the_dot_products():
+    rng = random.Random(2024)
+    read = 0
+    for _ in range(1200):
+        cols, w = random_system(rng, -3)
+        read += _faces_with_heights(HRep(len(cols[0]), tuple(zip(cols, w))))
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        edges = {tuple(sorted(rng.sample(range(n), rng.randint(1, 3)))) for _ in range(rng.randint(2, 8))}
+        edges = [e for e in edges if not any(set(f) < set(e) for f in edges)]
+        read += _faces_with_heights(tdi.covering_system(RawClutter(n, edges)).hrep())
+    assert read >= 1500  # 1,800 at these seeds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(st.tuples(*[st.integers(-3, 3)] * n), st.integers(-3, 3)),
+    min_size=1, max_size=2 * n + 2)))
+def test_face_heights_match_the_dot_products_on_drawn_systems(rows):
+    rows = [(a, b) for a, b in rows if any(a)]
+    assume(rows)
+    _faces_with_heights(HRep(len(rows[0][0]), tuple(rows)))
+
+
+def test_integral_vertices_are_int_tuples():
+    # t = 1 is the only integral height of a primitive generator, and such
+    # a vertex keeps its integer tuple; the others are Fractions
+    v = dd_convert(TRIANGLE_COVERING)
+    assert {tuple(map(type, p)) for p in v.vertices} == {(int,) * 3, (F,) * 3}
 
 
 def test_face_facets_of_a_lower_dimensional_polyhedron():
