@@ -152,35 +152,30 @@ def is_connected(g: SimpleGraph) -> bool:
 
 
 def minimal_covers(c: RawClutter) -> tuple[IntVec, ...]:
-    """All minimal vertex covers (minimal transversals of the edge set)."""
-    edges = [set(e) for e in c.edges]
-    if not edges:
-        return ((),)
-    found: set[IntVec] = set()
+    """All minimal vertex covers (minimal transversals of the edge set).
 
-    def is_cover(s: set) -> bool:
-        return all(e & s for e in edges)
-
-    def rec(chosen: set, banned: set):
-        uncovered = next((e for e in edges if not (e & chosen)), None)
-        if uncovered is None:
-            # prune to a minimal cover by dropping redundant vertices; a kept
-            # vertex stays needed as cur shrinks, since covers are closed
-            # upward, so every set found is minimal
-            cur = set(chosen)
-            for v in sorted(chosen, reverse=True):
-                if is_cover(cur - {v}):
-                    cur.discard(v)
-            found.add(tuple(sorted(cur)))
-            return
-        for v in sorted(uncovered):
-            if v in banned:
-                continue
-            rec(chosen | {v}, set(banned))
-            banned.add(v)
-
-    rec(set(), set())
-    return tuple(sorted(found))
+    Berge's sequential dualisation (Berge, *Hypergraphs*, 1989) on bitmasks:
+    the minimal covers of no edges are {∅}, and adding an edge e keeps the
+    covers that meet it and extends each cover t that misses it by one
+    vertex of e.  Two extensions t|v ⊆ t'|v' force t ⊆ t' (v' is not in t,
+    which misses e), so t = t' and v = v': the extensions form an antichain,
+    and none lies strictly inside a kept cover, which would contain t.  So
+    an extension is minimal unless it contains a kept cover, and no prune
+    pass is needed.
+    """
+    covers = [0]
+    for e in c.edges:
+        em = sum(1 << v for v in e)
+        hit = [t for t in covers if t & em]
+        grown = list(hit)
+        for t in covers:
+            if not t & em:
+                for v in e:
+                    u = t | 1 << v
+                    if not any(h & u == h for h in hit):
+                        grown.append(u)
+        covers = grown
+    return tuple(sorted(_members(t) for t in covers))
 
 
 def blocker(c: RawClutter) -> RawClutter:
@@ -194,21 +189,27 @@ def covering_number(c: RawClutter) -> int:
 
 
 def max_disjoint_edges(c: RawClutter) -> int:
-    """Maximum number of pairwise disjoint edges, exhaustive with pruning."""
-    edges = [set(e) for e in c.edges]
+    """Maximum number of pairwise disjoint edges, exhaustive with pruning.
+
+    One loop over `(next edge, used mask, count)` frames: a frame finds the
+    next edge that misses the used vertices and pushes the branch that skips
+    it, then the branch that takes it.  A frame is dropped when even taking
+    every edge from its index on, `count + q - j`, cannot beat the best.
+    """
+    masks = [sum(1 << v for v in e) for e in c.edges]
+    q = len(masks)
     best = 0
-
-    def rec(idx: int, used: set, count: int):
-        nonlocal best
-        if count > best:
-            best = count
-        if count + len(edges) - idx <= best:
-            return
-        for j in range(idx, len(edges)):
-            if not (edges[j] & used):
-                rec(j + 1, used | edges[j], count + 1)
-
-    rec(0, set(), 0)
+    stack = [(0, 0, 0)]
+    while stack:
+        j, used, count = stack.pop()
+        best = max(best, count)
+        if count + q - j <= best:
+            continue
+        while j < q and masks[j] & used:
+            j += 1
+        if j < q:
+            stack.append((j + 1, used, count))
+            stack.append((j + 1, used | masks[j], count + 1))
     return best
 
 
@@ -598,27 +599,28 @@ def disjoint_cover_partition(c: RawClutter):
     d = is_uniform(c)
     if d is None:
         raise UsageError("disjoint_cover_partition: clutter is not uniform")
-    covers = [set(s) for s in minimal_covers(c)]
-    order = sorted(range(len(covers)), key=lambda i: sorted(covers[i]))
-    target = set(range(c.n))
-
-    def rec(chosen: list[int], used: set, start: int):
-        if len(chosen) == d:
-            return list(chosen) if used == target else None
-        for idx in range(start, len(covers)):
-            i = order[idx]
-            s = covers[i]
-            if s & used:
-                continue
-            got = rec(chosen + [i], used | s, idx + 1)
-            if got is not None:
-                return got
-        return None
-
-    got = rec([], set(), 0)
-    if got is None:
-        return None
-    parts = [tuple(sorted(covers[i])) for i in got]
+    covers = minimal_covers(c)
+    masks = [sum(1 << v for v in s) for s in covers]
+    full = (1 << c.n) - 1
+    # backtrack over the sorted covers: `i` is the next candidate at the
+    # depth len(chosen), and a dead end resumes after the last choice; at
+    # depth d no candidate is left, as d + 1 disjoint covers would need
+    # d + 1 vertices in an edge
+    chosen: list[int] = []
+    used = i = 0
+    while len(chosen) < d or used != full:
+        while i < len(masks) and masks[i] & used:
+            i += 1
+        if i < len(masks):
+            chosen.append(i)
+            used |= masks[i]
+        elif chosen:
+            i = chosen.pop()
+            used ^= masks[i]
+        else:
+            return None
+        i += 1
+    parts = [covers[i] for i in chosen]
     for p in parts:
         for e in c.edges:
             if len(set(p) & set(e)) != 1:

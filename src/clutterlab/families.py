@@ -4,6 +4,7 @@ normal."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -113,17 +114,7 @@ def sharpness_clutter(d: int, g: int) -> Clutter:
     if d * g > 12 or g**d > 4096:
         raise ResourceExceeded("sharpness clutter size", 4096)
     classes = [tuple(range(i * g, (i + 1) * g)) for i in range(d)]
-    edges = []
-
-    def rec(i: int, acc: tuple[int, ...]):
-        if i == d:
-            edges.append(acc)
-            return
-        for v in classes[i]:
-            rec(i + 1, acc + (v,))
-
-    rec(0, ())
-    c = Clutter(d * g, edges)
+    c = Clutter(d * g, list(itertools.product(*classes)))
     got = combinat.blocker(c)
     if got.edges != tuple(sorted(classes)):
         raise AssertionError("transversal clutter must block to its classes")

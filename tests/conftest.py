@@ -264,6 +264,98 @@ def brute_min_covers(c):
     return tuple(sorted(set(keep)))
 
 
+def minimal_covers_parent_oracle(c):
+    """Minimal covers by the recursive branch-and-prune search that Berge's
+    dualisation replaced: branch on the vertices of the first uncovered
+    edge, then drop redundant vertices from each cover found."""
+    edges = [set(e) for e in c.edges]
+    if not edges:
+        return ((),)
+    found = set()
+
+    def is_cover(s):
+        return all(e & s for e in edges)
+
+    def rec(chosen, banned):
+        uncovered = next((e for e in edges if not (e & chosen)), None)
+        if uncovered is None:
+            cur = set(chosen)
+            for v in sorted(chosen, reverse=True):
+                if is_cover(cur - {v}):
+                    cur.discard(v)
+            found.add(tuple(sorted(cur)))
+            return
+        for v in sorted(uncovered):
+            if v in banned:
+                continue
+            rec(chosen | {v}, set(banned))
+            banned.add(v)
+
+    rec(set(), set())
+    return tuple(sorted(found))
+
+
+def max_disjoint_edges_parent_oracle(c):
+    """Matching number by the recursive search over edge sets."""
+    edges = [set(e) for e in c.edges]
+    best = 0
+
+    def rec(idx, used, count):
+        nonlocal best
+        best = max(best, count)
+        if count + len(edges) - idx <= best:
+            return
+        for j in range(idx, len(edges)):
+            if not (edges[j] & used):
+                rec(j + 1, used | edges[j], count + 1)
+
+    rec(0, set(), 0)
+    return best
+
+
+def disjoint_cover_partition_parent_oracle(c):
+    """The first partition into d disjoint minimal covers, in the order of
+    the recursive search over covers sorted as vertex lists, or None."""
+    d = combinat.is_uniform(c)
+    if d is None:
+        raise UsageError("disjoint_cover_partition: clutter is not uniform")
+    covers = [set(s) for s in minimal_covers_parent_oracle(c)]
+    order = sorted(range(len(covers)), key=lambda i: sorted(covers[i]))
+    target = set(range(c.n))
+
+    def rec(chosen, used, start):
+        if len(chosen) == d:
+            return list(chosen) if used == target else None
+        for idx in range(start, len(covers)):
+            i = order[idx]
+            if covers[i] & used:
+                continue
+            got = rec(chosen + [i], used | covers[i], idx + 1)
+            if got is not None:
+                return got
+        return None
+
+    got = rec([], set(), 0)
+    return None if got is None else [tuple(sorted(covers[i])) for i in got]
+
+
+def sharpness_edges_parent_oracle(d, g):
+    """The transversals of d classes of size g, in the order of the
+    recursive choice of one vertex per class."""
+    classes = [tuple(range(i * g, (i + 1) * g)) for i in range(d)]
+    edges = []
+
+    def rec(i, acc):
+        if i == d:
+            edges.append(acc)
+            return
+        for v in classes[i]:
+            rec(i + 1, acc + (v,))
+
+    rec(0, ())
+    return edges
+
+
 def mfmc_ilp_crosscheck(c, wmax: int = 3):
     """Packing LPs for all bounds w with entries <= wmax: evidence, not proof.
 

@@ -529,6 +529,16 @@ def test_perfect_on_large_edgeless_graph(tmp_path):
     assert run(["check", "perfect", "--input", path]) == 0
 
 
+def test_unmixed_and_konig_on_many_singleton_edges(tmp_path, capsys):
+    # one minimal cover and a matching of all 1,200 edges, far past the
+    # recursion limit of a search with one call per edge
+    path = write(tmp_path, "single.json", json.dumps({"kind": "clutter", "n": 1200, "edges": [[v] for v in range(1200)]}))
+    assert run(["check", "unmixed", "--input", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["invariants"] == {"cover_sizes": [1200]}
+    assert run(["check", "konig", "--input", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["invariants"] == {"covering_number": 1200, "matching_number": 1200}
+
+
 def test_clique_vertex_cap_is_undecided(tmp_path, capsys):
     # deriving the clique clutter refuses graphs above CLIQUE_CAP = 24 vertices
     c25 = write(tmp_path, "c25.json", _cycle_graph(25))

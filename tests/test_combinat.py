@@ -19,12 +19,15 @@ from conftest import (
     brute_maximal_cliques,
     brute_maximal_stable_sets,
     brute_min_covers,
+    disjoint_cover_partition_parent_oracle,
     hoang_witness_oracle,
     hoang_witness_two_search_oracle,
+    max_disjoint_edges_parent_oracle,
     meyniel_oracle,
     meyniel_via_hoang_oracle,
     meyniel_via_hoang_parent_oracle,
     meyniel_via_hoang_two_search_oracle,
+    minimal_covers_parent_oracle,
     random_graph,
     relabeled,
     simple_cycle_meyniel_oracle,
@@ -465,6 +468,52 @@ def test_gamma_witness():
     assert combinat.gamma_witness([(0, 1), (2, 3), (4, 5)]) == (F(1, 3),) * 6
     with pytest.raises(UsageError):
         combinat.gamma_witness([(0, 1), (1, 2)])
+
+
+@st.composite
+def raw_clutters(draw):
+    """An antichain on at most 10 vertices, singleton edges and isolated
+    vertices allowed: drawn edges of any size with the non-minimal ones
+    dropped, drawn edges of one size at most 3, or drawn transversals of a
+    drawn split of the vertices into at most three classes."""
+    n = draw(st.integers(0, 10))
+    if n == 0:
+        return RawClutter(0, [])
+    vertex = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(("mixed", "uniform", "transversal")))
+    if kind == "mixed":
+        edges = draw(st.lists(st.frozensets(vertex, min_size=1), max_size=8))
+        edges = [e for e in edges if not any(f < e for f in edges)]
+    elif kind == "uniform":
+        k = draw(st.integers(1, min(n, 3)))
+        edges = draw(st.lists(st.frozensets(vertex, min_size=k, max_size=k), max_size=8))
+    else:
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        classes = [[v for v in range(n) if labels[v] == k] for k in sorted(set(labels))]
+        edges = [e for e in itertools.product(*classes) if draw(st.booleans())]
+    return RawClutter(n, edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw_clutters())
+@example(RawClutter(10, [(v,) for v in range(10)]))
+@example(RawClutter(4, [(0, 1), (0, 3), (1, 2)]))  # a greedy matching in edge order finds one edge
+@example(RawClutter(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
+@example(RawClutter(6, itertools.product((0, 1), (2, 3), (4, 5))))
+@example(RawClutter(6, [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)]))
+def test_cover_searches_match_the_recursive_searches(c):
+    assert combinat.minimal_covers(c) == minimal_covers_parent_oracle(c), c
+    assert combinat.max_disjoint_edges(c) == max_disjoint_edges_parent_oracle(c), c
+    if combinat.is_uniform(c) is not None:
+        assert combinat.disjoint_cover_partition(c) == disjoint_cover_partition_parent_oracle(c), c
+
+
+def test_cover_searches_take_no_recursion_on_many_singletons():
+    # one minimal cover and 1,200 disjoint edges, far past the recursion limit
+    c = RawClutter(1200, [(v,) for v in range(1200)])
+    assert combinat.minimal_covers(c) == (tuple(range(1200)),)
+    assert combinat.max_disjoint_edges(c) == 1200
+    assert combinat.disjoint_cover_partition(c) == [tuple(range(1200))]
 
 
 def test_disjoint_cover_partition(triangle):

@@ -18,6 +18,7 @@ from conftest import (
     graphs_upto_iso_oracle,
     random_graph,
     relabeled,
+    sharpness_edges_parent_oracle,
 )
 
 
@@ -171,6 +172,28 @@ def test_sharpness_family_structure():
         parts = combinat.disjoint_cover_partition(c)
         assert parts is not None and len(parts) == d
     assert set(families.sharpness_clutter(2, 2).edges) == {(0, 2), (0, 3), (1, 2), (1, 3)}
+
+
+def test_sharpness_edges_keep_the_recursive_order(monkeypatch):
+    # the edge list handed to Clutter, for every (d, g) the size caps allow
+    handed = []
+
+    def recording_clutter(n, edges):
+        handed.append(edges)
+        return Clutter(n, edges)
+
+    monkeypatch.setattr(families, "Clutter", recording_clutter)
+    allowed = [(d, g) for d in range(1, 13) for g in range(2, 13) if d * g <= 12 and g**d <= 4096]
+    assert len(allowed) == 23
+    for d, g in allowed:
+        if d == 1:
+            # one class gives singleton edges, which a strict Clutter refuses
+            with pytest.raises(UsageError, match="fewer than two vertices"):
+                families.sharpness_clutter(d, g)
+        else:
+            c = families.sharpness_clutter(d, g)
+            assert c.edges == tuple(sharpness_edges_parent_oracle(d, g))
+        assert handed.pop() == sharpness_edges_parent_oracle(d, g)
 
 
 def test_sharpness_family_flow_property():

@@ -237,6 +237,23 @@ def test_dd_cone_matches_fraction_oracle():
             assert polyhedron._dd_cone(normals, n) == dd_cone_oracle(normals, n)
 
 
+@st.composite
+def cone_normals(draw):
+    """Up to n + 4 normals in dimension n <= 5, with entries in [-1, 1] or
+    [-3, 3]; the small range gives the degenerate cones of 0/1 systems."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.sampled_from((1, 3)))
+    normal = st.tuples(*[st.integers(-r, r)] * n)
+    return draw(st.lists(normal, max_size=n + 4)), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cone_normals())
+def test_dd_cone_matches_fraction_oracle_on_drawn_normals(case):
+    normals, n = case
+    assert polyhedron._dd_cone(normals, n) == dd_cone_oracle(normals, n)
+
+
 def test_dd_conversions_match_fraction_oracle(monkeypatch):
     rng = random.Random(17)
     cones, hreps, vreps = [], [], []
