@@ -25,7 +25,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import combinat, ehrhart, families, ideals, tdi
@@ -46,18 +45,8 @@ PROPERTIES = (
 )
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else int(x)
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def instance_payload(obj):
@@ -236,7 +225,7 @@ def make_certificate(command: str, obj, verdict, witnesses, invariants, notes,
 
 
 def render(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def emit(cert, args) -> None:

@@ -54,11 +54,15 @@ class RawClutter:
         return (self.n, self.edges) == (other.n, other.edges)
 
     def _validate(self):
-        es = [set(e) for e in self.edges]
-        for i, a in enumerate(es):
-            for j, b in enumerate(es):
-                if i != j and a < b:
-                    raise UsageError(f"not an antichain: {sorted(a)} inside {sorted(b)}")
+        # an edge lies only inside a larger one, so each edge's bitmask is
+        # compared with the larger edges alone, in edge order; a uniform
+        # clutter makes no comparison
+        masks = [(len(e), sum([1 << v for v in e]), e) for e in self.edges]
+        larger = {s: [(m, e) for t, m, e in masks if t > s] for s in {len(e) for e in self.edges}}
+        for s, m, e in masks:
+            for big, f in larger[s]:
+                if m & big == m:
+                    raise UsageError(f"not an antichain: {list(e)} inside {list(f)}")
 
     @property
     def q(self) -> int:

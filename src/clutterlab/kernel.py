@@ -1,7 +1,8 @@
 """Exact rational and integer linear algebra.
 
-Everything here is over arbitrary-precision integers and `fractions.Fraction`;
-no floating point anywhere.  Elimination is fraction-free (Bareiss) so
+Inputs are integer vectors and matrices; `solve` returns `Fraction`s, and
+`integer_multiple` scales a rational vector to an integer one.  No floating
+point anywhere.  Elimination is fraction-free (Bareiss) so
 intermediate entries stay integral and growth stays polynomial; one
 forward-elimination routine serves `rank`, `determinant` (the maximal minor
 on the pivot rows) and `solve`.  The minor certifies unimodularity without
@@ -18,11 +19,6 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import UsageError
-
-Rational = Fraction
-
-Vector = tuple  # tuple of int or Fraction
-Matrix = tuple  # tuple of Vector rows
 
 
 def dot(u: Sequence, v: Sequence):
@@ -46,11 +42,6 @@ def integer_multiple(vec: Sequence) -> tuple[tuple[int, ...], int]:
         return tuple(vec), 1
     t = lcm(*[x.denominator for x in vec])
     return tuple([x.numerator * (t // x.denominator) for x in vec]), t
-
-
-def _integer_row(row: Sequence) -> list[int]:
-    """Scale a rational row by a positive factor so all entries are int."""
-    return list(integer_multiple(row)[0])
 
 
 def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], list[int]]:
@@ -92,9 +83,9 @@ def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], list[int]]:
     return piv_cols, rows
 
 
-def rank(matrix: Sequence[Sequence]) -> int:
+def rank(matrix: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    m = [_integer_row(row) for row in matrix]
+    m = [list(row) for row in matrix]
     if not m:
         return 0
     ncols = len(m[0])
@@ -128,8 +119,9 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     return -m[k - 1][k - 1] if swaps % 2 else m[k - 1][k - 1]
 
 
-def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """One exact solution of M x = b, or None if the system is inconsistent.
+def solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...] | None:
+    """One exact solution of M x = b over the rationals, or None if the
+    system is inconsistent.
 
     Free variables are set to zero.  Raises UsageError on dimension mismatch.
     """
@@ -139,7 +131,7 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | N
     if nrows == 0:
         return ()
     ncols = len(matrix[0])
-    aug = [_integer_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
     if any(len(row) != ncols + 1 for row in aug):
         raise UsageError("solve: ragged matrix")
     piv_cols, _ = _bareiss(aug, ncols)
@@ -155,17 +147,13 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | N
     return tuple(sol)
 
 
-def primitive(vec: Sequence) -> tuple[int, ...]:
-    """Primitive integer vector parallel to `vec` (same direction).
-
-    Entries may be int or Fraction: the least integer multiple of `vec`,
-    divided by the gcd of its entries.
-    """
-    ints, _ = integer_multiple(vec)
-    g = gcd(*ints)
+def primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector `vec` divided by the gcd of its entries: the
+    primitive vector with the same direction."""
+    g = gcd(*vec)
     if g == 0:
         raise UsageError("primitive: zero vector")
-    return tuple([x // g for x in ints])
+    return tuple([x // g for x in vec])
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Exact polyhedra over the rationals: double description, faces, integrality.
 
-Both descriptions are first-class:
+A polyhedron is given by inequalities, `HRep`: <normal, x> <= rhs with
+integer data, a hyperplane written as two opposite rows.  `dd_convert` finds
+its generators, `VRep`: generating points (vertices when the polyhedron is
+pointed), recession rays and lineality directions.
 
-* `HRep`: inequalities <normal, x> <= rhs plus equations, integer data.
-* `VRep`: generating points (vertices when the polyhedron is pointed),
-  recession rays and lineality directions.
-
-Conversions run the double description method on the homogenization cone in
-exact integer arithmetic, deciding adjacency from tight-set bitmasks alone.
-The empty polyhedron is a value, not an error.  Lattice points are counted
-in `lattice`, from the half-open parallelepipeds of a triangulation.
+The conversion runs the double description method on the homogenization
+cone in exact integer arithmetic, deciding adjacency from tight-set bitmasks
+alone.  The empty polyhedron is a value, not an error.  Cones given by
+generators take their facets from `cone_generators_to_hrep`.  Lattice points
+are counted in `lattice`, from the half-open parallelepipeds of a
+triangulation.
 
 At a vertex x of a pointed polyhedron the cone of the active rows is the
 normal cone N(x), the polar of the tangent cone cone(P - x) (Schrijver,
@@ -37,14 +38,14 @@ RatVec = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class HRep:
-    """Inequalities <a,x> <= b and equations <c,x> = d with integer data."""
+    """Inequalities <a,x> <= b with integer data; the hyperplane <c,x> = d
+    is the two rows <c,x> <= d and <-c,x> <= -d."""
 
     n: int
     ineqs: tuple[tuple[IntVec, int], ...]
-    eqs: tuple[tuple[IntVec, int], ...] = ()
 
     def __post_init__(self):
-        for a, _ in self.ineqs + self.eqs:
+        for a, _ in self.ineqs:
             if len(a) != self.n:
                 raise UsageError("HRep: normal of wrong dimension")
 
@@ -92,34 +93,14 @@ def _canon_ineq(a: Sequence[int], b: int) -> tuple[IntVec, int]:
     return tuple(a), b
 
 
-def _canon_eq(a: Sequence[int], b: int) -> tuple[IntVec, int]:
-    a2, b2 = _canon_ineq(a, b)
-    for x in a2:
-        if x < 0:
-            return tuple(-y for y in a2), -b2
-        if x > 0:
-            break
-    if all(x == 0 for x in a2) and b2 < 0:
-        return a2, -b2
-    return a2, b2
-
-
 def canonical_hrep(h: HRep) -> HRep:
     """Deduplicated, normalized, lexicographically sorted copy of `h`."""
-    ineqs = sorted({_canon_ineq(a, b) for a, b in h.ineqs})
-    eqs = sorted({_canon_eq(a, b) for a, b in h.eqs})
-    return HRep(h.n, tuple(ineqs), tuple(eqs))
+    return HRep(h.n, tuple(sorted({_canon_ineq(a, b) for a, b in h.ineqs})))
 
 
 # ---------------------------------------------------------------------------
 # Double description on cones:  {x : <a,x> <= 0 for a in normals}
 # ---------------------------------------------------------------------------
-
-
-def _primitive(vec: Sequence[int]) -> IntVec:
-    """`kernel.primitive` of a nonzero integer vector, with no Fraction check."""
-    g = gcd(*vec)
-    return tuple([x // g for x in vec])
 
 
 def _dd_cone(normals: Sequence[IntVec], n: int):
@@ -141,7 +122,7 @@ def _dd_cone(normals: Sequence[IntVec], n: int):
     def project(x: IntVec, vx: int, l0: IntVec, v0: int) -> IntVec:
         # -v0 * x + vx * l0 lies in the hyperplane <a,.> = 0; -v0 > 0 keeps
         # the direction of x - (vx / v0) * l0
-        return _primitive([vx * y - v0 * x for x, y in zip(x, l0)])
+        return kernel.primitive([vx * y - v0 * x for x, y in zip(x, l0)])
 
     for idx, a in enumerate(normals):
         bit = 1 << idx
@@ -185,7 +166,7 @@ def _dd_cone(normals: Sequence[IntVec], n: int):
                 # a face of dimension two needs `target` tight constraints
                 if common.bit_count() < target or sum(common & m == common for _, m in rays) > 2:
                     continue
-                combos.append((_primitive([vp * x - vm * y for x, y in zip(rm, rp)]), common | bit))
+                combos.append((kernel.primitive([vp * x - vm * y for x, y in zip(rm, rp)]), common | bit))
         rays = [(r, m) for r, m, _ in neg] + zero + combos
         if len(rays) > DEFAULT_RAY_CAP:
             raise ResourceExceeded("double description ray count", DEFAULT_RAY_CAP)
@@ -193,24 +174,15 @@ def _dd_cone(normals: Sequence[IntVec], n: int):
     return rays, lines
 
 
-def dd_convert(rep):
-    """Exact dual description: HRep -> VRep or VRep -> HRep (both minimal)."""
-    if isinstance(rep, HRep):
-        return _h_to_v(rep)
-    if isinstance(rep, VRep):
-        return _v_to_h(rep)
-    raise UsageError(f"dd_convert: expected HRep or VRep, got {type(rep).__name__}")
-
-
-def _h_to_v(h: HRep) -> VRep:
+def dd_convert(h: HRep) -> VRep:
+    """The minimal V-representation of the polyhedron of an `HRep`."""
+    if not isinstance(h, HRep):
+        raise UsageError(f"dd_convert: expected HRep, got {type(h).__name__}")
     h = canonical_hrep(h)
     n = h.n
     normals: list[IntVec] = [(0,) * n + (-1,)]  # homogenization: t >= 0
     for a, b in h.ineqs:
         normals.append(tuple(a) + (-b,))
-    for c, d in h.eqs:
-        normals.append(tuple(c) + (-d,))
-        normals.append(tuple(-x for x in c) + (d,))
     raw_rays, raw_lines = _dd_cone(sorted(set(normals)), n + 1)
     vertices: list[RatVec] = []
     rays: list[IntVec] = []
@@ -230,34 +202,6 @@ def _h_to_v(h: HRep) -> VRep:
     if not vertices:
         return VRep(n, (), (), ())
     return VRep(n, tuple(sorted(vertices)), tuple(sorted(rays)), tuple(sorted(lines)))
-
-
-def _v_to_h(v: VRep) -> HRep:
-    n = v.n
-    if v.is_empty:
-        return HRep(n, (((0,) * n, -1),), ())
-    normals: list[IntVec] = []
-    for p in v.vertices:
-        normals.append(kernel.primitive(tuple(p) + (1,)))
-    for r in v.rays:
-        normals.append(tuple(r) + (0,))
-    for l in v.lines:
-        normals.append(tuple(l) + (0,))
-        normals.append(tuple(-x for x in l) + (0,))
-    raw_rays, raw_lines = _dd_cone(sorted(normals), n + 1)
-    ineqs = []
-    eqs = []
-    for r, _ in raw_rays:
-        a, c = r[:n], r[n]
-        if all(x == 0 for x in a):
-            continue  # 0 <= -c with c <= 0: trivial
-        ineqs.append(_canon_ineq(a, -c))
-    for l in raw_lines:
-        a, c = l[:n], l[n]
-        if all(x == 0 for x in a):
-            continue
-        eqs.append(_canon_eq(a, -c))
-    return HRep(n, tuple(sorted(set(ineqs))), tuple(sorted(set(eqs))))
 
 
 def cone_generators_to_hrep(generators: Sequence[IntVec], n: int):
@@ -291,14 +235,13 @@ def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
     Active sets index into h.ineqs as given.  Each face carries one exact
     relative-interior point; for a pointed polyhedron these are the vertices.
 
-    When v is pointed and h has no equations, each face also carries
-    `facets`: the sorted primitive directions of the edges at its vertex.
-    These are the extreme rays of the tangent cone, the polar of the cone of
-    the active rows, so they equal the inequality normals
-    `cone_generators_to_hrep` returns for the active rows, whose equation
-    normals are then (), even when the polyhedron is not full-dimensional.
-    With lines an edge direction is fixed only up to the lineality space,
-    and explicit equations are missing from the tight sets; in both cases
+    When v is pointed, each face also carries `facets`: the sorted primitive
+    directions of the edges at its vertex.  These are the extreme rays of the
+    tangent cone, the polar of the cone of the active rows, so they equal the
+    inequality normals `cone_generators_to_hrep` returns for the active rows,
+    whose equation normals are then (), even when the polyhedron is not
+    full-dimensional: both rows of a hyperplane are tight at every vertex.
+    With lines an edge direction is fixed only up to the lineality space, so
     `facets` is None.
 
     The face's `heights` come off one slack row per generator of the
@@ -313,7 +256,7 @@ def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
     # generators (t*x, t) of the homogenised cone {(x, t) : <a,x> <= b*t, t >= 0}:
     # <a,x> == b  iff  <a,t*x> == b*t;  rays (r, 0) only when edges are read
     gens = [kernel.integer_multiple(p) for p in v.vertices]
-    read_edges = not v.lines and not h.eqs
+    read_edges = not v.lines
     if read_edges:
         gens += [(r, 0) for r in v.rays]
     slack = [[b * t - sum(map(mul, a, q)) for a, b in h.ineqs] for q, t in gens]
@@ -337,7 +280,7 @@ def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
 
 
 def _edge_directions(h: HRep, gens, tight) -> list[list[tuple[IntVec, int, int, int]]]:
-    """Per vertex of a pointed polyhedron with no equations, its edges as
+    """Per vertex of a pointed polyhedron, its edges as
     (d, j, s, g): the primitive direction d towards the generator j, y - x
     towards an adjacent vertex y or an adjacent extreme ray r, and the scale
     s/g that turns the slack row of generator j into the heights over d
@@ -349,8 +292,7 @@ def _edge_directions(h: HRep, gens, tight) -> list[list[tuple[IntVec, int, int, 
     of the polyhedron when one is a vertex, exactly when no third one is
     tight wherever both are (Fukuda & Prodon, LNCS 1120, 1996).  A 2-face
     of the cone in R^(n+1) has at least n - 1 tight rows, all of them in
-    h.ineqs since h has no equations, so smaller common sets are dropped
-    before that count.
+    h.ineqs, so smaller common sets are dropped before that count.
     """
     ray_bit = 1 << len(h.ineqs)
     masks = [sum([1 << i for i in rows]) | (0 if t else ray_bit) for rows, (_, t) in zip(tight, gens)]
@@ -379,8 +321,8 @@ def face_integral_point(h: HRep, face: Face) -> IntVec | None:
     """An integer point of the face, or None when the face has none."""
     if all(x.denominator == 1 for x in face.point):
         return tuple(int(x) for x in face.point)
-    rows = [h.ineqs[i][0] for i in face.active] + [a for a, _ in h.eqs]
-    rhs = [h.ineqs[i][1] for i in face.active] + [b for _, b in h.eqs]
+    rows = [h.ineqs[i][0] for i in face.active]
+    rhs = [h.ineqs[i][1] for i in face.active]
     return kernel.integer_solve(rows, rhs)
 
 

@@ -77,7 +77,10 @@ class TdiCertificate:
 # None or both given.  Facets read off the polyhedron's edges spare the face
 # cone its DD, and heights read off its slack table spare the dot products;
 # None leaves both to `lattice`.
-# Cache: key (face, budget), bound 65536; a clutter's face cones recur in each is_tdi run on it.
+# A command runs is_tdi once per clutter (`invariants` not at all on an
+# Ehrhart one), so a face cone rarely recurs; the cache stays while
+# perfbench/test_perfbench.py pins it by name.
+# Cache: key (face, budget), bound 65536; a traced `clutters` pass (seed 1) makes 20 hits, 222 misses.
 @budget_keyed_cache(65536)
 def _hb_verdict(face):
     return lattice.is_hilbert_basis(*face)

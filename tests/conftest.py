@@ -222,31 +222,25 @@ def hilbert_basis_triangulation_oracle(cone, steps: StepCounter):
 def brute_vertices(h: HRep):
     """All vertices of a pointed H-polyhedron by scanning constraint subsets."""
     n = h.n
-    cons = list(h.ineqs) + list(h.eqs)
     verts = set()
-    for sub in itertools.combinations(range(len(cons)), n):
-        rows = [cons[i][0] for i in sub]
-        rhs = [cons[i][1] for i in sub]
+    for sub in itertools.combinations(h.ineqs, n):
+        rows = [a for a, _ in sub]
         if kernel.rank(rows) != n:
             continue
-        x = kernel.solve(rows, rhs)
-        if x is None:
-            continue
-        if all(kernel.dot(a, x) <= b for a, b in h.ineqs) and all(
-            kernel.dot(a, x) == b for a, b in h.eqs
-        ):
+        x = kernel.solve(rows, [b for _, b in sub])
+        if x is not None and all(kernel.dot(a, x) <= b for a, b in h.ineqs):
             verts.add(tuple(x))
     return sorted(verts)
 
 
-def brute_lattice_points(h: HRep, box):
-    """Integer points of an H-polytope inside the given coordinate box."""
+def brute_lattice_points(normals, height: int, box):
+    """Integer points p inside the given coordinate box with (p, height) in
+    the cone {x : <a,x> <= 0 for every normal a}."""
     lo, hi = box
     out = []
-    for p in itertools.product(range(lo, hi + 1), repeat=h.n):
-        if all(kernel.dot(a, p) <= b for a, b in h.ineqs) and all(
-            kernel.dot(a, p) == b for a, b in h.eqs
-        ):
+    for p in itertools.product(range(lo, hi + 1), repeat=len(normals[0]) - 1):
+        x = p + (height,)
+        if all(kernel.dot(a, x) <= 0 for a in normals):
             out.append(p)
     return out
 
@@ -262,6 +256,19 @@ def brute_min_covers(c):
                 covers.append(ss)
     keep = [tuple(sorted(s)) for s in covers if not any(t < s for t in covers)]
     return tuple(sorted(set(keep)))
+
+
+def raw_clutter_edges_parent_oracle(n, edges):
+    """The edges `RawClutter(n, edges)` keeps, by the antichain check it made
+    before it compared bitmasks: every ordered pair of edges as sets, with
+    the same `UsageError` on the first nested pair."""
+    edges = combinat._canon_edges(n, edges)
+    es = [set(e) for e in edges]
+    for i, a in enumerate(es):
+        for j, b in enumerate(es):
+            if i != j and a < b:
+                raise UsageError(f"not an antichain: {sorted(a)} inside {sorted(b)}")
+    return edges
 
 
 def minimal_covers_parent_oracle(c):

@@ -247,7 +247,7 @@ def test_criterion_09_nonnormal_chordal_search():
         "power": hit.power,
         "witness": list(hit.witness),
     }
-    ok = ok and json.loads(json.dumps(cli._jsonable(got))) == golden
+    ok = ok and json.loads(cli.canonical_json(got)) == golden
     elapsed = time.monotonic() - t0
     report("9 (non-normal chordal search + golden file)", ok,
            f"n={hit.graph.n}, power={hit.power}, {elapsed:.1f}s")

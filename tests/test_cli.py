@@ -2,6 +2,9 @@ import json
 from collections import Counter
 from pathlib import Path
 
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
 from clutterlab import cli, polyhedron
 from clutterlab.families import sharpness_clutter, triangle_clutter
 
@@ -38,6 +41,17 @@ def test_check_tdi_system(tmp_path):
     bad = write(tmp_path, "bad.json", BAD_SYSTEM)
     assert run(["check", "tdi", "--input", good]) == 0
     assert run(["check", "tdi", "--input", bad]) == 1
+
+
+def test_check_tdi_on_a_hyperplane_written_as_two_rows(tmp_path, capsys):
+    # x + y = 1 on x, y >= 0 is an integral segment; 2x + 2y = 1 has the
+    # vertex (0, 1/2), whose face misses the lattice points of its cone
+    segment = '{"kind":"system","columns":[[1,1],[-1,-1],[-1,0],[0,-1]],"w":[1,-1,0,0]}'
+    half = '{"kind":"system","columns":[[2,2],[-2,-2],[-1,0],[0,-1]],"w":[1,-1,0,0]}'
+    assert run(["check", "tdi", "--input", write(tmp_path, "segment.json", segment)]) == 0
+    capsys.readouterr()
+    assert run(["check", "tdi", "--input", write(tmp_path, "half.json", half)]) == 1
+    assert '"point":["0","1/2"]' in capsys.readouterr().out
 
 
 def test_step_counts_of_skipped_reductions(tmp_path, monkeypatch, capsys):
@@ -544,3 +558,89 @@ def test_clique_vertex_cap_is_undecided(tmp_path, capsys):
     c25 = write(tmp_path, "c25.json", _cycle_graph(25))
     assert run(["check", "ideal", "--input", c25]) == 2
     assert capsys.readouterr().err.startswith("undecided: resource exceeded")
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract on drawn and mutated instance files
+# ---------------------------------------------------------------------------
+
+CONTRACT_COMMANDS = [["check", p] for p in cli.PROPERTIES] + [["invariants"]]
+
+
+def _slots(x, out):
+    """Every (container, key) of a nested JSON value, parents first."""
+    for k, y in (x.items() if isinstance(x, dict) else enumerate(x)):
+        out.append((x, k))
+        if isinstance(y, (dict, list)):
+            _slots(y, out)
+    return out
+
+
+@st.composite
+def contract_files(draw):
+    """Instance file bytes: a valid graph, clutter or system; one with one
+    or two mutations (a value replaced by junk or an out-of-range vertex,
+    an item dropped, another kind); one with a character inserted or
+    deleted; or raw bytes."""
+    mode = draw(st.sampled_from(("valid", "valid", "mutated", "edited", "bytes")))
+    if mode == "bytes":
+        return draw(st.binary(max_size=40))
+    kind = draw(st.sampled_from(("graph", "clutter", "system")))
+    n = draw(st.integers(2, 7))
+    if kind == "system":
+        d = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=5))
+        w = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        payload = {"kind": kind, "columns": rows, "w": w}
+    else:
+        size = (2, 2) if kind == "graph" else draw(st.sampled_from(((1, 4), (2, 3))))
+        edge = st.lists(st.integers(0, n - 1), min_size=size[0], max_size=size[1], unique=True)
+        edges = draw(st.lists(edge, min_size=1, max_size=9))
+        edges = [e for e in edges if not any(set(f) < set(e) for f in edges)]
+        payload = {"kind": kind, "n": n, "edges": edges}
+    junk = st.one_of(
+        st.floats(), st.booleans(), st.none(), st.text(max_size=4),
+        st.sampled_from((-1, n, n + 3)), st.lists(st.integers(-1, 3), max_size=3),
+    )
+    for _ in range(draw(st.integers(1, 2)) if mode == "mutated" else 0):
+        slots = _slots(payload, [])
+        op = draw(st.sampled_from(("junk", "drop", "kind")))
+        if op == "kind" or not slots:
+            payload["kind"] = draw(st.sampled_from(("graph", "clutter", "system", "cone", "")))
+            continue
+        box, key = draw(st.sampled_from(slots))
+        if op == "junk":
+            box[key] = draw(junk)
+        else:
+            del box[key]
+    text = json.dumps(payload)
+    if mode == "edited":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(("", "[", "]", "{", ",", "-", ".5", "1e3", '"'))) + text[i + 1:]
+    return text.encode()
+
+
+@settings(
+    max_examples=500, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(contract_files(), st.sampled_from((0, 1, 5, 50, 10**4)), st.booleans())
+@example(TRIANGLE.encode(), 10**4, False)  # not ideal: a fractional vertex in the witness
+@example(b'{"kind":"clutter","n":4,"edges":[[0,1],[1,2],[2,3]]}', 3, True)  # P4 stops at budget 3
+@example(BAD_SYSTEM.encode(), 10**4, True)
+@example(_cycle_graph(17).encode(), 50, True)  # past the odd-cycle vertex cap
+def test_exit_code_contract_on_drawn_and_mutated_inputs(tmp_path, capsys, data, limit, as_json):
+    # 0 holds, 1 fails, 2 undecided, 64 usage, and never a traceback: a
+    # decided or stopped run writes one certificate, a usage error one line
+    path = tmp_path / "instance.json"
+    path.write_bytes(data)
+    for command in CONTRACT_COMMANDS:
+        argv = command + ["--input", str(path), "--budget", str(limit)] + ["--json"] * as_json
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 64), (argv, data)
+        assert "Traceback" not in out + err
+        if code == 64:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, data)
+        elif as_json:
+            assert json.loads(out)["verdict"] in (True, False, "vacuous", "undecided"), (argv, data)

@@ -29,6 +29,7 @@ from conftest import (
     meyniel_via_hoang_two_search_oracle,
     minimal_covers_parent_oracle,
     random_graph,
+    raw_clutter_edges_parent_oracle,
     relabeled,
     simple_cycle_meyniel_oracle,
     suspension,
@@ -506,6 +507,33 @@ def test_cover_searches_match_the_recursive_searches(c):
     assert combinat.max_disjoint_edges(c) == max_disjoint_edges_parent_oracle(c), c
     if combinat.is_uniform(c) is not None:
         assert combinat.disjoint_cover_partition(c) == disjoint_cover_partition_parent_oracle(c), c
+
+
+@st.composite
+def nested_edge_lists(draw):
+    """Edge lists on at most 8 vertices, with a drawn part of some drawn
+    edges added, so that nested and repeated edges are common."""
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), max_size=8))
+    for e in draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else ():
+        edges.append(draw(st.lists(st.sampled_from(e), min_size=1)))
+    return n, edges
+
+
+def _kept_edges(build, n, edges):
+    try:
+        return build(n, edges)
+    except UsageError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(nested_edge_lists())
+@example((3, [[0, 1], [2], [1, 2], [0]]))  # the first nested pair in edge order
+@example((1200, [[v] for v in range(1200)]))
+def test_antichain_check_matches_the_pairwise_scan(case):
+    got = _kept_edges(lambda n, edges: RawClutter(n, edges).edges, *case)
+    assert got == _kept_edges(raw_clutter_edges_parent_oracle, *case)
 
 
 def test_cover_searches_take_no_recursion_on_many_singletons():

