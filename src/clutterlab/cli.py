@@ -9,9 +9,9 @@ request (`check --timing`) so that repeated runs stay byte-identical.
 10^7; exit 64 when negative) and runs the command in that `errors.budget` scope.
 Every certificate records the limit in force (`budget.limit`), read from that
 scope.  `render` writes the text of every file and stdout certificate.  When
-`Undecided` or `ResourceExceeded` stops `check`, `invariants` or `examples`,
-the command writes its undecided certificate where asked and re-raises, and
-`main` prints the reason once on stderr and exits 2.
+`Undecided`, `ResourceExceeded` or `MemoryError` stops `check`, `invariants`
+or `examples`, the command writes its undecided certificate where asked and
+re-raises, and `main` prints the reason once on stderr and exits 2.
 
 Every clutter property of `check` decides edgeless clutters.  `invariants`
 rejects them with exit 64: the edge polytope of a clutter without edges is
@@ -38,6 +38,9 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
+
+# what stops a command undecided: a step budget, a resource cap, or memory
+_STOPS = (Undecided, ResourceExceeded, MemoryError)
 
 PROPERTIES = (
     "ehrhart", "ideal", "mfmc", "tdi", "meyniel", "perfect",
@@ -236,9 +239,15 @@ def emit(cert, args) -> None:
         sys.stdout.write(text)
 
 
+def _reason(exc) -> str:
+    """Why a run stopped undecided; a `MemoryError` carries no message."""
+    return "out of memory" if isinstance(exc, MemoryError) else str(exc)
+
+
 def _undecided_certificate(command: str, obj, notes: dict, exc):
-    """Certificate of a run that a step budget or a resource cap stopped."""
-    cert = make_certificate(command, obj, "undecided", {}, {}, {**notes, "reason": str(exc)})
+    """Certificate of a run that a step budget, a resource cap or the
+    memory limit stopped."""
+    cert = make_certificate(command, obj, "undecided", {}, {}, {**notes, "reason": _reason(exc)})
     cert["budget"]["exceeded"] = isinstance(exc, Undecided)
     return cert
 
@@ -262,7 +271,7 @@ def cmd_check(args) -> int:
     t0 = time.monotonic()
     try:
         verdict, wits, inv = run_check(args.property, obj, notes)
-    except (Undecided, ResourceExceeded) as exc:
+    except _STOPS as exc:
         emit(_undecided_certificate(f"check {args.property}", obj, notes, exc), args)
         raise  # main prints the reason and exits 2
     ms = round((time.monotonic() - t0) * 1000)
@@ -285,7 +294,7 @@ def cmd_invariants(args) -> int:
         c = _as_clutter(obj, notes)
         analysis = ehrhart.analyze(c)
         bounds = ehrhart.check_regularity_bounds(c)
-    except (Undecided, ResourceExceeded) as exc:
+    except _STOPS as exc:
         emit(_undecided_certificate("invariants", obj, notes, exc), args)
         raise  # main prints the reason and exits 2
     inv = {
@@ -427,7 +436,7 @@ def cmd_examples(args) -> int:
                 a = ehrhart.analyze(obj)
                 inv = {"hvector": list(a.hvector), "a_invariant": a.a_invariant,
                        "regularity": a.regularity}
-        except (Undecided, ResourceExceeded) as exc:
+        except _STOPS as exc:
             write(cpath, _undecided_certificate(command, obj, notes, exc))
             raise  # main prints the reason and exits 2
         write(cpath, make_certificate(command, obj, verdict, wits, inv, notes))
@@ -503,8 +512,8 @@ def main(argv=None) -> int:
     except Undecided as exc:
         print(exc, file=sys.stderr)
         return EXIT_UNDECIDED
-    except ResourceExceeded as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
+    except (ResourceExceeded, MemoryError) as exc:
+        print(f"undecided: {_reason(exc)}", file=sys.stderr)
         return EXIT_UNDECIDED
 
 

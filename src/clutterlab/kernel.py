@@ -1,22 +1,24 @@
-"""Exact rational and integer linear algebra.
+"""Exact linear algebra in integers.
 
-Inputs are integer vectors and matrices; `solve` returns `Fraction`s, and
-`integer_multiple` scales a rational vector to an integer one.  No floating
-point anywhere.  Elimination is fraction-free (Bareiss) so
+Inputs are integer vectors and matrices, and so is every result: rational
+solutions come as integer numerators over one common denominator
+(`scaled_solve`).  The one rational input is the vertex that
+`integer_multiple` scales to an integer vector.  No floating point, and no
+`Fraction` is built here.  Elimination is fraction-free (Bareiss) so
 intermediate entries stay integral and growth stays polynomial; one
 forward-elimination routine serves `rank`, `determinant` (the maximal minor
-on the pivot rows) and `solve`.  The minor certifies unimodularity without
-a Smith form for the simplices that `lattice` cannot already certify from
-its facet heights.  The lattice side rests on one Smith normal form per
-matrix: kernel lattices, integer solutions for any number of right-hand
-sides and inverses of unimodular matrices all read off it.
+on the pivot rows) and `scaled_solve`.  The minor certifies unimodularity
+without a Smith form for the simplices that `lattice` cannot already
+certify from its facet heights.  The lattice side rests on one Smith normal
+form per matrix: kernel lattices, integer solutions for any number of
+right-hand sides and inverses of unimodular matrices all read off it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from operator import mul
+from typing import Iterator, Sequence
 
 from .errors import UsageError
 
@@ -119,32 +121,47 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     return -m[k - 1][k - 1] if swaps % 2 else m[k - 1][k - 1]
 
 
-def solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...] | None:
-    """One exact solution of M x = b over the rationals, or None if the
-    system is inconsistent.
+def scaled_solve(
+    matrix: Sequence[Sequence[int]], rhss: Sequence[Sequence[int]]
+) -> tuple[int, Iterator[tuple[int, ...] | None]]:
+    """Exact solutions of M x = b for any number of right-hand sides b, as
+    integers over one common denominator.
 
-    Free variables are set to zero.  Raises UsageError on dimension mismatch.
+    Returns (d, columns).  d is the nonzero minor of M on the rows and
+    columns that one Bareiss elimination of [M | b_1 | b_2 | ...] pivots on
+    (1 when M is zero).  columns yields, in the order of `rhss`, d*x for the
+    solution x of M x = b whose free variables are zero, or None when that
+    system is inconsistent; each is back-substituted when it is reached, so
+    a caller that stops early pays for the elimination alone.  By Cramer's
+    rule each d*x_j is an integer, so every division of the
+    back-substitution is exact, and x_j has the sign of d times that of
+    d*x_j.  Raises UsageError on dimension mismatch.
     """
     nrows = len(matrix)
-    if nrows != len(rhs):
-        raise UsageError(f"solve: {nrows} rows vs {len(rhs)} rhs entries")
-    if nrows == 0:
-        return ()
-    ncols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    if any(len(row) != ncols + 1 for row in aug):
-        raise UsageError("solve: ragged matrix")
-    piv_cols, _ = _bareiss(aug, ncols)
-    if any(aug[i][ncols] != 0 for i in range(len(piv_cols), nrows)):
-        return None
-    sol = [Fraction(0)] * ncols
-    for i in range(len(piv_cols) - 1, -1, -1):
-        c = piv_cols[i]
-        s = Fraction(aug[i][ncols])
-        for j in range(c + 1, ncols):
-            s -= aug[i][j] * sol[j]
-        sol[c] = s / aug[i][c]
-    return tuple(sol)
+    if any(len(b) != nrows for b in rhss):
+        raise UsageError(f"scaled_solve: {nrows} rows vs a right-hand side of another length")
+    ncols = len(matrix[0]) if nrows else 0
+    m = [list(row) + [b[i] for b in rhss] for i, row in enumerate(matrix)]
+    if any(len(row) != ncols + len(rhss) for row in m):
+        raise UsageError("scaled_solve: ragged matrix")
+    piv_cols, _ = _bareiss(m, ncols)
+    r = len(piv_cols)
+    # row r - 1 of the echelon form starts with the minor on the pivot rows
+    # and columns; the rows below it hold (r+1)-minors that vanish exactly
+    # when the system is consistent
+    d = m[r - 1][piv_cols[-1]] if r else 1
+    pivots = list(zip(m, piv_cols))[::-1]
+    below = m[r:]
+
+    def back_substitute(col: int) -> tuple[int, ...] | None:
+        if any([row[col] for row in below]):
+            return None
+        x = [0] * ncols
+        for row, c in pivots:
+            x[c] = (d * row[col] - sum(map(mul, row[c + 1:ncols], x[c + 1:]))) // row[c]
+        return tuple(x)
+
+    return d, map(back_substitute, range(ncols, ncols + len(rhss)))
 
 
 def primitive(vec: Sequence[int]) -> tuple[int, ...]:

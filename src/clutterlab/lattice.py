@@ -50,7 +50,9 @@ lattice arithmetic for cones with lineality is checked against lives in
 
 The same parallelepipeds, made half-open by a lexicographic generic point,
 tile the cone and its relative interior (`half_open_points`); binned by
-height they give the Ehrhart series and its interior series.
+height they give the Ehrhart series and its interior series.  The signs
+that decide which facets each simplex keeps come from one Bareiss
+elimination per simplex, in integers: no `Fraction` is built here.
 """
 
 from __future__ import annotations
@@ -381,7 +383,10 @@ def half_open_points(cone: ConeWithLattice):
     half-open parallelepiped, in which the coefficient of g_j runs over
     (0, 1] on a dropped facet and [0, 1) otherwise: a box point whose j-th
     coefficient is 0 on a dropped facet gets g_j added.  Using x - e*y
-    instead drops the other facets and tiles the relative interior.
+    instead drops the other facets and tiles the relative interior.  The
+    signs of y's coordinates in each simplex are read off integer Cramer
+    numerators (`_lexicographic_signs`), so the whole decomposition runs in
+    integer arithmetic.
 
     Returns the points p of both decompositions, each list free of repeats:
     with every generator of height 1, binning them by height gives the
@@ -412,19 +417,25 @@ def _lexicographic_signs(simplex: tuple[IntVec, ...], n: int, perturbation) -> l
 
     The sign of coordinate j is that of its first nonzero value over the
     perturbation vectors.  Every generator g_j is among them, with
-    coordinate j equal to 1, so no sign stays 0.
+    coordinate j equal to 1, so no sign stays 0.  One Bareiss elimination
+    of [G | y0 | y1 | ...] gives every coordinate vector as d times itself
+    in integers (`kernel.scaled_solve`), with d the nonzero pivot minor, so
+    the sign of a coordinate is that of d times its scaled value.  The
+    empty simplex has no signs.
     """
-    mat = tuple(tuple(g[i] for g in simplex) for i in range(n))
+    if not simplex:
+        return []
+    mat = [[g[i] for g in simplex] for i in range(n)]
+    d, columns = kernel.scaled_solve(mat, perturbation)
     signs = [0] * len(simplex)
-    for y in perturbation:
-        if all(signs):
-            break
-        lam = kernel.solve(mat, y)
+    for lam in columns:
         if lam is None:
             raise AssertionError("perturbation vector outside the simplex span")
         for j, l in enumerate(lam):
             if not signs[j] and l:
-                signs[j] = 1 if l > 0 else -1
+                signs[j] = 1 if (l > 0) == (d > 0) else -1
+        if all(signs):
+            break
     return signs
 
 

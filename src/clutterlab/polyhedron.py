@@ -183,7 +183,14 @@ def dd_convert(h: HRep) -> VRep:
     normals: list[IntVec] = [(0,) * n + (-1,)]  # homogenization: t >= 0
     for a, b in h.ineqs:
         normals.append(tuple(a) + (-b,))
-    raw_rays, raw_lines = _dd_cone(sorted(set(normals)), n + 1)
+    # Sparsest rows first (fewest nonzeros, then lexicographic): on a
+    # covering system t >= 0 and x >= 0 cut a simplicial orthant before the
+    # dense rows come, and the row order sets the cost of the method (Fukuda
+    # & Prodon, LNCS 1120, 1996).  It does not set the result: the lines,
+    # and the coordinate complement of their span in which the rays lie,
+    # depend only on the pivot columns of the rows' span.
+    normals = sorted(set(normals), key=lambda a: (len(a) - a.count(0), a))
+    raw_rays, raw_lines = _dd_cone(normals, n + 1)
     vertices: list[RatVec] = []
     rays: list[IntVec] = []
     lines: list[IntVec] = []

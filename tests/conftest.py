@@ -3,7 +3,8 @@
 The oracles are deliberately independent of the library's own algorithms:
 naive Fraction elimination, subset scans, exhaustive combination searches.
 Expected values in the tests were computed with these and then frozen.
-Four helpers came here from the library, which has no caller for them:
+Five helpers came here from the library, which has no caller for them:
+`solve_oracle`, the `Fraction` solve that `kernel.scaled_solve` replaced;
 `semigroup_member`, the exact membership oracle for cones with lineality;
 `suspension`, the clutter side of the graph-cone identity;
 `canonical_graph`, the relabeling that realises a canonical form; and
@@ -53,6 +54,64 @@ def rank_oracle(matrix) -> int:
         if r == nrows:
             break
     return r
+
+
+def solve_oracle(matrix, rhs):
+    """One exact solution of M x = b over the rationals, with every free
+    variable zero, or None if the system is inconsistent: Gauss-Jordan
+    elimination over Fraction.
+
+    The pivot columns are those not spanned by the columns before them,
+    whatever the row order, and a solution with every free variable zero is
+    unique; so this is the solution `kernel.scaled_solve` scales.
+    """
+    nrows = len(matrix)
+    if nrows != len(rhs):
+        raise UsageError(f"solve: {nrows} rows vs {len(rhs)} rhs entries")
+    if nrows == 0:
+        return ()
+    ncols = len(matrix[0])
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    if any(len(row) != ncols + 1 for row in m):
+        raise UsageError("solve: ragged matrix")
+    piv_cols = []
+    for c in range(ncols):
+        r = len(piv_cols)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        piv_cols.append(c)
+    if any(m[i][ncols] != 0 for i in range(len(piv_cols), nrows)):
+        return None
+    sol = [Fraction(0)] * ncols
+    for i, c in enumerate(piv_cols):
+        sol[c] = m[i][ncols]
+    return tuple(sol)
+
+
+def lexicographic_signs_oracle(simplex, n, perturbation):
+    """`lattice._lexicographic_signs` before its signs came in integers: one
+    Fraction solve per perturbation vector, until every sign is known."""
+    mat = tuple(tuple(g[i] for g in simplex) for i in range(n))
+    signs = [0] * len(simplex)
+    for y in perturbation:
+        if all(signs):
+            break
+        lam = solve_oracle(mat, y)
+        if lam is None:
+            raise AssertionError("perturbation vector outside the simplex span")
+        for j, l in enumerate(lam):
+            if not signs[j] and l:
+                signs[j] = 1 if l > 0 else -1
+    return signs
 
 
 def det_oracle(matrix) -> Fraction:
@@ -227,7 +286,7 @@ def brute_vertices(h: HRep):
         rows = [a for a, _ in sub]
         if kernel.rank(rows) != n:
             continue
-        x = kernel.solve(rows, [b for _, b in sub])
+        x = solve_oracle(rows, [b for _, b in sub])
         if x is not None and all(kernel.dot(a, x) <= b for a, b in h.ineqs):
             verts.add(tuple(x))
     return sorted(verts)

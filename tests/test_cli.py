@@ -5,7 +5,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from clutterlab import cli, polyhedron
+from clutterlab import cli, ehrhart, polyhedron, tdi
 from clutterlab.families import sharpness_clutter, triangle_clutter
 
 from conftest import two_k4_graph
@@ -261,6 +261,37 @@ def test_ray_cap_is_undecided(tmp_path, monkeypatch, capsys):
     assert cert["budget"]["exceeded"] is False
     assert cert["notes"]["reason"] == "resource exceeded: double description ray count (cap 2)"
     assert "undecided: resource exceeded" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_undecided(tmp_path, monkeypatch, capsys):
+    # a MemoryError stops check, invariants and examples as a cap does: the
+    # undecided certificate where asked, one stderr line, exit 2.  The
+    # callees raise it without allocating anything.
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(tdi, "is_ideal_clutter", out_of_memory)
+    monkeypatch.setattr(ehrhart, "analyze", out_of_memory)
+    monkeypatch.setattr(ehrhart, "is_ehrhart_clutter", out_of_memory)
+    tri = write(tmp_path, "tri.json", TRIANGLE)
+    out = tmp_path / "oom.json"
+    for argv, command in (
+        (["check", "ideal", "--input", tri, "--output", str(out)], "check ideal"),
+        (["invariants", "--input", tri, "--output", str(out)], "invariants"),
+        (["examples", "--name", "c5", "--outdir", str(tmp_path)], "examples"),
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "undecided: out of memory\n"
+        cert = json.loads((tmp_path / "c5.cert.json" if command == "examples" else out).read_text())
+        assert cert["command"] == command and cert["verdict"] == "undecided"
+        assert cert["witnesses"] == {} and cert["invariants"] == {}
+        assert cert["notes"] == {"reason": "out of memory"}
+        assert cert["budget"]["exceeded"] is False  # not the step budget
+    assert run(["check", "ideal", "--input", tri, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["notes"] == {"reason": "out of memory"}
+    assert captured.err == "undecided: out of memory\n"
 
 
 def test_wrong_kind_is_usage_error(tmp_path):

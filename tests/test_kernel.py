@@ -8,7 +8,7 @@ import pytest
 from clutterlab import kernel
 from clutterlab.errors import UsageError
 
-from conftest import det_oracle, rank_oracle
+from conftest import det_oracle, rank_oracle, solve_oracle
 
 
 LIFTED_SQUARE = [
@@ -58,20 +58,33 @@ def test_rank_matches_oracle_and_transpose():
             assert kernel.rank(t) == want
 
 
+def scaled_solution(m, b):
+    """The solution of m x = b that `kernel.scaled_solve` scales, as
+    Fractions, or None; d is a nonzero integer and d*x an integer vector."""
+    d, (x,) = kernel.scaled_solve(m, [b])
+    assert type(d) is int and d != 0
+    if x is None:
+        return None
+    assert all(type(v) is int for v in x)
+    return tuple(Fraction(v, d) for v in x)
+
+
 def test_solve_identity():
-    assert kernel.solve([[1, 0], [0, 1]], [3, 5]) == (Fraction(3), Fraction(5))
+    got = scaled_solution([[1, 0], [0, 1]], [3, 5])
+    assert got == solve_oracle([[1, 0], [0, 1]], [3, 5]) == (Fraction(3), Fraction(5))
 
 
 def test_solve_inconsistent():
-    assert kernel.solve([(1, 0), (1, 0)], (1, 2)) is None
+    assert scaled_solution([(1, 0), (1, 0)], (1, 2)) is None
+    assert solve_oracle([(1, 0), (1, 0)], (1, 2)) is None
 
 
 def test_solve_lifted_clique_system():
     # the 9x8 system: rows are the lifted clique vectors plus the degree row
     rows = [[INCIDENCE_6x8[i][j] for i in range(6)] for j in range(8)]
     rows.append([1] * 6)
-    sol = kernel.solve(rows, [1] * 8 + [3])
-    assert sol == tuple([Fraction(1, 2)] * 6)
+    sol = scaled_solution(rows, [1] * 8 + [3])
+    assert sol == solve_oracle(rows, [1] * 8 + [3]) == tuple([Fraction(1, 2)] * 6)
 
 
 def test_solve_exactness_random():
@@ -80,9 +93,35 @@ def test_solve_exactness_random():
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
         m = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
         b = [rng.randint(-4, 4) for _ in range(nr)]
-        x = kernel.solve(m, b)
+        x = scaled_solution(m, b)
+        assert x == solve_oracle(m, b), (m, b)
         if x is not None:
             assert all(kernel.dot(row, x) == bi for row, bi in zip(m, b))
+
+
+def test_scaled_solve_takes_many_right_hand_sides():
+    # one elimination serves every column and each equals its own solve; d
+    # is the minor on the pivot rows and columns, up to the row swaps' sign
+    rng = random.Random(12)
+    for _ in range(200):
+        nr, nc = rng.randint(0, 5), rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        rhss = [[rng.randint(-3, 3) for _ in range(nr)] for _ in range(rng.randint(0, 4))]
+        d, columns = kernel.scaled_solve(m, rhss)
+        columns = list(columns)
+        assert len(columns) == len(rhss)
+        for b, x in zip(rhss, columns):
+            alone = scaled_solution(m, b)
+            assert alone == solve_oracle(m, b), (m, b)
+            assert alone == (None if x is None else tuple(Fraction(v, d) for v in x))
+        if nr and rank_oracle(m) == nr == nc:
+            assert abs(d) == abs(det_oracle(m)), m
+    with pytest.raises(UsageError):
+        kernel.scaled_solve([[1, 2], [3, 4]], [[1, 2, 3]])
+    with pytest.raises(UsageError):
+        kernel.scaled_solve([[1, 2], [3]], [[1, 2]])
+    d, columns = kernel.scaled_solve([], [(), ()])
+    assert (d, list(columns)) == (1, [(), ()])
 
 
 def test_clear_denominators():
@@ -295,7 +334,8 @@ def test_elimination_on_sparse_matrices():
             assert kernel.determinant(m) == det_oracle(m), m
         x = [rng.randint(-2, 2) for _ in range(nc)]
         b = [kernel.dot(row, x) for row in m]
-        sol = kernel.solve(m, b)
+        sol = scaled_solution(m, b)
+        assert sol == solve_oracle(m, b), m
         assert sol is not None and all(kernel.dot(row, sol) == bi for row, bi in zip(m, b)), m
 
 
@@ -311,7 +351,8 @@ def test_solve_none_exactly_when_rank_grows():
         else:
             b = [rng.randint(-3, 3) for _ in range(nr)]
         inconsistent = rank_oracle(m) < rank_oracle([row + [bi] for row, bi in zip(m, b)])
-        sol = kernel.solve(m, b)
+        sol = scaled_solution(m, b)
+        assert sol == solve_oracle(m, b), (m, b)
         assert (sol is None) == inconsistent, (m, b)
         if sol is not None:
             assert all(kernel.dot(row, sol) == bi for row, bi in zip(m, b))

@@ -3,7 +3,7 @@ import random
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clutterlab import errors, kernel, lattice
@@ -17,8 +17,11 @@ from conftest import (
     extreme_rays_oracle,
     hilbert_basis_triangulation_oracle,
     is_pointed_rank_oracle,
+    lexicographic_signs_oracle,
     membership_report_oracle,
+    rank_oracle,
     semigroup_member,
+    solve_oracle,
     triangulate_oracle,
 )
 
@@ -460,7 +463,7 @@ def fraction_parallelepiped_points(gens, n):
     for combo in itertools.product(*[range(d[i][i]) for i in range(k)]):
         y = tuple(combo) + (0,) * (n - k)
         x = tuple(kernel.dot(uinv[i], y) for i in range(n))
-        lam = kernel.solve(mat, x)
+        lam = solve_oracle(mat, x)
         shift = [l.numerator // l.denominator for l in lam]
         point = tuple(x[i] - sum(shift[j] * gens[j][i] for j in range(k)) for i in range(n))
         r = tuple((l - s) * dk for l, s in zip(lam, shift))
@@ -504,6 +507,35 @@ def test_parallelepiped_points_match_fraction_solve(monkeypatch):
         "unimodular, k < n, pivot minor ±1",
         "one box point, pivot minor not ±1",
     }
+
+
+@st.composite
+def simplices_with_perturbations(draw):
+    """k <= n independent generators in Z^n (n <= 7, entries -4..4) and a
+    perturbation in their span: up to three integer combinations of them,
+    often with zero coordinates, then the generators in a drawn order."""
+    n = draw(st.integers(0, 7))
+    k = draw(st.integers(0, n))
+    simplex = tuple(draw(st.tuples(*[st.integers(-4, 4)] * n)) for _ in range(k))
+    assume(rank_oracle(simplex) == k)
+    coefficients = st.tuples(*[st.integers(-2, 2)] * k)
+    combos = draw(st.lists(coefficients, min_size=1, max_size=3))
+    head = tuple(tuple(sum(c * g[i] for c, g in zip(cs, simplex)) for i in range(n)) for cs in combos)
+    return simplex, n, head + tuple(draw(st.permutations(simplex)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(simplices_with_perturbations())
+@example(((), 3, ((0, 0, 0),)))  # the empty simplex has no signs
+@example((((2, 0, 1), (0, 2, 1)), 3, ((2, 2, 2), (0, 2, 1), (2, 0, 1))))  # k < n, box of 2
+@example((((1, 1), (1, -1)), 2, ((1, -1), (1, 1), (1, -1))))  # negative minor, not unimodular
+def test_lexicographic_signs_match_fraction_solves(case):
+    # one integer elimination gives the signs that a Fraction solve per
+    # perturbation vector gave
+    simplex, n, perturbation = case
+    assert lattice._lexicographic_signs(simplex, n, perturbation) == lexicographic_signs_oracle(
+        simplex, n, perturbation
+    )
 
 
 def test_unimodular_certificate_is_sound():

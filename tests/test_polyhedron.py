@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clutterlab import kernel, polyhedron, tdi
@@ -295,6 +295,44 @@ def test_dd_conversions_match_fraction_oracle(monkeypatch):
             assert face.active == tuple(
                 i for i, (a, b) in enumerate(h.ineqs) if sum(x * y for x, y in zip(a, face.point)) == b
             )
+
+
+@st.composite
+def systems_with_lineality(draw):
+    """Inequality systems in dimension n <= 5 with entries -3..3 whose
+    normals vanish off a drawn set of coordinates, so the lineality is at
+    least n minus its size; sometimes one hyperplane, as two rows."""
+    n = draw(st.integers(1, 5))
+    used = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    entry = st.integers(-3, 3)
+
+    def row():
+        return tuple(draw(entry) if i in used else 0 for i in range(n)), draw(entry)
+
+    rows = [row() for _ in range(draw(st.integers(1, 2 * n + 2)))]
+    if draw(st.booleans()):
+        a, b = row()
+        rows += [(a, b), (tuple(-x for x in a), -b)]
+    rows = [(a, b) for a, b in rows if any(a)]
+    assume(rows)
+    return HRep(n, tuple(rows))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(systems_with_lineality())
+@example(HRep(4, (((1, 1, 0, 0), 1), ((-1, 2, 0, 0), 0), ((0, -1, 0, 0), 1))))  # lineality 2
+@example(HRep(3, (((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((-1, -1, -1), -1))))
+def test_dd_row_order_is_invisible(h):
+    # `dd_convert` feeds `_dd_cone` its rows sparsest first; in `sorted`
+    # order, as before, the V-representation and the minimal faces are the
+    # same, lines and the vertices of non-pointed polyhedra included
+    v = dd_convert(h)
+    dd = polyhedron._dd_cone
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedron, "_dd_cone", lambda normals, n: dd(sorted(normals), n))
+        sorted_v = dd_convert(h)
+    assert v == sorted_v
+    assert polyhedron.minimal_faces(h, v) == polyhedron.minimal_faces(h, sorted_v)
 
 
 def test_cone_conversions_reject_ragged_normals():
