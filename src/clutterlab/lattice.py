@@ -3,7 +3,14 @@
 The central predicate is `is_hilbert_basis(H)`: do the nonnegative integer
 combinations of H reach every lattice point of the cone spanned by H?
 For pointed cones this reduces to computing the unique minimal Hilbert basis
-of the cone and checking set containment.
+of the cone and checking set containment.  It is asked two ways.  The
+report `is_hilbert_basis` lists every witness, for the certificates that
+show them (`tdi.is_tdi`'s face checks; `ehrhart` and `ideals` read
+`hilbert_basis` itself).  The verdict `hilbert_basis_verdict`, which the
+rounding checks of `tdi` read, stops at the first witness: the reduction
+yields its irreducibles one at a time (`_reduce`), so the verdict spends a
+prefix of the steps the report spends, and a budget that decides the
+report decides the verdict the same way.
 
 One table of facet heights per cone (`ConeWithLattice.heights`) answers
 three questions with no elimination:
@@ -309,6 +316,16 @@ def hilbert_basis(cone: ConeWithLattice) -> tuple[IntVec, ...]:
     so the basis is exactly the extreme rays.
     """
     steps = StepCounter(step_budget(), "hilbert basis enumeration")
+    return tuple(sorted(_basis_elements(cone, steps)))
+
+
+def _basis_elements(cone: ConeWithLattice, steps: StepCounter):
+    """The minimal Hilbert basis of a pointed cone, one element at a time.
+
+    The boxes are enumerated at the call; the reduction runs as the result
+    is iterated (`_reduce`), so a caller that stops early spends a prefix of
+    the steps that draining it spends.
+    """
     rays = cone.extreme_rays
     compressed = all(h <= 1 for r in rays for h in cone.heights[r])
     candidates: set[IntVec] = set() if compressed else {
@@ -324,12 +341,13 @@ def hilbert_basis(cone: ConeWithLattice) -> tuple[IntVec, ...]:
         # smaller total height; charge those comparisons at once.
         totals = sorted(sum(cone.heights[r]) for r in rays)
         steps.spend(sum(bisect_left(totals, t) for t in totals))
-        return tuple(sorted(rays))
+        return iter(rays)
     return _reduce(cone, candidates | set(rays), steps)
 
 
-def _reduce(cone: ConeWithLattice, candidates, steps: StepCounter) -> tuple[IntVec, ...]:
-    """The irreducible candidates, sorted; one step per height comparison.
+def _reduce(cone: ConeWithLattice, candidates, steps: StepCounter):
+    """The irreducible candidates, yielded in order of (total height, packed
+    heights) as each is found; one step per height comparison.
 
     The candidates must include every irreducible lattice point of the
     cone.
@@ -355,11 +373,11 @@ def _reduce(cone: ConeWithLattice, candidates, steps: StepCounter) -> tuple[IntV
             packed = packed << width | y
         graded.append((sum(heights), packed, x))
     graded.sort()
-    irreducible: list[tuple[int, int, IntVec]] = []
+    irreducible: list[tuple[int, int]] = []
     for total, packed, x in graded:
         covered = packed | guard
         reducible = False
-        for h_total, h_packed, _ in irreducible:
+        for h_total, h_packed in irreducible:
             if h_total == total:
                 break
             steps.spend()
@@ -367,8 +385,8 @@ def _reduce(cone: ConeWithLattice, candidates, steps: StepCounter) -> tuple[IntV
                 reducible = True
                 break
         if not reducible:
-            irreducible.append((total, packed, x))
-    return tuple(sorted(x for _, _, x in irreducible))
+            irreducible.append((total, packed))
+            yield x
 
 
 def half_open_points(cone: ConeWithLattice):
@@ -449,7 +467,15 @@ def is_hilbert_basis(
     facets: tuple[IntVec, ...] | None = None,
     heights: tuple[IntVec, ...] | None = None,
 ) -> HilbertBasisReport:
-    """Decide whether N*H covers every lattice point of cone(H).
+    """Decide whether N*H covers every lattice point of cone(H), listing
+    every witness.
+
+    This report is for callers whose certificates list the witnesses
+    (`tdi.is_tdi`, and through `hilbert_basis` `ehrhart` and `ideals`).
+    A caller that reads only the verdict uses `hilbert_basis_verdict`,
+    which stops at the first witness; it spends a prefix of the steps
+    spent here, so a budget under which this report decides decides the
+    verdict the same way.
 
     `facets`, when given, must be the sorted inequality normals that
     `polyhedron.cone_generators_to_hrep` returns for H, with no equation
@@ -462,13 +488,9 @@ def is_hilbert_basis(
     slack table.
     """
     vecs = [tuple(v) for v in vectors]
-    if not vecs:
-        raise UsageError("is_hilbert_basis: empty vector set")
-    n = len(vecs[0])
-    nonzero = sorted({v for v in vecs if any(x != 0 for x in v)})
-    if not nonzero:
+    nonzero, cone = _nonzero_cone(vecs, "is_hilbert_basis")
+    if cone is None:
         return HilbertBasisReport(verdict=True, basis=(), witnesses=())
-    cone = ConeWithLattice.from_vectors(nonzero, n)
     if facets is not None:
         vars(cone)["hrep_normals"] = (tuple(facets), ())  # the cached_property's slot
         if heights is not None:
@@ -485,11 +507,48 @@ def is_hilbert_basis(
         hset = set(nonzero)
         witnesses = tuple(t for t in basis if t not in hset)
         return HilbertBasisReport(verdict=not witnesses, basis=basis, witnesses=witnesses)
-    return _is_hilbert_basis_lineality(nonzero, cone)
+    checks, reached = _lineality_checks(nonzero, cone)
+    witnesses = tuple(t for t in checks if not reached(t))
+    return HilbertBasisReport(verdict=not witnesses, basis=checks, witnesses=witnesses)
 
 
-def _is_hilbert_basis_lineality(vecs, cone: ConeWithLattice) -> HilbertBasisReport:
-    """Split along the lineality lattice; check the pointed quotient.
+def hilbert_basis_verdict(vectors) -> bool:
+    """The verdict of `is_hilbert_basis(vectors)`, decided at the first
+    witness.
+
+    On a pointed cone the boxes are enumerated as for the report.  Every
+    extreme ray is irreducible, so a ray of cone(H) outside H then answers
+    False before the reduction runs; otherwise the reduction stops at the
+    first irreducible outside H.  On a cone with lineality the checks are
+    those of the report, tried until the first unreachable one.  So the
+    steps spent are a prefix of those the report spends.  `tdi`'s rounding
+    checks read only this verdict.
+    """
+    nonzero, cone = _nonzero_cone([tuple(v) for v in vectors], "hilbert_basis_verdict")
+    if cone is None:
+        return True
+    if cone.is_pointed:
+        hset = set(nonzero)
+        elements = _basis_elements(cone, StepCounter(step_budget(), "hilbert basis enumeration"))
+        return all(r in hset for r in cone.extreme_rays) and all(x in hset for x in elements)
+    checks, reached = _lineality_checks(nonzero, cone)
+    return all(map(reached, checks))
+
+
+def _nonzero_cone(vecs: list[IntVec], caller: str):
+    """The sorted distinct nonzero vectors and their cone, None for the zero
+    cone; an empty vector set is rejected."""
+    if not vecs:
+        raise UsageError(f"{caller}: empty vector set")
+    nonzero = sorted({v for v in vecs if any(v)})
+    if not nonzero:
+        return nonzero, None
+    return nonzero, ConeWithLattice.from_vectors(nonzero, len(vecs[0]))
+
+
+def _lineality_checks(vecs, cone: ConeWithLattice):
+    """Split along the lineality lattice: the sorted checks of the pointed
+    quotient, and the test of whether N*H reaches a check.
 
     In coordinates where the lineality lattice L is Z^m x 0, the cone
     factors as R^m x C' with C' pointed, so its lattice semigroup is
@@ -537,8 +596,8 @@ def _is_hilbert_basis_lineality(vecs, cone: ConeWithLattice) -> HilbertBasisRepo
     for v, p in zip(vecs, projected):
         if any(p):
             offsets.setdefault(p, []).append(v)
-    witnesses = tuple(
-        t for t in checks
-        if all(in_group(kernel.vsub(t, g)) is None for g in offsets.get(to_new(t)[m:], ()))
-    )
-    return HilbertBasisReport(verdict=not witnesses, basis=tuple(checks), witnesses=witnesses)
+
+    def reached(t) -> bool:
+        return any(in_group(kernel.vsub(t, g)) is not None for g in offsets.get(to_new(t)[m:], ()))
+
+    return tuple(checks), reached

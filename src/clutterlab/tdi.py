@@ -175,7 +175,7 @@ def _integrality(cert: TdiCertificate) -> bool | str:
 
 def sufficiency_check(system: LinearSystem) -> SystemReport:
     """Integral polyhedron + lifted columns a Hilbert basis must force TDI."""
-    lifted_ok = lattice.is_hilbert_basis(lifted_vectors(system)).verdict
+    lifted_ok = lattice.hilbert_basis_verdict(lifted_vectors(system))
     cert = is_tdi(system)
     integral = _integrality(cert)
     hyp = (integral is True or integral == "vacuous") and lifted_ok
@@ -208,6 +208,8 @@ def nonnegative_equivalence_check(columns, w) -> EquivalenceReport:
     Since w >= 0 puts 0 in the polyhedron, it is never empty."""
     columns = tuple(tuple(int(x) for x in v) for v in columns)
     w = tuple(int(x) for x in w)
+    if not columns:
+        raise UsageError("nonnegative_equivalence_check: empty system")
     if any(x < 0 for v in columns for x in v) or any(x < 0 for x in w):
         raise UsageError("nonnegative_equivalence_check: entries must be >= 0")
     n = len(columns[0])
@@ -235,7 +237,7 @@ def integer_rounding_check(system: LinearSystem) -> RoundingReport:
     Hilbert basis; with an integral polyhedron this is equivalent to TDI."""
     lifted = list(lifted_vectors(system))
     lifted.append((0,) * system.n + (1,))
-    rounding = lattice.is_hilbert_basis(lifted).verdict
+    rounding = lattice.hilbert_basis_verdict(lifted)
     cert = is_tdi(system)
     integral = _integrality(cert)
     if cert.verdict == "undecided" or integral == "vacuous":
@@ -316,8 +318,10 @@ class ClutterVerdicts:
 
 
 def clutter_verdicts(c: RawClutter) -> ClutterVerdicts:
-    """Idealness is read off the flow certificate: `_h_to_v` canonicalises its
-    covering polyhedron and that of `is_ideal_clutter` to one V-representation."""
+    """Idealness is read off the flow certificate: `is_mfmc` and
+    `is_ideal_clutter` both run `polyhedron.dd_convert` on the covering
+    system, which canonicalises it with `canonical_hrep`, so both read one
+    V-representation."""
     cert = is_mfmc(c)
     return ClutterVerdicts(
         ideal=cert.integral,

@@ -275,7 +275,7 @@ def hilbert_basis_triangulation_oracle(cone, steps: StepCounter):
         totals = sorted(sum(cone.heights[r]) for r in rays)
         steps.spend(sum(bisect_left(totals, t) for t in totals))
         return tuple(sorted(rays))
-    return _reduce(cone, candidates | set(rays), steps)
+    return tuple(sorted(_reduce(cone, candidates | set(rays), steps)))
 
 
 def brute_vertices(h: HRep):
@@ -465,7 +465,7 @@ def semigroup_member(a, vectors):
     (False, None).  Raises Undecided when the default step budget runs
     out.  It is the reference that `membership_report_oracle` and
     `test_lineality_criterion_matches_membership` check the lattice
-    arithmetic of `_is_hilbert_basis_lineality` against.
+    arithmetic of `lattice._lineality_checks` against.
     """
     a = tuple(a)
     vecs = [tuple(v) for v in vectors]

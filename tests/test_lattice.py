@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from math import prod
 
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 
 from clutterlab import errors, kernel, lattice
 from clutterlab.errors import StepCounter, Undecided, UsageError
-from clutterlab.lattice import ConeWithLattice, hilbert_basis, is_hilbert_basis
+from clutterlab.lattice import (
+    ConeWithLattice,
+    hilbert_basis,
+    hilbert_basis_verdict,
+    is_hilbert_basis,
+)
 from clutterlab.tdi import LinearSystem, is_tdi
 
 from conftest import (
@@ -155,6 +161,72 @@ def test_lineality_criterion_matches_membership():
         short += group_index([g for g in gens if cone.contains(negated(g))]) != 1
         witnessed += bool(rep.witnesses)
     assert short >= 20 and witnessed >= 20
+
+
+@st.composite
+def hilbert_sets(draw):
+    """A vector set with n <= 5 and entries -3..3: plain, or lifted with the
+    unit vector of the last coordinate added as the rounding checks add it;
+    with, at random, a forced lineality pair g, -c*g, a vector of gcd 2 or
+    3, the zero vector and a repeated vector.  Sets whose zonotope box
+    exceeds 5,000 points are left out, for the brute-force oracle's sake."""
+    n = draw(st.integers(1, 5))
+    unit = st.tuples(*[st.integers(-1, 1)] * n)
+    vecs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        vecs.append((0,) * (n - 1) + (1,))
+    if draw(st.booleans()):
+        g = draw(unit)
+        vecs += [g, tuple(-draw(st.integers(1, 2)) * x for x in g)]
+    if draw(st.booleans()):
+        vecs.append(tuple(draw(st.integers(2, 3)) * x for x in draw(unit)))
+    if draw(st.booleans()):
+        vecs.append((0,) * n)
+    if draw(st.booleans()):
+        vecs.append(draw(st.sampled_from(vecs)))
+    assume(prod(sum(abs(v[i]) for v in vecs) + 1 for i in range(n)) <= 5000)
+    return vecs
+
+
+def test_verdict_matches_the_report_and_brute_force():
+    # the verdict that stops at the first witness reads the full report's
+    # verdict and the brute-force one: brute_hilbert_basis on pointed cones,
+    # membership of every check on cones with lineality.  It spends a
+    # prefix of the report's steps, so every budget that decides the report
+    # decides the verdict, the same way.
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hilbert_sets())
+    def check(vecs):
+        n = len(vecs[0])
+        rep = is_hilbert_basis(vecs)
+        assert hilbert_basis_verdict(vecs) is rep.verdict, vecs
+        nonzero = [v for v in vecs if any(v)]
+        if not nonzero:
+            want = True
+        elif ConeWithLattice.from_vectors(nonzero, n).is_pointed:
+            want = set(brute_hilbert_basis(nonzero, n)) <= set(nonzero)
+        else:
+            want = membership_report_oracle(nonzero, rep.basis).verdict
+            seen["lineality"] += 1
+        assert want is rep.verdict, vecs
+        seen[rep.verdict] += 1
+        undecided = False
+        for b in (0, 1, 2, 5, 20, 100):
+            with errors.budget(b):
+                try:
+                    decided = is_hilbert_basis(vecs).verdict
+                except Undecided:
+                    undecided = True
+                    continue
+                assert hilbert_basis_verdict(vecs) is decided, (vecs, b)
+                seen["decided after undecided"] += undecided
+
+    check()
+    draws = seen[True] + seen[False]
+    assert min(seen[True], seen[False]) >= 0.3 * draws, seen
+    assert seen["lineality"] >= 20 and seen["decided after undecided"] >= 20, seen
 
 
 def test_empty_input_rejected():
@@ -597,7 +669,7 @@ def test_skipped_reduction_spends_the_steps_of_the_reduction():
         ):
             continue
         steps = StepCounter(10**6, "test")
-        basis = lattice._reduce(cone, set(cone.extreme_rays), steps)
+        basis = tuple(sorted(lattice._reduce(cone, set(cone.extreme_rays), steps)))
         spent = 10**6 - steps.remaining
         assert basis == tuple(sorted(cone.extreme_rays))
         with errors.budget(spent):

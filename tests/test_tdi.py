@@ -11,7 +11,7 @@ from clutterlab.errors import UsageError
 from clutterlab.families import complete_bipartite, cycle, cycle_clutter, line_graph_k24
 from clutterlab.tdi import LinearSystem
 
-from conftest import mfmc_ilp_crosscheck
+from conftest import mfmc_ilp_crosscheck, random_system
 
 F = Fraction
 
@@ -23,6 +23,8 @@ def test_linear_system_validation():
         LinearSystem([(0, 0)], (1,))
     with pytest.raises(UsageError):
         LinearSystem([], ())
+    with pytest.raises(UsageError):
+        tdi.nonnegative_equivalence_check([], [])
 
 
 def test_tdi_unit_system():
@@ -175,6 +177,31 @@ def test_nonnegative_equivalence_gap():
     assert not lattice.is_hilbert_basis([(1, 1, 2), (-1, 0, 0), (0, -1, 0)]).verdict
     assert rep.rounding
     assert rep.agrees
+
+
+def test_rounding_checks_read_the_full_reports_verdict():
+    # the lifted checks stop at the first witness; on the first 200 systems
+    # of the criterion 07a and 07b streams they must read the verdict of the
+    # report that lists every witness.  07a alone would not notice a False
+    # answered too eagerly: a false hypothesis respects the implication.
+    rng = random.Random(2024)
+    verdicts = Counter()
+    for _ in range(200):
+        system = LinearSystem(*random_system(rng, -3))
+        want = lattice.is_hilbert_basis(tdi.lifted_vectors(system)).verdict
+        assert tdi.sufficiency_check(system).lifted_hilbert is want, system
+        verdicts["07a", want] += 1
+    rng = random.Random(2025)
+    for _ in range(200):
+        cols, w = random_system(rng, 0)
+        n = len(cols[0])
+        lifted = [v + (wi,) for v, wi in zip(cols, w)]
+        lifted += [tuple(-int(i == j) for i in range(n)) + (0,) for j in range(n)]
+        lifted.append((0,) * n + (1,))
+        want = lattice.is_hilbert_basis(lifted).verdict
+        assert tdi.nonnegative_equivalence_check(cols, w).rounding is want, (cols, w)
+        verdicts["07b", want] += 1
+    assert all(verdicts[s, v] >= 20 for s in ("07a", "07b") for v in (True, False)), verdicts
 
 
 def test_rounding_reports():
