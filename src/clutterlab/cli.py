@@ -1,17 +1,21 @@
 """Command-line front end: instance I/O, property checks, certificates.
 
-Exit codes: 0 = property holds, 1 = property fails, 2 = undecided (step budget
-or resource cap), 64 = usage or parse error.  Certificates are byte-stable
-JSON for a fixed input and schema version; timing is only included on
-request (`check --timing`) so that repeated runs stay byte-identical.
+Exit codes: 0 = property holds, 1 = property fails, 2 = undecided (step budget,
+resource cap, memory or recursion depth), 64 = usage or parse error.
+Certificates are byte-stable JSON for a fixed input and schema version;
+timing is only included on request (`check --timing`) so that repeated runs
+stay byte-identical.
 
 `main` resolves the step budget once (`--budget`, else CLUTTERLAB_BUDGET, else
 10^7; exit 64 when negative) and runs the command in that `errors.budget` scope.
 Every certificate records the limit in force (`budget.limit`), read from that
 scope.  `render` writes the text of every file and stdout certificate.  When
-`Undecided`, `ResourceExceeded` or `MemoryError` stops `check`, `invariants`
-or `examples`, the command writes its undecided certificate where asked and
-re-raises, and `main` prints the reason once on stderr and exits 2.
+`Undecided`, `ResourceExceeded`, `MemoryError` or `RecursionError` stops
+`check`, `invariants` or `examples`, the command writes its undecided
+certificate where asked and re-raises, and `main` prints the reason once on
+stderr and exits 2.  A `RecursionError` comes from a search that recurses
+once per vertex of what it grows, such as the odd-hole search on the cycle
+C_1000: the input is not shown to fail, so it is undecided.
 
 Every clutter property of `check` decides edgeless clutters.  `invariants`
 rejects them with exit 64: the edge polytope of a clutter without edges is
@@ -39,8 +43,9 @@ EXIT_FAILS = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
 
-# what stops a command undecided: a step budget, a resource cap, or memory
-_STOPS = (Undecided, ResourceExceeded, MemoryError)
+# what stops a command undecided: a step budget, a resource cap, memory, or
+# the depth of a recursive search
+_STOPS = (Undecided, ResourceExceeded, MemoryError, RecursionError)
 
 PROPERTIES = (
     "ehrhart", "ideal", "mfmc", "tdi", "meyniel", "perfect",
@@ -255,8 +260,6 @@ def _undecided_certificate(command: str, obj, notes: dict, exc):
 def _verdict_exit(verdict) -> int:
     if verdict is True or verdict == "vacuous":
         return EXIT_HOLDS
-    if verdict == "undecided":
-        return EXIT_UNDECIDED
     return EXIT_FAILS
 
 
@@ -512,7 +515,7 @@ def main(argv=None) -> int:
     except Undecided as exc:
         print(exc, file=sys.stderr)
         return EXIT_UNDECIDED
-    except (ResourceExceeded, MemoryError) as exc:
+    except (ResourceExceeded, MemoryError, RecursionError) as exc:
         print(f"undecided: {_reason(exc)}", file=sys.stderr)
         return EXIT_UNDECIDED
 

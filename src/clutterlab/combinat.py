@@ -228,10 +228,6 @@ def is_uniform(c: RawClutter) -> int | None:
     return None
 
 
-def is_unmixed(c: RawClutter) -> bool:
-    return len({len(s) for s in minimal_covers(c)}) == 1
-
-
 # ---------------------------------------------------------------------------
 # Graph constructions
 # ---------------------------------------------------------------------------
@@ -422,10 +418,6 @@ def is_meyniel(g: SimpleGraph):
             if best is None or cycle < best[0]:
                 best = (cycle, 1)
     return (True, None) if best is None else (False, best)
-
-
-def odd_hole(g: SimpleGraph) -> tuple[int, ...] | None:
-    return _least_odd_hole(adjacency_masks(g))
 
 
 def _least_odd_hole(masks) -> tuple[int, ...] | None:

@@ -306,82 +306,35 @@ def graphs_upto_iso(n: int) -> tuple[SimpleGraph, ...]:
     )
 
 
-def _perfect_matching(a: int, adj: list[int]) -> list[int] | None:
-    """Bitmask matching for a bipartite graph with two sides of size a.
-
-    `adj[i]` is the mask of right vertices adjacent to left vertex i; the
-    result maps each left vertex to its partner, or is None.
-    """
-    match_to = [-1] * a
-
-    def augment(u: int, seen: int) -> bool:
-        m = adj[u]
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            if seen >> j & 1:
-                continue
-            seen |= 1 << j
-            if match_to[j] < 0 or augment(match_to[j], seen):
-                match_to[j] = u
-                return True
-        return False
-
-    for u in range(a):
-        if not augment(u, 0):
-            return None
-    mate = [0] * a
-    for j, u in enumerate(match_to):
-        mate[u] = j
-    return mate
-
-
-def _is_unmixed_balanced(a: int, adj: list[int]) -> bool:
-    """Villarreal's criterion for a bipartite graph without isolated vertices.
-
-    Both sides are minimal covers, so an unmixed graph has a perfect
-    matching (Konig).  Label each right vertex y_j by its partner x_j; the
-    graph is unmixed iff x_i y_j, x_j y_k in E imply x_i y_k in E.  Every
-    minimal cover of an unmixed graph takes one end of each matching edge,
-    so any perfect matching will do.
-    """
-    mate = _perfect_matching(a, adj)
-    if mate is None:
-        return False
-    # reach[i]: the mask of the j with x_i y_j in E, y_j the partner of x_j
-    reach = [sum(1 << j for j in range(a) if adj[i] >> mate[j] & 1) for i in range(a)]
-    return all(
-        reach[j] & ~reach[i] == 0 for i in range(a) for j in range(a) if reach[i] >> j & 1
-    )
-
-
 def unmixed_bipartite_graphs(n_max: int):
-    """All connected bipartite graphs up to isomorphism, n <= n_max vertices,
-    whose minimal vertex covers all share one size.
+    """All connected bipartite graphs with at least one edge, up to
+    isomorphism, n <= n_max vertices, whose minimal vertex covers all share
+    one size.
 
-    Both color classes are minimal covers of a connected bipartite graph,
-    so only balanced bipartitions can be unmixed; that prunes the scan.
+    Both colour classes of a connected bipartite graph are minimal covers,
+    so an unmixed one has a = n/2 vertices on each side and, by Konig, a
+    perfect matching, labelled x_i y_i.  Such a graph is unmixed exactly
+    when x_i y_j, x_j y_k in E imply x_i y_k in E (Villarreal, Rev.
+    Colombiana Mat. 41, 2007): the relation {(i, j) : x_i y_j in E} is
+    reflexive and transitive.  So the scan runs over the reflexive
+    relations on a points and keeps the transitive, connected ones.
     """
     if n_max > 8:
         raise ResourceExceeded("unmixed bipartite enumeration", 8)
     out: dict[tuple[int, ...], SimpleGraph] = {}
-    for n in range(2, n_max + 1):
-        if n % 2:
-            continue
-        a = n // 2
+    for a in range(1, n_max // 2 + 1):
         side = (1 << a) - 1
-        for mask in range(1 << (a * a)):
-            if mask.bit_count() < n - 1:
+        diagonal = sum(1 << (i * a + i) for i in range(a))
+        for mask in range(diagonal, 1 << (a * a)):
+            if mask & diagonal != diagonal:
                 continue
             # bit i*a + j is the edge x_i y_j, i.e. (i, a + j)
-            adj = [mask >> (i * a) & side for i in range(a)]
-            if not _is_unmixed_balanced(a, adj):
+            rel = [mask >> (i * a) & side for i in range(a)]
+            if any(rel[j] & ~rel[i] for i in range(a) for j in range(a) if rel[i] >> j & 1):
                 continue
-            edges = [(i, a + j) for i in range(a) for j in range(a) if adj[i] >> j & 1]
-            g = SimpleGraph(n, edges)
-            if not combinat.is_connected(g):
-                continue
-            out.setdefault(canonical_form(combinat.adjacency_masks(g)), g)
+            g = SimpleGraph(2 * a, [(i, a + j) for i in range(a) for j in range(a) if rel[i] >> j & 1])
+            if combinat.is_connected(g):
+                out.setdefault(canonical_form(combinat.adjacency_masks(g)), g)
     return tuple(out[f] for f in sorted(out))
 
 

@@ -246,25 +246,14 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
                 u[t] = [-x for x in u[t]]
 
     diagonalize_from(0)
-    while True:  # enforce the divisibility chain d_i | d_{i+1}
-        problem = None
-        for i in range(rmax - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di == 0 and dj != 0:
-                problem = ("swap", i)
-                break
-            if di != 0 and dj % di != 0:
-                problem = ("fold", i)
-                break
-        if problem is None:
+    # enforce the divisibility chain d_i | d_{i+1}; `diagonalize_from` stops
+    # only where all that is left is zero, so zero diagonal entries come last
+    while True:
+        i = next((i for i in range(rmax - 1) if a[i][i] and a[i + 1][i + 1] % a[i][i]), None)
+        if i is None:
             break
-        kind, i = problem
-        if kind == "swap":
-            swap_rows(i, i + 1)
-            swap_cols(i, i + 1)
-        else:
-            col_op(i, i + 1, -1)  # creates an off-diagonal entry, then redo
-            diagonalize_from(i)
+        col_op(i, i + 1, -1)  # creates an off-diagonal entry, then redo
+        diagonalize_from(i)
     return (
         tuple(tuple(r) for r in u),
         tuple(tuple(r) for r in a),
@@ -276,8 +265,6 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
     """Basis of the lattice {x in Z^n : A x = 0} (columns of V at zero pivots)."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    if nrows == 0:
-        return tuple(tuple(int(i == j) for i in range(ncols)) for j in range(ncols))
     _, d, v = smith_normal_form(matrix)
     r = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
     basis = []
@@ -315,11 +302,6 @@ def integer_solver(matrix: Sequence[Sequence[int]]):
         return tuple(dot(row, y) for row in v)
 
     return solve_for
-
-
-def integer_solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution of A x = b, or None if no integral solution exists."""
-    return integer_solver(matrix)(rhs)
 
 
 def unimodular_inverse(u: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -156,12 +156,13 @@ class ConeWithLattice:
         """The simplices of the triangulation certified unimodular by facet
         heights, each in its tuple order (r_1, ..., r_k).
 
-        A simplex is certified when r_1 is primitive and, for each i >= 2,
-        some inequality normal a vanishes on r_1 .. r_{i-1} and has height
-        1 at r_i.  With L_i the lattice Z^n meet span(r_1 .. r_i), the
-        integer functional a vanishes on L_{i-1}, so on L_i it is an integer
-        multiple of the primitive functional that does; height 1 at r_i
-        makes that multiple ±1 and r_i a generator of L_i modulo L_{i-1}.
+        The rays are primitive by construction (`from_vectors`), so a
+        simplex is certified when, for each i >= 2, some inequality normal a
+        vanishes on r_1 .. r_{i-1} and has height 1 at r_i.  With L_i the
+        lattice Z^n meet span(r_1 .. r_i), the integer functional a vanishes
+        on L_{i-1}, so on L_i it is an integer multiple of the primitive
+        functional that does; height 1 at r_i makes that multiple ±1 and
+        r_i a generator of L_i modulo L_{i-1}.
         Hence r_1 .. r_k is a basis of L_k and the box holds only the
         origin.  This is the certificate form of Normaliz's volume of a
         pyramid, apex height times base volume (Bruns, Ichim & Soeger,
@@ -171,8 +172,6 @@ class ConeWithLattice:
         units = {r: _bits(self.heights[r], 1) for r in self.extreme_rays}
         certified = set()
         for simplex in self.triangulation:
-            if simplex and gcd(*simplex[0]) != 1:
-                continue
             common = -1  # the normals vanishing on the prefix; all, at first
             for i, r in enumerate(simplex):
                 if i and not common & units[r]:

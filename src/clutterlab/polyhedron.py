@@ -83,21 +83,6 @@ class Face:
     heights: tuple[IntVec, ...] | None
 
 
-def _canon_ineq(a: Sequence[int], b: int) -> tuple[IntVec, int]:
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    g = gcd(g, abs(b))
-    if g > 1:
-        return tuple(x // g for x in a), b // g
-    return tuple(a), b
-
-
-def canonical_hrep(h: HRep) -> HRep:
-    """Deduplicated, normalized, lexicographically sorted copy of `h`."""
-    return HRep(h.n, tuple(sorted({_canon_ineq(a, b) for a, b in h.ineqs})))
-
-
 # ---------------------------------------------------------------------------
 # Double description on cones:  {x : <a,x> <= 0 for a in normals}
 # ---------------------------------------------------------------------------
@@ -178,19 +163,20 @@ def dd_convert(h: HRep) -> VRep:
     """The minimal V-representation of the polyhedron of an `HRep`."""
     if not isinstance(h, HRep):
         raise UsageError(f"dd_convert: expected HRep, got {type(h).__name__}")
-    h = canonical_hrep(h)
     n = h.n
-    normals: list[IntVec] = [(0,) * n + (-1,)]  # homogenization: t >= 0
+    # homogenization: t >= 0 and one primitive row per inequality, so a
+    # scaled or repeated row adds nothing; a row 0 <= 0 cuts nothing
+    normals = {(0,) * n + (-1,)}
     for a, b in h.ineqs:
-        normals.append(tuple(a) + (-b,))
+        if b or any(a):
+            normals.add(kernel.primitive((*a, -b)))
     # Sparsest rows first (fewest nonzeros, then lexicographic): on a
     # covering system t >= 0 and x >= 0 cut a simplicial orthant before the
     # dense rows come, and the row order sets the cost of the method (Fukuda
     # & Prodon, LNCS 1120, 1996).  It does not set the result: the lines,
     # and the coordinate complement of their span in which the rays lie,
     # depend only on the pivot columns of the rows' span.
-    normals = sorted(set(normals), key=lambda a: (len(a) - a.count(0), a))
-    raw_rays, raw_lines = _dd_cone(normals, n + 1)
+    raw_rays, raw_lines = _dd_cone(sorted(normals, key=lambda a: (len(a) - a.count(0), a)), n + 1)
     vertices: list[RatVec] = []
     rays: list[IntVec] = []
     lines: list[IntVec] = []
@@ -270,11 +256,9 @@ def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
     tight = [tuple([i for i, s in enumerate(row) if not s]) for row in slack]
     edges = _edge_directions(h, gens, tight) if read_edges else None
     faces = []
-    seen = set()
+    # one vertex per minimal face, and distinct minimal faces have distinct
+    # active sets
     for i, (p, active) in enumerate(zip(v.vertices, tight)):
-        if active in seen:
-            continue
-        seen.add(active)
         facets = heights = None
         if edges is not None:
             at = sorted(edges[i])  # the directions are distinct, so they alone order
@@ -330,7 +314,7 @@ def face_integral_point(h: HRep, face: Face) -> IntVec | None:
         return tuple(int(x) for x in face.point)
     rows = [h.ineqs[i][0] for i in face.active]
     rhs = [h.ineqs[i][1] for i in face.active]
-    return kernel.integer_solve(rows, rhs)
+    return kernel.integer_solver(rows)(rhs)
 
 
 def is_integral(v: VRep, h: HRep):

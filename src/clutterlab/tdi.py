@@ -44,10 +44,6 @@ class LinearSystem:
     def n(self) -> int:
         return len(self.columns[0])
 
-    @property
-    def q(self) -> int:
-        return len(self.columns)
-
     def hrep(self) -> polyhedron.HRep:
         return polyhedron.HRep(self.n, tuple(zip(self.columns, self.w)))
 
@@ -188,15 +184,7 @@ def sufficiency_check(system: LinearSystem) -> SystemReport:
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    tdi: bool | str
-    integral: bool | str
-    rounding: bool
-    agrees: bool
-
-
-def nonnegative_equivalence_check(columns, w) -> EquivalenceReport:
+def nonnegative_equivalence_check(columns, w) -> RoundingReport:
     """For A >= 0, w >= 0: the system x >= 0, x*A <= w is TDI exactly when
     the polyhedron is integral and the lifted columns (v_i, w_i), the
     vectors (-e_j, 0) and e_{n+1} form a Hilbert basis.
@@ -205,7 +193,9 @@ def nonnegative_equivalence_check(columns, w) -> EquivalenceReport:
     the system with the rows -e_j added.  Without e_{n+1} the only-if
     direction fails whenever height 1 cannot be reached: x >= 0,
     x1 + x2 <= 2 is TDI and integral, yet no lifted vector has height 1.
-    Since w >= 0 puts 0 in the polyhedron, it is never empty."""
+    Since w >= 0 puts 0 in the polyhedron, it is never empty.  Returns that
+    system's `RoundingReport`; `iff_respected` says whether the
+    equivalence held."""
     columns = tuple(tuple(int(x) for x in v) for v in columns)
     w = tuple(int(x) for x in w)
     if not columns:
@@ -215,13 +205,7 @@ def nonnegative_equivalence_check(columns, w) -> EquivalenceReport:
     n = len(columns[0])
     cols = list(columns) + [tuple(-int(i == j) for i in range(n)) for j in range(n)]
     bounds = list(w) + [0] * n
-    rep = integer_rounding_check(LinearSystem(cols, bounds))
-    return EquivalenceReport(
-        tdi=rep.tdi,
-        integral=rep.integral,
-        rounding=rep.rounding,
-        agrees=rep.iff_respected,
-    )
+    return integer_rounding_check(LinearSystem(cols, bounds))
 
 
 @dataclass(frozen=True)
@@ -318,10 +302,10 @@ class ClutterVerdicts:
 
 
 def clutter_verdicts(c: RawClutter) -> ClutterVerdicts:
-    """Idealness is read off the flow certificate: `is_mfmc` and
-    `is_ideal_clutter` both run `polyhedron.dd_convert` on the covering
-    system, which canonicalises it with `canonical_hrep`, so both read one
-    V-representation."""
+    """Idealness is read off the flow certificate: `is_mfmc` runs
+    `polyhedron.dd_convert` on the covering system, as `is_ideal_clutter`
+    does, and its `integral` is that V-representation's integrality, so one
+    double description serves both verdicts."""
     cert = is_mfmc(c)
     return ClutterVerdicts(
         ideal=cert.integral,

@@ -169,7 +169,7 @@ def test_criterion_07b_nonnegative_equivalence():
     for _ in range(500):
         cols, w = random_system(rng, 0)
         rep = tdi.nonnegative_equivalence_check(cols, w)
-        if not rep.agrees:
+        if not rep.iff_respected:
             disagreements.append((cols, w, rep))
     elapsed = time.monotonic() - t0
     report(

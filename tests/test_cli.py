@@ -459,6 +459,36 @@ def test_conjecture_runs_one_dd_per_instance(monkeypatch, capsys):
     assert calls == {"dd_convert": 25}
 
 
+def test_conjecture_rows_that_are_undecided_or_not_ideal(capsys):
+    # at budget 0 every face check of an ideal instance stops: 20 of the
+    # default 25 rows are undecided, and the batch exits 2
+    assert run(["conjecture", "--budget", "0", "--json"]) == 2
+    batch = json.loads(capsys.readouterr().out)
+    assert (batch["undecided"], batch["counterexamples"]) == (20, 0)
+    assert sum(r["mfmc"] == "undecided" for r in batch["instances"]) == 20
+    # a clique clutter that is not ideal has no flow verdict to test
+    args = ["conjecture", "--seed", "29", "--families",
+            "complements,line-of-bipartite,meyniel-closure", "--json"]
+    assert run(args) == 0
+    rows = json.loads(capsys.readouterr().out)["instances"]
+    assert [(r["family"], r["index"], r["mfmc"]) for r in rows if r["ideal"] is False] == [
+        ("complements", 12, None)
+    ]
+
+
+def test_conjecture_counts_a_counterexample(monkeypatch, capsys):
+    # an ideal instance whose flow certificate fails is a counterexample,
+    # and one is enough for exit 1
+    failed = tdi.TdiCertificate(verdict=False, faces=(), failing=None, integral=True)
+    monkeypatch.setattr(tdi, "is_mfmc", lambda c: failed)
+    assert run(["conjecture", "--count", "3", "--json"]) == 1
+    batch = json.loads(capsys.readouterr().out)
+    assert (batch["counterexamples"], batch["undecided"]) == (3, 0)
+    assert all(r["counterexample"] is True and r["mfmc"] is False for r in batch["instances"])
+    assert run(["conjecture", "--count", "3"]) == 1
+    assert "counterexamples: 3, undecided: 0" in capsys.readouterr().out
+
+
 def test_conjecture_rejects_unknown_family():
     assert run(["conjecture", "--families", "nope", "--count", "1"]) == 64
 
@@ -582,6 +612,26 @@ def test_unmixed_and_konig_on_many_singleton_edges(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["invariants"] == {"cover_sizes": [1200]}
     assert run(["check", "konig", "--input", path, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["invariants"] == {"covering_number": 1200, "matching_number": 1200}
+
+
+def test_recursion_depth_is_undecided(tmp_path, capsys):
+    # the odd-hole search recurses once per vertex of the path it grows, so
+    # on C_1000 and P_2000 it runs out of stack; neither graph is shown to
+    # fail, so both exit 2 with the undecided certificate
+    for name, n, edges in (
+        ("c1000", 1000, [[i, (i + 1) % 1000] for i in range(1000)]),
+        ("p2000", 2000, [[i, i + 1] for i in range(1999)]),
+    ):
+        path = write(tmp_path, f"{name}.json", json.dumps({"kind": "graph", "n": n, "edges": edges}))
+        assert run(["check", "perfect", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("undecided: maximum recursion depth exceeded")
+        assert run(["check", "perfect", "--input", path, "--json"]) == 2
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["verdict"] == "undecided" and cert["witnesses"] == {}
+        assert cert["notes"]["reason"].startswith("maximum recursion depth exceeded")
+        assert cert["budget"]["exceeded"] is False  # not the step budget
 
 
 def test_clique_vertex_cap_is_undecided(tmp_path, capsys):

@@ -107,11 +107,11 @@ def test_covering_and_matching_numbers(triangle, square):
 
 def test_uniform_unmixed(square):
     assert combinat.is_uniform(square) == 2
-    assert combinat.is_unmixed(square)
+    assert {len(s) for s in combinat.minimal_covers(square)} == {2}
     assert combinat.is_uniform(Clutter(4, [(0, 1), (1, 2, 3)])) is None
     c5 = Clutter(5, cycle(5).edges)
     assert combinat.is_uniform(c5) == 2
-    assert combinat.is_unmixed(c5)  # all covers have size 3
+    assert {len(s) for s in combinat.minimal_covers(c5)} == {3}
 
 
 def test_suspension(triangle):
@@ -425,7 +425,7 @@ def test_odd_hole_against_subset_oracle():
         n = rng.randint(1, 7)
         edges = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5]
         g = SimpleGraph(n, edges)
-        assert (combinat.odd_hole(g) is not None) == brute(g)
+        assert (combinat._least_odd_hole(combinat.adjacency_masks(g)) is not None) == brute(g)
 
 
 def test_beta_witness_values():

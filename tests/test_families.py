@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -12,6 +13,7 @@ from clutterlab.errors import ResourceExceeded, UsageError
 
 from conftest import (
     all_labeled_graphs,
+    brute_min_covers,
     canonical_form_oracle,
     canonical_form_parent_oracle,
     canonical_graph,
@@ -166,7 +168,7 @@ def test_sharpness_family_structure():
     for d, g in [(2, 2), (2, 3), (3, 2)]:
         c = families.sharpness_clutter(d, g)
         assert combinat.is_uniform(c) == d
-        assert combinat.is_unmixed(c)
+        assert {len(s) for s in combinat.minimal_covers(c)} == {g}
         assert combinat.covering_number(c) == g
         assert c.q == g**d
         parts = combinat.disjoint_cover_partition(c)
@@ -254,43 +256,32 @@ def test_unmixed_bipartite_enumeration_small():
     assert _form(families.complete_bipartite(1, 1)) in forms
     for g in graphs:
         assert combinat.is_connected(g)
-        assert combinat.is_unmixed(Clutter(g.n, g.edges))
+        assert len({len(s) for s in combinat.minimal_covers(Clutter(g.n, g.edges))}) == 1
     # unmixedness forces a perfect matching, hence even order
     assert all(g.n % 2 == 0 for g in graphs)
 
 
-def test_villarreal_criterion_matches_minimal_covers():
-    # every balanced connected bipartite graph with n <= 6
-    verdicts = []
-    for a in range(1, 4):
-        pairs = [(i, a + j) for i in range(a) for j in range(a)]
-        for mask in range(1 << len(pairs)):
-            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
-            g = SimpleGraph(2 * a, edges)
-            if not combinat.is_connected(g):
-                continue
-            adj = [sum(1 << (y - a) for x, y in edges if x == i) for i in range(a)]
-            want = combinat.is_unmixed(Clutter(2 * a, edges))
-            assert families._is_unmixed_balanced(a, adj) == want, edges
-            verdicts.append(want)
-    assert True in verdicts and False in verdicts
+def test_unmixed_bipartite_graphs_match_a_filter_of_all_graphs():
+    # every graph with 2 <= k <= n vertices, kept when it is connected,
+    # bipartite and all its minimal covers (by subset scan) share one
+    # size: the same classes in the same canonical order, for n <= 6
+    for n in range(1, 7):
+        want = [
+            _form(g)
+            for k in range(2, n + 1)
+            for g in families.graphs_upto_iso(k)
+            if nx.is_connected(_nx(g))
+            and nx.is_bipartite(_nx(g))
+            and len({len(s) for s in brute_min_covers(g)}) == 1
+        ]
+        assert [_form(g) for g in families.unmixed_bipartite_graphs(n)] == want, n
 
 
-def test_perfect_matching_is_a_matching():
-    rng = random.Random(4)
-    for _ in range(200):
-        a = rng.randint(1, 5)
-        adj = [rng.randrange(1 << a) for _ in range(a)]
-        mate = families._perfect_matching(a, adj)
-        exists = any(
-            all(adj[i] >> p[i] & 1 for i in range(a))
-            for p in itertools.permutations(range(a))
-        )
-        assert (mate is not None) == exists
-        if mate is None:
-            continue
-        assert sorted(mate) == list(range(a))
-        assert all(adj[i] >> j & 1 for i, j in enumerate(mate))
+def test_unmixed_bipartite_class_counts():
+    graphs = families.unmixed_bipartite_graphs(8)
+    assert Counter(g.n for g in graphs) == {2: 1, 4: 2, 6: 4, 8: 14}
+    with pytest.raises(ResourceExceeded):
+        families.unmixed_bipartite_graphs(9)
 
 
 def test_conjecture_instances_deterministic_and_perfect():

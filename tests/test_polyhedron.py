@@ -335,6 +335,63 @@ def test_dd_row_order_is_invisible(h):
     assert polyhedron.minimal_faces(h, v) == polyhedron.minimal_faces(h, sorted_v)
 
 
+@st.composite
+def padded_systems(draw):
+    """An HRep in dimension n <= 4 with entries -3..3, sometimes with a
+    hyperplane as two rows, and a shuffled copy in which every row comes
+    one to three times, each time scaled by a positive integer, with up to
+    two rows 0 <= 0 joined in.  `origin` gives, per row of the copy, the
+    row of the first it came from and its factor, (None, 0) for 0 <= 0."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    row = st.tuples(st.tuples(*[entry] * n), entry)
+    rows = draw(st.lists(row, min_size=1, max_size=n + 3))
+    if draw(st.booleans()):
+        a, b = draw(row)
+        rows += [(a, b), (tuple(-x for x in a), -b)]
+    factors = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+    origin = [(i, k) for i in range(len(rows)) for k in draw(factors)]
+    origin = draw(st.permutations(origin + [(None, 0)] * draw(st.integers(0, 2))))
+    padded = [
+        ((0,) * n, 0) if i is None else (tuple(k * x for x in rows[i][0]), k * rows[i][1])
+        for i, k in origin
+    ]
+    return HRep(n, tuple(rows)), HRep(n, tuple(padded)), origin
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(padded_systems())
+@example((  # a zero row, a scaled duplicate and a hyperplane, as two rows
+    HRep(2, (((1, 1), 1), ((-1, -1), -1), ((-1, 0), 0))),
+    HRep(2, (((0, 0), 0), ((2, 2), 2), ((-1, -1), -1), ((-3, 0), 0), ((1, 1), 1))),
+    [(None, 0), (0, 2), (1, 1), (2, 3), (0, 1)],
+))
+def test_scaled_repeated_and_zero_rows_change_nothing(case):
+    # `dd_convert` makes every homogenised row primitive and skips 0 <= 0,
+    # so the copy has the same V-representation; its minimal faces are the
+    # same, with active sets over the copy's rows and each row's heights
+    # scaled by its factor (a 0 <= 0 row is tight everywhere, at height 0)
+    h, padded, origin = case
+    v = dd_convert(h)
+    assert dd_convert(padded) == v
+    faces = polyhedron.minimal_faces(h, v)
+    padded_faces = polyhedron.minimal_faces(padded, v)
+    assert len(padded_faces) == len(faces)
+    for face, got in zip(faces, padded_faces):
+        assert (got.point, got.facets) == (face.point, face.facets)
+        assert got.active == tuple(k for k, (i, _) in enumerate(origin) if i is None or i in face.active)
+        if face.heights is None:
+            assert got.heights is None
+            continue
+        by_row = dict(zip(face.active, face.heights))
+        assert got.heights == tuple(
+            tuple(f * x for x in by_row[i]) if i is not None else (0,) * len(face.facets)
+            for i, f in (origin[k] for k in got.active)
+        )
+    if not v.is_empty:
+        assert polyhedron.is_integral(v, padded) == polyhedron.is_integral(v, h)
+
+
 def test_cone_conversions_reject_ragged_normals():
     with pytest.raises(UsageError):
         polyhedron.cone_generators_to_hrep([(1, 0), (1,)], 2)

@@ -156,15 +156,15 @@ def test_converse_gap_instance():
 
 def test_nonnegative_equivalence_examples(square):
     rep = tdi.nonnegative_equivalence_check([(1, 1)], (1,))
-    assert rep.agrees and rep.tdi is True
+    assert rep.iff_respected and rep.tdi is True
     cols = combinat.clique_clutter(cycle(5)).characteristic_vectors()
     rep = tdi.nonnegative_equivalence_check(cols, (1,) * len(cols))
-    assert rep.agrees and rep.tdi is False and rep.integral is False
+    assert rep.iff_respected and rep.tdi is False and rep.integral is False
     rep = tdi.nonnegative_equivalence_check(square.characteristic_vectors(), (1,) * 4)
-    assert rep.agrees and rep.tdi is True
+    assert rep.iff_respected and rep.tdi is True
     # Q = {0}: TDI, yet the lifted heights 3, 2, 0 never reach height one
     rep = tdi.nonnegative_equivalence_check([(1,), (1,), (1,), (3,)], (3, 2, 0, 0))
-    assert rep.agrees and rep.tdi is True
+    assert rep.iff_respected and rep.tdi is True
 
 
 def test_nonnegative_equivalence_gap():
@@ -176,7 +176,7 @@ def test_nonnegative_equivalence_gap():
     assert rep.integral is True
     assert not lattice.is_hilbert_basis([(1, 1, 2), (-1, 0, 0), (0, -1, 0)]).verdict
     assert rep.rounding
-    assert rep.agrees
+    assert rep.iff_respected
 
 
 def test_rounding_checks_read_the_full_reports_verdict():
@@ -209,6 +209,24 @@ def test_rounding_reports():
     assert rep.rounding and rep.iff_respected
     rep = tdi.integer_rounding_check(LinearSystem([(1, 2), (2, 1)], (0, 0)))
     assert not rep.rounding and rep.iff_respected
+    # x <= 0 and x >= 1: no finite optima, so the equivalence says nothing
+    rep = tdi.integer_rounding_check(LinearSystem([(1,), (-1,)], (0, -1)))
+    assert (rep.tdi, rep.integral, rep.iff_respected) == ("vacuous", "vacuous", True)
+
+
+def test_rounding_check_under_a_budget_that_stops_the_face_checks():
+    # at budgets 4 and 5 the lifted check decides (no Hilbert basis) and the
+    # face check stops, so the equivalence says nothing; at 3 the lifted
+    # check stops, at 6 both decide
+    system = LinearSystem([(1, 2), (2, 1)], (0, 0))
+    for limit in (4, 5):
+        with errors.budget(limit):
+            rep = tdi.integer_rounding_check(system)
+        assert (rep.rounding, rep.tdi, rep.integral, rep.iff_respected) == (False, "undecided", True, True)
+    with errors.budget(3), pytest.raises(errors.Undecided):
+        tdi.integer_rounding_check(system)
+    with errors.budget(6):
+        assert tdi.integer_rounding_check(system).tdi is False
 
 
 def test_perfection_crosscheck():
