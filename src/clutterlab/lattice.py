@@ -7,10 +7,11 @@ of the cone and checking set containment.  It is asked two ways.  The
 report `is_hilbert_basis` lists every witness, for the certificates that
 show them (`tdi.is_tdi`'s face checks; `ehrhart` and `ideals` read
 `hilbert_basis` itself).  The verdict `hilbert_basis_verdict`, which the
-rounding checks of `tdi` read, stops at the first witness: the reduction
-yields its irreducibles one at a time (`_reduce`), so the verdict spends a
-prefix of the steps the report spends, and a budget that decides the
-report decides the verdict the same way.
+rounding checks of `tdi` read, stops at the first witness: an extreme ray
+of cone(H) outside H answers before any box is enumerated, and otherwise
+the reduction yields its irreducibles one at a time (`_reduce`).  So the
+verdict spends a prefix of the steps the report spends, and a budget that
+decides the report decides the verdict the same way.
 
 One table of facet heights per cone (`ConeWithLattice.heights`) answers
 three questions with no elimination:
@@ -30,7 +31,9 @@ incidences, and the lattice points of each simplex's half-open
 parallelepiped come in integer arithmetic; the candidates are then reduced
 in support form, by comparing their facet-height tuples, each packed into
 one integer, in order of total height.  An uncertified simplex takes one
-Bareiss minor, and a Smith normal form when that minor is not ±1.  When
+Bareiss minor, and a Smith normal form when that minor is not ±1; its box
+points then come from an odometer over the Smith form's residue classes,
+at one k-vector add and one mat-vec per point.  When
 every box is empty, and always on a compressed cone, the candidates are
 the extreme rays, which are all irreducible, so the reduction is skipped
 and only its comparisons are charged to the step budget.  Cones with
@@ -67,7 +70,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from math import gcd, prod
 from operator import add, mul
 
@@ -231,9 +233,14 @@ def _parallelepiped_points(
     its Smith normal form, the residue classes of (Z^n meet span) modulo the
     generator lattice are indexed by y with 0 <= y_i < d_i, and the class
     of y has coefficients l = V*(y_i / d_i).  Scaled by the largest
-    invariant factor d_k these are integers r = d_k*l mod d_k, so the box
-    point is G*r / d_k and every point costs two integer mat-vecs.  Each
-    point comes with its r (so l_i = 0 exactly when r_i = 0).
+    invariant factor d_k these are integers r = d_k*l mod d_k = sum y_i c_i
+    mod d_k, with c_i = (column i of V)*(d_k/d_i) mod d_k, and the box
+    point is G*r / d_k.  The y run in `itertools.product` order, last
+    position fastest, as an odometer: since d_i*c_i = 0 mod d_k, moving
+    position i up by one while every later position wraps to 0 adds the
+    carry sum_{j >= i} c_j to r.  So every point costs one k-vector add
+    mod d_k and one integer mat-vec.  Each point comes with its r (so
+    l_i = 0 exactly when r_i = 0).
     """
     k = len(gens)
     origin = ((0,) * n, (0,) * k)
@@ -247,17 +254,29 @@ def _parallelepiped_points(
     if prod(diag) == 1:
         return [origin]
     dk = diag[-1]
-    scale = [dk // di for di in diag]
+    carries = [()] * k  # carries[i] = sum_{j >= i} c_j mod d_k
+    carry = [0] * k
+    for i in reversed(range(k)):
+        scale = dk // diag[i]
+        carry = [(c + row[i] * scale) % dk for c, row in zip(carry, v)]
+        carries[i] = carry
+    y = [0] * k
+    r = [0] * k
     out = []
-    for combo in product(*[range(di) for di in diag]):
+    while True:
         steps.spend()
-        z = [c * s for c, s in zip(combo, scale)]
-        r = tuple([sum(map(mul, row, z)) % dk for row in v])
         num = [sum(map(mul, row, r)) for row in mat]
         if any(x % dk for x in num):
             raise AssertionError("parallelepiped representative outside span")
-        out.append((tuple(x // dk for x in num), r))
-    return out
+        out.append((tuple([x // dk for x in num]), tuple(r)))
+        i = k - 1
+        while y[i] == diag[i] - 1:
+            y[i] = 0
+            i -= 1
+            if i < 0:
+                return out
+        y[i] += 1
+        r = [(a + c) % dk for a, c in zip(r, carries[i])]
 
 
 def _triangulate(cone: ConeWithLattice) -> tuple[tuple[IntVec, ...], ...]:
@@ -515,21 +534,23 @@ def hilbert_basis_verdict(vectors) -> bool:
     """The verdict of `is_hilbert_basis(vectors)`, decided at the first
     witness.
 
-    On a pointed cone the boxes are enumerated as for the report.  Every
-    extreme ray is irreducible, so a ray of cone(H) outside H then answers
-    False before the reduction runs; otherwise the reduction stops at the
-    first irreducible outside H.  On a cone with lineality the checks are
-    those of the report, tried until the first unreachable one.  So the
-    steps spent are a prefix of those the report spends.  `tdi`'s rounding
-    checks read only this verdict.
+    On a pointed cone every extreme ray is irreducible, so a ray of cone(H)
+    outside H answers False before any box is enumerated, at no step;
+    otherwise the boxes are enumerated as for the report and the reduction
+    stops at the first irreducible outside H.  On a cone with lineality the
+    checks are those of the report, tried until the first unreachable one.
+    So the steps spent are a prefix of those the report spends.  `tdi`'s
+    rounding checks read only this verdict.
     """
     nonzero, cone = _nonzero_cone([tuple(v) for v in vectors], "hilbert_basis_verdict")
     if cone is None:
         return True
     if cone.is_pointed:
         hset = set(nonzero)
+        if not all(r in hset for r in cone.extreme_rays):
+            return False
         elements = _basis_elements(cone, StepCounter(step_budget(), "hilbert basis enumeration"))
-        return all(r in hset for r in cone.extreme_rays) and all(x in hset for x in elements)
+        return all(x in hset for x in elements)
     checks, reached = _lineality_checks(nonzero, cone)
     return all(map(reached, checks))
 

@@ -229,6 +229,20 @@ def test_verdict_matches_the_report_and_brute_force():
     assert seen["lineality"] >= 20 and seen["decided after undecided"] >= 20, seen
 
 
+def test_verdict_reads_an_extreme_ray_outside_h_before_any_box():
+    # the extreme ray (1, 0) of cone((2, 0), (1, 3)) is not in H, so the
+    # verdict is False at no step, while the report still enumerates the
+    # box of cone((1, 0), (1, 3)), 3 points, one step each
+    vecs = [(2, 0), (1, 3)]
+    for b in (0, 1, 2):
+        with errors.budget(b):
+            assert hilbert_basis_verdict(vecs) is False
+            with pytest.raises(Undecided):
+                is_hilbert_basis(vecs)
+    with errors.budget(3):
+        assert is_hilbert_basis(vecs).verdict is False
+
+
 def test_empty_input_rejected():
     with pytest.raises(UsageError):
         is_hilbert_basis([])
@@ -544,20 +558,36 @@ def fraction_parallelepiped_points(gens, n):
     return out
 
 
+def random_unimodular(rng, m):
+    """An m x m integer matrix of determinant ±1: the identity under a few
+    drawn row additions, sign changes and row swaps."""
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(2 * m):
+        i, j = rng.randrange(m), rng.randrange(m)
+        if i != j:
+            q = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        if rng.random() < 0.3:
+            u[i] = [-x for x in u[i]]
+        if rng.random() < 0.3:
+            u[i], u[j] = u[j], u[i]
+    return u
+
+
 def test_parallelepiped_points_match_fraction_solve(monkeypatch):
     # a simplex whose Bareiss pivot minor is ±1 skips the Smith form; every
-    # other one takes it, including those with one box point all the same
+    # other one takes it, including those with one box point all the same.
+    # The odometer carries from one position into the next only when two or
+    # more invariant factors exceed 1, so unimodular images U*D*V of such
+    # diagonals are drawn besides the uniform ones.
     smith = kernel.smith_normal_form
     smith_calls = []
     monkeypatch.setattr(kernel, "smith_normal_form", lambda m: smith_calls.append(m) or smith(m))
     rng = random.Random(16)
-    kinds = set()
-    for _ in range(150):
-        n = rng.randint(1, 4)
-        k = rng.randint(1, n)
-        gens = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k))
-        if kernel.rank(gens) != k:
-            continue
+    kinds = Counter()
+
+    def check(gens, n):
+        k = len(gens)
         smith_calls.clear()
         got = lattice._parallelepiped_points(gens, n, StepCounter(10**6, "test"))
         skipped = not smith_calls
@@ -565,20 +595,48 @@ def test_parallelepiped_points_match_fraction_solve(monkeypatch):
         unimodular = abs(kernel.determinant(tuple(zip(*gens)))) == 1
         assert skipped == unimodular, gens
         if k < n:
-            kinds.add("k < n")
+            kinds["k < n"] += 1
         elif kernel.determinant(gens) < 0:
-            kinds.add("negative determinant")
+            kinds["negative determinant"] += 1
         if unimodular:
-            kinds.add("unimodular, square" if k == n else "unimodular, k < n, pivot minor ±1")
+            kinds["unimodular, square" if k == n else "unimodular, k < n, pivot minor ±1"] += 1
         elif len(got) == 1:
-            kinds.add("one box point, pivot minor not ±1")
-    assert kinds == {
+            kinds["one box point, pivot minor not ±1"] += 1
+        else:
+            _, d, _ = smith(tuple(tuple(g[i] for g in gens) for i in range(n)))
+            if sum(d[i][i] > 1 for i in range(k)) >= 2:
+                kinds["two or more invariant factors > 1"] += 1
+                if k < n:
+                    kinds["carry, k < n"] += 1
+
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        gens = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k))
+        if kernel.rank(gens) == k:
+            check(gens, n)
+    for _ in range(30):
+        diagonal = rng.choice(((2, 2), (1, 2, 6), (2, 4, 4)))
+        k = len(diagonal)
+        n = rng.randint(k, 5)
+        u, v = random_unimodular(rng, n), random_unimodular(rng, k)
+        # G = U * D * V with D the n x k diagonal, so G's invariant factors
+        # are the drawn diagonal
+        ud = [[row[j] * diagonal[j] for j in range(k)] for row in u]
+        gens = tuple(
+            tuple(sum(ud[i][t] * v[t][j] for t in range(k)) for i in range(n)) for j in range(k)
+        )
+        check(gens, n)
+    assert set(kinds) == {
         "k < n",
         "negative determinant",
         "unimodular, square",
         "unimodular, k < n, pivot minor ±1",
         "one box point, pivot minor not ±1",
-    }
+        "two or more invariant factors > 1",
+        "carry, k < n",
+    }, kinds
+    assert kinds["two or more invariant factors > 1"] >= 20 and kinds["carry, k < n"] >= 5, kinds
 
 
 @st.composite
