@@ -110,7 +110,7 @@ def _symbolic_basis(c: RawClutter) -> tuple[IntVec, ...]:
     n = c.n
     normals = [tuple(-int(i == j) for i in range(n + 1)) for j in range(n + 1)]
     normals += [tuple(-int(i in u) for i in range(n)) + (1,) for u in combinat.minimal_covers(c)]
-    rays, _ = polyhedron.cone_hrep_to_generators(normals, n + 1)
+    rays, _ = polyhedron.cone_generators_to_hrep(normals, n + 1)  # the polar cone's facets
     return lattice.hilbert_basis(lattice.ConeWithLattice.from_vectors(rays, n + 1))
 
 

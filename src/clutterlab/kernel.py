@@ -5,13 +5,13 @@ solutions come as integer numerators over one common denominator
 (`scaled_solve`).  The one rational input is the vertex that
 `integer_multiple` scales to an integer vector.  No floating point, and no
 `Fraction` is built here.  Elimination is fraction-free (Bareiss) so
-intermediate entries stay integral and growth stays polynomial; one
-forward-elimination routine serves `rank`, `determinant` (the maximal minor
-on the pivot rows) and `scaled_solve`.  The minor certifies unimodularity
-without a Smith form for the simplices that `lattice` cannot already
-certify from its facet heights.  The lattice side rests on one Smith normal
-form per matrix: kernel lattices, integer solutions for any number of
-right-hand sides and inverses of unimodular matrices all read off it.
+intermediate entries stay integral and growth stays polynomial.  Its one
+entry point, `scaled_solve`, returns the minor on the pivot rows and
+columns with the scaled solutions: with no right-hand side, a determinant
+up to sign that certifies unimodularity without a Smith form; with the
+unit vectors, the inverse of a unimodular matrix.  The lattice side rests
+on one Smith normal form per matrix: kernel lattices and integer solutions
+for any number of right-hand sides read off it.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def integer_multiple(vec: Sequence) -> tuple[tuple[int, ...], int]:
     """(t * vec, t) for the least integer t > 0 making every entry an int.
 
@@ -46,17 +42,15 @@ def integer_multiple(vec: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple([x.numerator * (t // x.denominator) for x in vec]), t
 
 
-def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], list[int]]:
+def _bareiss(m: list[list[int]], ncols: int) -> list[int]:
     """Fraction-free forward elimination of `m` in place.
 
     Pivots are chosen only among the first `ncols` columns; any columns
     after them (an augmented right-hand side) are carried along.  Returns
-    the pivot columns, in order, and the row order: row r of the result
-    came from input row `rows[r]` and holds the r-th pivot.
+    the pivot columns, in order; row r of the result holds the r-th pivot.
     """
     nrows = len(m)
     piv_cols: list[int] = []
-    rows = list(range(nrows))
     prev = 1
     for c in range(ncols):
         r = len(piv_cols)
@@ -67,7 +61,6 @@ def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], list[int]]:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            rows[r], rows[piv] = rows[piv], rows[r]
         top = m[r]
         p = top[c]
         for i in range(r + 1, nrows):
@@ -82,43 +75,7 @@ def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], list[int]]:
                 m[i] = [p * x // prev for x in row]
         prev = p
         piv_cols.append(c)
-    return piv_cols, rows
-
-
-def rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in matrix]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    if any(len(row) != ncols for row in m):
-        raise UsageError("rank: ragged matrix")
-    return len(_bareiss(m, ncols)[0])
-
-
-def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """The k x k minor of an n x k integer matrix (n >= k) on the rows that
-    Bareiss elimination pivots on, taken in their input order.
-
-    For a square matrix this is the determinant.  It is 0 exactly when the
-    rank is below k; otherwise it is a nonzero maximal minor, and ±1 proves
-    that the gcd of all maximal minors, the index of the column lattice in
-    its saturation, is 1.
-    """
-    n = len(matrix)
-    k = len(matrix[0]) if n else 0
-    if n < k or any(len(row) != k for row in matrix):
-        raise UsageError("determinant: needs an n x k matrix with n >= k")
-    if k == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    piv_cols, rows = _bareiss(m, k)
-    if len(piv_cols) < k:
-        return 0
-    # m[k-1][k-1] is the minor on rows[:k] in that order; sort them back
-    pivots = rows[:k]
-    swaps = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
-    return -m[k - 1][k - 1] if swaps % 2 else m[k - 1][k - 1]
+    return piv_cols
 
 
 def scaled_solve(
@@ -144,7 +101,7 @@ def scaled_solve(
     m = [list(row) + [b[i] for b in rhss] for i, row in enumerate(matrix)]
     if any(len(row) != ncols + len(rhss) for row in m):
         raise UsageError("scaled_solve: ragged matrix")
-    piv_cols, _ = _bareiss(m, ncols)
+    piv_cols = _bareiss(m, ncols)
     r = len(piv_cols)
     # row r - 1 of the echelon form starts with the minor on the pivot rows
     # and columns; the rows below it hold (r+1)-minors that vanish exactly
@@ -303,17 +260,3 @@ def integer_solver(matrix: Sequence[Sequence[int]]):
 
     return solve_for
 
-
-def unimodular_inverse(u: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of a unimodular integer matrix (still integral).
-
-    One Smith normal form P*u*Q = I gives u = P^-1 * Q^-1, so the inverse
-    is Q*P.
-    """
-    n = len(u)
-    if any(len(row) != n for row in u):
-        raise UsageError("unimodular_inverse: matrix is not unimodular")
-    p, d, q = smith_normal_form(u)
-    if any(d[i][i] != 1 for i in range(n)):
-        raise UsageError("unimodular_inverse: matrix is not unimodular")
-    return tuple(tuple(dot(row, col) for col in zip(*p)) for row in q)

@@ -71,7 +71,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import kernel, polyhedron
 from .errors import StepCounter, UsageError, step_budget
@@ -227,8 +227,10 @@ def _parallelepiped_points(
     only the origin, with no elimination at all.  Otherwise let G be the
     n x k matrix whose columns are the generators.  The box holds as many
     lattice points as the product of G's invariant factors, the gcd of its
-    k x k minors, so when the one minor that Bareiss elimination reaches is
-    ±1 the box holds only the origin and no Smith form is needed.
+    k x k minors.  `kernel.scaled_solve` with no right-hand side runs the
+    Bareiss elimination alone and returns its k x k minor on the pivot rows
+    (G has rank k), so when that minor is ±1 the box holds only the origin
+    and no Smith form is needed.
     Otherwise, with U*G*V = D
     its Smith normal form, the residue classes of (Z^n meet span) modulo the
     generator lattice are indexed by y with 0 <= y_i < d_i, and the class
@@ -247,7 +249,7 @@ def _parallelepiped_points(
     if certified or k == 0:
         return [origin]
     mat = tuple(tuple(g[i] for g in gens) for i in range(n))  # n x k, columns = gens
-    if abs(kernel.determinant(mat)) == 1:
+    if abs(kernel.scaled_solve(mat, ())[0]) == 1:
         return [origin]
     _, d, v = kernel.smith_normal_form(mat)
     diag = [d[i][i] for i in range(k)]
@@ -580,6 +582,11 @@ def _lineality_checks(vecs, cone: ConeWithLattice):
     exactly when t - g lies in M for some g that projects where t does
     (g = 0 for t in L): a quotient basis element is irreducible, so a
     representation of its lift uses one generator outside H_L, once.
+
+    U maps L onto Z^m x 0, with U*B*V = D the Smith form of a basis B of L
+    (all ones, as L is saturated).  Checks go back through U^-1, which one
+    `kernel.scaled_solve` of U against the unit vectors returns, scaled by
+    its minor ±1.
     """
     n = cone.n
     lin_basis = cone.lineality_lattice_basis
@@ -588,13 +595,17 @@ def _lineality_checks(vecs, cone: ConeWithLattice):
     u, d, _ = kernel.smith_normal_form(bmat)
     if any(d[i][i] != 1 for i in range(m)):
         raise AssertionError("lineality kernel lattice must be saturated")
-    uinv = kernel.unimodular_inverse(u)
+    det, columns = kernel.scaled_solve(u, [tuple(int(i == j) for i in range(n)) for j in range(n)])
+    columns = list(columns)
+    if abs(det) != 1 or None in columns:
+        raise AssertionError("Smith transform must be unimodular")
+    scaled_inverse = tuple(zip(*columns))  # det * u^-1, row by row
 
     def to_new(x):
         return tuple(kernel.dot(u[i], x) for i in range(n))
 
     def to_old(y):
-        return tuple(kernel.dot(uinv[i], y) for i in range(n))
+        return tuple(det * kernel.dot(row, y) for row in scaled_inverse)
 
     projected = [to_new(v)[m:] for v in vecs]
     quotient = ConeWithLattice.from_vectors([p for p in projected if any(p)], n - m)
@@ -618,6 +629,6 @@ def _lineality_checks(vecs, cone: ConeWithLattice):
             offsets.setdefault(p, []).append(v)
 
     def reached(t) -> bool:
-        return any(in_group(kernel.vsub(t, g)) is not None for g in offsets.get(to_new(t)[m:], ()))
+        return any(in_group(tuple(map(sub, t, g))) is not None for g in offsets.get(to_new(t)[m:], ()))
 
     return tuple(checks), reached

@@ -8,7 +8,10 @@ pointed), recession rays and lineality directions.
 The conversion runs the double description method on the homogenization
 cone in exact integer arithmetic, deciding adjacency from tight-set bitmasks
 alone.  The empty polyhedron is a value, not an error.  Cones given by
-generators take their facets from `cone_generators_to_hrep`.  Lattice points
+generators take their facets from `cone_generators_to_hrep`, and the same
+polar double description runs the other way: the extreme rays of
+{x : <a,x> <= 0 for a in A} are the facet normals of cone(A), so a cone
+given by inequality normals takes its generators from it too.  Lattice points
 are counted in `lattice`, from the half-open parallelepipeds of a
 triangulation.
 
@@ -111,9 +114,6 @@ def _dd_cone(normals: Sequence[IntVec], n: int):
 
     for idx, a in enumerate(normals):
         bit = 1 << idx
-        if all(x == 0 for x in a):
-            rays = [(r, m | bit) for r, m in rays]
-            continue
         cut = next((i for i, l in enumerate(lines) if sum(map(mul, a, l)) != 0), None)
         if cut is not None:
             l0 = lines.pop(cut)
@@ -201,19 +201,16 @@ def cone_generators_to_hrep(generators: Sequence[IntVec], n: int):
     """Minimal H-description (ineq normals, eq normals) of cone(generators).
 
     Convention: x in cone  iff  <a,x> <= 0 for every inequality normal a and
-    <c,x> = 0 for every equation normal c.
+    <c,x> = 0 for every equation normal c.  The facet normals of cone(A)
+    are the extreme rays of its polar {x : <a,x> <= 0 for a in A}, so the
+    same call, given inequality normals, returns the generators (rays,
+    lines) of the cone they cut out.
     """
     normals = sorted({kernel.primitive(g) for g in generators if any(x != 0 for x in g)})
     raw_rays, raw_lines = _dd_cone(normals, n)
     ineq_normals = tuple(sorted(r for r, _ in raw_rays))
     eq_normals = tuple(sorted(raw_lines))
     return ineq_normals, eq_normals
-
-
-def cone_hrep_to_generators(ineq_normals: Sequence[IntVec], n: int):
-    """Generators (rays, lines) of {x : <a,x> <= 0 for all a}."""
-    raw_rays, raw_lines = _dd_cone(sorted(set(ineq_normals)), n)
-    return tuple(sorted(r for r, _ in raw_rays)), tuple(sorted(raw_lines))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ class LinearSystem:
 class FaceCheck:
     point: tuple
     active: tuple[int, ...]
-    hilbert_ok: bool
     witnesses: tuple[IntVec, ...]
 
 
@@ -106,10 +105,7 @@ def is_tdi(system: LinearSystem) -> TdiCertificate:
                 verdict="undecided", faces=tuple(faces), failing=None,
                 integral=integral, note="budget exhausted during a face check",
             )
-        check = FaceCheck(
-            point=face.point, active=face.active,
-            hilbert_ok=report.verdict, witnesses=report.witnesses,
-        )
+        check = FaceCheck(point=face.point, active=face.active, witnesses=report.witnesses)
         faces.append(check)
         if not report.verdict:
             return TdiCertificate(
@@ -142,7 +138,7 @@ def is_mfmc(c: RawClutter) -> TdiCertificate:
     """Flow property of a clutter: the covering system is TDI.  With n = 0 it
     has no rows; R^0's one face has an empty active set, a Hilbert basis of {0}."""
     if not c.n:
-        face = FaceCheck(point=(), active=(), hilbert_ok=True, witnesses=())
+        face = FaceCheck(point=(), active=(), witnesses=())
         return TdiCertificate(verdict=True, faces=(face,), failing=None, integral=True)
     return is_tdi(covering_system(c))
 

@@ -30,30 +30,47 @@ from clutterlab.ideals import MonomialIdeal
 from clutterlab.lattice import (
     ConeWithLattice, HilbertBasisReport, _parallelepiped_points, _reduce,
 )
-from clutterlab.polyhedron import HRep, cone_generators_to_hrep, cone_hrep_to_generators
+from clutterlab.polyhedron import HRep, cone_generators_to_hrep
 
 
-def rank_oracle(matrix) -> int:
-    """Plain Gaussian elimination over Fraction."""
+def pivots_oracle(matrix) -> tuple[list[int], list[int]]:
+    """Plain Gaussian elimination over Fraction, taking in each column the
+    first nonzero entry at or below the current row: the input indices of
+    the pivot rows, in pivot order, and the pivot columns."""
     m = [[Fraction(x) for x in row] for row in matrix]
     nrows = len(m)
-    if nrows == 0:
-        return 0
-    ncols = len(m[0])
-    r = 0
+    ncols = len(m[0]) if nrows else 0
+    rows = list(range(nrows))
+    cols = []
     for c in range(ncols):
+        r = len(cols)
+        if r == nrows:
+            break
         piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         for i in range(r + 1, nrows):
             f = m[i][c] / m[r][c]
             for j in range(c, ncols):
                 m[i][j] -= f * m[r][j]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        cols.append(c)
+    return rows[:len(cols)], cols
+
+
+def rank_oracle(matrix) -> int:
+    """Rank by plain Gaussian elimination over Fraction."""
+    return len(pivots_oracle(matrix)[1])
+
+
+def pivot_minor_oracle(matrix) -> Fraction:
+    """The minor of `matrix` on the rows and columns that elimination pivots
+    on (`pivots_oracle`), rows in pivot order; 1 for a zero matrix.  A
+    Bareiss elimination pivots on the same rows and columns, since its
+    entries are nonzero multiples of these."""
+    rows, cols = pivots_oracle(matrix)
+    return det_oracle([[matrix[i][j] for j in cols] for i in rows])
 
 
 def solve_oracle(matrix, rhs):
@@ -256,7 +273,7 @@ def is_pointed_rank_oracle(cone) -> bool:
     """Pointedness as `ConeWithLattice.is_pointed` decided it before it read
     facet heights: the inequality and equation normals have full rank."""
     ineqs, eqs = cone.hrep_normals
-    return kernel.rank(ineqs + eqs) == cone.n
+    return rank_oracle(ineqs + eqs) == cone.n
 
 
 def hilbert_basis_triangulation_oracle(cone, steps: StepCounter):
@@ -284,7 +301,7 @@ def brute_vertices(h: HRep):
     verts = set()
     for sub in itertools.combinations(h.ineqs, n):
         rows = [a for a, _ in sub]
-        if kernel.rank(rows) != n:
+        if rank_oracle(rows) != n:
             continue
         x = solve_oracle(rows, [b for _, b in sub])
         if x is not None and all(kernel.dot(a, x) <= b for a, b in h.ineqs):
@@ -506,7 +523,7 @@ def _member(a, vecs, steps: StepCounter):
         if any(x != 0 for x in eq):
             normals.append(eq)
             normals.append(tuple(-x for x in eq))
-    rays, lines = cone_hrep_to_generators(tuple(normals), q + 1)
+    rays, lines = cone_generators_to_hrep(normals, q + 1)  # the polar cone's facets
     if lines:
         raise AssertionError("solution cone must be pointed")
     if not rays:
@@ -552,7 +569,7 @@ def brute_hilbert_basis(gens, n):
         sorted(
             x
             for x in pts
-            if not any(y != x and cone.contains(kernel.vsub(x, y)) for y in pts)
+            if not any(y != x and cone.contains(tuple(a - b for a, b in zip(x, y))) for y in pts)
         )
     )
 
@@ -682,7 +699,7 @@ def closure_power_oracle(ideal, i, within=None):
     gens = []
     for a in sorted(cands):
         reducible = any(
-            all(kernel.dot(w, kernel.vsub(a, e)) >= r for w, r in region)
+            all(kernel.dot(w, a) - kernel.dot(w, e) >= r for w, r in region)
             for e in (tuple(int(jj == j) for jj in range(n)) for j in range(n) if a[j] > 0)
         )
         if not reducible:

@@ -338,10 +338,16 @@ def test_check_conjecture_and_examples_match_golden_files(tmp_path, monkeypatch,
     tri = write(tmp_path, "tri.json", TRIANGLE)
     edges = write(tmp_path, "edges.json",
                   '{"kind":"system","columns":[[2,0],[-2,0],[0,1],[0,-1]],"w":[1,-1,1,0]}')
+    # a face cone with lineality: its missing points are lifts through the
+    # inverse of a Smith transform, which the lifts of ±e alone do not pin
+    lineality = write(tmp_path, "lineality.json",
+                      '{"kind":"system","columns":[[2,2,-3],[1,-1,3],[-2,-2,3],[3,-3,-2]],'
+                      '"w":[1,3,-1,1]}')
     for golden, argv, code in [
         ("check_mfmc_square", ["check", "mfmc", "--input", sq], 0),
         ("check_mfmc_triangle", ["check", "mfmc", "--input", tri], 1),
         ("check_tdi_edges", ["check", "tdi", "--input", edges], 1),
+        ("check_tdi_lineality", ["check", "tdi", "--input", lineality], 1),
         ("conjecture_count_12", ["conjecture", "--count", "12"], 0),
     ]:
         out = tmp_path / f"{golden}.cert.json"

@@ -13,7 +13,7 @@ from clutterlab.errors import DEFAULT_STEP_BUDGET, Undecided, UsageError
 from clutterlab.families import cycle_clutter, line_graph_k24, sharpness_clutter
 from clutterlab.lattice import ConeWithLattice
 
-from conftest import Q6_EDGES, brute_lattice_points, two_k4_graph
+from conftest import Q6_EDGES, brute_lattice_points, rank_oracle, two_k4_graph
 
 
 @pytest.fixture
@@ -135,7 +135,7 @@ def _random_clutters(seed: int, count: int, cost: int):
         cand = [tuple(sorted(rng.sample(range(n), rng.choice(sizes)))) for _ in range(rng.randint(2, 10))]
         edges = sorted({e for e in cand if not any(set(f) < set(e) for f in cand)})
         c = RawClutter(n, edges)
-        dim = kernel.rank([v + (1,) for v in c.characteristic_vectors()]) - 1
+        dim = rank_oracle([v + (1,) for v in c.characteristic_vectors()]) - 1
         if (dim + 3) ** n <= cost:
             out.append(c)
     return out
@@ -148,7 +148,7 @@ def _check_decompositions(vertices, bmax: int):
     closed, interior = lattice.half_open_points(cone)
     assert len(set(closed)) == len(closed) and len(set(interior)) == len(interior)
     assert all(cone.contains(x) for x in closed + interior)
-    dim = kernel.rank(cone.generators) - 1
+    dim = rank_oracle(cone.generators) - 1
     points = _brute_dilations(vertices)
     for b in range(1, bmax + 1):
         got_closed, got_strict = points(b)
@@ -177,7 +177,7 @@ def test_half_open_decompositions_match_brute_force_on_random_clutters():
     dims = set()
     for c in _random_clutters(41, 40, 60_000):
         vecs = c.characteristic_vectors()
-        dim = kernel.rank([v + (1,) for v in vecs]) - 1
+        dim = rank_oracle([v + (1,) for v in vecs]) - 1
         _check_decompositions(vecs, dim + 1)
         dims.add((c.n, dim))
     # edge polytopes of dimension 0 to 4, some below n - 1 (the dimension
@@ -193,7 +193,7 @@ def test_half_open_decompositions_match_brute_force_on_random_polytopes():
     for _ in range(40):
         n = rng.randint(2, 3)
         pts = sorted({tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))})
-        dim = kernel.rank([p + (1,) for p in pts]) - 1
+        dim = rank_oracle([p + (1,) for p in pts]) - 1
         closed, interior = _check_decompositions(pts, dim + 1)
         deep += any(x[-1] >= 2 for x in closed)
     assert deep >= 10
@@ -398,11 +398,9 @@ def test_flow_property_by_idealness_matches_the_face_checks(c):
 
 def test_rank_bound_for_flow_instances():
     # rank of the edge incidence matrix stays within g + (d-1)(g-1)
-    from clutterlab import kernel
-
     for d, g in [(2, 2), (2, 3), (3, 2)]:
         c = sharpness_clutter(d, g)
-        rank = kernel.rank(c.characteristic_vectors())
+        rank = rank_oracle(c.characteristic_vectors())
         assert rank <= g + (d - 1) * (g - 1)
         assert rank == g + (d - 1) * (g - 1)  # attained by this family
 

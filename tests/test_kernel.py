@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from clutterlab import kernel
+from clutterlab import kernel, lattice
 from clutterlab.errors import UsageError
 
-from conftest import det_oracle, rank_oracle, solve_oracle
+from conftest import det_oracle, pivot_minor_oracle, rank_oracle, solve_oracle
 
 
 LIFTED_SQUARE = [
@@ -28,34 +28,54 @@ INCIDENCE_6x8 = [
 ]
 
 
+def smith_rank(matrix):
+    """The rank as the kernel lattice shows it: the column count less the
+    size of `kernel.integer_kernel_basis`, read off one Smith form."""
+    return (len(matrix[0]) if matrix else 0) - len(kernel.integer_kernel_basis(matrix))
+
+
+def pivot_minor(matrix):
+    """The minor that `kernel.scaled_solve` returns with no right-hand side,
+    up to sign: it runs the elimination alone."""
+    d, columns = kernel.scaled_solve(matrix, ())
+    assert list(columns) == []
+    return abs(d)
+
+
 def test_rank_identity():
-    assert kernel.rank([[1, 0], [0, 1]]) == 2
+    assert smith_rank([[1, 0], [0, 1]]) == 2
+    assert pivot_minor([[1, 0], [0, 1]]) == 1
 
 
 def test_rank_lifted_square_columns():
     # two pairs of columns share their difference, so the lift loses a rank
-    assert kernel.rank(LIFTED_SQUARE) == 3
+    assert smith_rank(LIFTED_SQUARE) == 3
 
 
 def test_rank_bipartite_incidence():
     # connected bipartite incidence matrix: rank = vertices - 1
-    assert kernel.rank(INCIDENCE_6x8) == 5
+    assert smith_rank(INCIDENCE_6x8) == 5
 
 
 def test_rank_empty():
-    assert kernel.rank([]) == 0
+    assert smith_rank([]) == 0
+    assert pivot_minor([]) == 1
 
 
 def test_rank_matches_oracle_and_transpose():
+    # the Smith form's rank, and the Bareiss minor on the pivot rows and
+    # columns, whose order is the rank
     rng = random.Random(0)
     for _ in range(400):
         nr, nc = rng.randint(0, 5), rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
         want = rank_oracle(m)
-        assert kernel.rank(m) == want
+        assert smith_rank(m) == want
+        assert pivot_minor(m) == abs(pivot_minor_oracle(m)) != 0, m
         if nr:
             t = [[m[i][j] for i in range(nr)] for j in range(nc)]
-            assert kernel.rank(t) == want
+            assert smith_rank(t) == want
+            assert pivot_minor(t) == abs(pivot_minor_oracle(t)) != 0, t
 
 
 def scaled_solution(m, b):
@@ -196,8 +216,8 @@ def test_smith_normal_form_random():
                 assert uav[i][j] == d[i][j]
                 if i != j:
                     assert d[i][j] == 0
-        assert abs(kernel.determinant(u)) == 1
-        assert abs(kernel.determinant(v)) == 1
+        assert abs(det_oracle(u)) == 1
+        assert abs(det_oracle(v)) == 1
         diag = [d[i][i] for i in range(min(nr, nc))]
         for i in range(len(diag) - 1):
             assert diag[i] >= 0
@@ -263,6 +283,9 @@ def _matmul(a, b):
 
 
 def test_determinant_matches_fraction_oracle():
+    # with no right-hand side, scaled_solve's minor is the determinant up to
+    # sign when the matrix is nonsingular, and the nonzero minor on the
+    # pivot rows and columns of lower order when it is singular
     rng = random.Random(5)
     kinds = {"random": 0, "singular": 0, "swap": 0}
     for trial in range(300):
@@ -281,24 +304,29 @@ def test_determinant_matches_fraction_oracle():
             m[0][0] = 0
             m[rng.randrange(1, n)][0] = rng.choice((-3, -1, 1, 2))
         want = det_oracle(m)
-        got = kernel.determinant(m)
-        assert got == want, (m, got, want)
+        got = pivot_minor(m)
+        assert got == abs(pivot_minor_oracle(m)) != 0, (m, got)
+        assert (got == abs(want)) == (want != 0), (m, got, want)
         if kind == "singular" and n > 1:
-            assert got == 0
+            assert want == 0
             kinds[kind] += 1
         elif kind == "swap" and n > 1 and want != 0:
             kinds[kind] += 1
         elif kind == "random":
             kinds[kind] += 1
-    assert kernel.determinant([]) == 1
+    assert pivot_minor([]) == 1
     assert all(count >= 50 for count in kinds.values()), kinds
 
 
 def test_determinant_of_tall_matrix_is_a_maximal_minor():
-    # n x k with n > k: the minor on the pivot rows, in their input order;
-    # 0 exactly when the rank is below k
+    # n x k with n > k and rank k: scaled_solve's minor is the maximal minor
+    # on the pivot rows; when it is ±1 the columns span a saturated lattice,
+    # so the Smith form that `lattice` then skips is all ones.  With rank
+    # below k it is a nonzero minor of lower order and every maximal minor
+    # is 0
     rng = random.Random(7)
-    kinds = {"nonzero": 0, "zero": 0, "leading zero": 0}
+    kinds = {"full rank": 0, "rank below k": 0, "leading zero": 0}
+    unit_minors = 0
     for trial in range(300):
         k = rng.randint(1, 4)
         n = rng.randint(k + 1, 6)
@@ -310,16 +338,22 @@ def test_determinant_of_tall_matrix_is_a_maximal_minor():
         elif trial % 3 == 1 and k > 1:
             for row in m:
                 row[-1] = 2 * row[0]
-        got = kernel.determinant(m)
-        minors = {det_oracle([m[i] for i in rows]) for rows in itertools.combinations(range(n), k)}
-        assert got in minors, (m, got)
-        assert (got == 0) == (rank_oracle(m) < k), (m, got)
-        kinds["zero" if got == 0 else "nonzero"] += 1
-        if trial % 3 == 0 and got != 0:
+        got = pivot_minor(m)
+        minors = [det_oracle([m[i] for i in rows]) for rows in itertools.combinations(range(n), k)]
+        assert got == abs(pivot_minor_oracle(m)) != 0, (m, got)
+        full = rank_oracle(m) == k
+        assert full == any(minors), m
+        if full:
+            assert got in {abs(x) for x in minors}, (m, got)
+            if got == 1:
+                _, d, _ = kernel.smith_normal_form(m)
+                assert all(d[i][i] == 1 for i in range(k)), m
+                unit_minors += 1
+        kinds["full rank" if full else "rank below k"] += 1
+        if trial % 3 == 0 and full:
             kinds["leading zero"] += 1
     assert all(count >= 50 for count in kinds.values()), kinds
-    with pytest.raises(UsageError):
-        kernel.determinant([[1, 2]])
+    assert unit_minors >= 20, unit_minors
 
 
 def test_elimination_on_sparse_matrices():
@@ -329,9 +363,9 @@ def test_elimination_on_sparse_matrices():
     for _ in range(300):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(nc)] for _ in range(nr)]
-        assert kernel.rank(m) == rank_oracle(m), m
-        if nr == nc:
-            assert kernel.determinant(m) == det_oracle(m), m
+        assert pivot_minor(m) == abs(pivot_minor_oracle(m)), m
+        if nr == nc and det_oracle(m):
+            assert pivot_minor(m) == abs(det_oracle(m)), m
         x = [rng.randint(-2, 2) for _ in range(nc)]
         b = [kernel.dot(row, x) for row in m]
         sol = scaled_solution(m, b)
@@ -360,7 +394,13 @@ def test_solve_none_exactly_when_rank_grows():
     assert min(seen.values()) >= 50, seen
 
 
+def unit_vectors(n):
+    return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+
 def test_unimodular_inverse_of_elementary_products():
+    # scaled_solve against the unit vectors: a minor d = ±1 and d times each
+    # column of the inverse, the read `lattice` makes of a Smith transform
     rng = random.Random(7)
     for _ in range(150):
         n = rng.randint(1, 5)
@@ -376,13 +416,33 @@ def test_unimodular_inverse_of_elementary_products():
             else:
                 e[i][i] = -1
             u = _matmul(e, u)
-        inv = kernel.unimodular_inverse(u)
+        d, columns = kernel.scaled_solve(u, unit_vectors(n))
+        assert abs(d) == 1
+        inv = [[d * x for x in row] for row in zip(*columns)]
         ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        assert _matmul([list(r) for r in inv], u) == ident
-        assert _matmul(u, [list(r) for r in inv]) == ident
+        assert _matmul(u, inv) == ident
+        assert _matmul(inv, u) == ident
 
 
-def test_unimodular_inverse_rejects_other_matrices():
-    for m in ([[2]], [[1, 2], [3, 4]], [[1, 1], [1, 1]], [[1, 0, 0], [0, 1, 0]]):
-        with pytest.raises(UsageError):
-            kernel.unimodular_inverse(m)
+def test_unimodular_inverse_rejects_other_matrices(monkeypatch):
+    # a square matrix that is not unimodular shows a minor other than ±1 or
+    # an inconsistent unit vector, and `lattice` refuses a Smith transform
+    # that shows either
+    for m in ([[2]], [[1, 2], [3, 4]], [[1, 1], [1, 1]], [[0, 1, 0], [1, 0, 0], [1, 1, 0]]):
+        d, columns = kernel.scaled_solve(m, unit_vectors(len(m)))
+        assert abs(d) != 1 or None in list(columns), m
+    smith = kernel.smith_normal_form
+
+    def doubled_transform(matrix):
+        u, d, v = smith(matrix)
+        return (tuple(2 * x for x in u[0]),) + u[1:], d, v
+
+    def repeated_transform(matrix):
+        # a singular transform whose pivot minor is still ±1
+        u, d, v = smith(matrix)
+        return (u[0], u[0]) + u[2:], d, v
+
+    for transform in (doubled_transform, repeated_transform):
+        monkeypatch.setattr(kernel, "smith_normal_form", transform)
+        with pytest.raises(AssertionError, match="Smith transform must be unimodular"):
+            lattice.is_hilbert_basis([(1, 0), (-1, 0), (0, 1)])
