@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ResourceExceeded, UsageError
+from .errors import ResourceExceeded, UsageError, _integer
 
 MEYNIEL_CAP = 16
 CLIQUE_CAP = 24
@@ -24,7 +24,7 @@ IntVec = tuple[int, ...]
 def _canon_edges(n: int, edges) -> tuple[IntVec, ...]:
     out = set()
     for e in edges:
-        e = tuple(sorted(set(int(v) for v in e)))
+        e = tuple(sorted(set(map(_integer, e))))
         if not e:
             raise UsageError("empty edge")
         if e[0] < 0 or e[-1] >= n:
@@ -41,9 +41,10 @@ class RawClutter:
     edges: tuple[IntVec, ...]
 
     def __init__(self, n: int, edges):
+        n = _integer(n)
         if n < 0:
             raise UsageError(f"negative vertex count n={n}")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", _canon_edges(n, edges))
         self._validate()
 
@@ -105,12 +106,12 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges):
-        n = int(n)
+        n = _integer(n)
         if n < 0:
             raise UsageError(f"negative vertex count n={n}")
         out = set()
         for e in edges:
-            pair = sorted(int(v) for v in e)
+            pair = sorted(map(_integer, e))
             if len(pair) != 2:
                 raise UsageError(f"edge {tuple(pair)} is not a pair of vertices")
             a, b = pair

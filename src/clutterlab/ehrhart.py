@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import le
 
 from . import combinat, lattice
 from .combinat import RawClutter
-from .errors import Undecided, UsageError, budget_keyed_cache
+from .errors import StepCounter, Undecided, UsageError, budget_keyed_cache, step_budget
 
 IntVec = tuple[int, ...]
 
@@ -200,19 +199,17 @@ def canonical_degrees(c: RawClutter):
     cone).  Each one is a point of the interior half-open decomposition:
     any other interior point x is p + g_j + (more generators) for some p of
     it, and x - g_j is interior and divides x.  The smallest occurring
-    degree equals minus the series degree.
+    degree equals minus the series degree.  Raises Undecided when the budget
+    runs out in the reduction, one step per comparison of facet heights.
     """
     a = analyze(c)
     if not a.is_ehrhart:
         raise UsageError("canonical_degrees: lifted vectors do not span the semigroup")
     _, interior = lattice.half_open_points(a.cone)
+    steps = StepCounter(step_budget(), "canonical module generators")
     # y divides x exactly when no facet height of y exceeds that of x
-    rows = [(x, a.cone.heights_of(x)) for x in interior]
-    gens = []
-    for x, hx in rows:
-        if not any(y[-1] < x[-1] and all(map(le, hy, hx)) for y, hy in rows):
-            gens.append((x, x[-1]))
-    gens.sort()
+    rows = [(a.cone.heights_of(x), x) for x in interior]
+    gens = sorted((x, x[-1]) for x in lattice._reduce(rows, steps))
     if min(b for _, b in gens) != -a.a_invariant:
         raise AssertionError("least interior degree must match the series degree")
     return tuple(gens)

@@ -6,6 +6,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache, wraps
+from operator import index
 
 DEFAULT_STEP_BUDGET = 10_000_000
 DEFAULT_RAY_CAP = 100_000
@@ -13,6 +14,15 @@ DEFAULT_RAY_CAP = 100_000
 
 class UsageError(ValueError):
     """Caller violated a precondition (bad dimensions, empty input, ...)."""
+
+
+def _integer(x) -> int:
+    """x as an int, from anything with `__index__` (a bool too); a float, a
+    Fraction or a string raises UsageError instead of being truncated."""
+    try:
+        return index(x)
+    except TypeError as exc:
+        raise UsageError(f"expected an integer, got {x!r}") from exc
 
 
 class ResourceExceeded(RuntimeError):

@@ -1,7 +1,10 @@
 """Monomial edge ideals: powers, symbolic powers, integral closures.
 
-Ideals live as minimal generating sets of exponent vectors.  Closures of
-powers and symbolic powers are the lattice points of two pointed cones:
+Ideals live as minimal generating sets of exponent vectors: whatever
+builds an ideal (its generators, the sums of a power, the layers of a
+cone's basis) is minimalised by the divisibility reduction of `lattice`,
+one budget step per comparison.  Closures of powers and symbolic powers
+are the lattice points of two pointed cones:
 
 * the Rees cone cone{(e_j, 0), (g, 1)} over the generators g of I: x^a
   lies in the closure of I^i exactly when (a, i) lies in it;
@@ -34,19 +37,17 @@ from operator import add
 
 from . import combinat, lattice, polyhedron
 from .combinat import RawClutter
-from .errors import UsageError, budget_keyed_cache
+from .errors import StepCounter, UsageError, _integer, budget_keyed_cache, step_budget
 
 IntVec = tuple[int, ...]
 
 
 def _minimalize(vectors) -> tuple[IntVec, ...]:
-    """Antichain of componentwise-minimal vectors, sorted."""
-    vecs = sorted(set(tuple(v) for v in vectors), key=lambda v: (sum(v), v))
-    kept: list[IntVec] = []
-    for v in vecs:
-        if not any(all(x <= y for x, y in zip(k, v)) for k in kept):
-            kept.append(v)
-    return tuple(sorted(kept))
+    """Antichain of componentwise-minimal vectors, sorted: each exponent
+    vector is its own heights over the orthant in `lattice._reduce`, one
+    step per comparison."""
+    steps = StepCounter(step_budget(), "monomial minimalisation")
+    return tuple(sorted(lattice._reduce([(v, v) for v in set(vectors)], steps)))
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,14 @@ class MonomialIdeal:
     gens: tuple[IntVec, ...]
 
     def __init__(self, n: int, gens):
-        gens = [tuple(int(x) for x in g) for g in gens]
+        n = _integer(n)
+        gens = [tuple(map(_integer, g)) for g in gens]
         for g in gens:
             if len(g) != n:
                 raise UsageError("MonomialIdeal: generator of wrong dimension")
             if any(x < 0 for x in g):
                 raise UsageError("MonomialIdeal: negative exponent")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", _minimalize(gens))
 
     def contains(self, a) -> bool:

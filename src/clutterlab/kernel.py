@@ -10,8 +10,9 @@ entry point, `scaled_solve`, returns the minor on the pivot rows and
 columns with the scaled solutions: with no right-hand side, a determinant
 up to sign that certifies unimodularity without a Smith form; with the
 unit vectors, the inverse of a unimodular matrix.  The lattice side rests
-on one Smith normal form per matrix: kernel lattices and integer solutions
-for any number of right-hand sides read off it.
+on one Smith normal form per matrix: kernel lattices read off it, and so
+does integer feasibility, whether A x = b has an integer solution, for any
+number of right-hand sides b.
 """
 
 from __future__ import annotations
@@ -230,33 +231,23 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
     return tuple(basis)
 
 
-def integer_solver(matrix: Sequence[Sequence[int]]):
-    """A reader of integer solutions of A x = b, built from one Smith form.
+def integer_feasible(matrix: Sequence[Sequence[int]]):
+    """A test of whether A x = b has an integer solution, built from one
+    Smith form.
 
-    With U*A*V = D, A x = b has an integer solution exactly when each
-    (U*b)_i is divisible by d_i (and is 0 where d_i is 0); then x = V*y
-    with y_i = (U*b)_i / d_i.  The returned function maps b to one such x,
-    or to None when there is none.
+    With U*A*V = D, x = V*y turns A x = b into D y = U*b, so it has an
+    integer solution exactly when each (U*b)_i is divisible by d_i (and is 0
+    where d_i is 0, and in the rows of D past its last column).  The
+    returned function maps b to that verdict; it reads U and D alone.
     """
-    nrows = len(matrix)
-    if nrows == 0:
-        return lambda rhs: ()
-    ncols = len(matrix[0])
-    u, d, v = smith_normal_form(matrix)
-    diag = [d[i][i] for i in range(min(nrows, ncols))] + [0] * (nrows - ncols)
+    u, d, _ = smith_normal_form(matrix)
+    diag = [row[i] if i < len(row) else 0 for i, row in enumerate(d)]
 
-    def solve_for(rhs: Sequence[int]) -> tuple[int, ...] | None:
-        y = [0] * ncols
-        for i, (row, di) in enumerate(zip(u, diag)):
+    def feasible(rhs: Sequence[int]) -> bool:
+        for row, di in zip(u, diag):
             c = dot(row, rhs)
-            if di == 0:
-                if c != 0:
-                    return None
-            elif c % di != 0:
-                return None
-            else:
-                y[i] = c // di
-        return tuple(dot(row, y) for row in v)
+            if (c % di if di else c) != 0:
+                return False
+        return True
 
-    return solve_for
-
+    return feasible

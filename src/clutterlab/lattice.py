@@ -30,7 +30,12 @@ Otherwise the basis comes in two steps: the cone is triangulated on its
 incidences, and the lattice points of each simplex's half-open
 parallelepiped come in integer arithmetic; the candidates are then reduced
 in support form, by comparing their facet-height tuples, each packed into
-one integer, in order of total height.  An uncertified simplex takes one
+one integer, in order of total height.  That reduction (`_reduce`) is the
+package's one divisibility test: it also finds the generators of the
+canonical module, the interior points no other interior point divides
+(`ehrhart.canonical_degrees`), and the minimal generators of a monomial
+ideal, each exponent vector its own heights over the orthant
+(`ideals._minimalize`).  An uncertified simplex takes one
 Bareiss minor, and a Smith normal form when that minor is not ±1; its box
 points then come from an odometer over the Smith form's residue classes,
 at one k-vector add and one mat-vec per point.  When
@@ -362,30 +367,32 @@ def _basis_elements(cone: ConeWithLattice, steps: StepCounter):
         totals = sorted(sum(cone.heights[r]) for r in rays)
         steps.spend(sum(bisect_left(totals, t) for t in totals))
         return iter(rays)
-    return _reduce(cone, candidates | set(rays), steps)
+    return _reduce([(cone.heights_of(x), x) for x in candidates | set(rays)], steps)
 
 
-def _reduce(cone: ConeWithLattice, candidates, steps: StepCounter):
-    """The irreducible candidates, yielded in order of (total height, packed
-    heights) as each is found; one step per height comparison.
+def _reduce(rows, steps: StepCounter):
+    """The items of a list of (heights, item) rows that no other row
+    divides, yielded in order of (total height, packed heights) as each is
+    found; one step per height comparison.
 
-    The candidates must include every irreducible lattice point of the
-    cone.
+    The heights are distinct tuples of nonnegative integers of one length;
+    a row divides another when none of its heights is larger.  It serves
+    the Hilbert basis, the canonical module and monomial minimalisation
+    (see the module docstring).
     """
-    # x - h lies in the cone exactly when h's facet heights are at most x's;
-    # the equations hold for both already.  The total height grades the
-    # pointed cone, so x can only be reduced by an irreducible of strictly
-    # smaller total height, and every irreducible is a candidate.
-    # Each height tuple is packed into one int, the first facet in the most
-    # significant field, so packed order is tuple order.  Heights of cone
-    # points are >= 0, so in fields one guard bit wider than the largest
-    # height no field borrows from the next, and h <= x in every field
-    # exactly when ((X | G) - H) & G == G, with G the guard bits (SIMD
-    # within a register; Lamport, CACM 18(8), 1975).
-    ineqs, _ = cone.hrep_normals
-    rows = [(cone.heights_of(x), x) for x in candidates]
+    # Only a row of smaller total divides another, and what divides a
+    # divided row divides every row that row divides: so each row is
+    # compared with the kept rows of smaller total alone.  For cone points,
+    # x - h lies in the cone exactly when h's facet heights are at most x's.
+    # Each height tuple is packed into one int, the first height in the most
+    # significant field, so packed order is tuple order.  Heights are >= 0,
+    # so in fields one guard bit wider than the largest height no field
+    # borrows from the next, and h <= x in every field exactly when
+    # ((X | G) - H) & G == G, with G the guard bits (SIMD within a register;
+    # Lamport, CACM 18(8), 1975).
+    fields = len(rows[0][0]) if rows else 0
     width = max([max(h, default=0) for h, _ in rows], default=0).bit_length() + 1
-    guard = sum(1 << (width * i + width - 1) for i in range(len(ineqs)))
+    guard = sum(1 << (width * i + width - 1) for i in range(fields))
     graded = []
     for heights, x in rows:
         packed = 0
@@ -393,19 +400,19 @@ def _reduce(cone: ConeWithLattice, candidates, steps: StepCounter):
             packed = packed << width | y
         graded.append((sum(heights), packed, x))
     graded.sort()
-    irreducible: list[tuple[int, int]] = []
+    kept: list[tuple[int, int]] = []
     for total, packed, x in graded:
         covered = packed | guard
-        reducible = False
-        for h_total, h_packed in irreducible:
+        divided = False
+        for h_total, h_packed in kept:
             if h_total == total:
                 break
             steps.spend()
             if (covered - h_packed) & guard == guard:
-                reducible = True
+                divided = True
                 break
-        if not reducible:
-            irreducible.append((total, packed))
+        if not divided:
+            kept.append((total, packed))
             yield x
 
 
@@ -622,13 +629,13 @@ def _lineality_checks(vecs, cone: ConeWithLattice):
     group = tuple(zip(*(v for v, p in zip(vecs, projected) if not any(p))))  # n x |H_L|
     if not group:
         raise AssertionError("generators in the lineality space must span it")
-    in_group = kernel.integer_solver(group)
+    in_group = kernel.integer_feasible(group)
     offsets: dict[IntVec, list[IntVec]] = {(0,) * (n - m): [(0,) * n]}
     for v, p in zip(vecs, projected):
         if any(p):
             offsets.setdefault(p, []).append(v)
 
     def reached(t) -> bool:
-        return any(in_group(tuple(map(sub, t, g))) is not None for g in offsets.get(to_new(t)[m:], ()))
+        return any(in_group(tuple(map(sub, t, g))) for g in offsets.get(to_new(t)[m:], ()))
 
     return tuple(checks), reached

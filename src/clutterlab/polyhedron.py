@@ -305,15 +305,6 @@ def _edge_directions(h: HRep, gens, tight) -> list[list[tuple[IntVec, int, int, 
     return edges
 
 
-def face_integral_point(h: HRep, face: Face) -> IntVec | None:
-    """An integer point of the face, or None when the face has none."""
-    if all(x.denominator == 1 for x in face.point):
-        return tuple(int(x) for x in face.point)
-    rows = [h.ineqs[i][0] for i in face.active]
-    rhs = [h.ineqs[i][1] for i in face.active]
-    return kernel.integer_solver(rows)(rhs)
-
-
 def is_integral(v: VRep, h: HRep):
     """Whether every minimal face of the polyhedron contains an integer
     point, plus a witness; v and h are its two descriptions.
@@ -328,7 +319,10 @@ def is_integral(v: VRep, h: HRep):
             if any(x.denominator != 1 for x in p):
                 return False, p
         return True, None
+    # a minimal face is the solution set of its active rows held at equality
     for face in minimal_faces(h, v):
-        if face_integral_point(h, face) is None:
-            return False, face.point
+        if any(x.denominator != 1 for x in face.point):
+            rows = [h.ineqs[i] for i in face.active]
+            if not kernel.integer_feasible([a for a, _ in rows])([b for _, b in rows]):
+                return False, face.point
     return True, None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import combinat, ehrhart, ideals, lattice, polyhedron
 from .combinat import RawClutter, SimpleGraph
-from .errors import Undecided, UsageError, budget_keyed_cache
+from .errors import Undecided, UsageError, _integer, budget_keyed_cache
 
 IntVec = tuple[int, ...]
 
@@ -26,8 +26,8 @@ class LinearSystem:
     w: tuple[int, ...]
 
     def __init__(self, columns, w):
-        columns = tuple(tuple(int(x) for x in v) for v in columns)
-        w = tuple(int(x) for x in w)
+        columns = tuple(tuple(map(_integer, v)) for v in columns)
+        w = tuple(map(_integer, w))
         if len(columns) != len(w):
             raise UsageError("LinearSystem: need one bound per column")
         if not columns:
@@ -192,15 +192,12 @@ def nonnegative_equivalence_check(columns, w) -> RoundingReport:
     Since w >= 0 puts 0 in the polyhedron, it is never empty.  Returns that
     system's `RoundingReport`; `iff_respected` says whether the
     equivalence held."""
-    columns = tuple(tuple(int(x) for x in v) for v in columns)
-    w = tuple(int(x) for x in w)
-    if not columns:
-        raise UsageError("nonnegative_equivalence_check: empty system")
-    if any(x < 0 for v in columns for x in v) or any(x < 0 for x in w):
+    system = LinearSystem(columns, w)  # integers, nonempty, one bound per column
+    if any(x < 0 for v in system.columns for x in v) or any(x < 0 for x in system.w):
         raise UsageError("nonnegative_equivalence_check: entries must be >= 0")
-    n = len(columns[0])
-    cols = list(columns) + [tuple(-int(i == j) for i in range(n)) for j in range(n)]
-    bounds = list(w) + [0] * n
+    n = system.n
+    cols = list(system.columns) + [tuple(-int(i == j) for i in range(n)) for j in range(n)]
+    bounds = list(system.w) + [0] * n
     return integer_rounding_check(LinearSystem(cols, bounds))
 
 

@@ -292,7 +292,18 @@ def hilbert_basis_triangulation_oracle(cone, steps: StepCounter):
         totals = sorted(sum(cone.heights[r]) for r in rays)
         steps.spend(sum(bisect_left(totals, t) for t in totals))
         return tuple(sorted(rays))
-    return tuple(sorted(_reduce(cone, candidates | set(rays), steps)))
+    return tuple(sorted(_reduce([(cone.heights_of(x), x) for x in candidates | set(rays)], steps)))
+
+
+def minimalize_parent_oracle(vectors):
+    """`ideals._minimalize` before it read `lattice._reduce`: each vector, in
+    order of (total, vector), is kept unless a kept one lies below it."""
+    vecs = sorted(set(tuple(v) for v in vectors), key=lambda v: (sum(v), v))
+    kept = []
+    for v in vecs:
+        if not any(all(x <= y for x, y in zip(k, v)) for k in kept):
+            kept.append(v)
+    return tuple(sorted(kept))
 
 
 def brute_vertices(h: HRep):

@@ -49,6 +49,22 @@ def test_clutter_invariants_enforced():
     assert raw.edges == ((0,), (1, 2))
 
 
+def test_clutters_reject_non_integers():
+    for cls in (RawClutter, Clutter):
+        for n, edges in ((3.5, [(0, 1), (1, 2)]), ("3", [(0, 1), (1, 2)]),
+                         (3, [(0, 1.5), (1, 2)]), (3, [(0, "1"), (1, 2)]), (3, [(F(0), 1), (1, 2)])):
+            with pytest.raises(UsageError, match="expected an integer"):
+                cls(n, edges)
+    assert Clutter(2, [(False, True)]).edges == ((0, 1),)  # bools are integers
+
+
+def test_simple_graph_rejects_non_integers():
+    for n, edges in ((3.5, [(0, 1)]), ("3", [(0, 1)]), (3, [(0, 1.5)]), (3, [("0", 1)])):
+        with pytest.raises(UsageError, match="expected an integer"):
+            SimpleGraph(n, edges)
+    assert SimpleGraph(True, []).n == 1  # bools are integers
+
+
 def test_blocker_triangle_self_blocking(triangle):
     assert combinat.blocker(triangle).edges == ((0, 1), (0, 2), (1, 2))
 

@@ -314,6 +314,18 @@ def test_canonical_degrees_cover_inequalities(unit_square_clutter, square):
                     assert total >= b + 1
 
 
+def test_canonical_degrees_spend_the_budget():
+    # K_{3,3}'s lifted cone has one canonical generator; reducing its
+    # interior points takes 5 comparisons, while its analysis spends none
+    c = sharpness_clutter(2, 3)
+    with errors.budget(0):
+        assert ehrhart.analyze(c).is_ehrhart
+    with errors.budget(4), pytest.raises(Undecided, match="canonical module generators"):
+        ehrhart.canonical_degrees(c)
+    with errors.budget(5):
+        assert ehrhart.canonical_degrees(c) == (((1, 1, 1, 1, 1, 1, 3), 3),)
+
+
 def test_canonical_degrees_requires_spanning():
     _, cl = line_graph_k24()
     with pytest.raises(UsageError):

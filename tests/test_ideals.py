@@ -1,15 +1,18 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from clutterlab import combinat, families, ideals
-from clutterlab.combinat import Clutter
-from clutterlab.errors import Undecided
+from clutterlab import combinat, errors, families, ideals
+from clutterlab.combinat import Clutter, RawClutter
+from clutterlab.errors import Undecided, UsageError
 from clutterlab.ideals import MonomialIdeal
 
 from conftest import (
     brute_staircase_min,
     closure_power_oracle,
+    minimalize_parent_oracle,
     power_comparisons_oracle,
     staircase_points_oracle,
     symbolic_power_oracle,
@@ -30,6 +33,43 @@ def random_clutters(seed, count, nmin=3, nmax=6, max_edges=5):
             continue
         out.append(Clutter(n, keep))
     return out
+
+
+def test_monomial_ideal_rejects_non_integers():
+    for n, gens in ((2.0, [(1, 0)]), ("2", [(1, 0)]), (2, [(0.5, 1)]), (2, [("1", 0)]),
+                    (2, [(Fraction(1), 0)])):
+        with pytest.raises(UsageError, match="expected an integer"):
+            MonomialIdeal(n, gens)
+    assert MonomialIdeal(2, [(True, 1)]).gens == ((1, 1),)  # bools are integers
+
+
+def test_minimalize_matches_the_parent_scan():
+    rng = random.Random(34)
+    for _ in range(500):
+        n = rng.randint(0, 5)
+        vectors = [tuple(rng.choice([0, 0, 1, 2, 3, 4]) for _ in range(n))
+                   for _ in range(rng.randint(0, 12))]
+        assert ideals._minimalize(vectors) == minimalize_parent_oracle(vectors), vectors
+
+
+def test_minimalisation_spends_the_budget():
+    # {01, 123} is not uniform: the sums of its cube differ in total, and
+    # minimalising them takes 6 comparisons; the edge ideal itself takes 1
+    ideal = ideals.edge_ideal(RawClutter(4, [(0, 1), (1, 2, 3)]))
+    cube = ideals.power(ideal, 3)
+    assert cube.gens == ((0, 3, 3, 3), (1, 3, 2, 2), (2, 3, 1, 1), (3, 3, 0, 0))
+    with errors.budget(5), pytest.raises(Undecided, match="monomial minimalisation"):
+        ideals.power(ideal, 3)
+    with errors.budget(6):
+        assert ideals.power(ideal, 3) == cube
+    with errors.budget(0), pytest.raises(Undecided, match="monomial minimalisation"):
+        ideals.edge_ideal(RawClutter(4, [(0, 1), (1, 2, 3)]))
+    # every sum of a uniform clutter's generators has one total: no comparison
+    with errors.budget(0):
+        c5 = ideals.edge_ideal(families.cycle_clutter(5))
+        cube = ideals.power(c5, 3)
+    sums = [tuple(map(sum, zip(*combo))) for combo in itertools.combinations_with_replacement(c5.gens, 3)]
+    assert cube.gens == minimalize_parent_oracle(sums)
 
 
 def test_edge_ideal(triangle, square):

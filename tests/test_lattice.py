@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from math import prod
+from operator import le
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -711,6 +712,47 @@ def test_zero_cone_certifies_its_empty_simplex():
         assert lattice.half_open_points(cone) == ([(0, 0, 0)], [(0, 0, 0)])
 
 
+@st.composite
+def height_rows(draw):
+    """Distinct height tuples of one length 0..6, over entries that put
+    2^k - 1 and 2^k side by side (the largest height sets the packed field
+    width, so one of them fills a field up to its guard bit), each row with
+    its reversal so that totals tie."""
+    length = draw(st.integers(0, 6))
+    k = draw(st.integers(0, 5))
+    entry = st.sampled_from([0, 1, 2**k - 1, 2**k]) | st.integers(0, 2**k)
+    rows = draw(st.lists(st.tuples(*[entry] * length), max_size=20))
+    return list(dict.fromkeys(rows + [r[::-1] for r in rows]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(height_rows())
+@example([])
+@example([(1, 2), (2, 1), (1, 1)])
+@example([(3, 0), (4, 0), (0, 3), (3, 4)])
+def test_reduce_yields_the_minimal_rows_in_order(heights):
+    # the items are positions, so they travel with their rows
+    minimal = {i for i, h in enumerate(heights)
+               if not any(g != h and all(map(le, g, h)) for g in heights)}
+    # packed order is tuple order: the first height is the most significant field
+    order = sorted(range(len(heights)), key=lambda i: (sum(heights[i]), heights[i]))
+    # one comparison with each kept row of smaller total, up to the first divisor
+    comparisons, kept = 0, []
+    for i in order:
+        below = [g for g in kept if sum(g) < sum(heights[i])]
+        divisors = [j for j, g in enumerate(below) if all(map(le, g, heights[i]))]
+        comparisons += divisors[0] + 1 if divisors else len(below)
+        if not divisors:
+            kept.append(heights[i])
+    steps = StepCounter(10**9, "test")
+    got = list(lattice._reduce(list(zip(heights, range(len(heights)))), steps))
+    assert got == [i for i in order if i in minimal]
+    assert 10**9 - steps.remaining == comparisons
+    if comparisons:
+        with pytest.raises(Undecided):
+            list(lattice._reduce(list(zip(heights, heights)), StepCounter(comparisons - 1, "test")))
+
+
 def test_skipped_reduction_spends_the_steps_of_the_reduction():
     # when every box is empty, hilbert_basis returns the extreme rays without
     # reducing them; it must spend exactly what the reduction spends on them
@@ -728,7 +770,8 @@ def test_skipped_reduction_spends_the_steps_of_the_reduction():
         ):
             continue
         steps = StepCounter(10**6, "test")
-        basis = tuple(sorted(lattice._reduce(cone, set(cone.extreme_rays), steps)))
+        rows = [(cone.heights_of(r), r) for r in cone.extreme_rays]
+        basis = tuple(sorted(lattice._reduce(rows, steps)))
         spent = 10**6 - steps.remaining
         assert basis == tuple(sorted(cone.extreme_rays))
         with errors.budget(spent):

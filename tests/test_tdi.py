@@ -27,6 +27,25 @@ def test_linear_system_validation():
         tdi.nonnegative_equivalence_check([], [])
 
 
+def test_linear_system_rejects_non_integers():
+    # int() would truncate these to columns (0, 1), (1, 0) and w (1, 0),
+    # a system nobody asked about
+    for columns, w in (([(0.5, 1), (1, 0)], [1, 0]), ([(0, 1), (1, 0)], [1.9, 0.7]),
+                       ([("1", 0)], [0]), ([(F(1, 2), 1)], [0])):
+        with pytest.raises(UsageError, match="expected an integer"):
+            LinearSystem(columns, w)
+    with pytest.raises(UsageError, match="expected an integer"):
+        tdi.sufficiency_check(LinearSystem([(0.5, 1), (1, 0)], [1.9, 0.7]))
+    assert LinearSystem([(True, 0)], [False]).columns == ((1, 0),)  # bools are integers
+
+
+def test_nonnegative_equivalence_check_rejects_non_integers():
+    for columns, w in (([(1.5, 1)], [1]), ([(1, 1)], [1.5]), ([(1, 1)], ["1"])):
+        with pytest.raises(UsageError, match="expected an integer"):
+            tdi.nonnegative_equivalence_check(columns, w)
+    assert tdi.nonnegative_equivalence_check([(True, True)], [1]).iff_respected
+
+
 def test_tdi_unit_system():
     cert = tdi.is_tdi(LinearSystem([(1, 0), (0, 1)], (0, 0)))
     assert cert.verdict is True
