@@ -315,16 +315,12 @@ def _check_clique_cap(n: int):
         raise ResourceExceeded("clique enumeration vertex count", CLIQUE_CAP)
 
 
-def _sorted_sets(masks, n: int) -> tuple[IntVec, ...]:
-    _check_clique_cap(n)
-    return tuple(sorted(_members(m) for m in _cliques_in(masks, (1 << n) - 1)))
-
-
 # Cache: key graph, bound 65536; each command on one graph derives its clique clutter again.
 @lru_cache(maxsize=65536)
 def maximal_cliques(g: SimpleGraph) -> tuple[IntVec, ...]:
     """Bron-Kerbosch with pivoting, bitmask sets, canonical output order."""
-    return _sorted_sets(adjacency_masks(g), g.n)
+    _check_clique_cap(g.n)
+    return tuple(sorted(_members(m) for m in _cliques_in(adjacency_masks(g), (1 << g.n) - 1)))
 
 
 def clique_clutter(g: SimpleGraph) -> RawClutter:

@@ -61,12 +61,9 @@ def random_chordal(n: int, seed: int) -> SimpleGraph:
     edges: list[tuple[int, int]] = []
     for v in range(1, n):
         g = SimpleGraph(v, edges)
-        cliques = combinat.maximal_cliques(g)
-        base = list(rng.choice(cliques)) if cliques and cliques[0] else []
-        if base:
-            size = rng.randint(1, len(base))
-            nbrs = rng.sample(base, size)
-            edges.extend((u, v) for u in nbrs)
+        base = list(rng.choice(combinat.maximal_cliques(g)))
+        nbrs = rng.sample(base, rng.randint(1, len(base)))
+        edges.extend((u, v) for u in nbrs)
     return SimpleGraph(n, edges)
 
 
@@ -367,11 +364,7 @@ def conjecture_instance(family: str, index: int, max_n: int, seed: int) -> Simpl
             g = combinat.graph_cone(g)
         return g
     if family == "line-of-bipartite":
-        host = random_bipartite(min(n, 6), sub)
-        g = combinat.line_graph(host)
-        if g.n == 0:
-            return complete(2)
-        return g
+        return combinat.line_graph(random_bipartite(min(n, 6), sub))
     if family == "complements":
         return combinat.complement(random_chordal(n, sub))
     raise UsageError(f"unknown family {family!r}")

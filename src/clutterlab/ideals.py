@@ -91,16 +91,16 @@ def power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
     return MonomialIdeal(ideal.n, sums)
 
 
-def _rees_generators(ideal: MonomialIdeal) -> list[IntVec]:
-    """The Rees generators (e_j, 0) and (g, 1), one per generator g of I."""
-    n = ideal.n
-    gens = [tuple(int(i == j) for i in range(n)) + (0,) for j in range(n)]
-    return gens + [g + (1,) for g in ideal.gens]
+def _rees_generators(n: int, generators) -> list[IntVec]:
+    """The Rees generators (e_j, 0) and (g, 1), one per minimal generator g
+    of I; an edge ideal's are its edge vectors, with no minimalisation."""
+    units = [tuple(int(i == j) for i in range(n)) + (0,) for j in range(n)]
+    return units + [g + (1,) for g in generators]
 
 
-def _rees_cone(ideal: MonomialIdeal) -> lattice.ConeWithLattice:
+def _rees_cone(n: int, generators) -> lattice.ConeWithLattice:
     """x^a lies in the closure of I^i exactly when (a, i) lies in this cone."""
-    return lattice.ConeWithLattice.from_vectors(_rees_generators(ideal), ideal.n + 1)
+    return lattice.ConeWithLattice.from_vectors(_rees_generators(n, generators), n + 1)
 
 
 # Cache: key (clutter, budget), bound 4096; one symbolic DD serves is_ntf and closure_vs_symbolic.
@@ -151,12 +151,13 @@ def closure_power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
     """Integral closure of the i-th power, from the Rees cone's Hilbert basis."""
     if i < 1:
         raise UsageError("closure_power: exponent must be >= 1")
-    return _generators_at_height(lattice.hilbert_basis(_rees_cone(ideal)), ideal.n, i)
+    basis = lattice.hilbert_basis(_rees_cone(ideal.n, ideal.gens))
+    return _generators_at_height(basis, ideal.n, i)
 
 
 def closure_contains(ideal: MonomialIdeal, i: int, a) -> bool:
     """Membership of a single monomial in the closure of the i-th power."""
-    return _rees_cone(ideal).contains(tuple(a) + (i,))
+    return _rees_cone(ideal.n, ideal.gens).contains(tuple(a) + (i,))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def closure_vs_symbolic(c: RawClutter) -> PowerComparisonReport:
     differ is the least height of a symbolic-cone basis element outside the
     Rees cone.
     """
-    rees = _rees_cone(edge_ideal(c))
+    rees = _rees_cone(c.n, c.characteristic_vectors())
     basis = _symbolic_basis(c)
     return _least_failure([b for b in basis if not rees.contains(b)], c.n)
 
@@ -215,7 +216,7 @@ def is_normal(c: RawClutter) -> PowerComparisonReport:
     Hilbert basis; the first power where closure and power differ is the
     least height of a witness of that test.
     """
-    ideal = edge_ideal(c)
-    gens = set(_rees_generators(ideal))
-    witnesses = [b for b in lattice.hilbert_basis(_rees_cone(ideal)) if b not in gens]
+    vectors = c.characteristic_vectors()
+    gens = set(_rees_generators(c.n, vectors))
+    witnesses = [b for b in lattice.hilbert_basis(_rees_cone(c.n, vectors)) if b not in gens]
     return _least_failure(witnesses, c.n)

@@ -7,11 +7,12 @@ solutions come as integer numerators over one common denominator
 `Fraction` is built here.  Elimination is fraction-free (Bareiss) so
 intermediate entries stay integral and growth stays polynomial.  Its one
 entry point, `scaled_solve`, returns the minor on the pivot rows and
-columns with the scaled solutions: with no right-hand side, a determinant
-up to sign that certifies unimodularity without a Smith form; with the
-unit vectors, the inverse of a unimodular matrix.  The lattice side rests
-on one Smith normal form per matrix: kernel lattices read off it, and so
-does integer feasibility, whether A x = b has an integer solution, for any
+columns with the scaled solutions: against a simplex's perturbation
+vectors, the signs of their coordinates (`lattice._lexicographic_signs`);
+against the unit vectors, the inverse of a unimodular matrix
+(`lattice._lineality_checks`).  The lattice side rests on one Smith normal
+form per matrix: box points read off it, and so do kernel lattices and
+integer feasibility, whether A x = b has an integer solution, for any
 number of right-hand sides b.
 """
 

@@ -35,10 +35,9 @@ package's one divisibility test: it also finds the generators of the
 canonical module, the interior points no other interior point divides
 (`ehrhart.canonical_degrees`), and the minimal generators of a monomial
 ideal, each exponent vector its own heights over the orthant
-(`ideals._minimalize`).  An uncertified simplex takes one
-Bareiss minor, and a Smith normal form when that minor is not ±1; its box
-points then come from an odometer over the Smith form's residue classes,
-at one k-vector add and one mat-vec per point.  When
+(`ideals._minimalize`).  An uncertified simplex takes one Smith normal
+form; its box points come from an odometer over the Smith form's residue
+classes, at one k-vector add and one mat-vec per point.  When
 every box is empty, and always on a compressed cone, the candidates are
 the extreme rays, which are all irreducible, so the reduction is skipped
 and only its comparisons are charged to the step budget.  Cones with
@@ -229,16 +228,12 @@ def _parallelepiped_points(
 
     The generators must be linearly independent.  A simplex that the cone's
     facet heights certify unimodular (`ConeWithLattice.unimodular`) has
-    only the origin, with no elimination at all.  Otherwise let G be the
-    n x k matrix whose columns are the generators.  The box holds as many
-    lattice points as the product of G's invariant factors, the gcd of its
-    k x k minors.  `kernel.scaled_solve` with no right-hand side runs the
-    Bareiss elimination alone and returns its k x k minor on the pivot rows
-    (G has rank k), so when that minor is ±1 the box holds only the origin
-    and no Smith form is needed.
-    Otherwise, with U*G*V = D
-    its Smith normal form, the residue classes of (Z^n meet span) modulo the
-    generator lattice are indexed by y with 0 <= y_i < d_i, and the class
+    only the origin, with no elimination at all.  Every other simplex takes
+    one Smith normal form U*G*V = D of the n x k matrix G whose columns are
+    the generators.  The box holds as many lattice points as the product of
+    G's invariant factors (none for the empty simplex), so only the origin
+    when that product is 1.  The residue classes of (Z^n meet span) modulo
+    the generator lattice are indexed by y with 0 <= y_i < d_i, and the class
     of y has coefficients l = V*(y_i / d_i).  Scaled by the largest
     invariant factor d_k these are integers r = d_k*l mod d_k = sum y_i c_i
     mod d_k, with c_i = (column i of V)*(d_k/d_i) mod d_k, and the box
@@ -251,11 +246,9 @@ def _parallelepiped_points(
     """
     k = len(gens)
     origin = ((0,) * n, (0,) * k)
-    if certified or k == 0:
+    if certified:
         return [origin]
     mat = tuple(tuple(g[i] for g in gens) for i in range(n))  # n x k, columns = gens
-    if abs(kernel.scaled_solve(mat, ())[0]) == 1:
-        return [origin]
     _, d, v = kernel.smith_normal_form(mat)
     diag = [d[i][i] for i in range(k)]
     if prod(diag) == 1:

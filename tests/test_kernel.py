@@ -337,10 +337,10 @@ def test_determinant_matches_fraction_oracle():
 
 def test_determinant_of_tall_matrix_is_a_maximal_minor():
     # n x k with n > k and rank k: scaled_solve's minor is the maximal minor
-    # on the pivot rows; when it is ±1 the columns span a saturated lattice,
-    # so the Smith form that `lattice` then skips is all ones.  With rank
-    # below k it is a nonzero minor of lower order and every maximal minor
-    # is 0
+    # on the pivot rows, whose sign `lattice._lexicographic_signs` reads;
+    # when it is ±1 the columns span a saturated lattice, so their Smith
+    # form is all ones.  With rank below k it is a nonzero minor of lower
+    # order and every maximal minor is 0
     rng = random.Random(7)
     kinds = {"full rank": 0, "rank below k": 0, "leading zero": 0}
     unit_minors = 0

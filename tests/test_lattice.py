@@ -577,33 +577,39 @@ def random_unimodular(rng, m):
 
 
 def test_parallelepiped_points_match_fraction_solve(monkeypatch):
-    # a simplex whose Bareiss pivot minor is ±1 skips the Smith form; every
-    # other one takes it, including those with one box point all the same.
-    # The odometer carries from one position into the next only when two or
-    # more invariant factors exceed 1, so unimodular images U*D*V of such
-    # diagonals are drawn besides the uniform ones.
-    smith = kernel.smith_normal_form
-    smith_calls = []
+    # a simplex that the cone's facet heights certify unimodular takes no
+    # elimination at all; every other one takes exactly one Smith form and
+    # no Bareiss elimination: a unimodular one (its pivot minor ±1 or not)
+    # and the empty simplex included.  The odometer carries from one
+    # position into the next only when two or more invariant factors
+    # exceed 1, so unimodular images U*D*V of such diagonals are drawn
+    # besides the uniform ones.
+    smith, solve = kernel.smith_normal_form, kernel.scaled_solve
+    smith_calls, solve_calls = [], []
     monkeypatch.setattr(kernel, "smith_normal_form", lambda m: smith_calls.append(m) or smith(m))
+    monkeypatch.setattr(kernel, "scaled_solve", lambda *a: solve_calls.append(a) or solve(*a))
     rng = random.Random(16)
     kinds = Counter()
 
+    def box(gens, n):
+        smith_calls.clear()
+        solve_calls.clear()
+        got = lattice._parallelepiped_points(gens, n, StepCounter(10**6, "test"))
+        assert len(smith_calls) == 1 and not solve_calls, gens
+        return got
+
     def check(gens, n):
         k = len(gens)
-        smith_calls.clear()
-        got = lattice._parallelepiped_points(gens, n, StepCounter(10**6, "test"))
-        skipped = not smith_calls
+        got = box(gens, n)
         assert got == fraction_parallelepiped_points(gens, n), gens
-        unimodular = abs(pivot_minor_oracle(tuple(zip(*gens)))) == 1
-        assert skipped == unimodular, gens
         if k < n:
             kinds["k < n"] += 1
         elif det_oracle(gens) < 0:
             kinds["negative determinant"] += 1
-        if unimodular:
-            kinds["unimodular, square" if k == n else "unimodular, k < n, pivot minor ±1"] += 1
-        elif len(got) == 1:
-            kinds["one box point, pivot minor not ±1"] += 1
+        if len(got) == 1:
+            kinds["one box point, square" if k == n else "one box point, k < n"] += 1
+            if abs(pivot_minor_oracle(tuple(zip(*gens)))) == 1:
+                kinds["one box point, pivot minor ±1"] += 1
         else:
             _, d, _ = smith(tuple(tuple(g[i] for g in gens) for i in range(n)))
             if sum(d[i][i] > 1 for i in range(k)) >= 2:
@@ -629,16 +635,36 @@ def test_parallelepiped_points_match_fraction_solve(monkeypatch):
             tuple(sum(ud[i][t] * v[t][j] for t in range(k)) for i in range(n)) for j in range(k)
         )
         check(gens, n)
+    for n in range(4):
+        # the n x 0 matrix has no invariant factors, so its box is the origin
+        assert box((), n) == [((0,) * n, ())]
+        kinds["empty simplex"] += 1
+    # the box scan of a cone that is not compressed takes one Smith form per
+    # uncertified simplex and nothing for a certified one
+    while kinds["certified, in a box scan"] < 40:
+        cone = random_pointed_cone(rng)
+        if cone is None or all(h <= 1 for r in cone.extreme_rays for h in cone.heights[r]):
+            continue
+        uncertified = [s for s in cone.triangulation if s not in cone.unimodular]
+        smith_calls.clear()
+        solve_calls.clear()
+        hilbert_basis(cone)
+        assert smith_calls == [tuple(tuple(g[i] for g in s) for i in range(cone.n)) for s in uncertified]
+        assert not solve_calls
+        kinds["certified, in a box scan"] += len(cone.triangulation) - len(uncertified)
     assert set(kinds) == {
         "k < n",
         "negative determinant",
-        "unimodular, square",
-        "unimodular, k < n, pivot minor ±1",
-        "one box point, pivot minor not ±1",
+        "one box point, square",
+        "one box point, k < n",
+        "one box point, pivot minor ±1",
         "two or more invariant factors > 1",
         "carry, k < n",
+        "empty simplex",
+        "certified, in a box scan",
     }, kinds
     assert kinds["two or more invariant factors > 1"] >= 20 and kinds["carry, k < n"] >= 5, kinds
+    assert kinds["one box point, pivot minor ±1"] >= 20, kinds
 
 
 @st.composite
