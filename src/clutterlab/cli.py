@@ -1,7 +1,8 @@
 """Command-line front end: instance I/O, property checks, certificates.
 
 Exit codes: 0 = property holds, 1 = property fails, 2 = undecided (step budget,
-resource cap, memory or recursion depth), 64 = usage or parse error.
+resource cap, memory or recursion depth), 64 = usage or parse error, or an
+output path that cannot be written.
 Certificates are byte-stable JSON for a fixed input and schema version;
 timing is only included on request (`check --timing`) so that repeated runs
 stay byte-identical.
@@ -29,6 +30,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import combinat, ehrhart, families, ideals, tdi
@@ -150,7 +152,12 @@ def _as_graph(obj) -> SimpleGraph:
     raise UsageError("this property needs a graph input")
 
 
-def _tdi_payload(cert: tdi.TdiCertificate):
+def _tdi_result(cert: tdi.TdiCertificate):
+    """(verdict, witnesses, invariants) of a TDI certificate.  One that the
+    budget stopped raises `Undecided`, so `check` stops the one way every
+    property does."""
+    if cert.verdict == "undecided":
+        raise Undecided(cert.note)
     payload = {"faces_checked": len(cert.faces)}
     if cert.failing is not None:
         payload["failing_face"] = {
@@ -160,16 +167,7 @@ def _tdi_payload(cert: tdi.TdiCertificate):
         }
     if cert.note:
         payload["note"] = cert.note
-    return payload
-
-
-def _tdi_result(cert: tdi.TdiCertificate):
-    """(verdict, witnesses, invariants) of a TDI certificate.  One that the
-    budget stopped raises `Undecided`, so `check` stops the one way every
-    property does."""
-    if cert.verdict == "undecided":
-        raise Undecided(cert.note)
-    return cert.verdict, _tdi_payload(cert), {}
+    return cert.verdict, payload, {}
 
 
 def run_check(prop: str, obj, notes: dict):
@@ -236,10 +234,21 @@ def render(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+@contextmanager
+def _writing(path):
+    """An `OSError` while writing `path` is a usage error (exit 64), as one
+    while reading is in `load_instance`."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def emit(cert, args) -> None:
     text = render(cert)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with _writing(args.output):
+            Path(args.output).write_text(text, encoding="utf-8")
     if args.json:
         sys.stdout.write(text)
 
@@ -255,12 +264,6 @@ def _undecided_certificate(command: str, obj, notes: dict, exc):
     cert = make_certificate(command, obj, "undecided", {}, {}, {**notes, "reason": _reason(exc)})
     cert["budget"]["exceeded"] = isinstance(exc, Undecided)
     return cert
-
-
-def _verdict_exit(verdict) -> int:
-    if verdict is True or verdict == "vacuous":
-        return EXIT_HOLDS
-    return EXIT_FAILS
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +290,7 @@ def cmd_check(args) -> int:
         print(f"{args.property}: {word}  [{cert['digest'][:15]}...]")
         if wits and verdict is not True:
             print(f"  witness: {canonical_json(wits)}")
-    return _verdict_exit(verdict)
+    return EXIT_HOLDS if verdict is True or verdict == "vacuous" else EXIT_FAILS
 
 
 def cmd_invariants(args) -> int:
@@ -421,10 +424,12 @@ def cmd_examples(args) -> int:
             f"unknown example {args.name!r}; known: {', '.join(sorted(EXAMPLES))}"
         )
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
 
     def write(path: Path, obj) -> None:
-        path.write_text(render(obj), encoding="utf-8")
+        with _writing(path):
+            path.write_text(render(obj), encoding="utf-8")
         print(path)
 
     for stem, obj in EXAMPLES[args.name]():

@@ -1,24 +1,22 @@
 """Exact linear algebra in integers.
 
-Inputs are integer vectors and matrices, and so is every result: rational
-solutions come as integer numerators over one common denominator
-(`scaled_solve`).  The one rational input is the vertex that
-`integer_multiple` scales to an integer vector.  No floating point, and no
-`Fraction` is built here.  Elimination is fraction-free (Bareiss) so
-intermediate entries stay integral and growth stays polynomial.  Its one
-entry point, `scaled_solve`, returns the minor on the pivot rows and
-columns with the scaled solutions: against a simplex's perturbation
-vectors, the signs of their coordinates (`lattice._lexicographic_signs`);
-against the unit vectors, the inverse of a unimodular matrix
-(`lattice._lineality_checks`).  The lattice side rests on one Smith normal
-form per matrix: box points read off it, and so do kernel lattices and
-integer feasibility, whether A x = b has an integer solution, for any
-number of right-hand sides b.
+Integers in, integers out: every input is an integer vector or matrix, and
+so is every result; rational solutions come as integer numerators over one
+common denominator (`scaled_solve`).  No floating point, and no `Fraction`
+is built here.  Elimination is fraction-free (Bareiss) so intermediate
+entries stay integral and growth stays polynomial.  Its one entry point,
+`scaled_solve`, returns the minor on the pivot rows and columns with the
+scaled solutions: against a simplex's perturbation vectors, the signs of
+their coordinates (`lattice._lexicographic_signs`); against the unit
+vectors, the inverse of a unimodular matrix (`lattice._lineality_checks`).
+The lattice side rests on one Smith normal form per matrix: box points read
+off it, and so do kernel lattices and integer feasibility, whether A x = b
+has an integer solution, for any number of right-hand sides b.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -29,19 +27,6 @@ def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise UsageError(f"dot: dimension mismatch {len(u)} vs {len(v)}")
     return sum(a * b for a, b in zip(u, v))
-
-
-def integer_multiple(vec: Sequence) -> tuple[tuple[int, ...], int]:
-    """(t * vec, t) for the least integer t > 0 making every entry an int.
-
-    Entries may be int or Fraction; both carry a `numerator` and a
-    `denominator`, so t * x is the int x.numerator * (t // x.denominator),
-    with no Fraction built (Fraction(3) * 1 would still be a Fraction).
-    """
-    if all(type(x) is int for x in vec):
-        return tuple(vec), 1
-    t = lcm(*[x.denominator for x in vec])
-    return tuple([x.numerator * (t // x.denominator) for x in vec]), t
 
 
 def _bareiss(m: list[list[int]], ncols: int) -> list[int]:

@@ -3,7 +3,9 @@
 A polyhedron is given by inequalities, `HRep`: <normal, x> <= rhs with
 integer data, a hyperplane written as two opposite rows.  `dd_convert` finds
 its generators, `VRep`: generating points (vertices when the polyhedron is
-pointed), recession rays and lineality directions.
+pointed), recession rays and lineality directions.  A generating point is
+the homogenization cone's primitive ray (q, t), the point q/t in lowest
+terms; it becomes `Fraction`s only as a face's point or a witness.
 
 The conversion runs the double description method on the homogenization
 cone in exact integer arithmetic, deciding adjacency from tight-set bitmasks
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -57,11 +59,12 @@ class HRep:
 class VRep:
     """Generators: conv(vertices) + cone(rays) + span(lines).
 
-    An integral vertex is a tuple of ints, any other a tuple of Fractions;
-    both compare, hash and print alike, and both carry `denominator`."""
+    A vertex is a pair (q, t): the point q/t, with q an integer vector,
+    t >= 1 and gcd(*q, t) == 1, so t == 1 exactly when it is integral.
+    Vertices are sorted by the value of q/t."""
 
     n: int
-    vertices: tuple[RatVec, ...]
+    vertices: tuple[tuple[IntVec, int], ...]
     rays: tuple[IntVec, ...] = ()
     lines: tuple[IntVec, ...] = ()
 
@@ -177,7 +180,7 @@ def dd_convert(h: HRep) -> VRep:
     # and the coordinate complement of their span in which the rays lie,
     # depend only on the pivot columns of the rows' span.
     raw_rays, raw_lines = _dd_cone(sorted(normals, key=lambda a: (len(a) - a.count(0), a)), n + 1)
-    vertices: list[RatVec] = []
+    vertices: list[tuple[IntVec, int]] = []
     rays: list[IntVec] = []
     lines: list[IntVec] = []
     for l in raw_lines:
@@ -185,16 +188,16 @@ def dd_convert(h: HRep) -> VRep:
             raise AssertionError("homogenization line with nonzero height")
         lines.append(l[:n])
     for r, _ in raw_rays:
-        t = r[n]
-        if t == 1:
-            vertices.append(r[:n])  # r is primitive, so only t == 1 is integral
-        elif t > 0:
-            vertices.append(tuple(Fraction(x, t) for x in r[:n]))
+        if r[n] > 0:
+            vertices.append((r[:n], r[n]))  # r is primitive: q/t in lowest terms
         elif any(x != 0 for x in r[:n]):
             rays.append(r[:n])
     if not vertices:
         return VRep(n, (), (), ())
-    return VRep(n, tuple(sorted(vertices)), tuple(sorted(rays)), tuple(sorted(lines)))
+    # by value: q/t orders as q*(den/t), and with den == 1 so do the pairs
+    den = lcm(*[t for _, t in vertices])
+    vertices.sort(key=None if den == 1 else lambda p: [x * (den // p[1]) for x in p[0]])
+    return VRep(n, tuple(vertices), tuple(sorted(rays)), tuple(sorted(lines)))
 
 
 def cone_generators_to_hrep(generators: Sequence[IntVec], n: int):
@@ -243,9 +246,9 @@ def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
     """
     if v.is_empty:
         return ()
-    # generators (t*x, t) of the homogenised cone {(x, t) : <a,x> <= b*t, t >= 0}:
-    # <a,x> == b  iff  <a,t*x> == b*t;  rays (r, 0) only when edges are read
-    gens = [kernel.integer_multiple(p) for p in v.vertices]
+    # generators (q, t) of the homogenised cone {(x, t) : <a,x> <= b*t, t >= 0}:
+    # <a,q/t> == b  iff  <a,q> == b*t;  rays (r, 0) only when edges are read
+    gens = list(v.vertices)
     read_edges = not v.lines
     if read_edges:
         gens += [(r, 0) for r in v.rays]
@@ -255,7 +258,7 @@ def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
     faces = []
     # one vertex per minimal face, and distinct minimal faces have distinct
     # active sets
-    for i, (p, active) in enumerate(zip(v.vertices, tight)):
+    for i, ((q, t), active) in enumerate(zip(v.vertices, tight)):
         facets = heights = None
         if edges is not None:
             at = sorted(edges[i])  # the directions are distinct, so they alone order
@@ -263,7 +266,7 @@ def minimal_faces(h: HRep, v: VRep) -> tuple[Face, ...]:
             heights = tuple(
                 tuple([s * slack[j][k] // g for _, j, s, g in at]) for k in active
             )
-        faces.append(Face(active=active, point=p, facets=facets, heights=heights))
+        faces.append(Face(active=active, point=_point(q, t), facets=facets, heights=heights))
     return tuple(faces)
 
 
@@ -274,7 +277,7 @@ def _edge_directions(h: HRep, gens, tight) -> list[list[tuple[IntVec, int, int, 
     s/g that turns the slack row of generator j into the heights over d
     (see `minimal_faces`).
 
-    `gens` are the homogenised cone's generators, (t*x, t) per vertex and
+    `gens` are the homogenised cone's generators, (q, t) per vertex q/t and
     then (r, 0) per extreme ray, and `tight` their tight rows in h.ineqs;
     a ray is also tight at t >= 0.  Two generators span a 2-face, an edge
     of the polyhedron when one is a vertex, exactly when no third one is
@@ -315,14 +318,19 @@ def is_integral(v: VRep, h: HRep):
     if v.is_empty:
         raise UsageError("is_integral: empty polyhedron")
     if not v.lines:
-        for p in v.vertices:
-            if any(x.denominator != 1 for x in p):
-                return False, p
+        for q, t in v.vertices:
+            if t != 1:
+                return False, _point(q, t)
         return True, None
     # a minimal face is the solution set of its active rows held at equality
-    for face in minimal_faces(h, v):
-        if any(x.denominator != 1 for x in face.point):
+    for (_, t), face in zip(v.vertices, minimal_faces(h, v)):
+        if t != 1:
             rows = [h.ineqs[i] for i in face.active]
             if not kernel.integer_feasible([a for a, _ in rows])([b for _, b in rows]):
                 return False, face.point
     return True, None
+
+
+def _point(q: IntVec, t: int) -> RatVec:
+    """The point q/t: q itself when t == 1, else a tuple of Fractions."""
+    return q if t == 1 else tuple([Fraction(x, t) for x in q])

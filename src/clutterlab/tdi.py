@@ -266,7 +266,7 @@ def perfection_crosscheck(g: SimpleGraph) -> PerfectionReport:
 
 
 # ---------------------------------------------------------------------------
-# Consistency suite used by tests and the batch runner
+# Consistency suite used by the tests
 # ---------------------------------------------------------------------------
 
 

@@ -294,6 +294,39 @@ def test_out_of_memory_is_undecided(tmp_path, monkeypatch, capsys):
     assert captured.err == "undecided: out of memory\n"
 
 
+def test_idealness_witness_bytes(tmp_path, capsys):
+    # the fractional vertex prints each coordinate as its Fraction or int
+    # string, an integer coordinate of a fractional vertex as "0"
+    mixed = '{"kind":"clutter","n":4,"edges":[[0,1],[0,3],[1,3]]}'
+    for name, text, witness in (
+        ("tri.json", TRIANGLE, '{"fractional_vertex":["1/2","1/2","1/2"]}'),
+        ("mixed.json", mixed, '{"fractional_vertex":["1/2","1/2","0","1/2"]}'),
+    ):
+        assert run(["check", "ideal", "--json", "--input", write(tmp_path, name, text)]) == 1
+        cert = json.loads(capsys.readouterr().out)
+        assert cli.canonical_json(cert["witnesses"]) == witness
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # a missing parent directory, or a regular file where the examples
+    # directory would go, is exit 64 with one stderr line and no stdout
+    sq = write(tmp_path, "sq.json", SQUARE)
+    missing = str(tmp_path / "missing" / "x.json")
+    blocked = str(Path(write(tmp_path, "afile", "")) / "sub")
+    for argv in (
+        ["check", "ideal", "--input", sq, "--json", "--output", missing],
+        ["invariants", "--input", sq, "--json", "--output", missing],
+        ["conjecture", "--count", "2", "--json", "--output", missing],
+        ["examples", "--name", "c5", "--outdir", blocked],
+    ):
+        assert run(argv) == 64, argv  # and no exception escapes `main`
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write "), captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_wrong_kind_is_usage_error(tmp_path):
     sq = write(tmp_path, "sq.json", SQUARE)
     assert run(["check", "tdi", "--input", sq]) == 64

@@ -165,20 +165,6 @@ def test_clear_denominators_returns_int_entries():
         assert tuple(g * x for x in got) == vec
 
 
-def test_integer_multiple_uses_least_factor():
-    rng = random.Random(4)
-    for _ in range(200):
-        vec = tuple(
-            rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
-            for _ in range(rng.randint(0, 4))
-        )
-        ints, t = kernel.integer_multiple(vec)
-        assert t > 0 and all(type(x) is int for x in ints)
-        assert ints == tuple(t * x for x in vec)
-        assert ints == tuple(int(x * t) for x in vec)  # the Fraction route
-        assert not any(all((s * x).denominator == 1 for x in vec) for s in range(1, t))
-
-
 def test_clear_denominators_zero_vector():
     with pytest.raises(UsageError):
         kernel.primitive((0, 0))

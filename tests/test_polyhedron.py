@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,12 @@ TRIANGLE_COVERING = HRep(3, (
 ))
 
 
+def value(vertex):
+    """The point q/t of a vertex pair (q, t), as Fractions."""
+    q, t = vertex
+    return tuple(F(x, t) for x in q)
+
+
 def square_covering():
     ineqs = [(tuple(-int(i == j) for i in range(4)), 0) for j in range(4)]
     for a, b in [(0, 1), (1, 2), (2, 3), (0, 3)]:
@@ -31,22 +38,15 @@ def square_covering():
 
 def test_unit_square_vertices():
     v = dd_convert(UNIT_SQUARE)
-    assert v.vertices == tuple(
-        sorted([(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1))])
-    )
+    assert v.vertices == (((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), 1))
     assert not v.rays and not v.lines
-    assert list(v.vertices) == brute_vertices(UNIT_SQUARE)
+    assert list(map(value, v.vertices)) == brute_vertices(UNIT_SQUARE)
 
 
 def test_triangle_covering_has_half_vertex():
     v = dd_convert(TRIANGLE_COVERING)
-    assert (F(1, 2), F(1, 2), F(1, 2)) in v.vertices
-    assert set(v.vertices) == {
-        (F(1, 2), F(1, 2), F(1, 2)),
-        (F(1), F(1), F(0)),
-        (F(1), F(0), F(1)),
-        (F(0), F(1), F(1)),
-    }
+    assert ((1, 1, 1), 2) in v.vertices
+    assert set(v.vertices) == {((1, 1, 1), 2), ((1, 1, 0), 1), ((1, 0, 1), 1), ((0, 1, 1), 1)}
     assert set(v.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     ok, witness = polyhedron.is_integral(v, TRIANGLE_COVERING)
     assert not ok and witness == (F(1, 2), F(1, 2), F(1, 2))
@@ -55,7 +55,7 @@ def test_triangle_covering_has_half_vertex():
 def test_square_covering_integral():
     h = square_covering()
     v = dd_convert(h)
-    assert set(v.vertices) == {(F(1), F(0), F(1), F(0)), (F(0), F(1), F(0), F(1))}
+    assert set(v.vertices) == {((1, 0, 1, 0), 1), ((0, 1, 0, 1), 1)}
     assert polyhedron.is_integral(v, h)[0]
 
 
@@ -74,7 +74,7 @@ def test_minimal_faces_of_square_covering():
 def test_minimal_face_of_plane_cone():
     h = HRep(2, (((1, 2), 0), ((2, 1), 0)))
     v = dd_convert(h)
-    assert v.vertices == ((F(0), F(0)),)
+    assert v.vertices == (((0, 0), 1),)
     faces = polyhedron.minimal_faces(h, v)
     assert len(faces) == 1
     assert set(faces[0].active) == {0, 1}
@@ -148,10 +148,16 @@ def test_face_heights_match_the_dot_products_on_drawn_systems(rows):
 
 
 def test_integral_vertices_are_int_tuples():
-    # t = 1 is the only integral height of a primitive generator, and such
-    # a vertex keeps its integer tuple; the others are Fractions
-    v = dd_convert(TRIANGLE_COVERING)
-    assert {tuple(map(type, p)) for p in v.vertices} == {(int,) * 3, (F,) * 3}
+    # every vertex is a pair (q, t) of ints in lowest terms, so t = 1
+    # exactly at the integral vertices; q/t becomes Fractions only at a
+    # face's point, and an integral one stays the tuple q
+    h = TRIANGLE_COVERING
+    v = dd_convert(h)
+    assert all(type(x) is int for q, t in v.vertices for x in q + (t,))
+    assert [t for _, t in v.vertices] == [1, 2, 1, 1]  # (1, 1, 1)/2 second by value
+    points = [f.point for f in polyhedron.minimal_faces(h, v)]
+    assert [tuple(map(type, p)) for p in points] == [(int,) * 3, (F,) * 3, (int,) * 3, (int,) * 3]
+    assert points == list(map(value, v.vertices))
 
 
 def test_face_facets_of_a_lower_dimensional_polyhedron():
@@ -180,7 +186,7 @@ def _facets_of(v: VRep) -> HRep:
     """The inequalities of a pointed polyhedron read off its homogenised
     cone by `cone_generators_to_hrep`, as P = conv(A) takes its facets, each
     equation of the cone written as two rows."""
-    gens = [q + (t,) for q, t in map(kernel.integer_multiple, v.vertices)]
+    gens = [q + (t,) for q, t in v.vertices]
     ineqs, eqs = cone_generators_to_hrep(gens + [r + (0,) for r in v.rays], v.n + 1)
     normals = ineqs + eqs + tuple(tuple(-x for x in c) for c in eqs)
     return HRep(v.n, tuple((a[:-1], -a[-1]) for a in normals))
@@ -204,13 +210,23 @@ def test_roundtrip_random_property():
         v1 = dd_convert(h)
         if v1.is_empty:
             continue
-        for p in v1.vertices:
-            tight = [i for i, (a, b) in enumerate(ineqs) if kernel.dot(a, p) == b]
-            assert all(kernel.dot(a, p) <= b for a, b in ineqs)
+        _check_vertex_pairs(v1)
+        for q, t in v1.vertices:
+            tight = [i for i, (a, b) in enumerate(ineqs) if kernel.dot(a, q) == b * t]
+            assert all(kernel.dot(a, q) <= b * t for a, b in ineqs)
             assert tight  # a generating point of a nonempty system is on the boundary
         if not v1.lines:
-            assert list(v1.vertices) == brute_vertices(h)
+            assert list(map(value, v1.vertices)) == brute_vertices(h)
             assert dd_convert(_facets_of(v1)) == v1
+
+
+def _check_vertex_pairs(v: VRep):
+    """Each vertex is (q, t) with t >= 1 in lowest terms, and the vertices
+    strictly increase by value: q1/t1 < q2/t2 as q1*t2 < q2*t1."""
+    for q, t in v.vertices:
+        assert len(q) == v.n and t >= 1 and math.gcd(*q, t) == 1
+    for (q1, t1), (q2, t2) in zip(v.vertices, v.vertices[1:]):
+        assert tuple(x * t2 for x in q1) < tuple(y * t1 for y in q2)
 
 
 def degenerate_cones(rng, count):
@@ -289,8 +305,9 @@ def test_dd_conversions_match_fraction_oracle(monkeypatch):
     to_h, h_to_v = got
     assert sum(bool(eqs) for _, eqs in to_h) >= 20  # lineality of the dual cone
     assert sum(bool(v.lines) for v in h_to_v) >= 10
-    assert sum(any(x.denominator != 1 for p in v.vertices for x in p) for v in h_to_v) >= 40
+    assert sum(any(t != 1 for _, t in v.vertices) for v in h_to_v) >= 40
     for h, v in zip(hreps, h_to_v):
+        _check_vertex_pairs(v)
         for face in polyhedron.minimal_faces(h, v):  # tight sets at rational points
             assert face.active == tuple(
                 i for i, (a, b) in enumerate(h.ineqs) if sum(x * y for x, y in zip(a, face.point)) == b
@@ -406,7 +423,7 @@ def test_point_polytope():
     # input to dd_convert, which converts inequalities only
     h = HRep(2, (((1, 0), 3), ((-1, 0), -3), ((0, 1), 5), ((0, -1), -5)))
     pt = dd_convert(h)
-    assert pt == VRep(2, ((F(3), F(5)),))
+    assert pt == VRep(2, (((3, 5), 1),))
     with pytest.raises(UsageError):
         dd_convert(pt)
 
@@ -423,7 +440,7 @@ def test_empty_polyhedron_is_a_value():
 def test_halfplane_lineality():
     h = HRep(2, (((-1, 0), 0),))
     v = dd_convert(h)
-    assert v.vertices == ((F(0), F(0)),)
+    assert v.vertices == (((0, 0), 1),)
     assert v.lines == ((0, 1),)
     assert v.rays == ((1, 0),)
     faces = polyhedron.minimal_faces(h, v)

@@ -81,6 +81,22 @@ def test_idealness(triangle, square):
     assert tdi.is_ideal_clutter(square)[0]
 
 
+def test_idealness_builds_fractions_only_for_a_witness(triangle, square, monkeypatch):
+    # vertices stay integer pairs (q, t): an ideal clutter's check makes no
+    # Fraction, and the triangle's fractional witness makes one per entry
+    built = []
+
+    def fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(polyhedron, "Fraction", fraction)
+    assert tdi.is_ideal_clutter(square) == (True, None)
+    assert built == []
+    assert tdi.is_ideal_clutter(triangle) == (False, (F(1, 2), F(1, 2), F(1, 2)))
+    assert built == [(1, 2)] * 3
+
+
 def test_mfmc(triangle, square):
     assert tdi.is_mfmc(square).holds
     assert tdi.is_mfmc(triangle).verdict is False
