@@ -194,9 +194,9 @@ def dd_convert(h: HRep) -> VRep:
             rays.append(r[:n])
     if not vertices:
         return VRep(n, (), (), ())
-    # by value: q/t orders as q*(den/t), and with den == 1 so do the pairs
+    # by value: q/t orders as the integer vector q*(den/t)
     den = lcm(*[t for _, t in vertices])
-    vertices.sort(key=None if den == 1 else lambda p: [x * (den // p[1]) for x in p[0]])
+    vertices.sort(key=lambda p: [x * (den // p[1]) for x in p[0]])
     return VRep(n, tuple(vertices), tuple(sorted(rays)), tuple(sorted(lines)))
 
 
