@@ -1,8 +1,9 @@
 """Command-line front end: instance I/O, property checks, certificates.
 
 Exit codes: 0 = property holds, 1 = property fails, 2 = undecided (step budget,
-resource cap, memory or recursion depth), 64 = usage or parse error, or an
-output path that cannot be written.
+resource cap, memory or recursion depth), 64 = usage or parse error, an
+output path that cannot be written, or a stdout whose reader has gone (a
+closed pipe, as in `clutterlab conjecture | head -c 1`).
 Certificates are byte-stable JSON for a fixed input and schema version;
 timing is only included on request (`check --timing`) so that repeated runs
 stay byte-identical.
@@ -28,9 +29,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import combinat, ehrhart, families, ideals, tdi
@@ -513,9 +515,22 @@ def main(argv=None) -> int:
             raise UsageError(f"the step budget must be at least 0, got {args.budget}")
         with budget(args.budget):
             # looked up at call time, so that a rebound command function runs
-            return globals()[f"cmd_{args.cmd}"](args)
+            code = globals()[f"cmd_{args.cmd}"](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError as exc:
+        # nothing more reaches the reader, so the interpreter's exit-time
+        # flush of what is left goes to the null device; a stdout with no
+        # file descriptor has nothing to redirect
+        with suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        print(f"error: cannot write <stdout>: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Undecided as exc:
         print(exc, file=sys.stderr)

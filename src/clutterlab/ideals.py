@@ -37,7 +37,7 @@ from operator import add
 
 from . import combinat, lattice, polyhedron
 from .combinat import RawClutter
-from .errors import StepCounter, UsageError, _integer, budget_keyed_cache, step_budget
+from .errors import StepCounter, UsageError, _integer, step_budget
 
 IntVec = tuple[int, ...]
 
@@ -103,8 +103,6 @@ def _rees_cone(n: int, generators) -> lattice.ConeWithLattice:
     return lattice.ConeWithLattice.from_vectors(_rees_generators(n, generators), n + 1)
 
 
-# Cache: key (clutter, budget), bound 4096; one symbolic DD serves is_ntf and closure_vs_symbolic.
-@budget_keyed_cache(4096)
 def _symbolic_basis(c: RawClutter) -> tuple[IntVec, ...]:
     """Hilbert basis of the symbolic cone {(a, i) >= 0 : <a, u> >= i for
     every minimal cover u}, for `symbolic_power`, `is_ntf` and

@@ -1,24 +1,18 @@
 """Exact linear algebra in integers.
 
 Integers in, integers out: every input is an integer vector or matrix, and
-so is every result; rational solutions come as integer numerators over one
-common denominator (`scaled_solve`).  No floating point, and no `Fraction`
-is built here.  Elimination is fraction-free (Bareiss) so intermediate
-entries stay integral and growth stays polynomial.  Its one entry point,
-`scaled_solve`, returns the minor on the pivot rows and columns with the
-scaled solutions: against a simplex's perturbation vectors, the signs of
-their coordinates (`lattice._lexicographic_signs`); against the unit
-vectors, the inverse of a unimodular matrix (`lattice._lineality_checks`).
-The lattice side rests on one Smith normal form per matrix: box points read
-off it, and so do kernel lattices and integer feasibility, whether A x = b
-has an integer solution, for any number of right-hand sides b.
+so is every result.  No floating point, and no `Fraction` is built here.
+Integer linear algebra rests on one Smith normal form per matrix, the
+kernel's one elimination: box points read off it, and so do kernel
+lattices, integer feasibility (whether A x = b has an integer solution,
+for any number of right-hand sides b) and the inverse of a unimodular
+matrix (`lattice._lineality_checks`).
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import UsageError
 
@@ -27,85 +21,6 @@ def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise UsageError(f"dot: dimension mismatch {len(u)} vs {len(v)}")
     return sum(a * b for a, b in zip(u, v))
-
-
-def _bareiss(m: list[list[int]], ncols: int) -> list[int]:
-    """Fraction-free forward elimination of `m` in place.
-
-    Pivots are chosen only among the first `ncols` columns; any columns
-    after them (an augmented right-hand side) are carried along.  Returns
-    the pivot columns, in order; row r of the result holds the r-th pivot.
-    """
-    nrows = len(m)
-    piv_cols: list[int] = []
-    prev = 1
-    for c in range(ncols):
-        r = len(piv_cols)
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        p = top[c]
-        for i in range(r + 1, nrows):
-            # rows r and below are zero left of column c, so whole-row
-            # updates keep them zero; a row with 0 at c is still rescaled
-            # by p / prev, since skipping that breaks exact division later
-            row = m[i]
-            q = row[c]
-            if q:
-                m[i] = [(p * x - q * y) // prev for x, y in zip(row, top)]
-            elif p != prev:
-                m[i] = [p * x // prev for x in row]
-        prev = p
-        piv_cols.append(c)
-    return piv_cols
-
-
-def scaled_solve(
-    matrix: Sequence[Sequence[int]], rhss: Sequence[Sequence[int]]
-) -> tuple[int, Iterator[tuple[int, ...] | None]]:
-    """Exact solutions of M x = b for any number of right-hand sides b, as
-    integers over one common denominator.
-
-    Returns (d, columns).  d is the nonzero minor of M on the rows and
-    columns that one Bareiss elimination of [M | b_1 | b_2 | ...] pivots on
-    (1 when M is zero).  columns yields, in the order of `rhss`, d*x for the
-    solution x of M x = b whose free variables are zero, or None when that
-    system is inconsistent; each is back-substituted when it is reached, so
-    a caller that stops early pays for the elimination alone.  By Cramer's
-    rule each d*x_j is an integer, so every division of the
-    back-substitution is exact, and x_j has the sign of d times that of
-    d*x_j.  Raises UsageError on dimension mismatch.
-    """
-    nrows = len(matrix)
-    if any(len(b) != nrows for b in rhss):
-        raise UsageError(f"scaled_solve: {nrows} rows vs a right-hand side of another length")
-    ncols = len(matrix[0]) if nrows else 0
-    m = [list(row) + [b[i] for b in rhss] for i, row in enumerate(matrix)]
-    if any(len(row) != ncols + len(rhss) for row in m):
-        raise UsageError("scaled_solve: ragged matrix")
-    piv_cols = _bareiss(m, ncols)
-    r = len(piv_cols)
-    # row r - 1 of the echelon form starts with the minor on the pivot rows
-    # and columns; the rows below it hold (r+1)-minors that vanish exactly
-    # when the system is consistent
-    d = m[r - 1][piv_cols[-1]] if r else 1
-    pivots = list(zip(m, piv_cols))[::-1]
-    below = m[r:]
-
-    def back_substitute(col: int) -> tuple[int, ...] | None:
-        if any([row[col] for row in below]):
-            return None
-        x = [0] * ncols
-        for row, c in pivots:
-            x[c] = (d * row[col] - sum(map(mul, row[c + 1:ncols], x[c + 1:]))) // row[c]
-        return tuple(x)
-
-    return d, map(back_substitute, range(ncols, ncols + len(rhss)))
 
 
 def primitive(vec: Sequence[int]) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ verdict spends a prefix of the steps the report spends, and a budget that
 decides the report decides the verdict the same way.
 
 One table of facet heights per cone (`ConeWithLattice.heights`) answers
-three questions with no elimination:
+four questions with no elimination:
 
 - pointedness: the cone is pointed exactly when every generator has a
   nonzero height on some facet (`ConeWithLattice.is_pointed`);
@@ -24,7 +24,10 @@ three questions with no elimination:
   Proc. AMS 129, 2001), so `hilbert_basis` neither triangulates nor
   enumerates a box;
 - the ray/facet incidences of the triangulation and the unimodular
-  simplices that need no box (`ConeWithLattice.unimodular`).
+  simplices that need no box (`ConeWithLattice.unimodular`);
+- the signs of a generic point's coordinates in each simplex, which make
+  its box half-open (`_lexicographic_signs`): over one facet per ray the
+  rays' heights are triangular, so back substitution gives them.
 
 Otherwise the basis comes in two steps: the cone is triangulated on its
 incidences, and the lattice points of each simplex's half-open
@@ -65,8 +68,8 @@ lattice arithmetic for cones with lineality is checked against lives in
 The same parallelepipeds, made half-open by a lexicographic generic point,
 tile the cone and its relative interior (`half_open_points`); binned by
 height they give the Ehrhart series and its interior series.  The signs
-that decide which facets each simplex keeps come from one Bareiss
-elimination per simplex, in integers: no `Fraction` is built here.
+that decide which facets each simplex keeps come from the height table, in
+integers: no `Fraction` is built here.
 """
 
 from __future__ import annotations
@@ -422,9 +425,10 @@ def half_open_points(cone: ConeWithLattice):
     (0, 1] on a dropped facet and [0, 1) otherwise: a box point whose j-th
     coefficient is 0 on a dropped facet gets g_j added.  Using x - e*y
     instead drops the other facets and tiles the relative interior.  The
-    signs of y's coordinates in each simplex are read off integer Cramer
-    numerators (`_lexicographic_signs`), so the whole decomposition runs in
-    integer arithmetic.
+    signs of y's coordinates in each simplex are read off the facet-height
+    table (`_lexicographic_signs`), so the whole decomposition runs in
+    integer arithmetic, and a simplex that the heights certify unimodular
+    takes no `kernel` call at all.
 
     Returns the points p of both decompositions, each list free of repeats:
     with every generator of height 1, binning them by height gives the
@@ -433,14 +437,11 @@ def half_open_points(cone: ConeWithLattice):
     the lexicographic rule.
     """
     steps = StepCounter(step_budget(), "half-open decomposition")
-    n = cone.n
-    rays = cone.extreme_rays
-    perturbation = (tuple(map(sum, zip(*rays))),) + rays
     closed: list[IntVec] = []
     interior: list[IntVec] = []
     for simplex in cone.triangulation:
-        signs = _lexicographic_signs(simplex, n, perturbation)
-        for pt, r in _parallelepiped_points(simplex, n, steps, simplex in cone.unimodular):
+        signs = _lexicographic_signs(cone, simplex)
+        for pt, r in _parallelepiped_points(simplex, cone.n, steps, simplex in cone.unimodular):
             for out, dropped in ((closed, -1), (interior, 1)):
                 x = pt
                 for g, sign, rj in zip(simplex, signs, r):
@@ -450,28 +451,49 @@ def half_open_points(cone: ConeWithLattice):
     return closed, interior
 
 
-def _lexicographic_signs(simplex: tuple[IntVec, ...], n: int, perturbation) -> list[int]:
-    """Signs of the simplex coordinates of y0 + e*y1 + e^2*y2 + ... (small e).
+def _lexicographic_signs(cone: ConeWithLattice, simplex: tuple[IntVec, ...]) -> list[int]:
+    """Signs of the simplex coordinates of y0 + e*y1 + e^2*y2 + ... (small
+    e), with y0 the sum of the extreme rays and y1, y2, ... the extreme
+    rays in sorted order, read off the facet-height table.
 
     The sign of coordinate j is that of its first nonzero value over the
-    perturbation vectors.  Every generator g_j is among them, with
-    coordinate j equal to 1, so no sign stays 0.  One Bareiss elimination
-    of [G | y0 | y1 | ...] gives every coordinate vector as d times itself
-    in integers (`kernel.scaled_solve`), with d the nonzero pivot minor, so
-    the sign of a coordinate is that of d times its scaled value.  The
-    empty simplex has no signs.
+    perturbation vectors.  Every ray r_j of the simplex is among them,
+    with coordinate j equal to 1, so no sign stays 0.  The rays before
+    r_i lie in a face of the cone that misses r_i (`_triangulate` joins a
+    face's first ray to simplices of its facets that miss it, and a
+    simplicial face lists its rays in order), and a face is the meet of
+    the facets that contain it; the cone is pointed, so some facet misses
+    r_1 too.  So some inequality normal a_i vanishes on r_1 .. r_{i-1} and
+    has positive height at r_i; the lowest is taken.  Over a_1 .. a_k the
+    rays' heights form an upper triangular matrix T with positive
+    diagonal, and a vector y in the simplex's span has heights T*lam, lam
+    its simplex coordinates.  So back substitution gives det(T)*lam in
+    integers, each division exact by Cramer's rule; the heights of y0 are
+    the sums of the rays' heights.  T has ones on its diagonal on a
+    simplex that `ConeWithLattice.unimodular` certifies.  The empty simplex
+    has no signs.
     """
-    if not simplex:
-        return []
-    mat = [[g[i] for g in simplex] for i in range(n)]
-    d, columns = kernel.scaled_solve(mat, perturbation)
-    signs = [0] * len(simplex)
-    for lam in columns:
-        if lam is None:
-            raise AssertionError("perturbation vector outside the simplex span")
+    k = len(simplex)
+    normals = []
+    common = (1 << len(cone.hrep_normals[0])) - 1  # the normals vanishing on the prefix
+    for r in simplex:
+        free = common & ~cone.incidences[r]
+        if not free:
+            raise AssertionError("no facet separates a simplex ray from the rays before it")
+        normals.append((free & -free).bit_length() - 1)
+        common &= cone.incidences[r]
+    rows = [[cone.heights[r][a] for r in simplex] for a in normals]  # T, upper triangular
+    det = prod(rows[i][i] for i in range(k))
+    rays = [[cone.heights[r][a] for a in normals] for r in cone.extreme_rays]
+    signs = [0] * k
+    for h in [list(map(sum, zip(*rays)))] + rays:
+        lam = [0] * k  # det * the simplex coordinates of the perturbation vector
+        for i in reversed(range(k)):
+            row = rows[i]
+            lam[i] = (det * h[i] - sum(map(mul, row[i + 1:], lam[i + 1:]))) // row[i]
         for j, l in enumerate(lam):
             if not signs[j] and l:
-                signs[j] = 1 if (l > 0) == (d > 0) else -1
+                signs[j] = 1 if l > 0 else -1
         if all(signs):
             break
     return signs
@@ -584,9 +606,9 @@ def _lineality_checks(vecs, cone: ConeWithLattice):
     representation of its lift uses one generator outside H_L, once.
 
     U maps L onto Z^m x 0, with U*B*V = D the Smith form of a basis B of L
-    (all ones, as L is saturated).  Checks go back through U^-1, which one
-    `kernel.scaled_solve` of U against the unit vectors returns, scaled by
-    its minor ±1.
+    (all ones, as L is saturated).  Checks go back through U^-1: U is
+    unimodular, so its own Smith form is U2*U*V2 = I, with every invariant
+    factor 1, and U^-1 = V2*U2.
     """
     n = cone.n
     lin_basis = cone.lineality_lattice_basis
@@ -595,17 +617,16 @@ def _lineality_checks(vecs, cone: ConeWithLattice):
     u, d, _ = kernel.smith_normal_form(bmat)
     if any(d[i][i] != 1 for i in range(m)):
         raise AssertionError("lineality kernel lattice must be saturated")
-    det, columns = kernel.scaled_solve(u, [tuple(int(i == j) for i in range(n)) for j in range(n)])
-    columns = list(columns)
-    if abs(det) != 1 or None in columns:
+    u2, d2, v2 = kernel.smith_normal_form(u)
+    if any(d2[i][i] != 1 for i in range(n)):
         raise AssertionError("Smith transform must be unimodular")
-    scaled_inverse = tuple(zip(*columns))  # det * u^-1, row by row
+    inverse = tuple(tuple(kernel.dot(row, col) for col in zip(*u2)) for row in v2)  # V2*U2
 
     def to_new(x):
         return tuple(kernel.dot(u[i], x) for i in range(n))
 
     def to_old(y):
-        return tuple(det * kernel.dot(row, y) for row in scaled_inverse)
+        return tuple(kernel.dot(row, y) for row in inverse)
 
     projected = [to_new(v)[m:] for v in vecs]
     quotient = ConeWithLattice.from_vectors([p for p in projected if any(p)], n - m)

@@ -4,7 +4,8 @@ The oracles are deliberately independent of the library's own algorithms:
 naive Fraction elimination, subset scans, exhaustive combination searches.
 Expected values in the tests were computed with these and then frozen.
 Five helpers came here from the library, which has no caller for them:
-`solve_oracle`, the `Fraction` solve that `kernel.scaled_solve` replaced;
+`solve_oracle`, the `Fraction` solve that the signs of half-open boxes
+once took (they now come from facet heights);
 `semigroup_member`, the exact membership oracle for cones with lineality;
 `suspension`, the clutter side of the graph-cone identity;
 `canonical_graph`, the relabeling that realises a canonical form; and
@@ -66,9 +67,7 @@ def rank_oracle(matrix) -> int:
 
 def pivot_minor_oracle(matrix) -> Fraction:
     """The minor of `matrix` on the rows and columns that elimination pivots
-    on (`pivots_oracle`), rows in pivot order; 1 for a zero matrix.  A
-    Bareiss elimination pivots on the same rows and columns, since its
-    entries are nonzero multiples of these."""
+    on (`pivots_oracle`), rows in pivot order; 1 for a zero matrix."""
     rows, cols = pivots_oracle(matrix)
     return det_oracle([[matrix[i][j] for j in cols] for i in rows])
 
@@ -80,7 +79,7 @@ def solve_oracle(matrix, rhs):
 
     The pivot columns are those not spanned by the columns before them,
     whatever the row order, and a solution with every free variable zero is
-    unique; so this is the solution `kernel.scaled_solve` scales.
+    unique.
     """
     nrows = len(matrix)
     if nrows != len(rhs):
@@ -115,8 +114,9 @@ def solve_oracle(matrix, rhs):
 
 
 def lexicographic_signs_oracle(simplex, n, perturbation):
-    """`lattice._lexicographic_signs` before its signs came in integers: one
-    Fraction solve per perturbation vector, until every sign is known."""
+    """`lattice._lexicographic_signs` before its signs came from facet
+    heights: one Fraction solve per perturbation vector, until every sign
+    is known."""
     mat = tuple(tuple(g[i] for g in simplex) for i in range(n))
     signs = [0] * len(simplex)
     for y in perturbation:

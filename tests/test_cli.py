@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -56,7 +59,7 @@ def test_check_tdi_on_a_hyperplane_written_as_two_rows(tmp_path, capsys):
 
 def test_step_counts_of_skipped_reductions(tmp_path, monkeypatch, capsys):
     # the face cones of P4 are certified by facet heights and the bull's
-    # lifted cone by one Bareiss minor; every box is empty, so the
+    # lifted cone takes one Smith form; every box is empty, so the
     # reductions are skipped and only their comparisons are charged
     p4 = write(tmp_path, "p4.json", '{"kind":"clutter","n":4,"edges":[[0,1],[1,2],[2,3]]}')
     bull = write(tmp_path, "bull.json",
@@ -305,6 +308,49 @@ def test_idealness_witness_bytes(tmp_path, capsys):
         assert run(["check", "ideal", "--json", "--input", write(tmp_path, name, text)]) == 1
         cert = json.loads(capsys.readouterr().out)
         assert cli.canonical_json(cert["witnesses"]) == witness
+
+
+def test_lineality_witness_bytes(tmp_path, capsys):
+    # the failing face's cone has a lineality line, so the missing point is
+    # a lift through the inverse of a Smith transform
+    system = '{"kind":"system","columns":[[1,-1],[-2,-1],[2,1]],"w":[0,-2,2]}'
+    assert run(["check", "tdi", "--json", "--input", write(tmp_path, "lin.json", system)]) == 1
+    cert = json.loads(capsys.readouterr().out)
+    assert cli.canonical_json(cert["witnesses"]) == (
+        '{"faces_checked":1,"failing_face":{"active_columns":[0,1,2],'
+        '"missing_lattice_points":[[1,0]],"point":["2/3","2/3"]}}'
+    )
+
+
+def test_closed_stdout_is_a_usage_error(tmp_path):
+    # a reader that has gone, as after `| head -c 1`, is exit 64 with one
+    # stderr line, whether stdout is buffered (the error shows at the flush
+    # that ends `main`) or not (at the first print); the pipe's read end is
+    # closed before the command starts, so the outcome does not hang on
+    # timing
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv in (
+        ["examples", "--name", "line-k24", "--outdir", str(tmp_path / "ex")],
+        ["conjecture", "--count", "12"],
+    ):
+        for unbuffered in ("", "1"):
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = unbuffered
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "clutterlab.cli", *argv],
+                    stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+                )
+            finally:
+                os.close(write_end)
+            assert done.returncode == 64, (argv, unbuffered, done.stderr)
+            # one line, so no traceback and no "Exception ignored" at exit
+            assert done.stderr.startswith("error: cannot write <stdout>: "), done.stderr
+            assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

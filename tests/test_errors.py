@@ -66,7 +66,7 @@ def test_scope_sets_the_step_counts_that_ci_pins(monkeypatch):
         assert ehrhart.is_ehrhart_clutter(bull) == (True, ())
 
 
-def test_module_caches_are_the_five_with_a_policy():
+def test_module_caches_are_the_four_with_a_policy():
     # every module-level cache, by its defining module, and the one-line
     # policy comment right above its decorators
     found = {}
@@ -79,7 +79,7 @@ def test_module_caches_are_the_five_with_a_policy():
                 found[f"{info.name}.{name}"] = (mod, obj)
     assert set(found) == {
         "combinat.adjacency_masks", "combinat.maximal_cliques", "ehrhart.analyze",
-        "tdi._hb_verdict", "ideals._symbolic_basis",
+        "tdi._hb_verdict",
     }
     for key, (mod, obj) in found.items():
         lines = inspect.getsource(mod).splitlines()

@@ -8,7 +8,7 @@ import pytest
 from clutterlab import kernel, lattice
 from clutterlab.errors import UsageError
 
-from conftest import det_oracle, pivot_minor_oracle, rank_oracle, solve_oracle
+from conftest import det_oracle, rank_oracle, solve_oracle
 
 
 LIFTED_SQUARE = [
@@ -34,17 +34,8 @@ def smith_rank(matrix):
     return (len(matrix[0]) if matrix else 0) - len(kernel.integer_kernel_basis(matrix))
 
 
-def pivot_minor(matrix):
-    """The minor that `kernel.scaled_solve` returns with no right-hand side,
-    up to sign: it runs the elimination alone."""
-    d, columns = kernel.scaled_solve(matrix, ())
-    assert list(columns) == []
-    return abs(d)
-
-
 def test_rank_identity():
     assert smith_rank([[1, 0], [0, 1]]) == 2
-    assert pivot_minor([[1, 0], [0, 1]]) == 1
 
 
 def test_rank_lifted_square_columns():
@@ -59,89 +50,19 @@ def test_rank_bipartite_incidence():
 
 def test_rank_empty():
     assert smith_rank([]) == 0
-    assert pivot_minor([]) == 1
 
 
 def test_rank_matches_oracle_and_transpose():
-    # the Smith form's rank, and the Bareiss minor on the pivot rows and
-    # columns, whose order is the rank
+    # the Smith form's rank, of a matrix and of its transpose
     rng = random.Random(0)
     for _ in range(400):
         nr, nc = rng.randint(0, 5), rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
         want = rank_oracle(m)
         assert smith_rank(m) == want
-        assert pivot_minor(m) == abs(pivot_minor_oracle(m)) != 0, m
         if nr:
             t = [[m[i][j] for i in range(nr)] for j in range(nc)]
             assert smith_rank(t) == want
-            assert pivot_minor(t) == abs(pivot_minor_oracle(t)) != 0, t
-
-
-def scaled_solution(m, b):
-    """The solution of m x = b that `kernel.scaled_solve` scales, as
-    Fractions, or None; d is a nonzero integer and d*x an integer vector."""
-    d, (x,) = kernel.scaled_solve(m, [b])
-    assert type(d) is int and d != 0
-    if x is None:
-        return None
-    assert all(type(v) is int for v in x)
-    return tuple(Fraction(v, d) for v in x)
-
-
-def test_solve_identity():
-    got = scaled_solution([[1, 0], [0, 1]], [3, 5])
-    assert got == solve_oracle([[1, 0], [0, 1]], [3, 5]) == (Fraction(3), Fraction(5))
-
-
-def test_solve_inconsistent():
-    assert scaled_solution([(1, 0), (1, 0)], (1, 2)) is None
-    assert solve_oracle([(1, 0), (1, 0)], (1, 2)) is None
-
-
-def test_solve_lifted_clique_system():
-    # the 9x8 system: rows are the lifted clique vectors plus the degree row
-    rows = [[INCIDENCE_6x8[i][j] for i in range(6)] for j in range(8)]
-    rows.append([1] * 6)
-    sol = scaled_solution(rows, [1] * 8 + [3])
-    assert sol == solve_oracle(rows, [1] * 8 + [3]) == tuple([Fraction(1, 2)] * 6)
-
-
-def test_solve_exactness_random():
-    rng = random.Random(1)
-    for _ in range(200):
-        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-        m = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
-        b = [rng.randint(-4, 4) for _ in range(nr)]
-        x = scaled_solution(m, b)
-        assert x == solve_oracle(m, b), (m, b)
-        if x is not None:
-            assert all(kernel.dot(row, x) == bi for row, bi in zip(m, b))
-
-
-def test_scaled_solve_takes_many_right_hand_sides():
-    # one elimination serves every column and each equals its own solve; d
-    # is the minor on the pivot rows and columns, up to the row swaps' sign
-    rng = random.Random(12)
-    for _ in range(200):
-        nr, nc = rng.randint(0, 5), rng.randint(1, 5)
-        m = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        rhss = [[rng.randint(-3, 3) for _ in range(nr)] for _ in range(rng.randint(0, 4))]
-        d, columns = kernel.scaled_solve(m, rhss)
-        columns = list(columns)
-        assert len(columns) == len(rhss)
-        for b, x in zip(rhss, columns):
-            alone = scaled_solution(m, b)
-            assert alone == solve_oracle(m, b), (m, b)
-            assert alone == (None if x is None else tuple(Fraction(v, d) for v in x))
-        if nr and rank_oracle(m) == nr == nc:
-            assert abs(d) == abs(det_oracle(m)), m
-    with pytest.raises(UsageError):
-        kernel.scaled_solve([[1, 2], [3, 4]], [[1, 2, 3]])
-    with pytest.raises(UsageError):
-        kernel.scaled_solve([[1, 2], [3]], [[1, 2]])
-    d, columns = kernel.scaled_solve([], [(), ()])
-    assert (d, list(columns)) == (1, [(), ()])
 
 
 def test_clear_denominators():
@@ -285,10 +206,15 @@ def _matmul(a, b):
     ]
 
 
+def smith_diagonal(matrix):
+    _, d, _ = kernel.smith_normal_form(matrix)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
 def test_determinant_matches_fraction_oracle():
-    # with no right-hand side, scaled_solve's minor is the determinant up to
-    # sign when the matrix is nonsingular, and the nonzero minor on the
-    # pivot rows and columns of lower order when it is singular
+    # the product of a square matrix's invariant factors is the absolute
+    # value of its determinant, 0 exactly when it is singular: the count of
+    # box points that `lattice._parallelepiped_points` reads off
     rng = random.Random(5)
     kinds = {"random": 0, "singular": 0, "swap": 0}
     for trial in range(300):
@@ -303,13 +229,11 @@ def test_determinant_matches_fraction_oracle():
             a, b = rng.randint(-2, 2), rng.randint(-2, 2)
             m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
         elif kind == "swap" and n > 1:
-            # a zero leading entry forces a row swap at the first pivot
+            # a zero leading entry forces a swap at the first pivot
             m[0][0] = 0
             m[rng.randrange(1, n)][0] = rng.choice((-3, -1, 1, 2))
         want = det_oracle(m)
-        got = pivot_minor(m)
-        assert got == abs(pivot_minor_oracle(m)) != 0, (m, got)
-        assert (got == abs(want)) == (want != 0), (m, got, want)
+        assert math.prod(smith_diagonal(m)) == abs(want), m
         if kind == "singular" and n > 1:
             assert want == 0
             kinds[kind] += 1
@@ -317,19 +241,17 @@ def test_determinant_matches_fraction_oracle():
             kinds[kind] += 1
         elif kind == "random":
             kinds[kind] += 1
-    assert pivot_minor([]) == 1
+    assert smith_diagonal([]) == []
     assert all(count >= 50 for count in kinds.values()), kinds
 
 
 def test_determinant_of_tall_matrix_is_a_maximal_minor():
-    # n x k with n > k and rank k: scaled_solve's minor is the maximal minor
-    # on the pivot rows, whose sign `lattice._lexicographic_signs` reads;
-    # when it is ±1 the columns span a saturated lattice, so their Smith
-    # form is all ones.  With rank below k it is a nonzero minor of lower
-    # order and every maximal minor is 0
+    # n x k with n > k: the product of the k invariant factors is the gcd of
+    # the maximal minors, 0 exactly when the rank is below k; when it is 1
+    # the columns span a saturated lattice, a Smith form of all ones, as
+    # `lattice` requires of a lineality basis
     rng = random.Random(7)
-    kinds = {"full rank": 0, "rank below k": 0, "leading zero": 0}
-    unit_minors = 0
+    kinds = {"full rank": 0, "rank below k": 0, "leading zero": 0, "saturated": 0}
     for trial in range(300):
         k = rng.randint(1, 4)
         n = rng.randint(k + 1, 6)
@@ -341,111 +263,98 @@ def test_determinant_of_tall_matrix_is_a_maximal_minor():
         elif trial % 3 == 1 and k > 1:
             for row in m:
                 row[-1] = 2 * row[0]
-        got = pivot_minor(m)
-        minors = [det_oracle([m[i] for i in rows]) for rows in itertools.combinations(range(n), k)]
-        assert got == abs(pivot_minor_oracle(m)) != 0, (m, got)
+        minors = [int(det_oracle([m[i] for i in rows])) for rows in itertools.combinations(range(n), k)]
+        diag = smith_diagonal(m)
+        assert math.prod(diag) == math.gcd(*minors), (m, diag)
         full = rank_oracle(m) == k
-        assert full == any(minors), m
-        if full:
-            assert got in {abs(x) for x in minors}, (m, got)
-            if got == 1:
-                _, d, _ = kernel.smith_normal_form(m)
-                assert all(d[i][i] == 1 for i in range(k)), m
-                unit_minors += 1
+        assert full == any(minors) == all(diag), m
         kinds["full rank" if full else "rank below k"] += 1
         if trial % 3 == 0 and full:
             kinds["leading zero"] += 1
-    assert all(count >= 50 for count in kinds.values()), kinds
-    assert unit_minors >= 20, unit_minors
+        if diag == [1] * k:
+            kinds["saturated"] += 1
+    assert all(count >= 20 for count in kinds.values()), kinds
 
 
 def test_elimination_on_sparse_matrices():
-    # most rows have 0 in the pivot column: Bareiss only rescales them, or
-    # keeps them when the pivot equals the previous one
+    # most entries are 0, so most rows and columns need no reduction at a
+    # pivot: the transforms still give U*A*V = D with unimodular U and V,
+    # D's diagonal is the divisibility chain, and its product is |det A|
     rng = random.Random(8)
     for _ in range(300):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(nc)] for _ in range(nr)]
-        assert pivot_minor(m) == abs(pivot_minor_oracle(m)), m
-        if nr == nc and det_oracle(m):
-            assert pivot_minor(m) == abs(det_oracle(m)), m
+        u, d, v = kernel.smith_normal_form(m)
+        assert _matmul(_matmul(u, m), v) == [list(row) for row in d], m
+        assert abs(det_oracle(u)) == abs(det_oracle(v)) == 1, m
+        diag = smith_diagonal(m)
+        assert all(d[i][j] == 0 for i in range(nr) for j in range(nc) if i != j), m
+        assert all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:])), m
+        if nr == nc:
+            assert math.prod(diag) == abs(det_oracle(m)), m
         x = [rng.randint(-2, 2) for _ in range(nc)]
-        b = [kernel.dot(row, x) for row in m]
-        sol = scaled_solution(m, b)
-        assert sol == solve_oracle(m, b), m
-        assert sol is not None and all(kernel.dot(row, sol) == bi for row, bi in zip(m, b)), m
+        assert kernel.integer_feasible(m)([kernel.dot(row, x) for row in m]), m
 
 
-def test_solve_none_exactly_when_rank_grows():
-    rng = random.Random(6)
-    seen = {True: 0, False: 0}
-    for _ in range(400):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        m = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        if rng.random() < 0.5:
-            x = [rng.randint(-3, 3) for _ in range(nc)]
-            b = [sum(r * xi for r, xi in zip(row, x)) for row in m]
+def elementary_product(rng, n):
+    """A random product of elementary integer row operations: unimodular."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 12)):
+        e = [[int(i == j) for j in range(n)] for i in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        op = rng.randrange(3)
+        if op == 0 and i != j:
+            e[i][j] = rng.randint(-3, 3)  # add a multiple of row j to row i
+        elif op == 1:
+            e[i], e[j] = e[j], e[i]
         else:
-            b = [rng.randint(-3, 3) for _ in range(nr)]
-        inconsistent = rank_oracle(m) < rank_oracle([row + [bi] for row, bi in zip(m, b)])
-        sol = scaled_solution(m, b)
-        assert sol == solve_oracle(m, b), (m, b)
-        assert (sol is None) == inconsistent, (m, b)
-        if sol is not None:
-            assert all(kernel.dot(row, sol) == bi for row, bi in zip(m, b))
-        seen[inconsistent] += 1
-    assert min(seen.values()) >= 50, seen
-
-
-def unit_vectors(n):
-    return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            e[i][i] = -1
+        u = _matmul(e, u)
+    return u
 
 
 def test_unimodular_inverse_of_elementary_products():
-    # scaled_solve against the unit vectors: a minor d = ±1 and d times each
-    # column of the inverse, the read `lattice` makes of a Smith transform
+    # a unimodular U has Smith form U2*U*V2 = I, so V2*U2 is its inverse:
+    # the read `lattice._lineality_checks` makes of a Smith transform
     rng = random.Random(7)
     for _ in range(150):
         n = rng.randint(1, 5)
-        u = [[int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(rng.randint(0, 12)):
-            e = [[int(i == j) for j in range(n)] for i in range(n)]
-            i, j = rng.randrange(n), rng.randrange(n)
-            op = rng.randrange(3)
-            if op == 0 and i != j:
-                e[i][j] = rng.randint(-3, 3)  # add a multiple of row j to row i
-            elif op == 1:
-                e[i], e[j] = e[j], e[i]
-            else:
-                e[i][i] = -1
-            u = _matmul(e, u)
-        d, columns = kernel.scaled_solve(u, unit_vectors(n))
-        assert abs(d) == 1
-        inv = [[d * x for x in row] for row in zip(*columns)]
+        u = elementary_product(rng, n)
+        u2, d, v2 = kernel.smith_normal_form(u)
         ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        assert _matmul(u, inv) == ident
-        assert _matmul(inv, u) == ident
+        assert _matmul(_matmul(u2, u), v2) == ident == [list(row) for row in d]
+        assert _matmul(_matmul(v2, u2), u) == ident
 
 
 def test_unimodular_inverse_rejects_other_matrices(monkeypatch):
-    # a square matrix that is not unimodular shows a minor other than ±1 or
-    # an inconsistent unit vector, and `lattice` refuses a Smith transform
-    # that shows either
+    # a square matrix that is not unimodular has an invariant factor other
+    # than 1, and `lattice` refuses a Smith transform whose own Smith form
+    # shows one
     for m in ([[2]], [[1, 2], [3, 4]], [[1, 1], [1, 1]], [[0, 1, 0], [1, 0, 0], [1, 1, 0]]):
-        d, columns = kernel.scaled_solve(m, unit_vectors(len(m)))
-        assert abs(d) != 1 or None in list(columns), m
+        assert smith_diagonal(m) != [1] * len(m), m
     smith = kernel.smith_normal_form
 
-    def doubled_transform(matrix):
-        u, d, v = smith(matrix)
-        return (tuple(2 * x for x in u[0]),) + u[1:], d, v
+    def doubled_transform(u):
+        return (tuple(2 * x for x in u[0]),) + u[1:]
 
-    def repeated_transform(matrix):
-        # a singular transform whose pivot minor is still ±1
-        u, d, v = smith(matrix)
-        return (u[0], u[0]) + u[2:], d, v
+    def repeated_transform(u):
+        # singular, though every entry is that of a unimodular matrix
+        return (u[0], u[0]) + u[2:]
 
     for transform in (doubled_transform, repeated_transform):
-        monkeypatch.setattr(kernel, "smith_normal_form", transform)
+        spoiled, inverted = [], []
+
+        def spoiling(matrix):
+            # every Smith form returns a spoiled transform, except the one
+            # taken of such a transform, which `lattice` inverts
+            u, d, v = smith(matrix)
+            if matrix in spoiled:
+                inverted.append(matrix)
+                return u, d, v
+            spoiled.append(transform(u))
+            return spoiled[-1], d, v
+
+        monkeypatch.setattr(kernel, "smith_normal_form", spoiling)
         with pytest.raises(AssertionError, match="Smith transform must be unimodular"):
             lattice.is_hilbert_basis([(1, 0), (-1, 0), (0, 1)])
+        assert inverted

@@ -578,24 +578,21 @@ def random_unimodular(rng, m):
 
 def test_parallelepiped_points_match_fraction_solve(monkeypatch):
     # a simplex that the cone's facet heights certify unimodular takes no
-    # elimination at all; every other one takes exactly one Smith form and
-    # no Bareiss elimination: a unimodular one (its pivot minor ±1 or not)
-    # and the empty simplex included.  The odometer carries from one
-    # position into the next only when two or more invariant factors
-    # exceed 1, so unimodular images U*D*V of such diagonals are drawn
-    # besides the uniform ones.
-    smith, solve = kernel.smith_normal_form, kernel.scaled_solve
-    smith_calls, solve_calls = [], []
+    # elimination at all; every other one takes exactly one Smith form: a
+    # unimodular one (its pivot minor ±1 or not) and the empty simplex
+    # included.  The odometer carries from one position into the next only
+    # when two or more invariant factors exceed 1, so unimodular images
+    # U*D*V of such diagonals are drawn besides the uniform ones.
+    smith = kernel.smith_normal_form
+    smith_calls = []
     monkeypatch.setattr(kernel, "smith_normal_form", lambda m: smith_calls.append(m) or smith(m))
-    monkeypatch.setattr(kernel, "scaled_solve", lambda *a: solve_calls.append(a) or solve(*a))
     rng = random.Random(16)
     kinds = Counter()
 
     def box(gens, n):
         smith_calls.clear()
-        solve_calls.clear()
         got = lattice._parallelepiped_points(gens, n, StepCounter(10**6, "test"))
-        assert len(smith_calls) == 1 and not solve_calls, gens
+        assert len(smith_calls) == 1, gens
         return got
 
     def check(gens, n):
@@ -647,10 +644,8 @@ def test_parallelepiped_points_match_fraction_solve(monkeypatch):
             continue
         uncertified = [s for s in cone.triangulation if s not in cone.unimodular]
         smith_calls.clear()
-        solve_calls.clear()
         hilbert_basis(cone)
         assert smith_calls == [tuple(tuple(g[i] for g in s) for i in range(cone.n)) for s in uncertified]
-        assert not solve_calls
         kinds["certified, in a box scan"] += len(cone.triangulation) - len(uncertified)
     assert set(kinds) == {
         "k < n",
@@ -668,37 +663,65 @@ def test_parallelepiped_points_match_fraction_solve(monkeypatch):
 
 
 @st.composite
-def simplices_with_perturbations(draw):
-    """k <= n independent generators in Z^n (n <= 7, entries -4..4) and a
-    perturbation in their span: up to three integer combinations of them,
-    often with zero coordinates, then the generators in a drawn order."""
-    n = draw(st.integers(0, 7))
-    k = draw(st.integers(0, n))
-    simplex = tuple(draw(st.tuples(*[st.integers(-4, 4)] * n)) for _ in range(k))
-    assume(rank_oracle(simplex) == k)
-    coefficients = st.tuples(*[st.integers(-2, 2)] * k)
-    combos = draw(st.lists(coefficients, min_size=1, max_size=3))
-    head = tuple(tuple(sum(c * g[i] for c, g in zip(cs, simplex)) for i in range(n)) for cs in combos)
-    return simplex, n, head + tuple(draw(st.permutations(simplex)))
+def pointed_cones(draw):
+    """A pointed cone in Z^n (n <= 6): lifted 0/1 vectors (graded), small
+    integer vectors (often with uncertified simplices), or nonnegative
+    combinations of fewer drawn vectors than the dimension
+    (lower-dimensional)."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("0/1-lifted", "small-integer", "lower-dimensional")))
+    k = draw(st.integers(1, 2 * n + 1))
+    if kind == "0/1-lifted":
+        gens = [draw(st.tuples(*[st.integers(0, 1)] * (n - 1))) + (1,) for _ in range(k)]
+    elif kind == "small-integer":
+        gens = [draw(st.tuples(*[st.integers(-1, 3)] * n)) for _ in range(k)]
+    else:
+        basis = [draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in range(draw(st.integers(1, max(1, n - 1))))]
+        gens = [
+            tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(n))
+            for cs in (draw(st.tuples(*[st.integers(0, 2)] * len(basis))) for _ in range(k))
+        ]
+    assume(any(any(g) for g in gens))
+    cone = ConeWithLattice.from_vectors(gens, n)
+    assume(cone.is_pointed)
+    return cone
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(simplices_with_perturbations())
-@example(((), 3, ((0, 0, 0),)))  # the empty simplex has no signs
-@example((((2, 0, 1), (0, 2, 1)), 3, ((2, 2, 2), (0, 2, 1), (2, 0, 1))))  # k < n, box of 2
-@example((((1, 1), (1, -1)), 2, ((1, -1), (1, 1), (1, -1))))  # negative minor, not unimodular
-def test_lexicographic_signs_match_fraction_solves(case):
-    # one integer elimination gives the signs that a Fraction solve per
-    # perturbation vector gave
-    simplex, n, perturbation = case
-    assert lattice._lexicographic_signs(simplex, n, perturbation) == lexicographic_signs_oracle(
-        simplex, n, perturbation
+@given(pointed_cones())
+@example(ConeWithLattice.from_vectors([], 3))  # the empty simplex has no signs
+@example(ConeWithLattice.from_vectors([(2, 0, 1), (0, 2, 1)]))  # lower-dimensional, box of 2
+@example(ConeWithLattice.from_vectors([(1, 1), (1, -1)]))  # negative determinant, not unimodular
+def test_lexicographic_signs_match_fraction_solves(cone):
+    # the signs read off the facet-height table are those that a Fraction
+    # solve per perturbation vector gives, on every simplex of the
+    # triangulation, certified or not
+    rays = cone.extreme_rays
+    perturbation = (tuple(map(sum, zip(*rays))),) + rays
+    for simplex in cone.triangulation:
+        assert lattice._lexicographic_signs(cone, simplex) == lexicographic_signs_oracle(
+            simplex, cone.n, perturbation
+        ), (cone, simplex)
+
+
+def test_half_open_points_of_a_certified_cone_make_no_kernel_call(monkeypatch):
+    # facet heights certify all six simplices of the lifted edge cone of
+    # K_{3,3}: once the cone's tables are built, its half-open
+    # decompositions take neither a Smith form nor any other kernel call
+    cone = ConeWithLattice.from_vectors(
+        [tuple(int(v in (i, j)) for v in range(6)) + (1,) for i in range(3) for j in range(3, 6)]
     )
+    assert len(cone.triangulation) == 6 and set(cone.triangulation) == cone.unimodular
+    want = lattice.half_open_points(cone)
+    for name, obj in vars(kernel).items():
+        if callable(obj) and getattr(obj, "__module__", None) == kernel.__name__:
+            monkeypatch.setattr(kernel, name, lambda *a, name=name: pytest.fail(f"kernel.{name} called"))
+    assert lattice.half_open_points(cone) == want
 
 
 def test_unimodular_certificate_is_sound():
     # every simplex certified by facet heights has an all-ones Smith
-    # diagonal; the certificate and the Bareiss minor each catch unimodular
+    # diagonal; the certificate and the pivot minor each catch unimodular
     # simplices that the other misses
     rng = random.Random(33)
     routes = set()

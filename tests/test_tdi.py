@@ -312,12 +312,13 @@ def test_verdict_vectors_check_both_equivalences(square):
 
 
 def test_each_clutter_cone_is_built_once(monkeypatch):
-    # clutter_verdicts runs one DD of the covering polyhedron and one of the
-    # symbolic cone, which is_ntf and closure_vs_symbolic share; analyze and
-    # canonical_degrees share one triangulation.  The symbolic cone is given
-    # by its inequality normals, -e_j and (-u, 1) per minimal cover u, and
-    # its rays come from the polar DD of `cone_generators_to_hrep`, which
-    # other cones call with their generators.
+    # clutter_verdicts runs one DD of the covering polyhedron, and one of the
+    # symbolic cone for each of is_ntf and closure_vs_symbolic, as no module
+    # cache shares it; analyze and canonical_degrees share one
+    # triangulation.  The symbolic cone is given by its inequality normals,
+    # -e_j and (-u, 1) per minimal cover u, and its rays come from the polar
+    # DD of `cone_generators_to_hrep`, which other cones call with their
+    # generators.
     c5 = cycle_clutter(5)
     symbolic = {tuple(-int(i == j) for i in range(6)) for j in range(6)}
     symbolic |= {tuple(-int(i in u) for i in range(5)) + (1,) for u in combinat.minimal_covers(c5)}
@@ -341,7 +342,7 @@ def test_each_clutter_cone_is_built_once(monkeypatch):
     count(polyhedron, "cone_generators_to_hrep", lambda normals, n: set(normals) == symbolic)
     count(lattice, "_triangulate")
     assert tdi.clutter_verdicts(c5).consistent
-    assert calls["dd_convert"] == 1 and calls["cone_generators_to_hrep"] == 1
+    assert calls["dd_convert"] == 1 and calls["cone_generators_to_hrep"] == 2
     calls.clear()
     ehrhart.analyze(cycle_clutter(4))
     ehrhart.canonical_degrees(cycle_clutter(4))
