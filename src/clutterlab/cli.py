@@ -505,19 +505,21 @@ PARSER = build_parser()
 
 def main(argv=None) -> int:
     try:
-        args = PARSER.parse_args(argv)
-    except SystemExit as exc:
+        try:
+            args = PARSER.parse_args(argv)
+            if args.budget is None:
+                args.budget = step_budget()
+            if args.budget < 0:
+                raise UsageError(f"the step budget must be at least 0, got {args.budget}")
+            with budget(args.budget):
+                # looked up at call time, so that a rebound command function runs
+                return globals()[f"cmd_{args.cmd}"](args)
+        finally:
+            # on every way out, before a reason goes to stderr: a closed pipe
+            # shows here, not in the interpreter's flush at exit
+            sys.stdout.flush()
+    except SystemExit as exc:  # from argparse
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        if args.budget is None:
-            args.budget = step_budget()
-        if args.budget < 0:
-            raise UsageError(f"the step budget must be at least 0, got {args.budget}")
-        with budget(args.budget):
-            # looked up at call time, so that a rebound command function runs
-            code = globals()[f"cmd_{args.cmd}"](args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,8 +26,11 @@ four questions with no elimination:
 - the ray/facet incidences of the triangulation and the unimodular
   simplices that need no box (`ConeWithLattice.unimodular`);
 - the signs of a generic point's coordinates in each simplex, which make
-  its box half-open (`_lexicographic_signs`): over one facet per ray the
-  rays' heights are triangular, so back substitution gives them.
+  its box half-open (`_lexicographic_signs`).
+The last two read one facet per ray of each simplex
+(`_separating_normals`), over which the rays' heights are
+triangular: a diagonal of ones certifies the simplex, and back
+substitution gives the signs.
 
 Otherwise the basis comes in two steps: the cone is triangulated on its
 incidences, and the lattice points of each simplex's half-open
@@ -167,28 +170,26 @@ class ConeWithLattice:
 
         The rays are primitive by construction (`from_vectors`), so a
         simplex is certified when, for each i >= 2, some inequality normal a
-        vanishes on r_1 .. r_{i-1} and has height 1 at r_i.  With L_i the
-        lattice Z^n meet span(r_1 .. r_i), the integer functional a vanishes
-        on L_{i-1}, so on L_i it is an integer multiple of the primitive
-        functional that does; height 1 at r_i makes that multiple ±1 and
-        r_i a generator of L_i modulo L_{i-1}.
+        vanishes on r_1 .. r_{i-1} and has height 1 at r_i, as the pick of
+        `_separating_normals` then does.  With L_i the lattice Z^n meet
+        span(r_1 .. r_i), the integer functional a vanishes on L_{i-1}, so
+        on L_i it is an integer multiple of the primitive functional that
+        does; height 1 at r_i makes that multiple ±1 and r_i a generator of
+        L_i modulo L_{i-1}.
         Hence r_1 .. r_k is a basis of L_k and the box holds only the
         origin.  This is the certificate form of Normaliz's volume of a
         pyramid, apex height times base volume (Bruns, Ichim & Soeger,
         J. Symbolic Comput. 74, 2016).  The empty simplex of the zero cone
         is certified.
         """
-        units = {r: _bits(self.heights[r], 1) for r in self.extreme_rays}
-        certified = set()
-        for simplex in self.triangulation:
-            common = -1  # the normals vanishing on the prefix; all, at first
-            for i, r in enumerate(simplex):
-                if i and not common & units[r]:
-                    break
-                common &= self.incidences[r]
-            else:
-                certified.add(simplex)
-        return frozenset(certified)
+        return frozenset(
+            simplex
+            for simplex in self.triangulation
+            if all(
+                self.heights[r][a] == 1
+                for r, a in zip(simplex[1:], _separating_normals(self, simplex)[1:])
+            )
+        )
 
     @property
     def lineality_lattice_basis(self) -> tuple[IntVec, ...]:
@@ -451,6 +452,27 @@ def half_open_points(cone: ConeWithLattice):
     return closed, interior
 
 
+def _separating_normals(cone: ConeWithLattice, simplex: tuple[IntVec, ...]) -> list[int]:
+    """For each ray r_i of a simplex of the triangulation, the index of an
+    inequality normal that vanishes on r_1 .. r_{i-1} and not on r_i, one
+    of height 1 at r_i where there is one (`_lexicographic_signs` shows
+    that some normal qualifies).  Over them the rays' heights form an upper
+    triangular matrix T with positive diagonal: `ConeWithLattice.unimodular`
+    reads T_ii = 1 off it and `_lexicographic_signs` back-substitutes in it.
+    """
+    normals = []
+    common = (1 << len(cone.hrep_normals[0])) - 1  # the normals vanishing on the prefix
+    for r in simplex:
+        free = common & ~cone.incidences[r]
+        if not free:
+            raise AssertionError("no facet separates a simplex ray from the rays before it")
+        if free & (free - 1):  # a choice: prefer a normal of height 1 at r
+            free = free & _bits(cone.heights[r], 1) or free
+        normals.append((free & -free).bit_length() - 1)
+        common &= cone.incidences[r]
+    return normals
+
+
 def _lexicographic_signs(cone: ConeWithLattice, simplex: tuple[IntVec, ...]) -> list[int]:
     """Signs of the simplex coordinates of y0 + e*y1 + e^2*y2 + ... (small
     e), with y0 the sum of the extreme rays and y1, y2, ... the extreme
@@ -464,24 +486,17 @@ def _lexicographic_signs(cone: ConeWithLattice, simplex: tuple[IntVec, ...]) -> 
     simplicial face lists its rays in order), and a face is the meet of
     the facets that contain it; the cone is pointed, so some facet misses
     r_1 too.  So some inequality normal a_i vanishes on r_1 .. r_{i-1} and
-    has positive height at r_i; the lowest is taken.  Over a_1 .. a_k the
-    rays' heights form an upper triangular matrix T with positive
-    diagonal, and a vector y in the simplex's span has heights T*lam, lam
-    its simplex coordinates.  So back substitution gives det(T)*lam in
-    integers, each division exact by Cramer's rule; the heights of y0 are
-    the sums of the rays' heights.  T has ones on its diagonal on a
-    simplex that `ConeWithLattice.unimodular` certifies.  The empty simplex
-    has no signs.
+    has positive height at r_i; `_separating_normals` picks one.  Over
+    a_1 .. a_k the rays' heights form an upper triangular matrix T with
+    positive diagonal, and a vector y in the simplex's span has heights
+    T*lam, lam its simplex coordinates.  So back substitution gives
+    det(T)*lam in integers, each division exact by Cramer's rule; the
+    heights of y0 are the sums of the rays' heights.  T_ii = 1 for i >= 2
+    on a simplex that `ConeWithLattice.unimodular` certifies.  The empty
+    simplex has no signs.
     """
     k = len(simplex)
-    normals = []
-    common = (1 << len(cone.hrep_normals[0])) - 1  # the normals vanishing on the prefix
-    for r in simplex:
-        free = common & ~cone.incidences[r]
-        if not free:
-            raise AssertionError("no facet separates a simplex ray from the rays before it")
-        normals.append((free & -free).bit_length() - 1)
-        common &= cone.incidences[r]
+    normals = _separating_normals(cone, simplex)
     rows = [[cone.heights[r][a] for r in simplex] for a in normals]  # T, upper triangular
     det = prod(rows[i][i] for i in range(k))
     rays = [[cone.heights[r][a] for a in normals] for r in cone.extreme_rays]

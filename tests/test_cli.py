@@ -325,13 +325,17 @@ def test_lineality_witness_bytes(tmp_path, capsys):
 def test_closed_stdout_is_a_usage_error(tmp_path):
     # a reader that has gone, as after `| head -c 1`, is exit 64 with one
     # stderr line, whether stdout is buffered (the error shows at the flush
-    # that ends `main`) or not (at the first print); the pipe's read end is
-    # closed before the command starts, so the outcome does not hang on
-    # timing
+    # that ends `main`) or not (at the first print), and also when the
+    # command stops undecided after writing its certificate (exit 2 with a
+    # reader); the pipe's read end is closed before the command starts, so
+    # the outcome does not hang on timing
     src = str(Path(cli.__file__).resolve().parents[1])
+    p4 = write(tmp_path, "p4.json", '{"kind":"clutter","n":4,"edges":[[0,1],[1,2],[2,3]]}')
+    assert run(["check", "mfmc", "--json", "--budget", "0", "--input", p4]) == 2
     for argv in (
         ["examples", "--name", "line-k24", "--outdir", str(tmp_path / "ex")],
         ["conjecture", "--count", "12"],
+        ["check", "mfmc", "--json", "--budget", "0", "--input", p4],
     ):
         for unbuffered in ("", "1"):
             env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

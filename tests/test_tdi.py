@@ -314,7 +314,8 @@ def test_verdict_vectors_check_both_equivalences(square):
 def test_each_clutter_cone_is_built_once(monkeypatch):
     # clutter_verdicts runs one DD of the covering polyhedron, and one of the
     # symbolic cone for each of is_ntf and closure_vs_symbolic, as no module
-    # cache shares it; analyze and canonical_degrees share one
+    # cache shares it (one per-call analysis that both read would make it
+    # one, as the name asks); analyze and canonical_degrees share one
     # triangulation.  The symbolic cone is given by its inequality normals,
     # -e_j and (-u, 1) per minimal cover u, and its rays come from the polar
     # DD of `cone_generators_to_hrep`, which other cones call with their
