@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import add
 
-from . import combinat, lattice, polyhedron
+from . import combinat, kernel, lattice, polyhedron
 from .combinat import RawClutter
 from .errors import StepCounter, UsageError, _integer, step_budget
 
@@ -106,12 +106,33 @@ def _rees_cone(n: int, generators) -> lattice.ConeWithLattice:
 def _symbolic_basis(c: RawClutter) -> tuple[IntVec, ...]:
     """Hilbert basis of the symbolic cone {(a, i) >= 0 : <a, u> >= i for
     every minimal cover u}, for `symbolic_power`, `is_ntf` and
-    `closure_vs_symbolic`; one DD gives its rays."""
+    `closure_vs_symbolic`; one DD gives its rays.
+
+    With an edge, every minimal cover is nonempty and the cone holds every
+    (e_j, 0) and (1, ..., 1), so it is full-dimensional.  Each of its facets
+    is then cut out by one of the normals, which are primitive and
+    distinct, and every other normal is tight on a smaller face, whose rays
+    all lie on some facet.  So the facets are the normals whose sets of
+    tight rays are inclusion-maximal, and they seed the cone's
+    H-representation and heights, as `lattice.is_hilbert_basis` seeds
+    given facets: no second DD runs.  With no edge some normal is tight on
+    every ray, and the cone takes its facets from a DD of its rays.
+    """
     n = c.n
     normals = [tuple(-int(i == j) for i in range(n + 1)) for j in range(n + 1)]
     normals += [tuple(-int(i in u) for i in range(n)) + (1,) for u in combinat.minimal_covers(c)]
     rays, _ = polyhedron.cone_generators_to_hrep(normals, n + 1)  # the polar cone's facets
-    return lattice.hilbert_basis(lattice.ConeWithLattice.from_vectors(rays, n + 1))
+    cone = lattice.ConeWithLattice.from_vectors(rays, n + 1)
+    heights = {a: [-kernel.dot(a, r) for r in cone.generators] for a in normals}
+    tight = {a: lattice._bits(h, 0) for a, h in heights.items()}
+    if (1 << len(cone.generators)) - 1 not in tight.values():
+        masks = set(tight.values())
+        facets = sorted(a for a, m in tight.items() if not any(m != o and m & o == m for o in masks))
+        vars(cone)["hrep_normals"] = (tuple(facets), ())  # the cached_property's slot
+        vars(cone)["heights"] = {
+            r: tuple(heights[a][j] for a in facets) for j, r in enumerate(cone.generators)
+        }
+    return lattice.hilbert_basis(cone)
 
 
 def _generators_at_height(basis, n: int, i: int) -> MonomialIdeal:

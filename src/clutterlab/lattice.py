@@ -7,11 +7,16 @@ of the cone and checking set containment.  It is asked two ways.  The
 report `is_hilbert_basis` lists every witness, for the certificates that
 show them (`tdi.is_tdi`'s face checks; `ehrhart` and `ideals` read
 `hilbert_basis` itself).  The verdict `hilbert_basis_verdict`, which the
-rounding checks of `tdi` read, stops at the first witness: an extreme ray
-of cone(H) outside H answers before any box is enumerated, and otherwise
-the reduction yields its irreducibles one at a time (`_reduce`).  So the
-verdict spends a prefix of the steps the report spends, and a budget that
-decides the report decides the verdict the same way.
+rounding checks of `tdi` read, stops at the first witness it can see.  An
+extreme ray of cone(H) outside H answers before any box is enumerated.
+Then the boxes come one simplex at a time, in the report's order, and a
+nonzero box point outside H with no element of H below it in facet
+heights answers after its box: it lies outside N*H.  Only when no box
+holds one does the reduction run, over the same candidates as the
+report's, yielding its irreducibles one at a time (`_reduce`).  Box points
+cost one step each and the comparisons with H none, so the verdict spends
+a prefix of the steps the report spends, and a budget that decides the
+report decides the verdict the same way.
 
 One table of facet heights per cone (`ConeWithLattice.heights`) answers
 four questions with no elimination:
@@ -81,7 +86,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 
 from . import kernel, polyhedron
 from .errors import StepCounter, UsageError, step_budget
@@ -348,14 +353,24 @@ def _basis_elements(cone: ConeWithLattice, steps: StepCounter):
     is iterated (`_reduce`), so a caller that stops early spends a prefix of
     the steps that draining it spends.
     """
+    return _reduce_candidates(cone, {pt for box in _boxes(cone, steps) for pt in box}, steps)
+
+
+def _boxes(cone: ConeWithLattice, steps: StepCounter):
+    """Per simplex of the triangulation, in its order, the nonzero points of
+    its box; no box on a compressed cone, whose boxes hold only the origin
+    (`hilbert_basis`)."""
+    if all(h <= 1 for r in cone.extreme_rays for h in cone.heights[r]):
+        return
+    for simplex in cone.triangulation:
+        points = _parallelepiped_points(simplex, cone.n, steps, simplex in cone.unimodular)
+        yield [pt for pt, _ in points if any(pt)]
+
+
+def _reduce_candidates(cone: ConeWithLattice, candidates: set[IntVec], steps: StepCounter):
+    """The minimal Hilbert basis of a pointed cone from the nonzero box
+    points of all its simplices, one element at a time."""
     rays = cone.extreme_rays
-    compressed = all(h <= 1 for r in rays for h in cone.heights[r])
-    candidates: set[IntVec] = set() if compressed else {
-        pt
-        for simplex in cone.triangulation
-        for pt, _ in _parallelepiped_points(simplex, cone.n, steps, simplex in cone.unimodular)
-        if any(pt)
-    }
     if not candidates:
         # Every box is empty, so the candidates are the extreme rays, and no
         # extreme ray is the sum of two nonzero cone points.  `_reduce`
@@ -574,12 +589,24 @@ def hilbert_basis_verdict(vectors) -> bool:
     witness.
 
     On a pointed cone every extreme ray is irreducible, so a ray of cone(H)
-    outside H answers False before any box is enumerated, at no step;
-    otherwise the boxes are enumerated as for the report and the reduction
-    stops at the first irreducible outside H.  On a cone with lineality the
-    checks are those of the report, tried until the first unreachable one.
-    So the steps spent are a prefix of those the report spends.  `tdi`'s
-    rounding checks read only this verdict.
+    outside H answers False before any box is enumerated, at no step.
+    Otherwise every lattice point of the cone is a box point plus a sum of
+    rays of one simplex, so H is a Hilbert basis exactly when every box
+    point lies in N*H.  The boxes are enumerated one simplex at a time, in
+    the report's order, and after each box the verdict is False if some
+    nonzero point x of it outside H has no element h of H whose facet
+    heights are all at most x's.  Such an x is a witness: if
+    x = sum c_h*h with c in N^H, every h with c_h > 0 leaves x - h in N*H,
+    inside the cone, so h's heights are at most x's.  So x is a lattice
+    point of the cone outside N*H, and the report is False too.  Only when
+    no box holds such a point does the reduction run, over the same
+    candidates as the report's, and stop at the first irreducible outside
+    H.  On a cone with lineality the checks are those of the report, tried
+    until the first unreachable one.
+
+    Box points spend one step each and the comparisons with H none, so the
+    steps spent are a prefix of those the report spends.  `tdi`'s rounding
+    checks read only this verdict.
     """
     nonzero, cone = _nonzero_cone([tuple(v) for v in vectors], "hilbert_basis_verdict")
     if cone is None:
@@ -588,8 +615,17 @@ def hilbert_basis_verdict(vectors) -> bool:
         hset = set(nonzero)
         if not all(r in hset for r in cone.extreme_rays):
             return False
-        elements = _basis_elements(cone, StepCounter(step_budget(), "hilbert basis enumeration"))
-        return all(x in hset for x in elements)
+        steps = StepCounter(step_budget(), "hilbert basis enumeration")
+        h_heights = [cone.heights_of(h) for h in nonzero]
+        candidates: set[IntVec] = set()
+        for box in _boxes(cone, steps):
+            for x in box:
+                if x not in hset:
+                    hx = cone.heights_of(x)
+                    if not any(all(map(le, h, hx)) for h in h_heights):
+                        return False
+            candidates.update(box)
+        return all(x in hset for x in _reduce_candidates(cone, candidates, steps))
     checks, reached = _lineality_checks(nonzero, cone)
     return all(map(reached, checks))
 

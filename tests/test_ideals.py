@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from clutterlab import combinat, errors, families, ideals
+from clutterlab import combinat, errors, families, ideals, lattice, polyhedron
 from clutterlab.combinat import Clutter, RawClutter
 from clutterlab.errors import Undecided, UsageError
 from clutterlab.ideals import MonomialIdeal
@@ -170,6 +170,39 @@ def test_ntf_square_holds(square):
     rep = ideals.is_ntf(square)
     assert rep.ok and rep.witness is None
     assert ideals.is_ntf(combinat.blocker(square)).ok
+
+
+def test_symbolic_cone_runs_one_dd(monkeypatch):
+    # the rays come from one polar DD; the facets are read off the given
+    # normals, not from a second DD of the rays
+    calls = []
+    dd_cone = polyhedron._dd_cone
+    monkeypatch.setattr(polyhedron, "_dd_cone", lambda *args: calls.append(args) or dd_cone(*args))
+    assert not ideals.is_ntf(families.cycle_clutter(5)).ok
+    assert len(calls) == 1
+
+
+def test_symbolic_cone_facets_match_the_dd(monkeypatch):
+    # the seeded H-representation and heights of the symbolic cone are what
+    # a DD of its rays gives, on drawn clutters, odd cycles, clutters with
+    # singleton edges or isolated vertices, and edgeless ones (which take
+    # the DD)
+    cones = []
+    hilbert_basis = lattice.hilbert_basis
+    monkeypatch.setattr(lattice, "hilbert_basis", lambda cone: cones.append(cone) or hilbert_basis(cone))
+    rng = random.Random(85)
+    clutters = random_clutters(85, 60) + [families.cycle_clutter(k) for k in (3, 5, 7)]
+    clutters += [RawClutter(0, []), RawClutter(3, []), RawClutter(3, [(0,), (1, 2)])]
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        edges = {tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(3)}
+        clutters.append(RawClutter(n, [e for e in edges if not any(set(f) < set(e) for f in edges)]))
+    for c in clutters:
+        cones.clear()
+        ideals.symbolic_power(c, 1)
+        (cone,) = cones
+        assert cone.hrep_normals == polyhedron.cone_generators_to_hrep(cone.generators, c.n + 1), c
+        assert cone.heights == {g: cone.heights_of(g) for g in cone.generators}, c
 
 
 def test_normality_reports(triangle, square):

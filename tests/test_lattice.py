@@ -191,25 +191,37 @@ def hilbert_sets(draw):
     return vecs
 
 
-def test_verdict_matches_the_report_and_brute_force():
+def test_verdict_matches_the_report_and_brute_force(monkeypatch):
     # the verdict that stops at the first witness reads the full report's
     # verdict and the brute-force one: brute_hilbert_basis on pointed cones,
     # membership of every check on cones with lineality.  It spends a
     # prefix of the report's steps, so every budget that decides the report
-    # decides the verdict, the same way.
+    # decides the verdict, the same way.  A verdict that runs no reduction
+    # on a pointed cone whose extreme rays all lie in H was decided by a box
+    # point that no element of H divides.
     seen = Counter()
+    reductions = []
+    reduce_candidates = lattice._reduce_candidates
+    monkeypatch.setattr(
+        lattice,
+        "_reduce_candidates",
+        lambda *args: reductions.append(args) or reduce_candidates(*args),
+    )
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(hilbert_sets())
     def check(vecs):
         n = len(vecs[0])
         rep = is_hilbert_basis(vecs)
+        reductions.clear()
         assert hilbert_basis_verdict(vecs) is rep.verdict, vecs
         nonzero = [v for v in vecs if any(v)]
         if not nonzero:
             want = True
-        elif ConeWithLattice.from_vectors(nonzero, n).is_pointed:
+        elif (cone := ConeWithLattice.from_vectors(nonzero, n)).is_pointed:
             want = set(brute_hilbert_basis(nonzero, n)) <= set(nonzero)
+            by_box = not reductions and set(cone.extreme_rays) <= set(nonzero)
+            seen["box witness"] += by_box and rep.verdict is False
         else:
             want = membership_report_oracle(nonzero, rep.basis).verdict
             seen["lineality"] += 1
@@ -230,6 +242,7 @@ def test_verdict_matches_the_report_and_brute_force():
     draws = seen[True] + seen[False]
     assert min(seen[True], seen[False]) >= 0.3 * draws, seen
     assert seen["lineality"] >= 20 and seen["decided after undecided"] >= 20, seen
+    assert seen["box witness"] >= 20, seen
 
 
 def test_verdict_reads_an_extreme_ray_outside_h_before_any_box():
@@ -244,6 +257,79 @@ def test_verdict_reads_an_extreme_ray_outside_h_before_any_box():
                 is_hilbert_basis(vecs)
     with errors.budget(3):
         assert is_hilbert_basis(vecs).verdict is False
+
+
+def budgeted(fn, vecs, limit):
+    with errors.budget(limit):
+        try:
+            return fn(vecs)
+        except Undecided:
+            return "undecided"
+
+
+def test_verdict_reads_a_box_point_that_no_element_of_h_divides():
+    # every extreme ray is in H, and the box of cone((1, 2, 0), (2, 1, 0),
+    # (0, 0, 1)) holds 0, (1, 1, 0) and (2, 2, 0), one step each; no element
+    # of H has facet heights at most those of (1, 1, 0), so the verdict is
+    # False once the box is spent, while the report also runs the reduction
+    vecs = [(1, 2, 0), (2, 1, 0), (0, 0, 1)]
+    assert budgeted(hilbert_basis_verdict, vecs, 2) == "undecided"
+    assert budgeted(hilbert_basis_verdict, vecs, 3) is False
+    assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 9) == "undecided"
+    assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 10) is False
+
+
+def test_verdict_passes_a_box_point_that_h_reaches():
+    # the box of cone((-1, 3), (1, 0)) holds (0, 2) = 2 * (0, 1), outside H
+    # but above an element of it, so no box answers and the reduction
+    # decides True, under the report's budget
+    vecs = [(1, 0), (0, 1), (-1, 3)]
+    for fn in (hilbert_basis_verdict, lambda v: is_hilbert_basis(v).verdict):
+        assert budgeted(fn, vecs, 5) == "undecided"
+        assert budgeted(fn, vecs, 6) is True
+
+
+def counted_boxes(monkeypatch):
+    calls = Counter()
+    boxes = lattice._parallelepiped_points
+
+    def counted(gens, *args):
+        calls[gens] += 1
+        return boxes(gens, *args)
+
+    monkeypatch.setattr(lattice, "_parallelepiped_points", counted)
+    return calls
+
+
+def test_verdict_enumerates_no_box_after_the_witness_box(monkeypatch):
+    # the first of the three simplices holds the witness (1, 1, 1), so the
+    # other two boxes are never enumerated: the verdict decides at 4 steps,
+    # the 4 points of that box, and the report at 26
+    vecs = [(0, 2, 1), (1, 0, 0), (1, 1, 0), (1, 1, 2), (2, 0, 1)]
+    triangulation = ConeWithLattice.from_vectors(vecs).triangulation
+    assert len(triangulation) == 3
+    calls = counted_boxes(monkeypatch)
+    assert budgeted(hilbert_basis_verdict, vecs, 3) == "undecided"
+    calls.clear()
+    assert budgeted(hilbert_basis_verdict, vecs, 4) is False
+    assert calls == {triangulation[0]: 1}
+    assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 25) == "undecided"
+    assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 26) is False
+
+
+def test_verdict_enumerates_each_box_once_when_every_box_is_empty(monkeypatch):
+    # both boxes hold only the origin and the cone is not compressed, so the
+    # verdict falls through to the empty-box charge without enumerating any
+    # box again; it spends what the report spends
+    vecs = [(0, 0, 1), (0, 1, 2), (1, 0, 0), (1, 1, 0)]
+    cone = ConeWithLattice.from_vectors(vecs)
+    assert max(h for r in cone.extreme_rays for h in cone.heights[r]) > 1
+    calls = counted_boxes(monkeypatch)
+    assert budgeted(hilbert_basis_verdict, vecs, 4) is True
+    assert calls == {simplex: 1 for simplex in cone.triangulation} and len(calls) == 2
+    assert budgeted(hilbert_basis_verdict, vecs, 3) == "undecided"
+    assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 3) == "undecided"
+    assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 4) is True
 
 
 def test_empty_input_rejected():
