@@ -3,8 +3,9 @@
 Ideals live as minimal generating sets of exponent vectors: whatever
 builds an ideal (its generators, the sums of a power, the layers of a
 cone's basis) is minimalised by the divisibility reduction of `lattice`,
-one budget step per comparison.  Closures of powers and symbolic powers
-are the lattice points of two pointed cones:
+one budget step per comparison; the sums of a power and of a layer spend
+one step each, before they are built ("power sums").  Closures of powers
+and symbolic powers are the lattice points of two pointed cones:
 
 * the Rees cone cone{(e_j, 0), (g, 1)} over the generators g of I: x^a
   lies in the closure of I^i exactly when (a, i) lies in it;
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 from operator import add
 
 from . import combinat, kernel, lattice, polyhedron
@@ -81,9 +83,11 @@ def edge_ideal(c: RawClutter) -> MonomialIdeal:
 
 
 def power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
-    """Minimal generators of the i-fold product."""
+    """Minimal generators of the i-fold product: one step per i-fold sum of
+    the q generators, C(q + i - 1, i) of them, spent before any is built."""
     if i < 1:
         raise UsageError("power: exponent must be >= 1")
+    StepCounter(step_budget(), "power sums").spend(comb(len(ideal.gens) + i - 1, i))
     sums = set()
     for combo in combinations_with_replacement(ideal.gens, i):
         total = tuple(sum(col) for col in zip(*combo))
@@ -143,15 +147,15 @@ def _generators_at_height(basis, n: int, i: int) -> MonomialIdeal:
     Such a point is a sum of basis elements; dropping the ones of height 0
     leaves a smaller point of the same height.  A sum of height h is minimal
     only if its part of height h - t is, so each height is minimalised from
-    the ones below it.
+    the ones below it.  Each layer spends one step per sum before building
+    them.
     """
+    steps = StepCounter(step_budget(), "power sums")
     layers = [MonomialIdeal(n, [(0,) * n])]
     for h in range(1, i + 1):
-        layers.append(MonomialIdeal(n, [
-            tuple(map(add, a, b[:n]))
-            for b in basis if 0 < b[n] <= h
-            for a in layers[h - b[n]].gens
-        ]))
+        below = [(b[:n], layers[h - b[n]].gens) for b in basis if 0 < b[n] <= h]
+        steps.spend(sum(len(gens) for _, gens in below))
+        layers.append(MonomialIdeal(n, [tuple(map(add, a, b)) for b, gens in below for a in gens]))
     return layers[i]
 
 

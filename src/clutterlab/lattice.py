@@ -9,14 +9,15 @@ show them (`tdi.is_tdi`'s face checks; `ehrhart` and `ideals` read
 `hilbert_basis` itself).  The verdict `hilbert_basis_verdict`, which the
 rounding checks of `tdi` read, stops at the first witness it can see.  An
 extreme ray of cone(H) outside H answers before any box is enumerated.
-Then the boxes come one simplex at a time, in the report's order, and a
-nonzero box point outside H with no element of H below it in facet
-heights answers after its box: it lies outside N*H.  Only when no box
-holds one does the reduction run, over the same candidates as the
-report's, yielding its irreducibles one at a time (`_reduce`).  Box points
-cost one step each and the comparisons with H none, so the verdict spends
-a prefix of the steps the report spends, and a budget that decides the
-report decides the verdict the same way.
+Then the box points come one at a time, simplex by simplex in the
+report's order, and the first nonzero one outside H with no element of H
+below it in facet heights answers at once: it lies outside N*H, and the
+rest of its box is never enumerated.  Only when no box point answers does
+the reduction run, over the same candidates as the report's, yielding its
+irreducibles one at a time (`_reduce`).  Box points cost one step each,
+spent before each is yielded, and the comparisons with H none, so the
+verdict spends a prefix of the steps the report spends, and a budget that
+decides the report decides the verdict the same way.
 
 One table of facet heights per cone (`ConeWithLattice.heights`) answers
 four questions with no elimination:
@@ -232,36 +233,41 @@ def _bits(values, target: int) -> int:
 
 def _parallelepiped_points(
     gens: tuple[IntVec, ...], n: int, steps: StepCounter, certified: bool = False
-) -> list[tuple[IntVec, IntVec]]:
-    """Lattice points of the half-open box {sum l_i g_i : 0 <= l_i < 1}.
+):
+    """Yields the lattice points of the half-open box {sum l_i g_i :
+    0 <= l_i < 1}, one at a time.
 
     The generators must be linearly independent.  A simplex that the cone's
     facet heights certify unimodular (`ConeWithLattice.unimodular`) has
     only the origin, with no elimination at all.  Every other simplex takes
     one Smith normal form U*G*V = D of the n x k matrix G whose columns are
-    the generators.  The box holds as many lattice points as the product of
-    G's invariant factors (none for the empty simplex), so only the origin
-    when that product is 1.  The residue classes of (Z^n meet span) modulo
-    the generator lattice are indexed by y with 0 <= y_i < d_i, and the class
-    of y has coefficients l = V*(y_i / d_i).  Scaled by the largest
-    invariant factor d_k these are integers r = d_k*l mod d_k = sum y_i c_i
-    mod d_k, with c_i = (column i of V)*(d_k/d_i) mod d_k, and the box
-    point is G*r / d_k.  The y run in `itertools.product` order, last
-    position fastest, as an odometer: since d_i*c_i = 0 mod d_k, moving
-    position i up by one while every later position wraps to 0 adds the
-    carry sum_{j >= i} c_j to r.  So every point costs one k-vector add
-    mod d_k and one integer mat-vec.  Each point comes with its r (so
-    l_i = 0 exactly when r_i = 0).
+    the generators, when its first point is asked for.  The box holds as
+    many lattice points as the product of G's invariant factors (none for
+    the empty simplex), so only the origin when that product is 1.  The
+    residue classes of (Z^n meet span) modulo the generator lattice are
+    indexed by y with 0 <= y_i < d_i, and the class of y has coefficients
+    l = V*(y_i / d_i).  Scaled by the largest invariant factor d_k these
+    are integers r = d_k*l mod d_k = sum y_i c_i mod d_k, with
+    c_i = (column i of V)*(d_k/d_i) mod d_k, and the box point is G*r / d_k.
+    The y run in `itertools.product` order, last position fastest, as an
+    odometer: since d_i*c_i = 0 mod d_k, moving position i up by one while
+    every later position wraps to 0 adds the carry sum_{j >= i} c_j to r.
+    So every point costs one k-vector add mod d_k and one integer mat-vec,
+    and one step, spent before the point is yielded; a caller that stops
+    early spends a prefix of the steps that draining the box spends.  Each
+    point comes with its r (so l_i = 0 exactly when r_i = 0).
     """
     k = len(gens)
     origin = ((0,) * n, (0,) * k)
     if certified:
-        return [origin]
+        yield origin
+        return
     mat = tuple(tuple(g[i] for g in gens) for i in range(n))  # n x k, columns = gens
     _, d, v = kernel.smith_normal_form(mat)
     diag = [d[i][i] for i in range(k)]
     if prod(diag) == 1:
-        return [origin]
+        yield origin
+        return
     dk = diag[-1]
     carries = [()] * k  # carries[i] = sum_{j >= i} c_j mod d_k
     carry = [0] * k
@@ -271,19 +277,18 @@ def _parallelepiped_points(
         carries[i] = carry
     y = [0] * k
     r = [0] * k
-    out = []
     while True:
         steps.spend()
         num = [sum(map(mul, row, r)) for row in mat]
         if any(x % dk for x in num):
             raise AssertionError("parallelepiped representative outside span")
-        out.append((tuple([x // dk for x in num]), tuple(r)))
+        yield tuple([x // dk for x in num]), tuple(r)
         i = k - 1
         while y[i] == diag[i] - 1:
             y[i] = 0
             i -= 1
             if i < 0:
-                return out
+                return
         y[i] += 1
         r = [(a + c) % dk for a, c in zip(r, carries[i])]
 
@@ -353,18 +358,20 @@ def _basis_elements(cone: ConeWithLattice, steps: StepCounter):
     is iterated (`_reduce`), so a caller that stops early spends a prefix of
     the steps that draining it spends.
     """
-    return _reduce_candidates(cone, {pt for box in _boxes(cone, steps) for pt in box}, steps)
+    return _reduce_candidates(cone, set(_box_points(cone, steps)), steps)
 
 
-def _boxes(cone: ConeWithLattice, steps: StepCounter):
-    """Per simplex of the triangulation, in its order, the nonzero points of
-    its box; no box on a compressed cone, whose boxes hold only the origin
+def _box_points(cone: ConeWithLattice, steps: StepCounter):
+    """Yields the nonzero points of each simplex's box, simplex by simplex
+    in the triangulation's order, as `_parallelepiped_points` yields them;
+    nothing on a compressed cone, whose boxes hold only the origin
     (`hilbert_basis`)."""
     if all(h <= 1 for r in cone.extreme_rays for h in cone.heights[r]):
         return
     for simplex in cone.triangulation:
-        points = _parallelepiped_points(simplex, cone.n, steps, simplex in cone.unimodular)
-        yield [pt for pt, _ in points if any(pt)]
+        for pt, _ in _parallelepiped_points(simplex, cone.n, steps, simplex in cone.unimodular):
+            if any(pt):
+                yield pt
 
 
 def _reduce_candidates(cone: ConeWithLattice, candidates: set[IntVec], steps: StepCounter):
@@ -592,10 +599,11 @@ def hilbert_basis_verdict(vectors) -> bool:
     outside H answers False before any box is enumerated, at no step.
     Otherwise every lattice point of the cone is a box point plus a sum of
     rays of one simplex, so H is a Hilbert basis exactly when every box
-    point lies in N*H.  The boxes are enumerated one simplex at a time, in
-    the report's order, and after each box the verdict is False if some
-    nonzero point x of it outside H has no element h of H whose facet
-    heights are all at most x's.  Such an x is a witness: if
+    point lies in N*H.  The box points are enumerated one at a time, simplex
+    by simplex in the report's order, and the verdict is False at the first
+    nonzero point x outside H that has no element h of H whose facet
+    heights are all at most x's; the rest of x's box and every later box
+    are never enumerated.  Such an x is a witness: if
     x = sum c_h*h with c in N^H, every h with c_h > 0 leaves x - h in N*H,
     inside the cone, so h's heights are at most x's.  So x is a lattice
     point of the cone outside N*H, and the report is False too.  Only when
@@ -604,9 +612,9 @@ def hilbert_basis_verdict(vectors) -> bool:
     H.  On a cone with lineality the checks are those of the report, tried
     until the first unreachable one.
 
-    Box points spend one step each and the comparisons with H none, so the
-    steps spent are a prefix of those the report spends.  `tdi`'s rounding
-    checks read only this verdict.
+    Box points spend one step each, before each is yielded, and the
+    comparisons with H none, so the steps spent are a prefix of those the
+    report spends.  `tdi`'s rounding checks read only this verdict.
     """
     nonzero, cone = _nonzero_cone([tuple(v) for v in vectors], "hilbert_basis_verdict")
     if cone is None:
@@ -618,13 +626,12 @@ def hilbert_basis_verdict(vectors) -> bool:
         steps = StepCounter(step_budget(), "hilbert basis enumeration")
         h_heights = [cone.heights_of(h) for h in nonzero]
         candidates: set[IntVec] = set()
-        for box in _boxes(cone, steps):
-            for x in box:
-                if x not in hset:
-                    hx = cone.heights_of(x)
-                    if not any(all(map(le, h, hx)) for h in h_heights):
-                        return False
-            candidates.update(box)
+        for x in _box_points(cone, steps):
+            if x not in hset:
+                hx = cone.heights_of(x)
+                if not any(all(map(le, h, hx)) for h in h_heights):
+                    return False
+            candidates.add(x)
         return all(x in hset for x in _reduce_candidates(cone, candidates, steps))
     checks, reached = _lineality_checks(nonzero, cone)
     return all(map(reached, checks))

@@ -64,12 +64,33 @@ def test_minimalisation_spends_the_budget():
         assert ideals.power(ideal, 3) == cube
     with errors.budget(0), pytest.raises(Undecided, match="monomial minimalisation"):
         ideals.edge_ideal(RawClutter(4, [(0, 1), (1, 2, 3)]))
-    # every sum of a uniform clutter's generators has one total: no comparison
+    # every sum of a uniform clutter's generators has one total: no
+    # comparison; building the C(7, 3) = 35 sums of C_5's cube spends 35
     with errors.budget(0):
         c5 = ideals.edge_ideal(families.cycle_clutter(5))
+    with errors.budget(34), pytest.raises(Undecided, match="power sums"):
+        ideals.power(c5, 3)
+    with errors.budget(35):
         cube = ideals.power(c5, 3)
     sums = [tuple(map(sum, zip(*combo))) for combo in itertools.combinations_with_replacement(c5.gens, 3)]
     assert cube.gens == minimalize_parent_oracle(sums)
+    with errors.budget(0):
+        assert ideals.MonomialIdeal(5, sums) == cube
+
+
+def test_power_sums_spend_the_budget_before_they_are_built(triangle):
+    # the 4-fold sums of K_9's 36 edges number C(39, 4) = 82,251; a budget
+    # one short stops before any is built
+    k9 = ideals.edge_ideal(Clutter(9, list(itertools.combinations(range(9), 2))))
+    with errors.budget(82_250), pytest.raises(Undecided, match="power sums"):
+        ideals.power(k9, 4)
+    # the closure layers of the triangle's cube sum 3 edges onto layers of
+    # 1, 3 and 6 generators: 3 + 9 + 18 = 30 sums
+    edges = ideals.edge_ideal(triangle)
+    with errors.budget(29), pytest.raises(Undecided, match="power sums"):
+        ideals.closure_power(edges, 3)
+    with errors.budget(30):
+        assert ideals.closure_power(edges, 3) == ideals.power(edges, 3)
 
 
 def test_edge_ideal(triangle, square):

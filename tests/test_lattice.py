@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import Counter
-from math import prod
+from math import gcd, prod
 from operator import le
 
 import pytest
@@ -171,8 +171,13 @@ def hilbert_sets(draw):
     """A vector set with n <= 5 and entries -3..3: plain, or lifted with the
     unit vector of the last coordinate added as the rounding checks add it;
     with, at random, a forced lineality pair g, -c*g, a vector of gcd 2 or
-    3, the zero vector and a repeated vector.  Sets whose zonotope box
-    exceeds 5,000 points are left out, for the brute-force oracle's sake."""
+    3, the zero vector and a repeated vector.  About half the sets are
+    instead u, g = d*p - u (d = 3 or 4) and p or 2p, for independent u and
+    p of entries -1..1 with g primitive: p = (u + g)/d and its multiples
+    below d are box points of cone(u, g).  With p in H, the box point 2p
+    lies outside H and p divides it; with 2p in H, no element of H divides
+    the box point p.  Sets whose zonotope box exceeds 5,000 points are left
+    out, for the brute-force oracle's sake."""
     n = draw(st.integers(1, 5))
     unit = st.tuples(*[st.integers(-1, 1)] * n)
     vecs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=4))
@@ -187,6 +192,12 @@ def hilbert_sets(draw):
         vecs.append((0,) * n)
     if draw(st.booleans()):
         vecs.append(draw(st.sampled_from(vecs)))
+    if draw(st.booleans()):
+        u, p = draw(unit), draw(unit)
+        d, k = draw(st.integers(3, 4)), draw(st.integers(1, 2))
+        g = tuple(d * x - y for x, y in zip(p, u))
+        if gcd(*g) == 1 and any(u[i] * p[j] != u[j] * p[i] for i in range(n) for j in range(i)):
+            vecs = [u, g, tuple(k * x for x in p)]
     assume(prod(sum(abs(v[i]) for v in vecs) + 1 for i in range(n)) <= 5000)
     return vecs
 
@@ -198,7 +209,9 @@ def test_verdict_matches_the_report_and_brute_force(monkeypatch):
     # prefix of the report's steps, so every budget that decides the report
     # decides the verdict, the same way.  A verdict that runs no reduction
     # on a pointed cone whose extreme rays all lie in H was decided by a box
-    # point that no element of H divides.
+    # point that no element of H divides.  A Hilbert basis whose box holds
+    # a point outside H, which some element of H then divides, shows that
+    # the verdict reads past such a point.
     seen = Counter()
     reductions = []
     reduce_candidates = lattice._reduce_candidates
@@ -222,6 +235,14 @@ def test_verdict_matches_the_report_and_brute_force(monkeypatch):
             want = set(brute_hilbert_basis(nonzero, n)) <= set(nonzero)
             by_box = not reductions and set(cone.extreme_rays) <= set(nonzero)
             seen["box witness"] += by_box and rep.verdict is False
+            if rep.verdict:
+                steps = StepCounter(10**6, "test")
+                divided = [x for x in lattice._box_points(cone, steps) if x not in vecs]
+                assert all(
+                    any(all(map(le, cone.heights_of(h), cone.heights_of(x))) for h in nonzero)
+                    for x in divided
+                ), vecs
+                seen["divided box point"] += bool(divided)
         else:
             want = membership_report_oracle(nonzero, rep.basis).verdict
             seen["lineality"] += 1
@@ -242,7 +263,7 @@ def test_verdict_matches_the_report_and_brute_force(monkeypatch):
     draws = seen[True] + seen[False]
     assert min(seen[True], seen[False]) >= 0.3 * draws, seen
     assert seen["lineality"] >= 20 and seen["decided after undecided"] >= 20, seen
-    assert seen["box witness"] >= 20, seen
+    assert seen["box witness"] >= 20 and seen["divided box point"] >= 20, seen
 
 
 def test_verdict_reads_an_extreme_ray_outside_h_before_any_box():
@@ -269,12 +290,13 @@ def budgeted(fn, vecs, limit):
 
 def test_verdict_reads_a_box_point_that_no_element_of_h_divides():
     # every extreme ray is in H, and the box of cone((1, 2, 0), (2, 1, 0),
-    # (0, 0, 1)) holds 0, (1, 1, 0) and (2, 2, 0), one step each; no element
+    # (0, 0, 1)) yields 0, (1, 1, 0) and (2, 2, 0), one step each; no element
     # of H has facet heights at most those of (1, 1, 0), so the verdict is
-    # False once the box is spent, while the report also runs the reduction
+    # False at the second step, while the report spends the whole box and
+    # runs the reduction
     vecs = [(1, 2, 0), (2, 1, 0), (0, 0, 1)]
-    assert budgeted(hilbert_basis_verdict, vecs, 2) == "undecided"
-    assert budgeted(hilbert_basis_verdict, vecs, 3) is False
+    assert budgeted(hilbert_basis_verdict, vecs, 1) == "undecided"
+    assert budgeted(hilbert_basis_verdict, vecs, 2) is False
     assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 9) == "undecided"
     assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 10) is False
 
@@ -290,29 +312,50 @@ def test_verdict_passes_a_box_point_that_h_reaches():
 
 
 def counted_boxes(monkeypatch):
+    """Per simplex, how often its box is begun, and the points it yields,
+    in order."""
     calls = Counter()
+    drawn = []
     boxes = lattice._parallelepiped_points
 
     def counted(gens, *args):
         calls[gens] += 1
-        return boxes(gens, *args)
+        for point in boxes(gens, *args):
+            drawn.append((gens, point[0]))
+            yield point
 
     monkeypatch.setattr(lattice, "_parallelepiped_points", counted)
-    return calls
+    return calls, drawn
+
+
+def test_verdict_reads_no_box_point_after_the_witness(monkeypatch):
+    # the box of the one simplex yields 0, (1, 1, 0) and (2, 2, 0); the
+    # verdict stops at the witness (1, 1, 0) and never draws (2, 2, 0),
+    # while the report draws all three
+    vecs = [(1, 2, 0), (2, 1, 0), (0, 0, 1)]
+    (simplex,) = ConeWithLattice.from_vectors(vecs).triangulation
+    _, drawn = counted_boxes(monkeypatch)
+    assert hilbert_basis_verdict(vecs) is False
+    assert drawn == [(simplex, (0, 0, 0)), (simplex, (1, 1, 0))]
+    drawn.clear()
+    assert is_hilbert_basis(vecs).verdict is False
+    assert [pt for _, pt in drawn] == [(0, 0, 0), (1, 1, 0), (2, 2, 0)]
 
 
 def test_verdict_enumerates_no_box_after_the_witness_box(monkeypatch):
-    # the first of the three simplices holds the witness (1, 1, 1), so the
-    # other two boxes are never enumerated: the verdict decides at 4 steps,
-    # the 4 points of that box, and the report at 26
+    # the first of the three simplices yields 0 and then the witness
+    # (1, 2, 2), so neither the rest of that box nor the other two boxes
+    # are enumerated: the verdict decides at 2 steps, and the report at 26
     vecs = [(0, 2, 1), (1, 0, 0), (1, 1, 0), (1, 1, 2), (2, 0, 1)]
     triangulation = ConeWithLattice.from_vectors(vecs).triangulation
     assert len(triangulation) == 3
-    calls = counted_boxes(monkeypatch)
-    assert budgeted(hilbert_basis_verdict, vecs, 3) == "undecided"
+    calls, drawn = counted_boxes(monkeypatch)
+    assert budgeted(hilbert_basis_verdict, vecs, 1) == "undecided"
     calls.clear()
-    assert budgeted(hilbert_basis_verdict, vecs, 4) is False
+    drawn.clear()
+    assert budgeted(hilbert_basis_verdict, vecs, 2) is False
     assert calls == {triangulation[0]: 1}
+    assert drawn == [(triangulation[0], (0, 0, 0)), (triangulation[0], (1, 2, 2))]
     assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 25) == "undecided"
     assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 26) is False
 
@@ -324,9 +367,10 @@ def test_verdict_enumerates_each_box_once_when_every_box_is_empty(monkeypatch):
     vecs = [(0, 0, 1), (0, 1, 2), (1, 0, 0), (1, 1, 0)]
     cone = ConeWithLattice.from_vectors(vecs)
     assert max(h for r in cone.extreme_rays for h in cone.heights[r]) > 1
-    calls = counted_boxes(monkeypatch)
+    calls, drawn = counted_boxes(monkeypatch)
     assert budgeted(hilbert_basis_verdict, vecs, 4) is True
     assert calls == {simplex: 1 for simplex in cone.triangulation} and len(calls) == 2
+    assert drawn == [(simplex, (0, 0, 0)) for simplex in cone.triangulation]
     assert budgeted(hilbert_basis_verdict, vecs, 3) == "undecided"
     assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 3) == "undecided"
     assert budgeted(lambda v: is_hilbert_basis(v).verdict, vecs, 4) is True
@@ -677,7 +721,7 @@ def test_parallelepiped_points_match_fraction_solve(monkeypatch):
 
     def box(gens, n):
         smith_calls.clear()
-        got = lattice._parallelepiped_points(gens, n, StepCounter(10**6, "test"))
+        got = list(lattice._parallelepiped_points(gens, n, StepCounter(10**6, "test")))
         assert len(smith_calls) == 1, gens
         return got
 

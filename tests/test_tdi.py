@@ -250,16 +250,16 @@ def test_rounding_reports():
 
 
 def test_rounding_check_under_a_budget_that_stops_the_face_checks():
-    # at budgets 3 to 5 the lifted check decides (no Hilbert basis: its one
-    # box spends 3 steps and holds a point that no element of H divides) and
-    # the face check stops, so the equivalence says nothing; at 2 the lifted
-    # check stops, at 6 both decide
+    # at budgets 2 to 5 the lifted check decides (no Hilbert basis: its one
+    # box yields 0 and then a point that no element of H divides, one step
+    # each) and the face check stops, so the equivalence says nothing; at 1
+    # the lifted check stops, at 6 both decide
     system = LinearSystem([(1, 2), (2, 1)], (0, 0))
-    for limit in (3, 4, 5):
+    for limit in (2, 3, 4, 5):
         with errors.budget(limit):
             rep = tdi.integer_rounding_check(system)
         assert (rep.rounding, rep.tdi, rep.integral, rep.iff_respected) == (False, "undecided", True, True)
-    with errors.budget(2), pytest.raises(errors.Undecided):
+    with errors.budget(1), pytest.raises(errors.Undecided):
         tdi.integer_rounding_check(system)
     with errors.budget(6):
         assert tdi.integer_rounding_check(system).tdi is False
